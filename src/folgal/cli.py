@@ -17,6 +17,7 @@ from .foliation import DegenerateFoliationError, from_strings
 from .klein1d import BinaryRationalMap, classify
 from .numberfield import QQ
 from .parsing import ParseError, parse_rational
+from .report import SCHEMA_VERSION, analysis_report
 
 EXIT_GALOIS = 0
 EXIT_NOT_GALOIS = 1
@@ -119,8 +120,6 @@ def cmd_analyze(args) -> int:
     result = analyze(F, numeric=numeric, seed=args.seed,
                      full=True if args.full else None,
                      dump_csv=args.dump_paths)
-    from .report import analysis_report
-
     echo = {"field": field_spec, "A": a_text, "B": b_text}
     rep = analysis_report(result, echo)
     if args.json:
@@ -161,7 +160,7 @@ def cmd_classify1d(args) -> int:
         raise CliError(str(exc))
     outcome = classify(fmap)
     payload = {
-        "schema_version": "1",
+        "schema_version": SCHEMA_VERSION,
         "input": text,
         "degree": fmap.degree,
         "klein_class": str(outcome.klein),
@@ -199,7 +198,7 @@ def cmd_deck(args) -> int:
         return _status_exit(v.status)
     decks = deck_transformations(F, v)
     payload = {
-        "schema_version": "1",
+        "schema_version": SCHEMA_VERSION,
         "verdict": v.status,
         "method": v.method,
         "count": len(decks),

@@ -472,25 +472,6 @@ def _kernel_of_matrix(field, M):
     return kernel_basis([list(r) for r in M], field, zero, one)
 
 
-def _complete_basis(field, cols):
-    """Extend independent columns to a basis of the 3-space."""
-    zero = Fraction(0) if isinstance(field, RationalField) else field.zero()
-    one = Fraction(1) if isinstance(field, RationalField) else field.one()
-    basis = [list(c) for c in cols]
-    for k in range(3):
-        cand = [zero] * 3
-        cand[k] = one
-        test = basis + [cand]
-        mat = [list(col) for col in test]
-        if matrix_rank(mat, field) == len(test):
-            basis.append(cand)
-            if len(basis) == 3:
-                return basis
-    if len(basis) == 3:
-        return basis
-    raise AssertionError("could not complete to a basis")
-
-
 def transform_foliation(F: PlaneFoliation, T_cols) -> tuple[PlaneFoliation, list]:
     """Pull the foliation back by the projective change with column vectors
     ``T_cols`` (the new chart's frame); returns the new foliation."""
@@ -841,13 +822,6 @@ def decks_from_roots(F: PlaneFoliation, roots) -> list[DeckTransformation]:
 # declared by (name, min poly coefficients low-to-high, embedding hint).
 
 
-def _mobius_group_data(tag: str, order: int):
-    if tag == "cyclic":
-        n = order
-        return ("c", _cyclotomic_coeffs(n), None, [("zeta_scale",)])
-    raise ValueError
-
-
 def _cyclotomic_coeffs(n: int):
     import sympy as sp
 
@@ -1034,15 +1008,12 @@ def _conj_mat(c, g):
             [a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]],
         ]
 
-    det = c[0][0] * c[1][1] - c[0][1] * c[1][0]
     inv = [[c[1][1], -c[0][1]], [-c[1][0], c[0][0]]]
     return mul(mul(inv, g), c)
 
 
 def _restrict_homog(p: MultiPoly, K) -> MultiPoly:
     q = p.to_field(K) if K is not p.field else p
-    z = MultiPoly.variable(K, ("z",), "z")
-    one = MultiPoly.constant(K, ("z",), 1)
     return q.substitute({"x": 1, "y": MultiPoly.variable(K, AFFINE, "y")}).drop_vars(["x"]).rename_vars({"y": "z"})
 
 

@@ -84,9 +84,6 @@ class BranchPointRecord:
     profile: tuple
     weight: int
 
-    def is_infinity(self) -> bool:
-        return self.locus is None
-
     def __str__(self):
         where = "infinity" if self.locus is None else str(self.locus)
         return f"{where}: {self.profile} (weight {self.weight})"

@@ -67,16 +67,3 @@ def kernel_basis(matrix: list[list], field, zero, one) -> list[list]:
             vec[pc] = -rows[r][fc]
         basis.append(vec)
     return basis
-
-
-def solve_linear(matrix: list[list], rhs: list, field, zero):
-    """One solution of ``matrix @ x = rhs`` or None when inconsistent."""
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    ncols = len(matrix[0])
-    rows, pivots = rref(aug, field)
-    if ncols in pivots:
-        return None
-    x = [zero] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = rows[r][ncols]
-    return x

@@ -511,12 +511,6 @@ def variables(field, names: Sequence[str]) -> list[MultiPoly]:
 # -- canonical printing ------------------------------------------------------------------
 
 
-def _coeff_str(field, coeff) -> str:
-    if isinstance(coeff, FieldElement):
-        return field_element_str(coeff)
-    return str(coeff)
-
-
 def _needs_parens(text: str) -> bool:
     return ("+" in text) or ("-" in text[1:]) or text.startswith("-") or (" " in text)
 

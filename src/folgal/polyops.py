@@ -1,163 +1,90 @@
 """Exact gcd, resultant, discriminant and squarefree structure for MultiPoly.
 
-Strategy: univariate gcds over Q go through a verified modular algorithm
-(candidates from big-prime images, certified by exact trial division);
-everything else uses primitive/subresultant pseudo-remainder sequences with
-content extraction, recursing on the coefficient ring.  All paths are exact
-and propagate :class:`~folgal.numberfield.FieldSplit`.
+Strategy: over Q, every gcd and resultant goes to sympy's dense integer
+kernels on integer-cleared inputs: the heuristic gcd of Char-Geddes-Gonnet,
+certified by exact cofactor products, and the subresultant resultant.  Over a
+number-field tower they stay in-house, following D5 dynamic evaluation: gcds
+by a Euclidean sequence in one variable and by content extraction plus
+subresultant pseudo-remainder sequences in several, resultants by a Bareiss
+determinant of the Sylvester matrix.  Both paths are exact; the tower path
+propagates :class:`~folgal.numberfield.FieldSplit`.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
+from sympy.polys.densearith import dmp_mul
+from sympy.polys.densetools import dmp_clear_denoms
+from sympy.polys.domains import QQ as SQQ
+from sympy.polys.domains import ZZ
+from sympy.polys.euclidtools import dmp_inner_gcd, dmp_resultant
+
 from .multipoly import MultiPoly
 from .numberfield import FieldElement, RationalField, poly_divmod
+from .sympy_bridge import from_dense, to_dense
 
 
 class DegenerateResultant(Exception):
     pass
 
 
-# -- univariate gcd over Q: verified modular ----------------------------------------
-
-_PRIMES: list[int] = []
+# -- dense kernels over Q -------------------------------------------------------------------
 
 
-def _more_primes(count: int):
-    from sympy import nextprime
-
-    start = _PRIMES[-1] if _PRIMES else (1 << 62)
-    p = start
-    for _ in range(count):
-        p = nextprime(p)
-        _PRIMES.append(p)
-
-
-def _prime(i: int) -> int:
-    while i >= len(_PRIMES):
-        _more_primes(16)
-    return _PRIMES[i]
+def _active_vars(p: MultiPoly, q: MultiPoly):
+    out = []
+    for v in p.vars:
+        dp, dq = p.degree_in(v), q.degree_in(v)
+        if dp > 0 or dq > 0:
+            out.append((v, dp, dq))
+    return out
 
 
-def _int_primitive(coeffs: list[int]) -> list[int]:
-    g = 0
-    for c in coeffs:
-        g = math.gcd(g, c)
-        if g == 1:
-            break
-    if g == 0:
-        return coeffs
-    sign = -1 if coeffs[-1] < 0 else 1
-    g *= sign
-    return [c // g for c in coeffs]
+def _dense_zz(p: MultiPoly, order: Sequence[str]):
+    """``(den, f)``: ``f`` is ``den * p`` as a dense polynomial over sympy's ZZ."""
+    u = len(order) - 1
+    den, f = dmp_clear_denoms(to_dense(p, order, SQQ), u, SQQ, ZZ, convert=True)
+    return int(den), f
 
 
-def _gf_gcd(f: list[int], g: list[int], p: int) -> list[int]:
-    f = [c % p for c in f]
-    g = [c % p for c in g]
+def _gcd_rational(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """Monic gcd of non-constant polynomials over Q.
 
-    def trim(a):
-        while a and a[-1] == 0:
-            a.pop()
-        return a
+    sympy's dense heuristic gcd (Char-Geddes-Gonnet 1989) runs on the
+    integer-cleared inputs.  Its result is certified by the exact cofactor
+    identities ``h * cf == f`` and ``h * cg == g`` before it is returned.
+    """
+    order = [v for v, _, _ in _active_vars(p, q)]
+    u = len(order) - 1
+    _, f = _dense_zz(p, order)
+    _, g = _dense_zz(q, order)
+    h, cf, cg = dmp_inner_gcd(f, g, u, ZZ)
+    if dmp_mul(h, cf, u, ZZ) != f or dmp_mul(h, cg, u, ZZ) != g:
+        raise ArithmeticError("dense gcd over Q failed its cofactor check")
+    return from_dense(h, order, p).monic()
 
-    trim(f)
-    trim(g)
-    while g:
-        inv = pow(g[-1], -1, p)
-        while len(f) >= len(g):
-            c = f[-1] * inv % p
-            k = len(f) - len(g)
-            for i, gc in enumerate(g):
-                f[i + k] = (f[i + k] - c * gc) % p
-            trim(f)
+
+def _resultant_rational(p: MultiPoly, q: MultiPoly, var: str, dp: int, dq: int) -> MultiPoly:
+    """Sylvester resultant over Q of inputs of degrees ``dp, dq > 0`` in ``var``.
+
+    sympy's dense subresultant resultant runs on the integer-cleared inputs.
+    It gives the Sylvester sign only when its first argument has the larger
+    degree in ``var`` (``Res(y + 2, y^5 + 1)`` comes back as 31, not -31), so
+    the inputs are passed in that order and the swap's sign applied here.
+    """
+    rest = [v for v, _, _ in _active_vars(p, q) if v != var]
+    order = [var] + rest
+    a, f = _dense_zz(p, order)
+    b, g = _dense_zz(q, order)
+    sign = 1
+    if dp < dq:
         f, g = g, f
-    inv = pow(f[-1], -1, p)
-    return [c * inv % p for c in f]
-
-
-def _int_poly_divides(d: list[int], f: list[int]) -> bool:
-    f = list(f)
-    while len(f) >= len(d):
-        if f[-1] % d[-1]:
-            return False
-        c = f[-1] // d[-1]
-        k = len(f) - len(d)
-        for i, dc in enumerate(d):
-            f[i + k] -= c * dc
-        while f and f[-1] == 0:
-            f.pop()
-        if not f:
-            return True
-    return not f
-
-
-def _symmetric(c: int, m: int) -> int:
-    c %= m
-    return c - m if c > m // 2 else c
-
-
-def _gcd_univariate_int(f: list[int], g: list[int]) -> list[int]:
-    """Primitive gcd in Z[x] via big primes with exact divide verification."""
-    f = _int_primitive(list(f))
-    g = _int_primitive(list(g))
-    if len(f) < len(g):
-        f, g = g, f
-    lc_g = math.gcd(f[-1], g[-1])
-    best: list[int] | None = None
-    modulus = 1
-    for pi in range(200):
-        p = _prime(pi)
-        if f[-1] % p == 0 or g[-1] % p == 0:
-            continue
-        gp = _gf_gcd(f, g, p)
-        if len(gp) == 1:
-            return [1]
-        img = [_symmetric(c * lc_g, p) for c in gp]
-        if best is None or len(img) < len(best):
-            best, modulus = img, p
-            continue
-        if len(img) > len(best):
-            continue  # unlucky prime
-        m_inv = pow(modulus, -1, p)
-        new_mod = modulus * p
-        combined = [
-            _symmetric(a + modulus * ((b - a) * m_inv % p), new_mod)
-            for a, b in zip(best, img)
-        ]
-        if combined == best:
-            cand = _int_primitive(list(best))
-            if _int_poly_divides(cand, f) and _int_poly_divides(cand, g):
-                return cand
-        best, modulus = combined, new_mod
-    raise RuntimeError("modular gcd failed to stabilize")
-
-
-def _gcd_univariate_rational(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
-    """Monic gcd of rational coefficient lists (low-to-high)."""
-
-    def clear(coeffs):
-        denom = 1
-        for c in coeffs:
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
-        return [int(c * denom) for c in coeffs]
-
-    if not f:
-        return _monic_rational(g)
-    if not g:
-        return _monic_rational(f)
-    res = _gcd_univariate_int(clear(f), clear(g))
-    return _monic_rational([Fraction(c) for c in res])
-
-
-def _monic_rational(coeffs):
-    if not coeffs:
-        return []
-    lc = coeffs[-1]
-    return [c / lc for c in coeffs]
+        sign = (-1) ** (dp * dq)
+    res = dmp_resultant(f, g, len(rest), ZZ)
+    # Res(f / a, g / b) = Res(f, g) / (a^dq * b^dp)
+    return from_dense(res, rest, p).scale(Fraction(sign, a**dq * b**dp))
 
 
 # -- univariate gcd over a number field ------------------------------------------------
@@ -192,15 +119,6 @@ def _gcd_univariate_field(f: list, g: list, field) -> list:
 # -- multivariate gcd ---------------------------------------------------------------------
 
 
-def _active_vars(p: MultiPoly, q: MultiPoly):
-    out = []
-    for v in p.vars:
-        dp, dq = p.degree_in(v), q.degree_in(v)
-        if dp > 0 or dq > 0:
-            out.append((v, dp, dq))
-    return out
-
-
 def _univariate_constant_coeffs(p: MultiPoly, var: str):
     """Coefficient list in ``var`` when no other variable occurs."""
     coeffs = p.univariate_coeffs(var)
@@ -210,19 +128,22 @@ def _univariate_constant_coeffs(p: MultiPoly, var: str):
 def mpoly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """Greatest common divisor, graded-lex leading coefficient normalized to 1.
 
-    Over a number-field tower the D5 contract is:
-    :class:`~folgal.numberfield.FieldSplit` is raised only when a leading
+    Over Q the gcd comes from sympy's dense heuristic gcd, certified by exact
+    cofactor products.  Over a number-field tower it comes from content
+    extraction and subresultant pseudo-remainder sequences, under the D5
+    contract: :class:`~folgal.numberfield.FieldSplit` is raised only when a
     coefficient that must be inverted is a zero divisor modulo the tower's
     moduli; otherwise no split is raised, and the returned gcd is valid on
     every branch of the moduli.  Callers that need per-branch results run the
     gcd under :func:`~folgal.numberfield.run_with_splitting`.  The contract
-    holds when both arguments are univariate of positive degree (the
-    Euclidean path).  The constant shortcut returns 1 without inverting the
-    constant, and the multivariate path pseudo-divides (it multiplies by
+    holds when an argument is constant (a constant that is not rational is
+    inverted, so ``gcd(u - 1, x - 1)`` over ``Q[u]/(u^2 - 1)`` splits) and
+    when both are univariate of positive degree (the Euclidean path).  The
+    multivariate path strips contents and pseudo-divides (it multiplies by
     leading coefficients instead of inverting them), so there a zero-divisor
     coefficient can give a gcd that is wrong on some branch, with no split:
-    ``gcd(u - 1, x - 1)`` over ``Q[u]/(u^2 - 1)`` returns 1, though at
-    ``u = 1`` the gcd is ``x - 1``.
+    ``gcd((u - 1)*x^2, x^2*y)`` over ``Q[u]/(u^2 - 1)`` returns ``x^2``,
+    though at ``u = 1`` the gcd is ``x^2*y``.
     """
     if p.is_zero() and q.is_zero():
         return p.zero_like()
@@ -231,8 +152,20 @@ def mpoly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     if q.is_zero():
         return p.monic()
     if p.is_constant() or q.is_constant():
+        consts = [f.constant_value() for f in (p, q) if f.is_constant()]
+        # a rational constant is a unit on every branch; any other constant
+        # may be a zero divisor, and inverting it splits the tower (D5)
+        if all(isinstance(c, FieldElement) and c.rational_value() is None for c in consts):
+            consts[0].inverse()
         return p.one_like()
+    if isinstance(p.field, RationalField):
+        return _gcd_rational(p, q)
+    return _gcd_content_prs(p, q)
 
+
+def _gcd_content_prs(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """Gcd of non-constant polynomials by content extraction and subresultant
+    PRS, with a Euclidean gcd when one variable is left; any field."""
     active = _active_vars(p, q)
     # variables occurring in only one argument: strip via content
     for v, dp, dq in active:
@@ -245,13 +178,11 @@ def mpoly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     var = min(shared, key=lambda t: min(t[1], t[2]))[0]
 
     if len(active) == 1:
-        fld = p.field
-        fc = _univariate_constant_coeffs(p, var)
-        gc = _univariate_constant_coeffs(q, var)
-        if isinstance(fld, RationalField):
-            res = _gcd_univariate_rational(fc, gc)
-        else:
-            res = _gcd_univariate_field(fc, gc, fld)
+        res = _gcd_univariate_field(
+            _univariate_constant_coeffs(p, var),
+            _univariate_constant_coeffs(q, var),
+            p.field,
+        )
         terms = {}
         idx = p.vars.index(var)
         for k, c in enumerate(res):
@@ -415,8 +346,9 @@ def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
         return p**dq
     if dq <= 0:
         return q**dp
-    det = _bareiss_det(sylvester_matrix(p, q, var))
-    return det
+    if isinstance(p.field, RationalField):
+        return _resultant_rational(p, q, var, dp, dq)
+    return _bareiss_det(sylvester_matrix(p, q, var))
 
 
 def discriminant(p: MultiPoly, var: str) -> MultiPoly:

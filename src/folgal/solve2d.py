@@ -167,22 +167,11 @@ def _scalar_mul(val, lam: Fraction, field):
 
 
 def _monic_gcd_coeffs(f: list, g: list, field):
-    """Monic univariate gcd of coefficient lists over a field layer."""
-
-    def trim(a):
-        while a and not a[-1]:
-            a.pop()
-        return a
-
-    f = trim(list(f))
-    g = trim(list(g))
-    if isinstance(field, RationalField):
-        from .polyops import _gcd_univariate_rational
-
-        return _gcd_univariate_rational(f, g)
-    from .polyops import _gcd_univariate_field
-
-    return _gcd_univariate_field(f, g, field)
+    """Monic univariate gcd of coefficient lists (low to high) over ``field``."""
+    fp, gp = (
+        MultiPoly(field, ("y",), {(k,): c for k, c in enumerate(a)}) for a in (f, g)
+    )
+    return [c.constant_value() for c in mpoly_gcd(fp, gp).univariate_coeffs("y")]
 
 
 def _is_linear_power(g: list, eta, field) -> bool:

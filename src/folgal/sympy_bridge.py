@@ -3,12 +3,19 @@
 Only two coefficient domains are supported: Q, and a simple certified
 extension Q(a) sitting directly over Q.  Anything deeper reports
 :class:`FactorUnavailable`; callers fall back to squarefree data plus
-dynamic splitting.
+dynamic splitting.  The module also holds the one converter between
+MultiPoly and sympy's dense recursive polynomials (:func:`to_dense`,
+:func:`from_dense`), which the Q kernels of :mod:`folgal.polyops` use too.
 """
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
+from typing import Sequence
+
+from sympy.polys.densebasic import dmp_from_dict, dmp_to_dict
+from sympy.polys.polyclasses import DMP
 
 from .multipoly import MultiPoly
 from .numberfield import NumberField, RationalField
@@ -18,7 +25,8 @@ class FactorUnavailable(Exception):
     pass
 
 
-_DOMAIN_CACHE: dict[int, tuple] = {}
+# keyed on the field object, so a collected field's domain is never handed on
+_DOMAIN_CACHE: "weakref.WeakKeyDictionary[NumberField, tuple]" = weakref.WeakKeyDictionary()
 
 
 def _sympy_tools():
@@ -30,7 +38,7 @@ def _sympy_tools():
 
 def _algebraic_domain(field: NumberField):
     """sympy algebraic field for a depth-1 extension, with checks."""
-    cached = _DOMAIN_CACHE.get(id(field))
+    cached = _DOMAIN_CACHE.get(field)
     if cached is not None:
         return cached
     sp, SQQ = _sympy_tools()
@@ -54,24 +62,51 @@ def _algebraic_domain(field: NumberField):
             "declared modulus is not the minimal polynomial of its root"
         )
     result = (dom, alpha)
-    _DOMAIN_CACHE[id(field)] = result
+    _DOMAIN_CACHE[field] = result
     return result
+
+
+def to_dense(p: MultiPoly, order: Sequence[str], dom) -> list:
+    """Dense recursive sympy representation of ``p`` over the sympy domain ``dom``.
+
+    ``order`` lists the variables outermost first; it must contain every
+    variable that occurs in ``p``.  ``dom`` is sympy's QQ over Q, or the
+    domain of :func:`_algebraic_domain` over a depth-1 extension.
+    """
+    idx = [p.vars.index(v) for v in order]
+    if isinstance(p.field, RationalField):
+        coeff = lambda c: dom(c.numerator, c.denominator)
+    else:
+        sp, _ = _sympy_tools()
+        coeff = lambda c: dom([sp.Rational(v) for v in reversed(c.rep)])
+    flat = {tuple(e[i] for i in idx): coeff(c) for e, c in p.terms.items()}
+    return dmp_from_dict(flat, len(order) - 1, dom)
+
+
+def from_dense(rep, order: Sequence[str], like: MultiPoly) -> MultiPoly:
+    """Inverse of :func:`to_dense`: ``rep`` in ``order`` as a polynomial in
+    ``like``'s ring.  With ``order`` empty, ``rep`` is a ground element."""
+    field = like.field
+    idx = [like.vars.index(v) for v in order]
+    flat = dmp_to_dict(rep, len(order) - 1) if order else {(): rep}
+    terms = {}
+    for exp, c in flat.items():
+        full = [0] * len(like.vars)
+        for i, k in zip(idx, exp):
+            full[i] = k
+        terms[tuple(full)] = _coeff_from_sympy(field, c)
+    return MultiPoly(field, like.vars, terms)
 
 
 def _to_sympy_poly(p: MultiPoly):
     sp, SQQ = _sympy_tools()
     syms = [sp.Symbol(v) for v in p.vars]
-    field = p.field
-    if isinstance(field, RationalField):
+    if isinstance(p.field, RationalField):
         dom = SQQ
-        coeff_map = {e: sp.Rational(c) for e, c in p.terms.items()}
     else:
-        dom, _ = _algebraic_domain(field)
-        coeff_map = {}
-        for e, c in p.terms.items():
-            rep = [sp.Rational(v) for v in reversed(c.rep)]
-            coeff_map[e] = dom(rep)
-    return sp.Poly.from_dict(coeff_map, *syms, domain=dom), dom
+        dom, _ = _algebraic_domain(p.field)
+    rep = DMP(to_dense(p, p.vars, dom), dom, len(p.vars) - 1)
+    return sp.Poly.new(rep, *syms), dom
 
 
 def _rational_of(coeff) -> Fraction:
@@ -82,21 +117,15 @@ def _rational_of(coeff) -> Fraction:
     raise TypeError(f"unexpected sympy coefficient {coeff!r}")
 
 
-def _from_sympy_poly(poly, like: MultiPoly) -> MultiPoly:
-    field = like.field
-    terms = {}
-    for exp, coeff in poly.as_dict(native=True).items():
-        if isinstance(field, RationalField):
-            val = _rational_of(coeff)
-        elif hasattr(coeff, "to_list"):
-            lst = [_rational_of(c) for c in coeff.to_list()]
-            rep = list(reversed(lst))
-            rep += [Fraction(0)] * (field.degree - len(rep))
-            val = field.element(rep)
-        else:
-            val = field.coerce(_rational_of(coeff))
-        terms[exp] = val
-    return MultiPoly.from_dict(field, like.vars, terms)
+def _coeff_from_sympy(field, coeff):
+    if isinstance(field, RationalField):
+        return _rational_of(coeff)
+    if hasattr(coeff, "to_list"):
+        lst = [_rational_of(c) for c in coeff.to_list()]
+        rep = list(reversed(lst))
+        rep += [Fraction(0)] * (field.degree - len(rep))
+        return field.element(rep)
+    return field.coerce(_rational_of(coeff))
 
 
 def factor_irreducible(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
@@ -112,14 +141,9 @@ def factor_irreducible(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
     _, factors = spoly.factor_list()
     out = []
     for f, mult in factors:
-        q = _from_sympy_poly(f, p)
+        q = from_dense(f.rep.to_list(), p.vars, p)
         if q.is_constant():
             continue
         out.append((q.monic(), int(mult)))
     out.sort(key=lambda fm: (fm[0].total_degree(), sorted(fm[0].terms)))
     return out
-
-
-def is_irreducible(p: MultiPoly) -> bool:
-    facs = factor_irreducible(p)
-    return len(facs) == 1 and facs[0][1] == 1

@@ -129,3 +129,23 @@ def test_gcd_split_event_is_structured():
     # u = 1: q = x - 1, gcd x - 1; u = -1: q = (x + 1)(1 - 2x), gcd x + 1
     results = sorted(str(g) for _, g in branch_gcds(q))
     assert results == ["x + 1", "x - 1"]
+
+
+def test_gcd_with_zero_divisor_constant_splits():
+    from folgal.parsing import parse_poly
+    from folgal.polyops import mpoly_gcd
+
+    # u - 1 is a zero divisor modulo u^2 - 1: the constant shortcut must
+    # invert it, since at u = 1 it vanishes and the gcd becomes x - 1
+    L = extend(QQ, "u", [Fraction(-1), Fraction(0)])
+    p = parse_poly("u - 1", L, ("x",))
+    q = parse_poly("x - 1", L, ("x",))
+    with pytest.raises(FieldSplit):
+        mpoly_gcd(p, q)
+
+    def compute(fld, proj):
+        return mpoly_gcd(p.map_coefficients(proj, fld), q.map_coefficients(proj, fld))
+
+    # each branch field is u + c0 over QQ, so u = -c0 there
+    by_u = {-fld.min_poly[0]: str(g) for fld, g in run_with_splitting(L, compute)}
+    assert by_u == {1: "x - 1", -1: "1"}

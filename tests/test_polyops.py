@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from folgal.multipoly import MultiPoly, variables
@@ -9,6 +9,7 @@ from folgal.numberfield import QQ, extend
 from folgal.parsing import parse_min_poly, parse_poly
 from folgal.polyops import (
     DegenerateResultant,
+    _gcd_content_prs,
     discriminant,
     is_square_over_closure,
     mpoly_gcd,
@@ -81,6 +82,26 @@ def test_gcd_divides_and_cofactors_coprime(p, q, h):
     assert h.monic().divides(g)
 
 
+TRIVARIATE = ("x", "y", "t")
+
+
+@given(
+    small_poly(names=TRIVARIATE, max_terms=3, max_exp=2),
+    small_poly(names=TRIVARIATE, max_terms=3, max_exp=2),
+    small_poly(names=TRIVARIATE, max_terms=3, max_exp=2),
+)
+@settings(max_examples=20, deadline=None)
+def test_dense_gcd_matches_content_prs(a, b, h):
+    # the discriminant route's shape: (x, y, t) over Q; the dense kernel is
+    # checked against the content + subresultant route kept for towers
+    p, q = a * h, b * h
+    if p.is_constant() or q.is_constant():
+        return
+    g = mpoly_gcd(p, q)
+    assert g == _gcd_content_prs(p, q).monic()
+    assert h.monic().divides(g)
+
+
 # -- resultants ---------------------------------------------------------------
 
 
@@ -91,6 +112,10 @@ def test_resultant_known_values():
     assert resultant(z**3 - y, 3 * z * z, "z") == 27 * y * y
     r = resultant(z - 1, z + 1, "z")
     assert r.is_constant() and abs(Fraction(r.constant_value())) == 2
+    # Res(y + 2, y^5 + 1) is y^5 + 1 at the root y = -2, i.e. -31; swapping
+    # the arguments multiplies it by (-1)^(1*5)
+    assert resultant(y + 2, y**5 + 1, "y") == -31
+    assert resultant(y**5 + 1, y + 2, "y") == 31
 
 
 def test_resultant_degenerate():
@@ -107,6 +132,32 @@ def test_resultant_matches_brute_sylvester(p, q):
     fast = resultant(p, q, "z")
     slow = brute_determinant(sylvester_matrix(p, q, "z"))
     assert fast == slow
+
+
+@st.composite
+def z_poly(draw, max_deg=3):
+    """Polynomial in ``(z, y)`` of degree 1..max_deg in ``z``, coefficients
+    of degree at most 2 in ``y``."""
+    deg = draw(st.integers(min_value=1, max_value=max_deg))
+    terms = {}
+    for k in range(deg + 1):
+        for j in range(3):
+            terms[(k, j)] = Fraction(draw(st.integers(min_value=-3, max_value=3)))
+    if not any(terms[(deg, j)] for j in range(3)):
+        terms[(deg, 0)] = Fraction(1)
+    return MultiPoly.from_dict(QQ, ("z", "y"), terms)
+
+
+@given(z_poly(), z_poly())
+@example(
+    MultiPoly.from_dict(QQ, ("z", "y"), {(1, 0): 1, (0, 1): 2}),
+    MultiPoly.from_dict(QQ, ("z", "y"), {(3, 0): 1, (0, 0): 1, (1, 1): -1}),
+)
+@settings(max_examples=30, deadline=None)
+def test_resultant_matches_brute_sylvester_odd_degrees(p, q):
+    # degrees up to 3 in z reach odd x odd pairs with deg p < deg q, where
+    # the argument order changes the sign of sympy's resultant
+    assert resultant(p, q, "z") == brute_determinant(sylvester_matrix(p, q, "z"))
 
 
 @given(small_poly(names=("z", "y"), max_exp=2), small_poly(names=("z", "y"), max_exp=2))
