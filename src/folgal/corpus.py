@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .foliation import PlaneFoliation, from_strings
+from .galois import lr_deformation
 from .klein1d import BinaryRationalMap
+from .linalg import rank
 from .numberfield import QQ
-from .parsing import parse_rational
+from .parsing import parse_poly, parse_rational
 
 # (field spec, A, B) triples; names describe the geometry, not provenance.
 FOLIATION_SPECS = {
@@ -85,13 +89,37 @@ def line_map(name: str) -> BinaryRationalMap:
     return BinaryRationalMap.make(rf.num, rf.den)
 
 
-def deformation_family_member(degree: int, seed_rows, u_text: str, v_text: str):
-    """Member of the extremal deformation family of x^d dx + y^d dy."""
-    from . import galois
-    from .parsing import parse_poly
+def random_deformation_member(rng, degree: int) -> PlaneFoliation:
+    """Random member of the extremal deformation family of x^d dx + y^d dy.
 
-    F = foliation(f"fermat_{degree}") if f"fermat_{degree}" in FOLIATION_SPECS else \
-        from_strings(None, f"x^{degree}", f"y^{degree}")
-    u = parse_poly(u_text, QQ, ("x", "y"))
-    v = parse_poly(v_text, QQ, ("x", "y"))
-    return galois.lr_deformation(F, u, v, seed_rows)
+    Draws a rank-2 mixing matrix with entries in [-3, 3] and two independent
+    affine forms with coefficients in [-2, 2], redrawing dependent choices,
+    then deforms by :func:`~folgal.galois.lr_deformation`.  The same ``rng``
+    state always gives the same member.
+    """
+    while True:
+        rows = tuple(
+            tuple(Fraction(rng.randint(-3, 3)) for _ in range(3)) for _ in range(2)
+        )
+        if rank([list(r) for r in rows], QQ) == 2:
+            break
+    while True:
+        u = parse_poly(
+            f"{rng.randint(-2, 2)}*x + {rng.randint(-2, 2)}*y + {rng.randint(-2, 2)}",
+            QQ,
+            ("x", "y"),
+        )
+        v = parse_poly(
+            f"{rng.randint(-2, 2)}*x + {rng.randint(-2, 2)}*y + {rng.randint(-2, 2)}",
+            QQ,
+            ("x", "y"),
+        )
+        mono = [(0, 0), (1, 0), (0, 1)]
+        m = [
+            [u.terms.get(e, Fraction(0)) for e in mono],
+            [v.terms.get(e, Fraction(0)) for e in mono],
+        ]
+        if rank(m, QQ) == 2:
+            break
+    F0 = from_strings(None, f"x^{degree}", f"y^{degree}")
+    return lr_deformation(F0, u, v, rows)

@@ -25,7 +25,7 @@ from .foliation import (
 from .klein1d import BinaryRationalMap, WeightedBranchingType, classify
 from .linalg import kernel_basis, rank as matrix_rank
 from .local import classify_singularities, germ_delta, polar_curve
-from .multipoly import MultiPoly, NotDivisible
+from .multipoly import MultiPoly, NotDivisible, evaluate_at
 from .numberfield import FieldElement, NumberField, RationalField, extend
 from .polyops import is_square_over_closure, mpoly_gcd, squarefree_part
 from .ratfunc import RationalFunction, compose_poly
@@ -741,32 +741,43 @@ class DeckTransformation:
         return f"(x, y) -> ({self.tau_x}, {self.tau_y})"
 
 
-def _gauss_rf(F: PlaneFoliation, work_field):
-    A = F.A.to_field(work_field) if work_field is not F.field else F.A
-    B = F.B.to_field(work_field) if work_field is not F.field else F.B
-    x = MultiPoly.variable(work_field, AFFINE, "x")
-    y = MultiPoly.variable(work_field, AFFINE, "y")
-    C = y * A - x * B
-    return RationalFunction(-B, C), RationalFunction(A, C)
-
-
 def verify_deck(F: PlaneFoliation, tau: DeckTransformation) -> bool:
-    """Symbolic identity G o tau = G for the affine Gauss map."""
+    """Symbolic identity G o tau = G for the affine Gauss map G = (-B/C, A/C).
+
+    With tau = (Nx/Dx, Ny/Dy), the projective point [X:Y:Z] = [Nx Dy : Ny Dx :
+    Dx Dy] and A, B, C = yA - xB homogenised to one degree n,
+    P(tau) = P^h(X, Y, Z)/Z^n, so the identity is checked with denominators
+    cleared: B^h(X, Y, Z) C == B C^h(X, Y, Z), the same with A, and
+    C^h(X, Y, Z) != 0.
+    """
     field = tau.tau_x.num.field
-    g1, g2 = _gauss_rf(F, field)
-    sub = {"x": tau.tau_x, "y": tau.tau_y}
+    A, B = F.A.to_field(field), F.B.to_field(field)
+    x = MultiPoly.variable(field, AFFINE, "x")
+    y = MultiPoly.variable(field, AFFINE, "y")
+    C = y * A - x * B
+    n = max(f.total_degree() for f in (A, B, C))
+    nx, dx = tau.tau_x.num, tau.tau_x.den
+    ny, dy = tau.tau_y.num, tau.tau_y.den
+    At, Bt, Ct = evaluate_at(
+        [f.homogenize("z", n) for f in (A, B, C)], [nx * dy, ny * dx, dx * dy]
+    )
+    return not Ct.is_zero() and Bt * C == B * Ct and At * C == A * Ct
 
-    def compose_rf(rf: RationalFunction) -> RationalFunction:
-        num = compose_poly(rf.num, sub)
-        den = compose_poly(rf.den, sub)
-        return num / den
 
-    return compose_rf(g1) == g1 and compose_rf(g2) == g2
+def _mobius_forms(m, top: MultiPoly, bottom: MultiPoly):
+    """``(a top + b bottom, c top + e bottom)`` for m = [[a, b], [c, e]]: the
+    numerator and denominator of the Möbius map at ``top / bottom``."""
+    if not m[0][0] * m[1][1] - m[0][1] * m[1][0]:
+        raise ValueError("singular Möbius matrix")
+    return (
+        top.scale(m[0][0]) + bottom.scale(m[0][1]),
+        top.scale(m[1][0]) + bottom.scale(m[1][1]),
+    )
 
 
-def _verify_line_deck_lift(F: PlaneFoliation, what, field) -> bool:
-    """G o tau = G for a homogeneous foliation and tau lifted from a Möbius
-    deck w of the reduced line map.
+def _verify_line_deck_lift(F: PlaneFoliation, m, K) -> bool:
+    """G o tau = G for a homogeneous foliation and tau lifted from the Möbius
+    deck w = (a z + b)/(c z + e), m = [[a, b], [c, e]], of the reduced line map.
 
     By homogeneity the identity is equivalent to the pair of univariate
     identities (with affine slices P(z) = P(1, z) and C = yA - xB):
@@ -774,32 +785,26 @@ def _verify_line_deck_lift(F: PlaneFoliation, what, field) -> bool:
         A(w)(A(z) w - B(z)) = A(z) C(w)
         B(w)(A(z) w - B(z)) = B(z) C(w)
 
-    where the composition with w clears denominators exactly.
+    With W1 = a z + b, W0 = c z + e and P^h the slice P(z) homogenised to
+    n = max(deg A(z), deg B(z)), P(w) = P^h(W1, W0)/W0^n, so clearing
+    denominators gives the polynomial identities
+    A^h(W1, W0)(A(z) W1 - B(z) W0) = A(z) C^h(W1, W0), the same with B, where
+    C^h(W1, W0) = A^h(W1, W0) W1 - B^h(W1, W0) W0.
     """
-    A1 = _restrict_homog(F.A, field)
-    B1 = _restrict_homog(F.B, field)
-    z = MultiPoly.variable(field, ("z",), "z")
-    C1 = A1 * z - B1  # C(1, z) = A(1,z) z - B(1,z)
-    w = what
-    Aw = compose_poly(A1, {"z": w})
-    Bw = compose_poly(B1, {"z": w})
-    Cw = compose_poly(C1, {"z": w})
-    mid = RationalFunction.from_poly(A1) * w - RationalFunction.from_poly(B1)
-    lhs1 = Aw * mid
-    rhs1 = RationalFunction.from_poly(A1) * Cw
-    if lhs1 != rhs1:
-        return False
-    lhs2 = Bw * mid
-    rhs2 = RationalFunction.from_poly(B1) * Cw
-    return lhs2 == rhs2
+    A1, B1 = _restrict_homog(F.A, K), _restrict_homog(F.B, K)
+    n = max(A1.total_degree(), B1.total_degree())
+    W1, W0 = _mobius_forms(m, MultiPoly.variable(K, ("z",), "z"), A1.one_like())
+    Aw, Bw = evaluate_at([f.homogenize("w", n) for f in (A1, B1)], [W1, W0])
+    Cw = Aw * W1 - Bw * W0
+    mid = A1 * W1 - B1 * W0
+    return Aw * mid == A1 * Cw and Bw * mid == B1 * Cw
 
 
 def decks_from_roots(F: PlaneFoliation, roots) -> list[DeckTransformation]:
     """tau = (x + tA, y + tB) for each rational fibre root t(x, y), verified."""
     out = []
     field = roots[0].num.field if roots else F.field
-    A = F.A.to_field(field) if field is not F.field else F.A
-    B = F.B.to_field(field) if field is not F.field else F.B
+    A, B = F.A.to_field(field), F.B.to_field(field)
     x = MultiPoly.variable(field, AFFINE, "x")
     y = MultiPoly.variable(field, AFFINE, "y")
     identity = DeckTransformation(
@@ -808,8 +813,8 @@ def decks_from_roots(F: PlaneFoliation, roots) -> list[DeckTransformation]:
     out.append(identity)
     for root in roots:
         tau = DeckTransformation(
-            root * RationalFunction.from_poly(A) + x,
-            root * RationalFunction.from_poly(B) + y,
+            RationalFunction(root.num * A + x * root.den, root.den),
+            RationalFunction(root.num * B + y * root.den, root.den),
         )
         tau.verified = verify_deck(F, tau)
         if not tau.verified:
@@ -921,21 +926,14 @@ def _mobius_close(gens, field, cap: int):
     return sorted(seen, key=lambda m: str(m))
 
 
-def _mobius_rf(m, field) -> RationalFunction:
-    z = MultiPoly.variable(field, ("z",), "z")
-    num = z.scale(m[0][0]) + MultiPoly.constant(field, ("z",), m[0][1])
-    den = z.scale(m[1][0]) + MultiPoly.constant(field, ("z",), m[1][1])
-    return RationalFunction(num, den)
-
-
-def _map_fixes(fmap: BinaryRationalMap, mob: RationalFunction) -> bool:
-    """Whether f o mob = f symbolically."""
-    sub = {"z": mob}
-    num_c = compose_poly(fmap.num, sub)
-    den_c = compose_poly(fmap.den, sub)
-    lhs = num_c * RationalFunction.from_poly(fmap.den.to_field(mob.num.field))
-    rhs = den_c * RationalFunction.from_poly(fmap.num.to_field(mob.num.field))
-    return lhs == rhs
+def _map_fixes(fmap: BinaryRationalMap, m) -> bool:
+    """Whether f o w = f symbolically for w = (a z + b)/(c z + e),
+    m = [[a, b], [c, e]]: with W1 = a z + b, W0 = c z + e and N, D homogenised
+    to deg f, N(W1, W0) D(z) == D(W1, W0) N(z)."""
+    N, D = fmap.num, fmap.den
+    W1, W0 = _mobius_forms(m, MultiPoly.variable(fmap.field, ("z",), "z"), N.one_like())
+    Nw, Dw = evaluate_at([f.homogenize("w", fmap.degree) for f in (N, D)], [W1, W0])
+    return Nw * D == Dw * N
 
 
 def decks_from_line_decks(F: PlaneFoliation, klein, fmap: BinaryRationalMap):
@@ -943,6 +941,10 @@ def decks_from_line_decks(F: PlaneFoliation, klein, fmap: BinaryRationalMap):
 
     Uses tau(x, y) = [(Ay - Bx)/(A w(y/x) - B)] (1, w(y/x)) for each Möbius
     deck w of B(1, z)/A(1, z); every lift is verified against the Gauss map.
+    With w(y/x) = W1/W0, W1 = a y + b x, W0 = c y + e x and D = A W1 - B W0,
+    tau = (C W0/D, C W1/D) for C = Ay - Bx.  Both coordinates are put in lowest
+    terms with one gcd: after g = gcd(C, D), the linear form W is either a
+    factor of D/g or prime to it.
     """
     if not F.c_bar.is_zero() or not (F.A.is_homogeneous() and F.B.is_homogeneous()):
         raise UseAnotherMethod("line-deck lifting needs a homogeneous foliation")
@@ -952,12 +954,11 @@ def decks_from_line_decks(F: PlaneFoliation, klein, fmap: BinaryRationalMap):
     A1 = _restrict_homog(F.A, K)
     B1 = _restrict_homog(F.B, K)
     gmap = BinaryRationalMap.make(B1, A1)
-    variants = [gens]
     conj_pool = _conjugation_pool(K)
     working = None
     for conj in conj_pool:
         cand = [_conj_mat(conj, g) for g in gens]
-        if all(_map_fixes(gmap, _mobius_rf(g, K)) for g in cand):
+        if all(_map_fixes(gmap, g) for g in cand):
             working = cand
             break
     if working is None:
@@ -973,23 +974,30 @@ def decks_from_line_decks(F: PlaneFoliation, klein, fmap: BinaryRationalMap):
     B = F.B.to_field(K)
     x = MultiPoly.variable(K, AFFINE, "x")
     y = MultiPoly.variable(K, AFFINE, "y")
-    Cnum = RationalFunction.from_poly(A * y - B * x)
+    C = A * y - B * x
     out = []
     for m in group:
-        w = _mobius_rf(m, K)
-        # w(y/x) as a rational function of (x, y)
-        yx = RationalFunction(y, x)
-        w_xy = _compose_rf_single(w, yx)
-        denom = RationalFunction.from_poly(A) * w_xy - RationalFunction.from_poly(B)
-        scale = Cnum / denom
-        tau = DeckTransformation(scale, scale * w_xy)
+        W1, W0 = _mobius_forms(m, y, x)
+        D = A * W1 - B * W0
+        g = mpoly_gcd(C, D)
+        Cg, Dg = C.exact_div(g), D.exact_div(g)
+        tau = DeckTransformation(_times_linear(Cg, Dg, W0), _times_linear(Cg, Dg, W1))
         # the Gauss-map identity reduces exactly to univariate identities
         # for homogeneous foliations; see _verify_line_deck_lift
-        tau.verified = _verify_line_deck_lift(F, w, K)
+        tau.verified = _verify_line_deck_lift(F, m, K)
         if not tau.verified:
             raise AssertionError("lifted deck failed the Gauss-map identity")
         out.append(tau)
     return out
+
+
+def _times_linear(num: MultiPoly, den: MultiPoly, W: MultiPoly) -> RationalFunction:
+    """``num W / den`` in lowest terms, for coprime ``num``, ``den`` and a
+    linear form ``W``, which either divides ``den`` or is prime to it."""
+    try:
+        return RationalFunction(num, den.exact_div(W), reduce=False)
+    except NotDivisible:
+        return RationalFunction(num * W, den, reduce=False)
 
 
 def _conjugation_pool(K):
@@ -1015,12 +1023,6 @@ def _conj_mat(c, g):
 def _restrict_homog(p: MultiPoly, K) -> MultiPoly:
     q = p.to_field(K) if K is not p.field else p
     return q.substitute({"x": 1, "y": MultiPoly.variable(K, AFFINE, "y")}).drop_vars(["x"]).rename_vars({"y": "z"})
-
-
-def _compose_rf_single(rf: RationalFunction, arg: RationalFunction) -> RationalFunction:
-    num = compose_poly(rf.num, {"z": arg})
-    den = compose_poly(rf.den, {"z": arg})
-    return num / den
 
 
 def deck_transformations(F: PlaneFoliation, verdict: GaloisVerdict):

@@ -297,6 +297,8 @@ class MultiPoly:
         """
         target = tuple(target) if target is not None else self.vars
         field = self.field
+        if not self.vars:
+            return MultiPoly.constant(field, target, self.constant_value())
         images = []
         for name in self.vars:
             if name in mapping:
@@ -309,26 +311,7 @@ class MultiPoly:
                     images.append(MultiPoly.constant(field, target, val))
             else:
                 images.append(MultiPoly.variable(field, target, name))
-        result = MultiPoly.zero(field, target)
-        # Horner-free direct expansion with power caching per variable.
-        caches = [dict() for _ in images]
-
-        def power(i, k):
-            cache = caches[i]
-            if k not in cache:
-                if k == 0:
-                    cache[k] = MultiPoly.constant(field, target, 1)
-                else:
-                    cache[k] = power(i, k - 1) * images[i]
-            return cache[k]
-
-        for e, c in self.terms.items():
-            term = MultiPoly.constant(field, target, c)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * power(i, k)
-            result = result + term
-        return result
+        return evaluate_at([self], images)[0]
 
     def eval_field(self, point: Mapping[str, object]):
         """Evaluate at a point with coordinates in the coefficient field."""
@@ -487,6 +470,53 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({poly_str(self)})"
+
+
+def evaluate_at(polys: Sequence[MultiPoly], point: Sequence[MultiPoly]) -> list:
+    """Each of ``polys`` with its i-th variable replaced by ``point[i]``.
+
+    The coordinates share one ring and the polynomials their coefficient
+    field.  Horner's rule runs in the first variable, so a form of degree n
+    at a point of degree m costs O(n) products of size O(nm), not one per
+    term; the powers of the other coordinates are computed once for all of
+    the polynomials.
+    """
+    field, target = point[0].field, point[0].vars
+    powers = [[MultiPoly.constant(field, target, 1)] for _ in point]
+
+    def power(i, k):
+        cache = powers[i]
+        while len(cache) <= k:
+            cache.append(cache[-1] * point[i])
+        return cache[k]
+
+    constant = {(0,) * len(target): _coerce_coeff(field, 1)}
+
+    def combine(items):
+        """The sum of ``c * prod_i point[i]^e_i`` over (exponent, c) items."""
+        acc = {}
+        for e, c in items:
+            term = None
+            for i, k in enumerate(e):
+                if k:
+                    term = power(i, k) if term is None else term * power(i, k)
+            for te, tc in (constant if term is None else term.terms).items():
+                prev = acc.get(te)
+                acc[te] = c * tc if prev is None else prev + c * tc
+        return MultiPoly(field, target, acc)
+
+    out = []
+    for p in polys:
+        rows: dict = {}
+        for e, c in p.terms.items():
+            rows.setdefault(e[0], []).append(((0,) + e[1:], c))
+        acc = MultiPoly.zero(field, target)
+        for k in range(max(rows, default=0), -1, -1):
+            acc = acc * point[0]
+            if k in rows:
+                acc = acc + combine(rows[k])
+        out.append(acc)
+    return out
 
 
 def _coeff_invert(field, coeff):

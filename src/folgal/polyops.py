@@ -4,10 +4,10 @@ Strategy: over Q, every gcd and resultant goes to sympy's dense integer
 kernels on integer-cleared inputs: the heuristic gcd of Char-Geddes-Gonnet,
 certified by exact cofactor products, and the subresultant resultant.  Over a
 number-field tower they stay in-house, following D5 dynamic evaluation: gcds
-by a Euclidean sequence in one variable and by content extraction plus
-subresultant pseudo-remainder sequences in several, resultants by a Bareiss
-determinant of the Sylvester matrix.  Both paths are exact; the tower path
-propagates :class:`~folgal.numberfield.FieldSplit`.
+by a Euclidean sequence in one variable or on binary forms and by content
+extraction plus subresultant pseudo-remainder sequences otherwise, resultants
+by a Bareiss determinant of the Sylvester matrix.  Both paths are exact; the
+tower path propagates :class:`~folgal.numberfield.FieldSplit`.
 """
 
 from __future__ import annotations
@@ -137,13 +137,15 @@ def mpoly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     every branch of the moduli.  Callers that need per-branch results run the
     gcd under :func:`~folgal.numberfield.run_with_splitting`.  The contract
     holds when an argument is constant (a constant that is not rational is
-    inverted, so ``gcd(u - 1, x - 1)`` over ``Q[u]/(u^2 - 1)`` splits) and
-    when both are univariate of positive degree (the Euclidean path).  The
-    multivariate path strips contents and pseudo-divides (it multiplies by
-    leading coefficients instead of inverting them), so there a zero-divisor
+    inverted, so ``gcd(u - 1, x - 1)`` over ``Q[u]/(u^2 - 1)`` splits), when
+    both are univariate of positive degree, and when both are forms in the
+    same two variables (both take the Euclidean path, so
+    ``gcd((u - 1)*x^2, x^2*y)`` splits).  The other multivariate inputs go
+    through content stripping and pseudo-division (it multiplies by leading
+    coefficients instead of inverting them), so there a zero-divisor
     coefficient can give a gcd that is wrong on some branch, with no split:
-    ``gcd((u - 1)*x^2, x^2*y)`` over ``Q[u]/(u^2 - 1)`` returns ``x^2``,
-    though at ``u = 1`` the gcd is ``x^2*y``.
+    ``gcd((u - 1)*x, x*(y + 1))`` over ``Q[u]/(u^2 - 1)`` returns ``x``,
+    though at ``u = 1`` the gcd is ``x*(y + 1)``.
     """
     if p.is_zero() and q.is_zero():
         return p.zero_like()
@@ -165,8 +167,11 @@ def mpoly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
 
 def _gcd_content_prs(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """Gcd of non-constant polynomials by content extraction and subresultant
-    PRS, with a Euclidean gcd when one variable is left; any field."""
+    PRS, with a Euclidean gcd when one variable is left or both inputs are
+    binary forms; any field."""
     active = _active_vars(p, q)
+    if len(active) == 2 and p.is_homogeneous() and q.is_homogeneous():
+        return _gcd_binary_forms(p, q, active[0][0], active[1][0])
     # variables occurring in only one argument: strip via content
     for v, dp, dq in active:
         if dp == 0:
@@ -198,6 +203,41 @@ def _gcd_content_prs(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     cont_gcd = mpoly_gcd(cont_p, cont_q)
     part = _gcd_prs(pp, qq, var)
     return (cont_gcd * part).monic()
+
+
+def _gcd_binary_forms(p: MultiPoly, q: MultiPoly, u: str, v: str) -> MultiPoly:
+    """Gcd of forms in ``u, v`` (no other variable occurs).
+
+    A form not divisible by ``u`` is the homogenisation of its slice at
+    ``u = 1``, and the map is multiplicative, so the gcd is the Euclidean gcd
+    of the two slices, homogenised again, times the power of ``u`` that both
+    inputs share.  That power is read off the term of least degree in ``u``,
+    whose coefficient is inverted first: if it is a zero divisor, the power
+    differs between branches, and the tower splits (D5).
+    """
+    iu, iv = p.vars.index(u), p.vars.index(v)
+
+    def valuation(f):
+        e, c = min(f.terms.items(), key=lambda t: t[0][iu])
+        if isinstance(c, FieldElement) and c.rational_value() is None:
+            c.inverse()
+        return e[iu]
+
+    def slice_at_one(f):
+        coeffs = [f.field.zero()] * (f.degree_in(v) + 1)
+        for e, c in f.terms.items():
+            coeffs[e[iv]] = c
+        return coeffs
+
+    g = _gcd_univariate_field(slice_at_one(p), slice_at_one(q), p.field)
+    shift = min(valuation(p), valuation(q))
+    terms = {}
+    for k, c in enumerate(g):
+        exp = [0] * len(p.vars)
+        exp[iv] = k
+        exp[iu] = len(g) - 1 - k + shift
+        terms[tuple(exp)] = c
+    return MultiPoly(p.field, p.vars, terms).monic()
 
 
 def content_in(p: MultiPoly, var: str) -> MultiPoly:

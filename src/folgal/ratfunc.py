@@ -1,8 +1,14 @@
-"""Rational functions as reduced fractions of MultiPoly."""
+"""Rational functions as reduced fractions of MultiPoly.
+
+A :class:`RationalFunction` is reduced by one gcd each time it is built, so
+arithmetic on them pays one gcd per operation.  :func:`compose_poly` expands
+over a common denominator with polynomial arithmetic and reduces once, at the
+end.
+"""
 
 from __future__ import annotations
 
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, evaluate_at
 from .polyops import mpoly_gcd
 
 
@@ -114,7 +120,12 @@ class RationalFunction:
 
 
 def compose_poly(p: MultiPoly, mapping: dict) -> RationalFunction:
-    """Substitute rational functions for the variables of ``p``."""
+    """Substitute rational functions for the variables of ``p``, in lowest terms.
+
+    With images ``N_i / D_i`` and ``d_i`` the degree of ``p`` in its i-th
+    variable, the result is ``p`` with each ``x_i^k`` replaced by
+    ``N_i^k D_i^(d_i - k)``, over ``prod D_i^(d_i)``.
+    """
     field = p.field
     sample = next(
         (v for v in mapping.values() if isinstance(v, RationalFunction)), None
@@ -122,37 +133,25 @@ def compose_poly(p: MultiPoly, mapping: dict) -> RationalFunction:
     if sample is None:
         raise ValueError("no rational substitution supplied")
     target = sample.num.vars
-    one = MultiPoly.constant(field, target, 1)
-
-    def lift(val) -> RationalFunction:
-        if isinstance(val, RationalFunction):
-            return val
-        if isinstance(val, MultiPoly):
-            return RationalFunction.from_poly(val.with_vars(target))
-        return RationalFunction.from_poly(MultiPoly.constant(field, target, val))
-
-    images = []
+    nums, dens = [], []
     for name in p.vars:
-        if name in mapping:
-            images.append(lift(mapping[name]))
+        val = mapping[name] if name in mapping else MultiPoly.variable(field, target, name)
+        if isinstance(val, RationalFunction):
+            nums.append(val.num)
+            dens.append(val.den)
         else:
-            images.append(lift(MultiPoly.variable(field, target, name)))
-    result = RationalFunction.from_poly(MultiPoly.zero(field, target))
-    caches: list[dict] = [dict() for _ in images]
-
-    def power(i, k):
-        cache = caches[i]
-        if k not in cache:
-            if k == 0:
-                cache[k] = RationalFunction.from_poly(one)
+            if isinstance(val, MultiPoly):
+                val = val.with_vars(target)
             else:
-                cache[k] = power(i, k - 1) * images[i]
-        return cache[k]
-
-    for e, c in p.terms.items():
-        term = RationalFunction.from_poly(MultiPoly.constant(field, target, c))
-        for i, k in enumerate(e):
-            if k:
-                term = term * power(i, k)
-        result = result + term
-    return result
+                val = MultiPoly.constant(field, target, val)
+            nums.append(val)
+            dens.append(val.one_like())
+    degs = tuple(max(p.degree_in(v), 0) for v in p.vars)
+    # one exponent slot per numerator, then one per denominator
+    slots = tuple(p.vars) + tuple(f"{v}_den" for v in p.vars)
+    cleared = MultiPoly(
+        field, slots, {e + tuple(d - k for d, k in zip(degs, e)): c for e, c in p.terms.items()}
+    )
+    common = MultiPoly(field, slots, {(0,) * len(degs) + degs: field.one()})
+    num, den = evaluate_at([cleared, common], nums + dens)
+    return RationalFunction(num, den)

@@ -20,7 +20,6 @@ from folgal import local as loc
 from folgal import monodromy as mon
 from folgal.analyze import analyze
 from folgal.klein1d import classify
-from folgal.linalg import rank
 from folgal.numberfield import QQ
 from folgal.parsing import parse_poly
 
@@ -163,40 +162,13 @@ def test_criterion_6_convex_family_not_galois():
             assert elapsed < 30, (name, elapsed)
 
 
-def _random_family_member(rng, d):
-    while True:
-        rows = tuple(
-            tuple(Fraction(rng.randint(-3, 3)) for _ in range(3)) for _ in range(2)
-        )
-        if rank([list(r) for r in rows], QQ) == 2:
-            break
-    while True:
-        u = parse_poly(
-            f"{rng.randint(-2, 2)}*x + {rng.randint(-2, 2)}*y + {rng.randint(-2, 2)}",
-            QQ, ("x", "y"),
-        )
-        vv = parse_poly(
-            f"{rng.randint(-2, 2)}*x + {rng.randint(-2, 2)}*y + {rng.randint(-2, 2)}",
-            QQ, ("x", "y"),
-        )
-        mono = [(0, 0), (1, 0), (0, 1)]
-        m = [
-            [u.terms.get(e, Fraction(0)) for e in mono],
-            [vv.terms.get(e, Fraction(0)) for e in mono],
-        ]
-        if rank(m, QQ) == 2:
-            break
-    F0 = fol.from_strings(None, f"x^{d}", f"y^{d}")
-    return gal.lr_deformation(F0, u, vv, rows)
-
-
 def test_criterion_7_deformation_family():
     with criterion(7, "deformation family: 5 random members at d = 3, 4, 5", 450):
         rng = random.Random(20240813)
         for d in (3, 4, 5):
             produced = 0
             while produced < 5:
-                F = _random_family_member(rng, d)
+                F = corpus.random_deformation_member(rng, d)
                 if F.degree != d:
                     continue  # degenerate draw; agreement with the family needs degree d
                 start = time.perf_counter()

@@ -7,7 +7,7 @@ from folgal import corpus
 from folgal import foliation as fol
 from folgal import galois as gal
 from folgal.analyze import analyze
-from folgal.linalg import rank
+from folgal.klein1d import BinaryRationalMap
 from folgal.multipoly import MultiPoly
 from folgal.numberfield import QQ
 from folgal.parsing import parse_poly
@@ -151,30 +151,78 @@ def test_decks_power_cubic():
 
 
 def test_decks_closed_under_composition_numerically():
-    import cmath
-
     F = corpus.foliation("fermat_3")
     v = gal.discriminant_square_test(F)
     decks = gal.deck_transformations(F, v)
     pt = {"x": 0.31 + 0.2j, "y": 1.17 - 0.4j}
-    images = []
-    for t in decks:
-        images.append(
-            (t.tau_x.eval_complex(pt), t.tau_y.eval_complex(pt))
-        )
-    # composing any two decks lands on the same fibre: G takes one value
+
+    def apply(t, p):
+        return {"x": t.tau_x.eval_complex(p), "y": t.tau_y.eval_complex(p)}
+
+    images = [apply(t, pt) for t in decks]
+    # every deck keeps the point on its fibre: G takes one value
     (a, b, c), (g1, g2) = F.gauss_map()
     base_val = (g1.eval_complex(pt), g2.eval_complex(pt))
-    for ix, iy in images:
-        val = (
-            g1.eval_complex({"x": ix, "y": iy}),
-            g2.eval_complex({"x": ix, "y": iy}),
-        )
-        assert abs(val[0] - base_val[0]) < 1e-8
-        assert abs(val[1] - base_val[1]) < 1e-8
+    for img in images:
+        assert abs(g1.eval_complex(img) - base_val[0]) < 1e-8
+        assert abs(g2.eval_complex(img) - base_val[1]) < 1e-8
+    # tau_i(tau_j(pt)) is tau_k(pt) for some deck tau_k
+    for ti in decks:
+        for img in images:
+            comp = apply(ti, img)
+            assert any(
+                abs(comp["x"] - other["x"]) < 1e-8 and abs(comp["y"] - other["y"]) < 1e-8
+                for other in images
+            )
 
 
-@pytest.mark.slow
+def test_verify_deck_rejects_tampered_decks():
+    F = corpus.foliation("fermat_3")
+    v = gal.discriminant_square_test(F)
+    decks = gal.deck_transformations(F, v)
+    for t in decks[1:]:
+        assert gal.verify_deck(F, t)
+        scaled = gal.DeckTransformation(t.tau_x * 2, t.tau_y * 2)
+        swapped = gal.DeckTransformation(t.tau_y, t.tau_x)
+        assert not gal.verify_deck(F, scaled)
+        assert not gal.verify_deck(F, swapped)
+
+
+def test_lifted_decks_satisfy_the_gauss_identity():
+    # decks lifted from line decks are checked through the univariate
+    # identities; the bivariate identity must hold for them as well, and
+    # each coordinate comes in lowest terms
+    F = corpus.foliation("dihedral_4")
+    decks = gal.deck_transformations(F, gal.verdict(F))
+    assert len(decks) == 4
+    for t in decks:
+        assert gal.verify_deck(F, t)
+        for coord in (t.tau_x, t.tau_y):
+            assert gal.mpoly_gcd(coord.num, coord.den).is_constant()
+
+
+def test_line_deck_checks_reject_matrices_outside_the_group():
+    F = corpus.foliation("dihedral_4")
+    one, zero = Fraction(1), Fraction(0)
+    gmap = BinaryRationalMap.make(
+        gal._restrict_homog(F.B, QQ), gal._restrict_homog(F.A, QQ)
+    )
+    inside = [[[zero, one], [one, zero]], [[-one, zero], [zero, one]]]  # 1/z, -z
+    for m in inside:
+        assert gal._map_fixes(gmap, m)
+        assert gal._verify_line_deck_lift(F, m, QQ)
+    outside = [[2 * one, zero], [zero, one]]  # z -> 2z
+    assert not gal._map_fixes(gmap, outside)
+    assert not gal._verify_line_deck_lift(F, outside, QQ)
+    # a singular matrix is no Möbius map; both sides of the identities
+    # would vanish for [[0, 0], [0, 0]]
+    singular = [[zero, zero], [zero, zero]]
+    with pytest.raises(ValueError):
+        gal._map_fixes(gmap, singular)
+    with pytest.raises(ValueError):
+        gal._verify_line_deck_lift(F, singular, QQ)
+
+
 def test_decks_tetrahedral_order_12():
     F = corpus.foliation("tetrahedral_12")
     v = gal.verdict(F)
@@ -183,36 +231,19 @@ def test_decks_tetrahedral_order_12():
     assert all(t.verified for t in decks)
 
 
+def test_decks_octahedral_order_24():
+    F = corpus.foliation("octahedral_24")
+    v = gal.verdict(F)
+    decks = gal.deck_transformations(F, v)
+    assert len(decks) == 24
+    assert all(t.verified for t in decks)
+    # some of these lifts have a linear factor to cancel from the denominator
+    for t in decks:
+        for coord in (t.tau_x, t.tau_y):
+            assert gal.mpoly_gcd(coord.num, coord.den).is_constant()
+
+
 # -- deformations ---------------------------------------------------------------------
-
-
-def _random_member(rng, d):
-    while True:
-        rows = tuple(
-            tuple(Fraction(rng.randint(-3, 3)) for _ in range(3)) for _ in range(2)
-        )
-        if rank([list(r) for r in rows], QQ) == 2:
-            break
-    while True:
-        u = parse_poly(
-            f"{rng.randint(-2, 2)}*x + {rng.randint(-2, 2)}*y + {rng.randint(-2, 2)}",
-            QQ,
-            ("x", "y"),
-        )
-        v = parse_poly(
-            f"{rng.randint(-2, 2)}*x + {rng.randint(-2, 2)}*y + {rng.randint(-2, 2)}",
-            QQ,
-            ("x", "y"),
-        )
-        mono = [(0, 0), (1, 0), (0, 1)]
-        m = [
-            [u.terms.get(e, Fraction(0)) for e in mono],
-            [v.terms.get(e, Fraction(0)) for e in mono],
-        ]
-        if rank(m, QQ) == 2:
-            break
-    F0 = fol.from_strings(None, f"x^{d}", f"y^{d}")
-    return gal.lr_deformation(F0, u, v, rows)
 
 
 def test_deformation_identity_recovers_input():
@@ -236,7 +267,7 @@ def test_deformation_dependence_rejected():
 def test_deformation_preserves_galois_cubic():
     rng = random.Random(77)
     for _ in range(10):
-        F = _random_member(rng, 3)
+        F = corpus.random_deformation_member(rng, 3)
         v = gal.discriminant_square_test(F)
         assert v.is_galois
 

@@ -149,3 +149,31 @@ def test_gcd_with_zero_divisor_constant_splits():
     # each branch field is u + c0 over QQ, so u = -c0 there
     by_u = {-fld.min_poly[0]: str(g) for fld, g in run_with_splitting(L, compute)}
     assert by_u == {1: "x - 1", -1: "1"}
+
+
+def test_gcd_of_binary_forms_splits_on_zero_divisor():
+    from folgal.parsing import parse_poly
+    from folgal.polyops import mpoly_gcd
+
+    # both inputs are forms in x, y, so the Euclidean gcd of the slices at
+    # x = 1 runs, (u - 1) against y: inverting u - 1 must split
+    L = extend(QQ, "u", [Fraction(-1), Fraction(0)])
+    p = parse_poly("(u - 1)*x^2", L, ("x", "y"))
+    q = parse_poly("x^2*y", L, ("x", "y"))
+    with pytest.raises(FieldSplit):
+        mpoly_gcd(p, q)
+
+    def compute(fld, proj):
+        return mpoly_gcd(p.map_coefficients(proj, fld), q.map_coefficients(proj, fld))
+
+    # u = 1: p = 0 and the gcd is q itself; u = -1: p = -2 x^2
+    by_u = {-fld.min_poly[0]: str(g) for fld, g in run_with_splitting(L, compute)}
+    assert by_u == {1: "x^2*y", -1: "x^2"}
+
+    # the slices (u + 1) y^3 and y have gcd y on both branches, but the power
+    # of x the inputs share depends on whether u + 1 vanishes
+    p = parse_poly("(u + 1)*y^3", L, ("x", "y"))
+    with pytest.raises(FieldSplit):
+        mpoly_gcd(p, q)
+    by_u = {-fld.min_poly[0]: str(g) for fld, g in run_with_splitting(L, compute)}
+    assert by_u == {1: "y", -1: "x^2*y"}

@@ -102,6 +102,44 @@ def test_dense_gcd_matches_content_prs(a, b, h):
     assert h.monic().divides(g)
 
 
+@st.composite
+def binary_form(draw, names=("t", "x", "y")):
+    # a form in x, y inside a ring that also has the absent variable t
+    k = draw(st.integers(min_value=0, max_value=3))
+    coeffs = [draw(st.integers(min_value=-4, max_value=4)) for _ in range(k + 1)]
+    return MultiPoly.from_dict(
+        QQ, names, {(0, k - j, j): Fraction(c) for j, c in enumerate(coeffs)}
+    )
+
+
+Q_I = extend(QQ, "c", [Fraction(1), Fraction(0)], certified=True)  # c^2 + 1 = 0
+
+
+@given(binary_form(), binary_form(), binary_form())
+@settings(max_examples=30, deadline=None)
+def test_binary_form_gcd_over_tower_matches_dense(a, b, h):
+    # rational binary forms coerced into Q(i) take the tower's binary-form
+    # route; their gcd is the one over Q, given by the dense kernel
+    p, q = a * h, b * h
+    if p.is_zero() or q.is_zero() or p.is_constant() or q.is_constant():
+        return
+    g = mpoly_gcd(p, q)
+    assert mpoly_gcd(p.to_field(Q_I), q.to_field(Q_I)) == g.to_field(Q_I)
+
+
+def test_binary_form_gcd_keeps_factor_over_tower():
+    names = ("t", "x", "y")
+    h = parse_poly("x - c*y", Q_I, names)
+    x = parse_poly("x", Q_I, names)
+    p = x * x * h * parse_poly("x + 2*y", Q_I, names)
+    q = x * h * parse_poly("y*(y^2 + 3*x^2)", Q_I, names)
+    g = mpoly_gcd(p, q)
+    assert h.divides(g)
+    # y^2 + 3x^2 does not split over Q(i), so x h is the whole gcd
+    assert g == (x * h).monic()
+    assert g == _gcd_content_prs(q, p)
+
+
 # -- resultants ---------------------------------------------------------------
 
 
