@@ -1,25 +1,16 @@
 #!/usr/bin/env python3
 """Run the acceptance suite with per-criterion PASS/FAIL lines visible.
 
-Usage: python scripts/run_acceptance.py [--extended]
+Usage: python scripts/run_acceptance.py
 """
 
-import argparse
-import os
 import subprocess
 import sys
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--extended", action="store_true",
-                        help="include the degree-60 extended family check")
-    args = parser.parse_args()
-    env = dict(os.environ)
-    if args.extended:
-        env["RUN_EXTENDED"] = "1"
     cmd = [sys.executable, "-m", "pytest", "-s", "-q", "tests/test_acceptance.py"]
-    return subprocess.call(cmd, env=env)
+    return subprocess.call(cmd)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Analyze every corpus foliation and print a one-line summary per entry.
 
-Usage: python scripts/run_corpus.py [--numeric] [--skip-slow]
+Usage: python scripts/run_corpus.py [--numeric]
 """
 
 import argparse
@@ -11,23 +11,16 @@ import time
 from folgal import corpus
 from folgal.analyze import analyze
 
-SLOW = {"icosahedral_60"}
-
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--numeric", action="store_true",
                         help="attach the numeric monodromy cross-check")
-    parser.add_argument("--skip-slow", action="store_true",
-                        help="skip degree-60 entries")
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
 
     failures = 0
     for name in corpus.FOLIATION_SPECS:
-        if args.skip_slow and name in SLOW:
-            print(f"{name:24s} skipped")
-            continue
         start = time.perf_counter()
         try:
             F = corpus.foliation(name)

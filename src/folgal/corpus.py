@@ -44,7 +44,7 @@ FOLIATION_SPECS = {
         "(x^4-2*g*x^2*y^2+y^4)^3",
     ),
     "octahedral_24": (None, "(x^8+14*x^4*y^4+y^8)^3", "(x*y*(x^4-y^4))^4"),
-    # homogeneous icosahedral (degree 60); extended runs only
+    # homogeneous icosahedral (degree 60)
     "icosahedral_60": (
         None,
         "(x^20-228*x^15*y^5+494*x^10*y^10+228*x^5*y^15+y^20)^3",

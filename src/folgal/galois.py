@@ -841,54 +841,69 @@ def _cyclotomic_coeffs(n: int):
 
 
 def _mobius_generators(tag: str, d: int, base_field):
-    """Generator matrices [[a, b], [c, e]] over an extension of base_field."""
+    """``(K, generator matrices [[a, b], [c, e]])`` over an extension K of
+    base_field, one pair for each choice of the root the table needs."""
     if tag == "cyclic":
-        K = _extend_certified(base_field, "c", _cyclotomic_coeffs(d))
-        zeta = K.gen()
-        return K, [[[zeta, K.coerce(0)], [K.coerce(0), K.one()]]]
-    if tag == "dihedral":
-        n = d // 2
-        K = _extend_certified(base_field, "c", _cyclotomic_coeffs(max(n, 2)))
-        zeta = K.gen() if n >= 2 else K.one()
-        zero, one = K.coerce(0), K.one()
-        inv = [[zero, one], [one, zero]]          # z -> 1/z
-        rot = [[zeta, zero], [zero, one]]          # z -> zeta z
-        return K, [inv, rot]
-    if tag == "tetrahedral" or tag == "octahedral":
-        K = _extend_certified(base_field, "c", [Fraction(1), Fraction(0)])  # i^2+1
-        i = K.gen()
-        zero, one = K.coerce(0), K.one()
-        tau = [[one, i], [one, -i]]                # z -> (z+i)/(z-i)
-        if tag == "tetrahedral":
-            sigma = [[-one, zero], [zero, one]]    # z -> -z
-        else:
-            sigma = [[i, -one], [one, -i]]         # z -> (iz-1)/(z-i)
-        return K, [sigma, tau]
-    if tag == "icosahedral":
-        K = _extend_certified(base_field, "c", _cyclotomic_coeffs(5))
-        zeta = K.gen()
-        phi = zeta + zeta**4  # golden section (sqrt5 - 1)/2
-        zero, one = K.coerce(0), K.one()
-        sigma = [[-one, phi], [phi, one]]          # z -> (phi - z)/(phi z + 1)
-        tau = [[-zeta, phi * zeta], [phi, one]]    # z -> (phi - z) zeta/(phi z + 1)
-        return K, [sigma, tau]
-    raise ValueError(f"no Möbius generators for {tag}")
+        for K, zeta in _adjoined_roots(base_field, _cyclotomic_coeffs(d)):
+            yield K, [[[zeta, K.coerce(0)], [K.coerce(0), K.one()]]]
+    elif tag == "dihedral":
+        for K, zeta in _adjoined_roots(base_field, _cyclotomic_coeffs(d // 2)):
+            zero, one = K.coerce(0), K.one()
+            inv = [[zero, one], [one, zero]]          # z -> 1/z
+            rot = [[zeta, zero], [zero, one]]          # z -> zeta z
+            yield K, [inv, rot]
+    elif tag == "tetrahedral" or tag == "octahedral":
+        for K, i in _adjoined_roots(base_field, [Fraction(1), Fraction(0)]):  # i^2+1
+            zero, one = K.coerce(0), K.one()
+            tau = [[one, i], [one, -i]]                # z -> (z+i)/(z-i)
+            if tag == "tetrahedral":
+                sigma = [[-one, zero], [zero, one]]    # z -> -z
+            else:
+                sigma = [[i, -one], [one, -i]]         # z -> (iz-1)/(z-i)
+            yield K, [sigma, tau]
+    elif tag == "icosahedral":
+        for K, zeta in _adjoined_roots(base_field, _cyclotomic_coeffs(5)):
+            phi = zeta + zeta**4  # golden section (sqrt5 - 1)/2
+            zero, one = K.coerce(0), K.one()
+            sigma = [[-one, phi], [phi, one]]          # z -> (phi - z)/(phi z + 1)
+            tau = [[-zeta, phi * zeta], [phi, one]]    # z -> (phi - z) zeta/(phi z + 1)
+            yield K, [sigma, tau]
+    else:
+        raise ValueError(f"no Möbius generators for {tag}")
 
 
-def _extend_certified(base_field, name: str, coeffs):
+def _adjoined_roots(base_field, coeffs):
+    """``(K, root)`` for each irreducible factor over base_field of the monic
+    polynomial with low-to-high coefficients ``coeffs`` (leading 1 implied).
+
+    A linear factor gives its root in K = base_field.  Any other factor is
+    adjoined as a certified layer, since factor_irreducible proved it
+    irreducible.  Over a base it cannot factor on, the whole polynomial is
+    adjoined as an uncertified layer.
+    """
+    poly = MultiPoly.from_dict(
+        base_field, ("T",), {(i,): c for i, c in enumerate(list(coeffs) + [1])}
+    )
+    try:
+        factors, certified = [f for f, _ in factor_irreducible(poly)], True
+    except FactorUnavailable:
+        factors, certified = [poly], False
     used = set()
     fld = base_field
     while isinstance(fld, NumberField):
         used.add(fld.name)
         fld = fld.base
-    k = 0
-    candidate = name
-    while candidate in used:
+    name, k = "c", 0
+    while name in used:
         k += 1
-        candidate = f"{name}{k}"
-    lifted = [base_field.coerce(c) if isinstance(base_field, NumberField) else c
-              for c in coeffs]
-    return extend(base_field, candidate, lifted, certified=True)
+        name = f"c{k}"
+    for fac in factors:
+        low = [c.constant_value() for c in fac.univariate_coeffs("T")][:-1]
+        if len(low) == 1:
+            yield base_field, -low[0]
+        else:
+            K = extend(base_field, name, low, certified=certified)
+            yield K, K.gen()
 
 
 def _mat_normalize(m, field):
@@ -949,17 +964,17 @@ def decks_from_line_decks(F: PlaneFoliation, klein, fmap: BinaryRationalMap):
     if not F.c_bar.is_zero() or not (F.A.is_homogeneous() and F.B.is_homogeneous()):
         raise UseAnotherMethod("line-deck lifting needs a homogeneous foliation")
     tag, order = klein.tag, klein.order
-    K, gens = _mobius_generators(tag, F.degree if tag in ("cyclic", "dihedral") else order, F.field)
-    # the line map whose decks we lift
-    A1 = _restrict_homog(F.A, K)
-    B1 = _restrict_homog(F.B, K)
-    gmap = BinaryRationalMap.make(B1, A1)
-    conj_pool = _conjugation_pool(K)
+    degree = F.degree if tag in ("cyclic", "dihedral") else order
     working = None
-    for conj in conj_pool:
-        cand = [_conj_mat(conj, g) for g in gens]
-        if all(_map_fixes(gmap, g) for g in cand):
-            working = cand
+    for K, gens in _mobius_generators(tag, degree, F.field):
+        # the line map whose decks we lift
+        gmap = BinaryRationalMap.make(_restrict_homog(F.B, K), _restrict_homog(F.A, K))
+        for conj in _conjugation_pool(K):
+            cand = [_conj_mat(conj, g) for g in gens]
+            if all(_map_fixes(gmap, g) for g in cand):
+                working = cand
+                break
+        if working is not None:
             break
     if working is None:
         raise UseAnotherMethod(

@@ -5,7 +5,6 @@ Run standalone with:  pytest -s tests/test_acceptance.py
 or via:               python scripts/run_acceptance.py
 """
 
-import os
 import random
 import time
 from contextlib import contextmanager
@@ -22,9 +21,6 @@ from folgal.analyze import analyze
 from folgal.klein1d import classify
 from folgal.numberfield import QQ
 from folgal.parsing import parse_poly
-
-RUN_EXTENDED = os.environ.get("RUN_EXTENDED", "") == "1"
-
 
 @contextmanager
 def criterion(number, description, budget_seconds):
@@ -91,8 +87,7 @@ def test_criterion_3_halfchi_quartic():
 
 
 def test_criterion_4_klein_table():
-    budget = 300 if not RUN_EXTENDED else 300
-    with criterion(4, "Klein table rows: b^w columns exact, genus 0", budget):
+    with criterion(4, "Klein table rows: b^w columns exact, genus 0", 300):
         expected = {
             "power_3": {(3,): 2},
             "power_5": {(5,): 2},
@@ -142,7 +137,6 @@ def test_criterion_5_homogeneous_families():
 
 
 @pytest.mark.slow
-@pytest.mark.skipif(not RUN_EXTENDED, reason="extended run only (RUN_EXTENDED=1)")
 def test_criterion_5_extended_icosahedral():
     with criterion("5x", "degree-60 homogeneous family: icosahedral", 600):
         F = corpus.foliation("icosahedral_60")

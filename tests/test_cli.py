@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from folgal import corpus
 from folgal.cli import main
 from folgal.foliation import from_strings
 from folgal.parsing import parse_poly
@@ -140,3 +141,22 @@ def test_classify1d_homogeneous_pair(capsys):
     assert code == 0 and "Cyclic(3)" in out
     code, _, err = run_cli(capsys, "classify1d", "x^3, y^2")
     assert code == 3 and "equal degree" in err
+
+
+def test_analyze_modular_quintic_end_to_end(capsys):
+    # the inflection polynomial factors over Q(sqrt 5) into 14 lines
+    field, a_text, b_text = corpus.FOLIATION_SPECS["modular_quintic"]
+    code, out, _ = run_cli(
+        capsys, "analyze", "--inline", f"field: {field}; A: {a_text}; B: {b_text}", "--json"
+    )
+    assert code == 1  # not Galois
+    rep = json.loads(out)
+    assert rep["verdict"]["status"] == "not_galois"
+    inflection = rep["inflection"]
+    assert inflection["total_degree"] == 3 * rep["degree"]
+    F = from_strings(field, a_text, b_text)
+    finite = [c for c in inflection["components"] if c["curve"] != "z"]
+    assert len(finite) == 14
+    for c in finite:
+        assert c["multiplicity"] == 1
+        assert parse_poly(c["curve"], F.field, ("x", "y", "z")).total_degree() == 1

@@ -243,6 +243,36 @@ def test_decks_octahedral_order_24():
             assert gal.mpoly_gcd(coord.num, coord.den).is_constant()
 
 
+@pytest.mark.parametrize(
+    "spec, order",
+    [
+        (("g^2+1", "x^4", "y^4"), 4),
+        (("g^2+1", "(x^2+y^2)^2", "(x^2-y^2)^2"), 4),
+        (("g^2+3", "x^6", "y^6"), 6),
+    ],
+)
+def test_decks_use_a_root_of_unity_already_in_the_base(spec, order, monkeypatch):
+    # the root of unity the Möbius table needs lies in the base field, so no
+    # layer is adjoined; any layer that is adjoined must be irreducible
+    built = []
+    original = gal.extend
+
+    def recording(*args, **kwargs):
+        built.append(original(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(gal, "extend", recording)
+    F = fol.from_strings(*spec)
+    decks = gal.deck_transformations(F, gal.verdict(F))
+    assert len(decks) == order
+    assert all(t.verified for t in decks)
+    assert all(t.tau_x.num.field is F.field for t in decks)
+    for layer in built:
+        modulus = MultiPoly.from_dict(layer.base, ("T",), {
+            (i,): c for i, c in enumerate(list(layer.min_poly) + [1])})
+        assert [m for _, m in gal.factor_irreducible(modulus)] == [1]
+
+
 # -- deformations ---------------------------------------------------------------------
 
 
