@@ -45,7 +45,7 @@ def _active_vars(p: MultiPoly, q: MultiPoly):
 def _dense_zz(p: MultiPoly, order: Sequence[str]):
     """``(den, f)``: ``f`` is ``den * p`` as a dense polynomial over sympy's ZZ."""
     u = len(order) - 1
-    den, f = dmp_clear_denoms(to_dense(p, order, SQQ), u, SQQ, ZZ, convert=True)
+    den, f = dmp_clear_denoms(to_dense(p, order), u, SQQ, ZZ, convert=True)
     return int(den), f
 
 

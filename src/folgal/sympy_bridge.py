@@ -9,11 +9,14 @@ declared modulus ``m`` is checked irreducible over Q, it follows Trager,
    the ``f_i``.  ``R`` is factored over Q, and each rational factor goes
    through step 2, since it may still split over ``K`` (``x^2 - 2`` over
    Q(sqrt 2)).
-2. Each variable ``v`` is shifted to ``v - s_v a`` for the first shift in a
-   short fixed list whose norm ``N = Res_t(m(t), f(t))`` is squarefree over
-   Q.  The norm comes from :func:`folgal.polyops.resultant`.  A squarefree
-   norm proves ``f`` squarefree; when no listed shift gives one, ``f`` is
-   first split by :func:`folgal.polyops.squarefree_decompose`.
+2. Each variable ``v`` is shifted to ``v - s_v a``, trying the shift
+   vectors ``s`` by growing L1 norm, until the norm ``N = Res_t(m(t), f(t))``
+   is squarefree over Q.  The norm comes from
+   :func:`folgal.polyops.resultant`.  A squarefree norm proves ``f``
+   squarefree.  When no shift of L1 norm at most two gives one, ``f`` is
+   split by :func:`folgal.polyops.squarefree_decompose` and the search goes
+   on, without a bound, for each squarefree part: its bad shifts lie on
+   finitely many proper affine subspaces, so the search ends.
 3. ``N`` is factored over Q, and each irreducible factor ``h`` gives the
    factor ``gcd(f, h)`` over ``K``, shifted back.  It is irreducible because
    ``N`` is squarefree and ``h`` irreducible (Trager's theorem).
@@ -51,9 +54,8 @@ class FactorUnavailable(Exception):
     pass
 
 
-# each active variable is shifted by one of these multiples of the generator
-_SHIFT_RANGE = (0, 1, -1, 2, -2)
-_MAX_SHIFTS = 12
+# shifts of L1 norm up to this are tried before the squarefree split
+_FIRST_NORM = 2
 
 
 def _check_simple_extension(field: NumberField) -> None:
@@ -66,17 +68,16 @@ def _check_simple_extension(field: NumberField) -> None:
         raise FactorUnavailable("declared modulus is reducible over Q")
 
 
-def to_dense(p: MultiPoly, order: Sequence[str], dom) -> list:
-    """Dense recursive sympy representation of ``p`` over Q, in sympy's
-    domain ``dom`` (QQ).
+def to_dense(p: MultiPoly, order: Sequence[str]) -> list:
+    """Dense recursive sympy representation of ``p`` over sympy's QQ.
 
     ``order`` lists the variables outermost first; it must contain every
     variable that occurs in ``p``.
     """
     idx = [p.vars.index(v) for v in order]
-    flat = {tuple(e[i] for i in idx): dom(c.numerator, c.denominator)
+    flat = {tuple(e[i] for i in idx): SQQ(c.numerator, c.denominator)
             for e, c in p.terms.items()}
-    return dmp_from_dict(flat, len(order) - 1, dom)
+    return dmp_from_dict(flat, len(order) - 1, SQQ)
 
 
 def from_dense(rep, order: Sequence[str], like: MultiPoly) -> MultiPoly:
@@ -134,7 +135,7 @@ def _order_key(fm):
 
 def _factor_rational(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
     """Monic irreducible factors over Q, by sympy's factoring."""
-    rep = DMP(to_dense(p, p.vars, SQQ), SQQ, len(p.vars) - 1)
+    rep = DMP(to_dense(p, p.vars), SQQ, len(p.vars) - 1)
     _, factors = rep.factor_list()
     return [(from_dense(f.to_list(), p.vars, p).monic(), int(m)) for f, m in factors]
 
@@ -170,8 +171,7 @@ def _factor_by_norms(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
     found = Counter()
     if not rational.is_constant():
         for q, mult in _factor_rational(rational):
-            # q's norm at shift 0 is q^n, so that shift is skipped
-            for f, k in _factor_squarefree_or_split(q.to_field(field), skip_zero=True):
+            for f, k in _factor_squarefree_or_split(q.to_field(field)):
                 found[f] += mult * k
         p = p.exact_div(rational.to_field(field))
     if not p.is_constant():
@@ -180,36 +180,40 @@ def _factor_by_norms(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
     return list(found.items())
 
 
-def _factor_squarefree_or_split(p: MultiPoly, skip_zero: bool = False):
-    """Factors of ``p`` by norms, through a squarefree split when no listed
-    shift has a squarefree norm."""
+def _factor_squarefree_or_split(p: MultiPoly):
+    """Factors of ``p`` by norms, through a squarefree split when no shift
+    of L1 norm at most ``_FIRST_NORM`` has a squarefree norm."""
     from .polyops import squarefree_decompose
 
     if p.total_degree() == 1:
         return [(p.monic(), 1)]
-    found = _factor_by_shift(p, skip_zero)
+    found = _factor_by_shift(p, 0, _FIRST_NORM)
     if found is not None:
         return [(f, 1) for f in found]
     out = []
     for part, mult in squarefree_decompose(p):
-        found = _factor_by_shift(part, skip_zero)
-        if found is None:
-            raise FactorUnavailable("no listed shift gives a squarefree norm")
-        out += [(f, mult) for f in found]
+        # a squarefree part has a shift with a squarefree norm, so the
+        # unbounded search returns
+        out += [(f, mult) for f in _factor_by_shift(part, 0, None)]
     return out
 
 
-def _shifts(count: int) -> list[tuple]:
-    """The first shift vectors for ``count`` variables, smallest first."""
-    rank = {s: i for i, s in enumerate(_SHIFT_RANGE)}
-    vectors = sorted(itertools.product(_SHIFT_RANGE, repeat=count),
-                     key=lambda v: (sum(map(abs, v)), [rank[s] for s in v]))
-    return vectors[:_MAX_SHIFTS]
+def _shifts(count: int, first: int, last: int | None):
+    """Shift vectors for ``count`` variables with L1 norm from ``first`` to
+    ``last`` (no bound when None), by norm; within a norm, entry by entry
+    in the order 0, 1, -1, 2, -2, ..."""
+    rank = lambda s: 2 * abs(s) - (s > 0)
+    norms = itertools.count(first) if last is None else range(first, last + 1)
+    for n in norms:
+        yield from sorted((v for v in itertools.product(range(-n, n + 1), repeat=count)
+                           if sum(map(abs, v)) == n),
+                          key=lambda v: [rank(s) for s in v])
 
 
-def _factor_by_shift(p: MultiPoly, skip_zero: bool):
-    """Irreducible monic factors of ``p`` over Q(a), or None when no listed
-    shift has a squarefree norm (then ``p`` may not be squarefree)."""
+def _factor_by_shift(p: MultiPoly, first: int, last: int | None):
+    """Irreducible monic factors of ``p`` over Q(a), from the first shift of
+    L1 norm in ``first..last`` with a squarefree norm; None when there is
+    none (then ``p`` may not be squarefree)."""
     from .polyops import mpoly_gcd
 
     field = p.field
@@ -223,11 +227,9 @@ def _factor_by_shift(p: MultiPoly, skip_zero: bool):
                   for v, s in zip(order, shift) if s}
         return poly.substitute(images) if images else poly
 
-    for shift in _shifts(len(order)):
-        if skip_zero and not any(shift):
-            continue
+    for shift in _shifts(len(order), first, last):
         shifted = move(p, shift, -1)
-        norm = to_dense(_norm(shifted), order, SQQ)
+        norm = to_dense(_norm(shifted), order)
         if not dmp_sqf_p(norm, u, SQQ):
             continue
         _, pieces = dmp_factor_list(norm, u, SQQ)

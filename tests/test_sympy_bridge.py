@@ -103,6 +103,20 @@ def test_norm_not_squarefree_at_shift_zero():
     _assert_matches_oracle(p)
 
 
+def test_squarefree_input_with_no_good_small_shift():
+    # over Q(zeta5), with r5 = 1 + 2a + 2a^4 = -1 - 2a^2 - 2a^3 = sqrt 5:
+    # (x - r5)(x - 10 + a)(x + 10 - a)(x - 20 + 2a)(x + 20 - 2a).  The shift
+    # x -> x - s a with s in 0, +-1, +-2 moves a root to a rational number,
+    # and r5 has a double norm at s = 0, so no shift of norm at most two
+    # works; the squarefree split returns the input, and s = 3 does
+    field = _field("zeta5")
+    p = _poly(field, {(1, 0): [1], (0, 0): [1, 0, 2, 2]})
+    for c in ([-10, 1], [10, -1], [-20, 2], [20, -2]):
+        p = p * _poly(field, {(1, 0): [1], (0, 0): c})
+    _assert_matches_oracle(p)
+    assert len(factor_irreducible(p)) == 5
+
+
 def test_non_squarefree_input_takes_the_squarefree_fallback(monkeypatch):
     calls = []
     original = polyops.squarefree_decompose
@@ -134,8 +148,8 @@ def test_norm_of_quadratic_is_a2_minus_c_b2():
 def test_dropped_factor_fails_the_product_check(monkeypatch):
     original = sympy_bridge._factor_by_shift
 
-    def drop_last(p, skip_zero):
-        found = original(p, skip_zero)
+    def drop_last(p, first, last):
+        found = original(p, first, last)
         return found[:-1] if found else found
 
     monkeypatch.setattr(sympy_bridge, "_factor_by_shift", drop_last)
