@@ -10,7 +10,6 @@ never certified; they corroborate the symbolic verdicts.
 from __future__ import annotations
 
 import cmath
-import itertools
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -38,19 +37,21 @@ class DegeneratePencil(Exception):
 class Fibration:
     """Family q_s(u) of degree-d fibre polynomials with numeric coefficients.
 
-    ``coeff_polys[k]`` holds the numpy coefficient vector (high to low in s)
-    of the u^k coefficient.
+    ``table[r, k]`` is the coefficient of s^(m-r) u^(d-k): rows run high to
+    low in s and columns high to low in u, so one Horner pass over the rows
+    gives the coefficients of q_s in the order ``np.roots`` takes.
     """
 
     degree: int
-    coeff_polys: list
+    table: np.ndarray
     branch_candidates: list
     label: str = ""
 
     def coeffs_at(self, s: complex) -> np.ndarray:
-        return np.array(
-            [np.polyval(c, s) for c in self.coeff_polys], dtype=complex
-        )  # low to high in u
+        acc = self.table[0]
+        for row in self.table[1:]:
+            acc = acc * s + row
+        return acc  # high to low in u
 
 
 @dataclass
@@ -94,6 +95,21 @@ def _numeric_roots(poly: MultiPoly, var: str) -> list[complex]:
     return list(np.roots(arr))
 
 
+def _fibration(q: MultiPoly, disc: MultiPoly, d: int, label: str) -> Fibration:
+    """Numeric fibration of q(s, u), degree d in u, with branch candidates at
+    the roots of its u-discriminant ``disc`` and of its leading coefficient."""
+    coeffs = q.univariate_coeffs("u")  # low to high in u
+    candidates = _numeric_roots(disc, "s")
+    if not coeffs[d].is_constant():
+        candidates += _numeric_roots(coeffs[d], "s")
+    m = max(c.degree_in("s") for c in coeffs)
+    table = np.zeros((m + 1, d + 1), dtype=complex)
+    for k, cpoly in enumerate(coeffs):
+        for e, c in cpoly.terms.items():
+            table[m - e[0], d - k] = complex(c)
+    return Fibration(d, table, candidates, label)
+
+
 def pencil_fibration(
     F: PlaneFoliation, rng: random.Random, max_attempts: int = 5
 ) -> Fibration:
@@ -111,8 +127,7 @@ def pencil_fibration(
         b0 = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
         c2 = Fraction(rng.randint(-4, 4))
         c4 = Fraction(rng.randint(1, 4))
-        # direction (lambda, mu) = (1 + c2 s, s * c4 - ...) keep it simple:
-        # (lambda, mu) = (1 + c2*s, c4*s + c3)
+        # direction (lambda, mu) = (1 + c2*s, c4*s + c3)
         c3 = Fraction(rng.randint(-4, 4))
         s = MultiPoly.variable(field, SU, "s")
         u = MultiPoly.variable(field, SU, "u")
@@ -136,17 +151,7 @@ def pencil_fibration(
         if disc.is_zero():
             last_error = "discriminant vanished identically"
             continue
-        candidates = _numeric_roots(disc, "s")
-        lc = q.univariate_coeffs("u")[d]
-        if not lc.is_constant():
-            candidates += _numeric_roots(lc, "s")
-        coeffs = []
-        for cpoly in q.univariate_coeffs("u"):
-            dense = [0j] * (cpoly.degree_in("s") + 1)
-            for e, c in cpoly.terms.items():
-                dense[e[0]] = complex(c)
-            coeffs.append(np.array(list(reversed(dense)), dtype=complex))
-        return Fibration(d, coeffs, candidates, label=f"pencil through ({a0}, {b0})")
+        return _fibration(q, disc, d, f"pencil through ({a0}, {b0})")
     raise DegeneratePencil(
         f"foliation too degenerate for a numeric pencil: {last_error}"
     )
@@ -177,127 +182,143 @@ def map_fibration(f, rng: random.Random, max_attempts: int = 6) -> Fibration:
         disc = _exact_branch_poly(q)
         if disc.is_zero():
             raise DegeneratePencil("map has identically singular fibres")
-        candidates = _numeric_roots(disc, "s")
-        lc = q.univariate_coeffs("u")[d]
-        if not lc.is_constant():
-            candidates += _numeric_roots(lc, "s")
-        coeffs = []
-        for cpoly in q.univariate_coeffs("u"):
-            dense = [0j] * (cpoly.degree_in("s") + 1)
-            for e, c in cpoly.terms.items():
-                dense[e[0]] = complex(c)
-            coeffs.append(np.array(list(reversed(dense)), dtype=complex))
-        return Fibration(d, coeffs, candidates, label="direct 1-d mode")
+        return _fibration(q, disc, d, "direct 1-d mode")
     raise DegeneratePencil("could not find a working Möbius twist")
 
 
 # -- tracking --------------------------------------------------------------------------
 
 
-def _chordal(u, v) -> float:
-    if u is None and v is None:
-        return 0.0
-    if u is None:
-        return 1.0 / (1.0 + abs(v) ** 2) ** 0.5
-    if v is None:
-        return 1.0 / (1.0 + abs(u) ** 2) ** 0.5
-    return abs(u - v) / ((1.0 + abs(u) ** 2) ** 0.5 * (1.0 + abs(v) ** 2) ** 0.5)
+def _fiber_points(fib: Fibration, s: complex) -> np.ndarray:
+    """Roots of q_s as points of the sphere in unit homogeneous coordinates.
 
-
-def _fiber_points(fib: Fibration, s: complex):
-    """Roots of q_s as points of the sphere (None encodes infinity)."""
-    vec = fib.coeffs_at(s)  # low to high
-    arr = np.array(list(reversed(vec)), dtype=complex)
-    scale = np.max(np.abs(arr))
+    Column i of the 2 x d result is (a_i, b_i) with |a_i|^2 + |b_i|^2 = 1 and
+    root a_i / b_i; b_i = 0 at infinity.  Leading coefficients below 1e-11 of
+    the largest, and roots beyond 1e9, count as roots at infinity.
+    """
+    arr = fib.coeffs_at(s)
+    size = np.abs(arr)
+    scale = size.max()
     if scale == 0:
         raise TrackingFailure("fibre polynomial vanished identically")
-    trimmed = list(arr)
-    pad = 0
-    while trimmed and abs(trimmed[0]) < 1e-11 * scale:
-        trimmed.pop(0)
-        pad += 1
-    roots = list(np.roots(np.array(trimmed, dtype=complex))) if len(trimmed) > 1 else []
-    pts = [None] * pad + [complex(r) for r in roots]
-    pts = [None if (p is not None and abs(p) > 1e9) else p for p in pts]
-    if len(pts) != fib.degree:
-        raise TrackingFailure(
-            f"fibre cardinality {len(pts)} != degree {fib.degree} at s={s}"
-        )
-    return pts
+    pad = int(np.argmax(size >= 1e-11 * scale))
+    u = np.concatenate([np.full(pad, np.inf, dtype=complex), np.roots(arr[pad:])])
+    finite = np.abs(u) <= 1e9
+    norm = np.sqrt(1.0 + np.abs(np.where(finite, u, 0)) ** 2)
+    return np.array([np.where(finite, u, 1), finite]) / norm
 
 
-def _match(prev, cur):
-    """Injective nearest-point assignment prev -> cur in the chordal metric."""
-    from scipy.optimize import linear_sum_assignment
-
-    n = len(prev)
-    cost = np.zeros((n, n))
-    for i, p in enumerate(prev):
-        for j, c in enumerate(cur):
-            cost[i, j] = _chordal(p, c)
-    rows, cols = linear_sum_assignment(cost)
-    perm = [0] * n
-    for i, j in zip(rows, cols):
-        perm[i] = j
-    return perm, cost[rows, cols].max()
+def _dist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Chordal distances: entry (i, j) is |a_i b'_j - b_i a'_j| between point
+    i of ``p`` and point j of ``q``.  For finite roots u, v this is
+    |u - v| / sqrt((1 + |u|^2)(1 + |v|^2)); a finite u lies at
+    1 / sqrt(1 + |u|^2) from infinity, and infinity at 0 from itself."""
+    return np.abs(np.outer(p[0], q[1]) - np.outer(p[1], q[0]))
 
 
-def _min_gap(pts) -> float:
-    gaps = [
-        _chordal(a, b) for a, b in itertools.combinations(pts, 2)
-    ]
-    return min(gaps) if gaps else 1.0
+def _gaps(p: np.ndarray) -> np.ndarray:
+    """Each point's chordal distance to its nearest neighbour in ``p``."""
+    dist = _dist(p, p)
+    np.fill_diagonal(dist, np.inf)
+    return dist.min(axis=1)
 
 
-def _track_path(fib, path, start_pts, collision=1e-8, floor=1e-12, loop_index=None,
+def _match(prev: np.ndarray, cur: np.ndarray):
+    """Nearest-point map prev -> cur in the chordal metric.
+
+    Returns ``(perm, moves)`` with ``perm[i]`` the index in ``cur`` nearest to
+    point i of ``prev`` and ``moves[i]`` that distance, or None when two
+    points of ``prev`` share a nearest point.  An injective map takes every
+    row's minimum, so it is an optimal assignment.  Conversely, let a
+    bijection pi move each point k by d_k <= c * max(gap of k in ``prev``,
+    gap of pi(k) in ``cur``) with c < 1/2.  If point i were no farther from
+    pi(k), k != i, than from pi(i), the triangle inequality would bound all
+    four of those gaps by 2 d_i or d_i + d_k, and then d_i, d_k <= c times
+    the larger of the two forces c >= 1/2.  So the map is pi, and with the
+    tracker's constants (0.33 per step, 0.2 of the smallest gap at a loop's
+    end) a collision here fails every test that an optimal assignment could
+    have passed.
+    """
+    dist = _dist(prev, cur)
+    perm = dist.argmin(axis=1)
+    if len(set(perm.tolist())) < len(perm):
+        return None
+    return perm, dist[np.arange(len(perm)), perm]
+
+
+def _accept_step(prev, prev_gaps, nxt, collision):
+    """One step of ``_track_path``'s test: ``nxt`` reordered to continue
+    ``prev``, with its gaps, or None if the step is rejected."""
+    nxt_gaps = _gaps(nxt)
+    if nxt_gaps.min() < collision:
+        return None
+    matched = _match(prev, nxt)
+    if matched is None:
+        return None
+    perm, moves = matched
+    if np.any(moves > 0.33 * np.maximum(nxt_gaps[perm], prev_gaps)):
+        return None
+    return nxt[:, perm], nxt_gaps[perm]
+
+
+def _track_path(fib, path, start, collision=1e-8, floor=1e-12, loop_index=None,
                 trace=None):
-    """Follow the fibre along a piecewise-linear path; returns the end fibre
-    in the order continued from ``start_pts``."""
-    pts = list(start_pts)
+    """Follow the fibre along a piecewise-linear path.
+
+    Returns the fibre at every vertex of ``path``, each ordered as continued
+    from ``start``.  A step from fibre P to fibre N is accepted iff the
+    nearest-point map sigma: P -> N is injective, no two points of N are
+    closer than ``collision``, and every point i moves at most
+    0.33 * max(gap_N(sigma(i)), gap_P(i)), where a point's gap is its
+    distance to its nearest neighbour in its own fibre.  Each root is thus
+    held to its own neighbourhood: roots in a tight cluster take small steps
+    while an isolated root does not throttle them.  Since 0.33 < 1/2, every
+    accepted sigma is the optimal assignment (see ``_match``).  A rejected
+    step halves, down to ``floor`` in parameter length.
+    """
+    pts = start
+    gaps = _gaps(start)
+    fibres = [start]
     step_no = 0
     for seg_start, seg_end in zip(path, path[1:]):
-        if seg_start == seg_end:
-            continue
         cur_t = 0.0
         step = 0.25
         while cur_t < 1.0 - 1e-15:
             target = min(1.0, cur_t + step)
             s_next = seg_start + (seg_end - seg_start) * target
-            nxt = _fiber_points(fib, s_next)
-            gap = _min_gap(nxt)
-            assign, move = _match(pts, nxt)
-            if gap < collision or move > 0.33 * max(gap, _min_gap(pts)):
+            stepped = _accept_step(pts, gaps, _fiber_points(fib, s_next), collision)
+            if stepped is None:
                 step /= 2
                 if step * abs(seg_end - seg_start) < floor:
                     raise TrackingFailure(
                         f"step floor reached near s={s_next}", loop_index
                     )
                 continue
-            pts = [nxt[assign[i]] for i in range(fib.degree)]
+            pts, gaps = stepped
             cur_t = target
             step = min(0.25, step * 1.6)
             step_no += 1
             if trace is not None:
-                for idx, p in enumerate(pts):
-                    re, im = (float("inf"), float("inf")) if p is None else (p.real, p.imag)
-                    trace.append((loop_index, step_no, idx, re, im))
-    return pts
+                for idx, (a, b) in enumerate(pts.T):
+                    u = complex(float("inf"), float("inf")) if b == 0 else a / b
+                    trace.append((loop_index, step_no, idx, u.real, u.imag))
+        fibres.append(pts)
+    return fibres
 
 
-def _loop_paths(base: complex, centers: list, radii: dict):
-    """Piecewise-linear loops: to the circle, around it, and back."""
-    loops = []
+def _loop_circles(base: complex, centers: list, radii: dict):
+    """One closed polygon of 24 chords around each centre, starting and
+    ending at the point that faces ``base``."""
+    circles = []
     for c in centers:
-        r = radii[c]
         direction = (c - base) / abs(c - base)
         narc = 24
         circle = [
-            c - direction * r * cmath.exp(2j * cmath.pi * k / narc)
-            for k in range(narc + 1)
+            c - direction * radii[c] * cmath.exp(2j * cmath.pi * k / narc)
+            for k in range(narc)
         ]
-        loops.append([base] + circle + [base])
-    return loops
-
+        circles.append(circle + circle[:1])
+    return circles
 
 def _closure_order(gens, degree, cap=500_000) -> int:
     idp = tuple(range(degree))
@@ -345,13 +366,13 @@ def track_loops(fib: Fibration, rng: random.Random, collision=1e-8, floor=1e-12,
     d = fib.degree
     centers = _cluster(fib.branch_candidates)
     if not centers:
-        gens = []
-        return MonodromyResult(0j, [], [], 1, [], [], 1 - d + 0, d)
+        return MonodromyResult(0j, [], [], 1, [], [], 1 - d, d)
     spread = max(abs(c) for c in centers) + 1.0
     # base point far away, at a random angle; prefer angles whose rays clear
     # every foreign disk, but accept crowded geometries on later attempts
-    # (a ray traversed there and back never winds a foreign point, so only
-    # numerical root collisions matter, and the tracker guards those)
+    # (a ray's lift is undone on the way back, so it never winds a foreign
+    # point; only numerical root collisions matter, and the tracker guards
+    # those)
     for attempt in range(16):
         lenient = attempt >= 8
         theta = rng.uniform(0, 2 * cmath.pi)
@@ -383,22 +404,25 @@ def track_loops(fib: Fibration, rng: random.Random, collision=1e-8, floor=1e-12,
         if not lenient and not all(clears(c) for c in centers):
             continue
         ordered = sorted(centers, key=lambda c: cmath.phase(c - base))
-        loops = _loop_paths(base, ordered, radii)
+        circles = _loop_circles(base, ordered, radii)
         start = _fiber_points(fib, base)
-        if _min_gap(start) < collision:
+        if _gaps(start).min() < collision:
             continue
         gens = []
         trace = [] if dump_csv is not None else None
         try:
-            for li, path in enumerate(loops):
-                pts = _track_path(fib, path, start, collision, floor, li, trace)
-                # the loop lift starting at start[i] ends at pts[i], which is
-                # again a point of the base fibre
-                end_match, slack = _match(pts, start)
-                if slack > 0.2 * _min_gap(start):
-                    raise TrackingFailure("end fibre did not land on the start fibre", li)
-                perm = tuple(end_match[i] for i in range(d))
-                gens.append(perm)
+            for li, circle in enumerate(circles):
+                # lift the way out once: the way back retraces it, so its
+                # lift inverts the outbound one and the loop lift from
+                # start[i] ends at start[j] when psi[i] lands on phi[j]
+                fibres = _track_path(
+                    fib, [base] + circle, start, collision, floor, li, trace
+                )
+                phi, psi = fibres[1], fibres[-1]
+                matched = _match(psi, phi)
+                if matched is None or matched[1].max() > 0.2 * _gaps(phi).min():
+                    raise TrackingFailure("loop did not close on its start fibre", li)
+                gens.append(tuple(int(j) for j in matched[0]))
         except TrackingFailure:
             continue
         prod = tuple(range(d))

@@ -1,3 +1,12 @@
+import itertools
+import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from folgal import corpus
@@ -65,3 +74,169 @@ def test_path_dump_csv(tmp_path):
     lines = target.read_text().splitlines()
     assert lines[0] == "loop_index,step,root_index,re,im"
     assert len(lines) > 10
+
+
+# -- the tracker's step test and fibre representation --------------------------------
+
+
+def _fibre(roots):
+    """Unit homogeneous coordinates of roots given as complex or None (infinity)."""
+    cols = [(1.0, 0.0) if u is None else (u, 1.0) for u in roots]
+    arr = np.array(cols, dtype=complex).T
+    return arr / np.sqrt((np.abs(arr) ** 2).sum(axis=0))
+
+
+def _chordal(u, v):
+    if u is None and v is None:
+        return 0.0
+    if u is None or v is None:
+        w = v if u is None else u
+        return 1.0 / math.sqrt(1.0 + abs(w) ** 2)
+    return abs(u - v) / math.sqrt((1.0 + abs(u) ** 2) * (1.0 + abs(v) ** 2))
+
+
+def test_dist_is_the_chordal_metric():
+    roots = [0.3 - 2j, None, 5.0, -1e-3j, None]
+    dist = mon._dist(_fibre(roots), _fibre(roots))
+    for i, u in enumerate(roots):
+        for j, v in enumerate(roots):
+            assert dist[i, j] == pytest.approx(_chordal(u, v), abs=1e-15)
+    assert dist[1, 4] == 0.0
+    assert dist[0, 1] == pytest.approx(1 / math.sqrt(1 + abs(0.3 - 2j) ** 2))
+
+
+def test_fiber_points_are_unit_and_see_infinity():
+    # q_s(u) = s u^2 + u - 1: a root at infinity at s = 0
+    table = np.array([[1, 0, 0], [0, 1, -1]], dtype=complex)
+    fib = mon.Fibration(2, table, [])
+    for s, roots in ((0.0, [None, 1.0]), (2.0, [0.5, -1.0])):
+        pts = mon._fiber_points(fib, s)
+        np.testing.assert_allclose((np.abs(pts) ** 2).sum(axis=0), 1.0)
+        dist = mon._dist(pts, _fibre(roots))
+        assert dist.min(axis=1).max() < 1e-12
+        assert sorted(dist.argmin(axis=1)) == [0, 1]
+
+
+def _brute_assignment(prev, cur):
+    """The bijection minimising the summed chordal distance, by enumeration."""
+    dist = mon._dist(prev, cur)
+    n = dist.shape[0]
+    return min(
+        itertools.permutations(range(n)),
+        key=lambda p: sum(dist[i, p[i]] for i in range(n)),
+    )
+
+
+def _random_root(rng, scale):
+    if rng.random() < 0.1:
+        return None
+    return complex(rng.gauss(0, scale), rng.gauss(0, scale))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_accepted_steps_match_the_optimal_assignment(seed):
+    rng = random.Random(seed)
+    accepted = 0
+    for _ in range(150):
+        d = rng.randint(2, 6)
+        scale = 10 ** rng.uniform(-2, 1)
+        old = [_random_root(rng, scale) for _ in range(d)]
+        if old.count(None) > 1:
+            continue
+        jitter = 10 ** rng.uniform(-4, 0) * scale
+        new = [
+            None if u is None else u + complex(rng.gauss(0, jitter), rng.gauss(0, jitter))
+            for u in old
+        ]
+        order = list(range(d))
+        rng.shuffle(order)
+        prev, cur = _fibre(old), _fibre([new[k] for k in order])
+        prev_gaps, cur_gaps = mon._gaps(prev), mon._gaps(cur)
+        stepped = mon._accept_step(prev, prev_gaps, cur, 1e-8)
+        best = list(_brute_assignment(prev, cur))
+        moves = mon._dist(prev, cur)[range(d), best]
+        if cur_gaps.min() >= 1e-8 and np.all(
+            moves <= 0.33 * np.maximum(cur_gaps[best], prev_gaps)
+        ):
+            # the optimal assignment passes the per-root test, so the
+            # nearest-point map must not collide
+            assert stepped is not None
+        if stepped is None:
+            continue
+        accepted += 1
+        np.testing.assert_array_equal(stepped[0], cur[:, best])
+        assert list(mon._match(prev, cur)[0]) == best
+    assert accepted > 20
+
+
+def test_collision_is_rejected():
+    # both old points lie nearest the new point 0.1
+    prev, cur = _fibre([0.0, 0.2]), _fibre([0.1, 3.0])
+    assert mon._match(prev, cur) is None
+    assert mon._accept_step(prev, mon._gaps(prev), cur, 1e-8) is None
+
+
+# -- reusing each loop's way out ------------------------------------------------------
+
+
+def _round_trip_generators(fib, result):
+    """Generators from tracking base -> circle -> base in full."""
+    base = result.base_parameter
+    start = mon._fiber_points(fib, base)
+    gens = []
+    for c, r in result.branch_parameters:
+        circle = mon._loop_circles(base, [c], {c: r})[0]
+        end = mon._track_path(fib, [base] + circle + [base], start)[-1]
+        perm, moves = mon._match(end, start)
+        assert moves.max() <= 0.2 * mon._gaps(start).min()
+        if any(perm[i] != i for i in range(len(perm))):
+            gens.append(tuple(int(j) for j in perm))
+    return gens
+
+
+def test_out_leg_reuse_matches_round_trip_for_map():
+    rng = random.Random(5)
+    fib = mon.map_fibration(corpus.line_map("cusp_cubic"), rng)
+    r = mon.track_loops(fib, rng)
+    assert r.generators == _round_trip_generators(fib, r)
+
+
+def test_out_leg_reuse_matches_round_trip_for_foliation():
+    rng = random.Random(3)
+    fib = mon.pencil_fibration(corpus.foliation("fermat_3"), rng)
+    r = mon.track_loops(fib, rng)
+    assert r.generators == _round_trip_generators(fib, r)
+
+
+# -- the dihedral cross-checks --------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, order, cycle_types", [
+    ("dihedral_4", 4, [(2, 2)] * 3),
+    ("dihedral_6", 6, [(2, 2, 2), (2, 2, 2), (3, 3)]),
+])
+def test_dihedral_cross_check(name, order, cycle_types):
+    r = mon.cross_check(corpus.foliation(name), seed=107)
+    assert r.group_order == order
+    assert sorted(r.cycle_types) == cycle_types
+    assert r.numeric_genus == 0
+
+
+def test_analyze_reaches_monodromy_without_scipy():
+    code = (
+        "import sys\n"
+        "from folgal import corpus\n"
+        "from folgal.analyze import analyze\n"
+        "r = analyze(corpus.foliation('dihedral_6'))\n"
+        "assert r.monodromy is not None\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=300, check=True,
+    )
+    assert out.stdout.strip() == "False"
