@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Analyze every corpus foliation and print a one-line summary per entry.
 
+Each line ends with the elapsed time and then the time of each analysis stage
+(``res.timings``), so a slow stage shows without the benchmark.
+
 Usage: python scripts/run_corpus.py [--numeric]
 """
 
@@ -31,10 +34,11 @@ def main() -> int:
             )
             bw = str(res.branching) if res.branching is not None else "-"
             genus = res.genus if res.genus is not None else "-"
+            stages = " ".join(f"{k}={v:.2f}" for k, v in res.timings.items())
             print(
                 f"{name:24s} d={F.degree:<3d} {res.status:12s} "
                 f"via {res.verdict.method:20s} group={klein:12s} "
-                f"bw={bw:12s} genus={genus!s:3s} ({elapsed:6.2f}s)"
+                f"bw={bw:12s} genus={genus!s:3s} ({elapsed:6.2f}s) {stages}"
             )
         except Exception as exc:  # pragma: no cover - reporting script
             failures += 1

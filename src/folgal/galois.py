@@ -122,8 +122,10 @@ def discriminant_square_test(F: PlaneFoliation) -> GaloisVerdict:
             raise UseAnotherMethod("degenerate fibre polynomial in degree 2")
         a0, a1 = coeffs
         root = RationalFunction(-a0, a1)
+        # P = t (a1 t + a0), so num/den is a root when a1 num + a0 den == 0
+        if a1 * root.num + a0 * root.den:
+            raise AssertionError("fibre root failed the identity a1 * num + a0 * den == 0")
         cert = {"fiber_polynomial": P, "roots": [root]}
-        _verify_roots(F, P, [root])
         return GaloisVerdict("galois", "discriminant_square", d, cert)
 
     if tdeg != 2:
@@ -138,33 +140,48 @@ def discriminant_square_test(F: PlaneFoliation) -> GaloisVerdict:
             d,
             {"discriminant": disc, "odd_multiplicity_factor": root_or_witness},
         )
-    root = root_or_witness
-    witness = root
+    cert = {
+        "discriminant": disc,
+        "square_root_witness": root_or_witness,
+        "unit": unit,
+        "a2": a2,
+        "a3": a3,
+        "fiber_polynomial": P,
+    }
+    check_root_identity(cert)
+    return GaloisVerdict("galois", "discriminant_square", d, cert)
+
+
+def check_root_identity(cert: dict) -> None:
+    """Check the identity that proves the two fibre roots of a degree-3 certificate.
+
+    With ``P = t Q``, ``Q = a3 t^2 + a2 t + a1`` and ``disc = a2^2 - 4 a1 a3``,
+    ``4 a3 Q((-a2 +- sqrt(unit) r) / (2 a3)) = unit r^2 - disc``, so
+    ``unit r^2 == disc`` proves that both are roots of ``P``, without
+    adjoining ``sqrt(unit)``.
+    """
+    r = cert["square_root_witness"]
+    if (r * r).scale(cert["unit"]) != cert["discriminant"]:
+        raise AssertionError("fibre roots failed the identity unit * r^2 == disc")
+
+
+def _cubic_fibre_roots(F: PlaneFoliation, cert: dict) -> list[RationalFunction]:
+    """The two roots ``(-a2 +- sqrt(unit) r) / (2 a3)`` of a degree-3
+    certificate, over ``F.field`` with ``sqrt(unit)`` adjoined when it is not
+    there already."""
+    check_root_identity(cert)
+    unit, r, a2, a3 = (cert[k] for k in ("unit", "square_root_witness", "a2", "a3"))
     srt = _field_sqrt(F.field, unit)
-    work_field = F.field
     if srt is None:
-        work_field = extend(
-            F.field, _sqrt_name(F.field), [-F.field.coerce(unit) if isinstance(F.field, NumberField) else -Fraction(unit), 0],
-            certified=True,
-        )
-        srt = work_field.gen()
-        a1, a2, a3 = (c.to_field(work_field) for c in (a1, a2, a3))
-        root = root.to_field(work_field)
-    delta = root.scale(srt)
-    roots = [
+        field = extend(F.field, _sqrt_name(F.field), [-F.field.coerce(unit), 0],
+                       certified=True)
+        srt = field.gen()
+        r, a2, a3 = (c.to_field(field) for c in (r, a2, a3))
+    delta = r.scale(srt)
+    return [
         RationalFunction(-a2 + delta, a3 * 2),
         RationalFunction(-a2 - delta, a3 * 2),
     ]
-    Pw = P.to_field(work_field) if work_field is not F.field else P
-    _verify_roots(F, Pw, roots)
-    cert = {
-        "discriminant": disc,
-        "square_root_witness": witness,
-        "unit": unit,
-        "fiber_polynomial": P,
-        "roots": roots,
-    }
-    return GaloisVerdict("galois", "discriminant_square", d, cert)
 
 
 def _sqrt_name(field) -> str:
@@ -177,23 +194,6 @@ def _sqrt_name(field) -> str:
     while f"q{k}" in used:
         k += 1
     return f"q{k}"
-
-
-def _verify_roots(F: PlaneFoliation, P: MultiPoly, roots):
-    """Each rational root t(x, y) must satisfy P(x, y, t(x, y)) = 0."""
-    for root in roots:
-        num, den = root.num, root.den
-        deg = P.degree_in("t")
-        # clear the denominator: substitute t = num/den and multiply by den^deg
-        acc = MultiPoly.zero(num.field, AFFINE)
-        for k, c in enumerate(P.univariate_coeffs("t")):
-            c2 = c.drop_vars(["t"]) if "t" in c.vars else c
-            c2 = c2.with_vars(AFFINE).permute_to(AFFINE)
-            if c2.field is not num.field:
-                c2 = c2.to_field(num.field)
-            acc = acc + c2 * num**k * den ** (deg - k)
-        if not acc.is_zero():
-            raise AssertionError("fibre root failed symbolic verification")
 
 
 # -- local sufficient/necessary conditions --------------------------------------------
@@ -1047,6 +1047,8 @@ def deck_transformations(F: PlaneFoliation, verdict: GaloisVerdict):
     roots = verdict.certificate.get("roots")
     if roots:
         return decks_from_roots(F, roots)
+    if "square_root_witness" in verdict.certificate:
+        return decks_from_roots(F, _cubic_fibre_roots(F, verdict.certificate))
     klein = verdict.certificate.get("klein")
     if klein is not None and F.c_bar.is_zero() and F.A.is_homogeneous():
         return decks_from_line_decks(F, klein.klein, verdict.certificate["reduction"])

@@ -2,7 +2,8 @@
 
 Strategy: over Q, every gcd and resultant goes to sympy's dense integer
 kernels on integer-cleared inputs: the heuristic gcd of Char-Geddes-Gonnet,
-certified by exact cofactor products, and the subresultant resultant.  Over a
+certified by exact cofactor products, and the subresultant chain, which gives
+the resultant and, to :mod:`folgal.solve2d`, the common roots of the fibres.  Over a
 number-field tower they stay in-house, following D5 dynamic evaluation: gcds
 by a Euclidean sequence in one variable or on binary forms and by content
 extraction plus subresultant pseudo-remainder sequences otherwise, resultants
@@ -15,11 +16,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from sympy.polys.densearith import dmp_mul
+from sympy.polys.densearith import dmp_exquo, dmp_mul, dmp_pow
+from sympy.polys.densebasic import dmp_degree, dmp_LC
 from sympy.polys.densetools import dmp_clear_denoms
 from sympy.polys.domains import QQ as SQQ
 from sympy.polys.domains import ZZ
-from sympy.polys.euclidtools import dmp_inner_gcd, dmp_resultant
+from sympy.polys.euclidtools import dmp_inner_gcd, dmp_inner_subresultants
 
 from .multipoly import MultiPoly
 from .numberfield import FieldElement, RationalField, poly_divmod
@@ -66,25 +68,75 @@ def _gcd_rational(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     return from_dense(h, order, p).monic()
 
 
-def _resultant_rational(p: MultiPoly, q: MultiPoly, var: str, dp: int, dq: int) -> MultiPoly:
-    """Sylvester resultant over Q of inputs of degrees ``dp, dq > 0`` in ``var``.
+def _subresultants_rational(p: MultiPoly, q: MultiPoly, var: str, dp: int, dq: int):
+    """Regular subresultants over Q of inputs of degrees ``dp, dq > 0`` in ``var``.
 
-    sympy's dense subresultant resultant runs on the integer-cleared inputs.
-    It gives the Sylvester sign only when its first argument has the larger
-    degree in ``var`` (``Res(y + 2, y^5 + 1)`` comes back as 31, not -31), so
-    the inputs are passed in that order and the swap's sign applied here.
+    Returns ``(order, chain)``.  ``chain`` lists ``(j, s, scale)`` by
+    increasing ``j < min(dp, dq)``, one for each ``S_j(p, q)`` of degree ``j``
+    in ``var``: ``s`` is a dense polynomial over sympy's ZZ in ``order``
+    (``var`` first) and ``S_j(p, q) = scale * s``.  Every other ``S_j`` with
+    ``j < min(dp, dq)`` has no term of degree ``j``: its principal coefficient
+    is zero.  ``S_0`` is the Sylvester resultant.
+
+    sympy's subresultant PRS runs on the integer-cleared inputs with the
+    operand of higher degree first; its member ``R[i]`` (``i >= 2``) is
+    ``S_{deg R[i-1] - 1}`` and ``S[i]`` the principal coefficient of
+    ``S_{deg R[i]}``.  By the subresultant theorem (von zur Gathen-Gerhard,
+    Modern Computer Algebra, 6.10-6.11) the regular member is
+    ``S_{deg R[i]} = R[i] lc(R[i])^(d-1) / S[i-1]^(d-1)`` with
+    ``d = deg R[i-1] - deg R[i]``, an exact quotient.  The sign is Sylvester's
+    only with the higher degree first (``Res(y + 2, y^5 + 1)`` is -31, but
+    sympy returns 31 for both orders), so the swap's sign
+    ``(-1)^((dp - j)(dq - j))`` is applied in ``scale``.
     """
     rest = [v for v, _, _ in _active_vars(p, q) if v != var]
     order = [var] + rest
+    u = len(rest)
     a, f = _dense_zz(p, order)
     b, g = _dense_zz(q, order)
-    sign = 1
-    if dp < dq:
-        f, g = g, f
-        sign = (-1) ** (dp * dq)
-    res = dmp_resultant(f, g, len(rest), ZZ)
-    # Res(f / a, g / b) = Res(f, g) / (a^dq * b^dp)
-    return from_dense(res, rest, p).scale(Fraction(sign, a**dq * b**dp))
+    R, S = dmp_inner_subresultants(g, f, u, ZZ) if dp < dq else dmp_inner_subresultants(f, g, u, ZZ)
+    chain = []
+    for i in range(len(R) - 1, 1, -1):
+        j = dmp_degree(R[i], u)
+        d = dmp_degree(R[i - 1], u) - j
+        s = R[i]
+        if d > 1:
+            lift = dmp_pow([dmp_LC(s, ZZ)], d - 1, u, ZZ)
+            s = dmp_exquo(dmp_mul(s, lift, u, ZZ), dmp_pow([S[i - 1]], d - 1, u, ZZ), u, ZZ)
+        # S_j(a p, b q) = a^(dq - j) b^(dp - j) S_j(p, q)
+        sign = (-1) ** ((dp - j) * (dq - j)) if dp < dq else 1
+        chain.append((j, s, Fraction(sign, a ** (dq - j) * b ** (dp - j))))
+    return order, chain
+
+
+def subresultant_chain(p: MultiPoly, q: MultiPoly, var: str) -> list:
+    """``[(j, S_j)]``: the regular subresultants of ``p`` and ``q`` in ``var``
+    over Q, by increasing ``j``.
+
+    Listed are the ``S_j`` with ``j`` below both degrees in ``var`` whose
+    degree in ``var`` is ``j``; the principal coefficient of every other such
+    ``S_j`` is zero.  At a point where the leading coefficients in ``var`` do
+    not vanish, the gcd of ``p`` and ``q`` has degree the least ``j`` whose
+    principal coefficient does not vanish there, and ``S_j`` is that gcd up
+    to a unit.  ``S_0``, listed when it is nonzero, is the resultant.
+    """
+    if not isinstance(p.field, RationalField):
+        raise ValueError("the subresultant chain is computed over Q only")
+    dp, dq = p.degree_in(var), q.degree_in(var)
+    if dp <= 0 or dq <= 0:
+        raise DegenerateResultant(f"both inputs need positive degree in {var}")
+    order, chain = _subresultants_rational(p, q, var, dp, dq)
+    return [(j, from_dense(s, order, p).scale(c)) for j, s, c in chain]
+
+
+def _resultant_rational(p: MultiPoly, q: MultiPoly, var: str, dp: int, dq: int) -> MultiPoly:
+    """Sylvester resultant over Q of inputs of degrees ``dp, dq > 0`` in
+    ``var``: ``S_0`` of the subresultant chain, or zero when it is not there."""
+    order, chain = _subresultants_rational(p, q, var, dp, dq)
+    if not chain or chain[0][0]:
+        return p.zero_like()
+    _, s, c = chain[0]
+    return from_dense(s[0], order[1:], p).scale(c)
 
 
 # -- univariate gcd over a number field ------------------------------------------------

@@ -4,6 +4,16 @@ Points are produced one representative per conjugacy class over the working
 field: each record carries the (possibly extended) field of definition, the
 class size, and the local intersection multiplicity, obtained from resultant
 valuations after a shear that is verified to separate the points.
+
+After the shear, the eliminant is factored into irreducible factors ``h``.
+Over Q, the fibre over a root ``xi`` of ``h`` is read from the subresultant
+chain in ``y`` (von zur Gathen-Gerhard, Modern Computer Algebra, 6.10-6.11):
+the fibre gcd has degree ``j``, the least index whose principal subresultant
+coefficient is nonzero modulo ``h``, and it is ``S_j(xi, y)`` up to a unit.
+That scan, and ``eta`` read from ``S_j``, are polynomial arithmetic over Q
+modulo ``h``.  Over a number-field tower the fibre gcd is a Euclidean gcd over
+``Q(xi)``.  Either way the point ``(xi, eta)`` is certified by checking that
+``(y - eta)^j`` divides both fibres exactly.
 """
 
 from __future__ import annotations
@@ -11,10 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from sympy.polys.densearith import dup_mul, dup_mul_ground, dup_rem
+from sympy.polys.domains import QQ as SQQ
+from sympy.polys.euclidtools import dup_invert
+
 from .multipoly import MultiPoly
 from .numberfield import NumberField, RationalField, extend
-from .polyops import mpoly_gcd, resultant
-from .sympy_bridge import FactorUnavailable, factor_irreducible
+from .polyops import mpoly_gcd, resultant, subresultant_chain
+from .sympy_bridge import FactorUnavailable, factor_irreducible, to_dense
 
 
 class ShearFailure(Exception):
@@ -76,8 +90,6 @@ def common_zeros(F: MultiPoly, G: MultiPoly, max_shears: int = 12) -> list[Plane
         raise ValueError("zero polynomial")
     if not mpoly_gcd(F, G).is_constant():
         raise ValueError("inputs share a factor; zero set is not finite")
-    var_x, var_y = F.vars
-    field = F.field
 
     candidates = [
         Fraction(0),
@@ -117,7 +129,13 @@ def _common_zeros_sheared(F: MultiPoly, G: MultiPoly, lam: Fraction):
     for P in (Fs, Gs):
         if P.degree_in(var_y) != P.total_degree():
             raise ShearFailure("not regular in second variable")
-    res = resultant(Fs, Gs, var_y)
+    if Fs.is_constant() or Gs.is_constant():
+        return []
+    chain = None
+    if isinstance(field, RationalField):
+        res, chain = _fibre_chain(Fs, Gs, var_x, var_y)
+    else:
+        res = resultant(Fs, Gs, var_y)
     if res.is_zero():
         raise ValueError("resultant vanished for coprime inputs")
     if res.is_constant():
@@ -141,17 +159,64 @@ def _common_zeros_sheared(F: MultiPoly, G: MultiPoly, lam: Fraction):
             xi = xi_field.gen()
         fy = _eval_x(Fs, var_x, xi, xi_field)
         gy = _eval_x(Gs, var_x, xi, xi_field)
-        g = _monic_gcd_coeffs(fy, gy, xi_field)
-        k = len(g) - 1
+        if chain is not None:
+            k, eta = _fibre_from_chain(chain, to_dense(fac, [var_x]), xi_field)
+        else:
+            g = _monic_gcd_coeffs(fy, gy, xi_field)
+            k = len(g) - 1
+            eta = _scalar_div(-g[k - 1], k, xi_field) if k >= 1 else None
         if k < 1:
             raise ShearFailure("eliminant root without a matching point")
-        # the fibre gcd must be a perfect k-th power of a linear factor
-        eta = _scalar_div(-g[k - 1], k, xi_field)
-        if not _is_linear_power(g, eta, xi_field):
+        # the fibre gcd has degree k, so it is (y - eta)^k exactly when that
+        # power divides both fibres
+        if not (_linear_power_divides(fy, eta, k) and _linear_power_divides(gy, eta, k)):
             raise ShearFailure("two points share a sheared abscissa")
         x0 = xi + _scalar_mul(eta, lam, xi_field)
         points.append(PlanePoint(xi_field, (x0, eta), mult, deg))
     return points
+
+
+def _fibre_chain(Fs: MultiPoly, Gs: MultiPoly, var_x: str, var_y: str):
+    """``(res, chain)`` for a pair over Q that is regular in ``var_y``.
+
+    ``res`` is the resultant in ``var_y``.  ``chain`` lists ``(j, lead, nxt)``
+    by increasing ``j > 0``: the coefficients of ``y^j`` and ``y^(j-1)``, dense
+    over Q in ``var_x``, of each regular subresultant ``S_j``, closed by the
+    input of lower degree ``m`` in ``var_y``: the fibre gcd is that input when
+    every principal coefficient below ``m`` vanishes.
+    """
+    members = subresultant_chain(Fs, Gs, var_y)
+    res = members[0][1] if members and members[0][0] == 0 else Fs.zero_like()
+    low = min((Gs, Fs), key=lambda P: P.degree_in(var_y))
+    chain = []
+    for j, S in members + [(low.degree_in(var_y), low)]:
+        if j:
+            coeffs = S.univariate_coeffs(var_y)
+            chain.append((j, to_dense(coeffs[j], [var_x]), to_dense(coeffs[j - 1], [var_x])))
+    return res, chain
+
+
+def _fibre_from_chain(chain, h: list, xi_field):
+    """``(j, eta)`` over a root ``xi`` of the irreducible eliminant factor ``h``
+    (dense over Q), from a chain of :func:`_fibre_chain`.
+
+    ``j`` is the least index whose principal coefficient is nonzero modulo
+    ``h``, so the fibre gcd is ``S_j(xi, y)`` up to a unit.  If that gcd is
+    ``(y - eta)^j``, its coefficients of ``y^j`` and ``y^(j-1)`` give ``eta``,
+    computed over Q modulo ``h``.  ``(0, None)`` when no index qualifies.
+    """
+    for j, lead, nxt in chain:
+        lead = dup_rem(lead, h, SQQ)
+        if lead:
+            break
+    else:
+        return 0, None
+    eta = dup_mul(dup_rem(nxt, h, SQQ), dup_invert(lead, h, SQQ), SQQ)
+    eta = dup_mul_ground(dup_rem(eta, h, SQQ), SQQ(-1, j), SQQ)
+    eta = [Fraction(int(c.numerator), int(c.denominator)) for c in reversed(eta)]
+    if isinstance(xi_field, RationalField):
+        return j, eta[0] if eta else Fraction(0)
+    return j, xi_field.element(eta + [Fraction(0)] * (xi_field.degree - len(eta)))
 
 
 def _scalar_div(val, k: int, field):
@@ -167,22 +232,28 @@ def _scalar_mul(val, lam: Fraction, field):
 
 
 def _monic_gcd_coeffs(f: list, g: list, field):
-    """Monic univariate gcd of coefficient lists (low to high) over ``field``."""
+    """Monic univariate gcd of coefficient lists (low to high) over ``field``.
+
+    Only the fibres over a number-field tower take it; over Q the fibre gcd
+    is read from the subresultant chain.
+    """
     fp, gp = (
         MultiPoly(field, ("y",), {(k,): c for k, c in enumerate(a)}) for a in (f, g)
     )
     return [c.constant_value() for c in mpoly_gcd(fp, gp).univariate_coeffs("y")]
 
 
-def _is_linear_power(g: list, eta, field) -> bool:
-    """Check g(y) == (y - eta)^k for the monic coefficient list g."""
-    k = len(g) - 1
-    acc = [field.coerce(1)] if not isinstance(field, RationalField) else [Fraction(1)]
-    lin = [-eta, acc[0]]
+def _linear_power_divides(f: list, eta, k: int) -> bool:
+    """Whether ``(y - eta)^k`` divides the coefficient list ``f`` (low to high,
+    highest coefficient nonzero), by ``k`` synthetic divisions."""
+    if len(f) <= k:
+        return False
     for _ in range(k):
-        new = [acc[0] * 0] * (len(acc) + 1)
-        for i, c in enumerate(acc):
-            new[i] = new[i] + c * (-eta)
-            new[i + 1] = new[i + 1] + c
-        acc = new
-    return list(acc) == list(g)
+        acc, quo = None, []
+        for c in reversed(f):
+            acc = c if acc is None else c + acc * eta
+            quo.append(acc)
+        if acc:
+            return False
+        f = quo[-2::-1]
+    return True

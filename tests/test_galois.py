@@ -29,12 +29,47 @@ def test_fiber_polynomial_roots_power_cubic():
     F = corpus.foliation("fermat_3")
     v = gal.discriminant_square_test(F)
     assert v.is_galois
-    # both roots satisfy P(x, y, t(x, y)) = 0; verified inside, re-check here
-    gal._verify_roots(
-        F,
-        v.certificate["fiber_polynomial"].to_field(v.certificate["roots"][0].num.field),
-        v.certificate["roots"],
-    )
+    cert = v.certificate
+    # unit * r^2 == disc proves both roots (-a2 +- sqrt(unit) r) / (2 a3) of
+    # P / t; checked inside, re-check here, with no root built
+    assert "roots" not in cert
+    r = cert["square_root_witness"]
+    assert (r * r).scale(cert["unit"]) == cert["discriminant"]
+    a1 = gal.gauss_fiber_polynomial(F).univariate_coeffs("t")[1].with_vars(fol.AFFINE)
+    assert cert["a2"] * cert["a2"] - 4 * a1 * cert["a3"] == cert["discriminant"]
+    gal.check_root_identity(cert)
+    # the unit -3 is not a rational square: the decks adjoin its root lazily
+    assert cert["unit"] == -3
+    decks = gal.deck_transformations(F, v)
+    assert len(decks) == 3
+    assert all(d.verified and gal.verify_deck(F, d) for d in decks)
+    assert decks[1].tau_x.num.field.min_poly == (3, 0)
+
+
+@pytest.mark.parametrize("key", ["square_root_witness", "unit"])
+def test_tampered_cubic_certificate_fails_identity(key):
+    F = corpus.foliation("fermat_3")
+    v = gal.discriminant_square_test(F)
+    value = v.certificate[key]
+    v.certificate[key] = value + value.one_like() if key == "square_root_witness" else value * 2
+    with pytest.raises(AssertionError, match="identity"):
+        gal.check_root_identity(v.certificate)
+    with pytest.raises(AssertionError, match="identity"):
+        gal.deck_transformations(F, v)
+
+
+def test_cubic_route_builds_no_field_over_q(monkeypatch):
+    # the first degree-3 member of criterion 7's draw: unit -314928 is not a
+    # rational square, yet the route certifies over Q without adjoining it
+    rng = random.Random(20240813)
+    F = corpus.random_deformation_member(rng, 3)
+    assert F.degree == 3
+    built = []
+    monkeypatch.setattr(gal, "extend", lambda *a, **k: built.append(a))
+    v = gal.discriminant_square_test(F)
+    assert v.is_galois and not built
+    assert v.certificate["unit"] == -314928
+    assert all(v.certificate[k].field is F.field for k in ("square_root_witness", "a2", "a3"))
 
 
 def test_discriminant_matches_closed_form():

@@ -16,6 +16,7 @@ from folgal.polyops import (
     perfect_power_part,
     resultant,
     squarefree_decompose,
+    subresultant_chain,
     sylvester_matrix,
 )
 
@@ -196,6 +197,56 @@ def test_resultant_matches_brute_sylvester_odd_degrees(p, q):
     # degrees up to 3 in z reach odd x odd pairs with deg p < deg q, where
     # the argument order changes the sign of sympy's resultant
     assert resultant(p, q, "z") == brute_determinant(sylvester_matrix(p, q, "z"))
+
+
+def brute_subresultant(p, q, var, j):
+    """``S_j(p, q)`` from its definition: ``deg q - j`` shifted rows of ``p``
+    over ``deg p - j`` of ``q``; the coefficient of ``var^k`` is the minor on
+    the first ``deg p + deg q - 2j - 1`` columns and the column of ``var^k``."""
+    fc = [c.with_vars(p.vars) for c in reversed(p.univariate_coeffs(var))]
+    gc = [c.with_vars(p.vars) for c in reversed(q.univariate_coeffs(var))]
+    n, m = len(fc) - 1, len(gc) - 1
+    width = n + m - j
+    zero = p.zero_like()
+    rows = []
+    for coeffs, count in ((fc, m - j), (gc, n - j)):
+        for i in range(count):
+            row = [zero] * width
+            row[i:i + len(coeffs)] = coeffs
+            rows.append(row)
+    size = n + m - 2 * j
+    v = MultiPoly.variable(p.field, p.vars, var)
+    total = zero
+    for k in range(j + 1):
+        minor = [row[:size - 1] + [row[width - 1 - k]] for row in rows]
+        total = total + brute_determinant(minor) * v**k
+    return total
+
+
+@pytest.mark.parametrize(
+    "f, g",
+    [
+        ("y^4 + x", "y^3 + x*y + 1"),
+        # defective: S_4 has degree 3, so S_3 is its regular multiple
+        ("y^3*(y^3 - y - 1) + x*(-y^2 + x*y - 1)", "y^3*(y^2 - 1) + x*(2*y - 1)"),
+        ("y^6 + 2*y^3 + x", "y^5 + y"),
+        ("(y^2 - x)*(y^2 + 1)", "(y^2 - x)*(y + x)"),
+        ("y + 2", "y^5 + x"),
+        ("2*y^2 + x*y/3", "y^4/5 - x"),
+    ],
+)
+def test_subresultant_chain_matches_determinants(f, g):
+    p, q = (parse_poly(t, QQ, ("x", "y")) for t in (f, g))
+    for a, b in ((p, q), (q, p)):
+        chain = dict(subresultant_chain(a, b, "y"))
+        for j in range(min(a.degree_in("y"), b.degree_in("y"))):
+            slow = brute_subresultant(a, b, "y", j)
+            if slow.degree_in("y") == j:
+                assert chain.pop(j) == slow
+            else:
+                assert slow.is_zero() or slow.degree_in("y") < j
+        assert not chain
+        assert resultant(a, b, "y") == brute_subresultant(a, b, "y", 0)
 
 
 @given(small_poly(names=("z", "y"), max_exp=2), small_poly(names=("z", "y"), max_exp=2))
