@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .multipoly import MultiPoly, NotDivisible
-from .numberfield import QQ, RationalField
+from .numberfield import QQ, RationalField, invert
 from .polyops import mpoly_gcd, mpoly_gcd_list
 from .ratfunc import RationalFunction
 from .solve2d import common_zeros
-from .sympy_bridge import FactorUnavailable, factor_irreducible
+from .sympy_bridge import factor_irreducible
 
 AFFINE = ("x", "y")
 PROJ = ("x", "y", "z")
@@ -40,8 +40,7 @@ class ProjPoint:
                   else Fraction(c) for c in coords]
         if not any(coords):
             raise ValueError("all coordinates vanish")
-        pivot = next(c for c in coords if c)
-        inv = (1 / pivot) if isinstance(point_field, RationalField) else pivot.inverse()
+        inv = invert(point_field, next(c for c in coords if c))
         return ProjPoint(point_field, tuple(c * inv for c in coords))
 
     def chart(self) -> str:
@@ -56,22 +55,16 @@ class ProjPoint:
     def chart_coords(self, chart: str):
         x0, y0, z0 = self.coords
         if chart == "z":
-            inv = _inv(self.point_field, z0)
+            inv = invert(self.point_field, z0)
             return (x0 * inv, y0 * inv)
         if chart == "x":
-            inv = _inv(self.point_field, x0)
+            inv = invert(self.point_field, x0)
             return (y0 * inv, z0 * inv)
-        inv = _inv(self.point_field, y0)
+        inv = invert(self.point_field, y0)
         return (x0 * inv, z0 * inv)
 
     def __str__(self):
         return "[" + ", ".join(str(c) for c in self.coords) + "]"
-
-
-def _inv(field, value):
-    if isinstance(field, RationalField):
-        return 1 / Fraction(value)
-    return value.inverse()
 
 
 @dataclass
@@ -251,9 +244,13 @@ def from_vector_field(A: MultiPoly, B: MultiPoly, field=None) -> PlaneFoliation:
 def field_from_spec(field_spec: str):
     """Number field from a minimal-polynomial string such as ``g^2-g+1``.
 
-    The generator is the unique name occurring in the text.
+    The generator is the unique name occurring in the text.  The polynomial
+    must be irreducible over Q, so that the quotient is a field.
     """
     import re
+
+    from sympy.polys.domains import QQ as SQQ
+    from sympy.polys.factortools import dup_irreducible_p
 
     from .numberfield import extend
     from .parsing import parse_min_poly
@@ -265,7 +262,10 @@ def field_from_spec(field_spec: str):
         )
     gen_name = names[0]
     coeffs = parse_min_poly(field_spec, gen_name)
-    return extend(QQ, gen_name, coeffs, certified=True)
+    dense = [SQQ(1)] + [SQQ(c.numerator, c.denominator) for c in reversed(coeffs)]
+    if not dup_irreducible_p(dense, SQQ):
+        raise ValueError(f"field polynomial {field_spec} is reducible over Q")
+    return extend(QQ, gen_name, coeffs)
 
 
 def from_strings(field_spec: str | None, a_text: str, b_text: str) -> PlaneFoliation:
@@ -378,13 +378,7 @@ def inflection_divisor(F: PlaneFoliation) -> InflectionReport:
         raise AssertionError("inflection determinant exceeds the divisor degree")
 
     components: list[InflectionComponent] = []
-    try:
-        factors = factor_irreducible(f1)
-    except FactorUnavailable as exc:
-        raise RuntimeError(
-            "inflection factorization needs a simple base field"
-        ) from exc
-    for g, mult in factors:
+    for g, mult in factor_irreducible(f1):
         gh = g.homogenize("z", g.total_degree()).with_vars(PROJ).permute_to(PROJ)
         kind = "invariant_line" if invariant_curve_test(F, g) else "transverse"
         components.append(InflectionComponent(gh, g, mult, kind))

@@ -26,11 +26,11 @@ from .klein1d import BinaryRationalMap, WeightedBranchingType, classify
 from .linalg import kernel_basis, rank as matrix_rank
 from .local import classify_singularities, germ_delta, polar_curve
 from .multipoly import MultiPoly, NotDivisible, evaluate_at
-from .numberfield import FieldElement, NumberField, RationalField, extend
+from .numberfield import FieldElement, NumberField, RationalField, extend, fresh_name, invert
 from .polyops import is_square_over_closure, mpoly_gcd, squarefree_part
 from .ratfunc import RationalFunction, compose_poly
 from .solve2d import common_zeros
-from .sympy_bridge import FactorUnavailable, factor_irreducible
+from .sympy_bridge import factor_irreducible
 
 XYT = ("x", "y", "t")
 
@@ -93,13 +93,10 @@ def _field_sqrt(field, value):
     probe = MultiPoly.from_dict(
         field, ("T",), {(2,): field.coerce(1), (0,): -field.coerce(value)}
     )
-    try:
-        for fac, _ in factor_irreducible(probe):
-            if fac.degree_in("T") == 1:
-                coeffs = [c.constant_value() for c in fac.univariate_coeffs("T")]
-                return -coeffs[0]
-    except FactorUnavailable:
-        return None
+    for fac, _ in factor_irreducible(probe):
+        if fac.degree_in("T") == 1:
+            coeffs = [c.constant_value() for c in fac.univariate_coeffs("T")]
+            return -coeffs[0]
     return None
 
 
@@ -173,8 +170,7 @@ def _cubic_fibre_roots(F: PlaneFoliation, cert: dict) -> list[RationalFunction]:
     unit, r, a2, a3 = (cert[k] for k in ("unit", "square_root_witness", "a2", "a3"))
     srt = _field_sqrt(F.field, unit)
     if srt is None:
-        field = extend(F.field, _sqrt_name(F.field), [-F.field.coerce(unit), 0],
-                       certified=True)
+        field = extend(F.field, fresh_name(F.field, "q"), [-F.field.coerce(unit), 0])
         srt = field.gen()
         r, a2, a3 = (c.to_field(field) for c in (r, a2, a3))
     delta = r.scale(srt)
@@ -182,18 +178,6 @@ def _cubic_fibre_roots(F: PlaneFoliation, cert: dict) -> list[RationalFunction]:
         RationalFunction(-a2 + delta, a3 * 2),
         RationalFunction(-a2 - delta, a3 * 2),
     ]
-
-
-def _sqrt_name(field) -> str:
-    used = set()
-    fld = field
-    while isinstance(fld, NumberField):
-        used.add(fld.name)
-        fld = fld.base
-    k = 1
-    while f"q{k}" in used:
-        k += 1
-    return f"q{k}"
 
 
 # -- local sufficient/necessary conditions --------------------------------------------
@@ -386,7 +370,7 @@ def _normalize_symmetry(F: PlaneFoliation, vec) -> InfinitesimalSymmetry:
     M = _matrix_from_coords(field, coords)
     try:
         _attach_normal_form(F, sym, M)
-    except (FactorUnavailable, NotImplementedError) as exc:
+    except NotImplementedError as exc:
         sym.note = f"normal form unavailable: {exc}"
     return sym
 
@@ -877,47 +861,31 @@ def _adjoined_roots(base_field, coeffs):
     polynomial with low-to-high coefficients ``coeffs`` (leading 1 implied).
 
     A linear factor gives its root in K = base_field.  Any other factor is
-    adjoined as a certified layer, since factor_irreducible proved it
-    irreducible.  Over a base it cannot factor on, the whole polynomial is
-    adjoined as an uncertified layer.
+    adjoined as a layer named ``c`` (or ``c1``, ... when that is taken).
     """
     poly = MultiPoly.from_dict(
         base_field, ("T",), {(i,): c for i, c in enumerate(list(coeffs) + [1])}
     )
-    try:
-        factors, certified = [f for f, _ in factor_irreducible(poly)], True
-    except FactorUnavailable:
-        factors, certified = [poly], False
-    used = set()
-    fld = base_field
-    while isinstance(fld, NumberField):
-        used.add(fld.name)
-        fld = fld.base
-    name, k = "c", 0
-    while name in used:
-        k += 1
-        name = f"c{k}"
-    for fac in factors:
+    name = fresh_name(base_field, "c", start=0)
+    for fac, _ in factor_irreducible(poly):
         low = [c.constant_value() for c in fac.univariate_coeffs("T")][:-1]
         if len(low) == 1:
             yield base_field, -low[0]
         else:
-            K = extend(base_field, name, low, certified=certified)
+            K = extend(base_field, name, low)
             yield K, K.gen()
 
 
 def _mat_normalize(m, field):
     flat = [m[0][0], m[0][1], m[1][0], m[1][1]]
     pivot = next(v for v in flat if v)
-    inv = (1 / pivot) if isinstance(pivot, Fraction) else pivot.inverse()
+    inv = invert(field, pivot)
     return tuple(tuple(v * inv for v in row) for row in m)
 
 
 def _mobius_close(gens, field, cap: int):
-    idm = _mat_normalize([[field.one() if isinstance(field, NumberField) else Fraction(1),
-                           field.coerce(0) if isinstance(field, NumberField) else Fraction(0)],
-                          [field.coerce(0) if isinstance(field, NumberField) else Fraction(0),
-                           field.one() if isinstance(field, NumberField) else Fraction(1)]], field)
+    one, zero = field.one(), field.zero()
+    idm = _mat_normalize([[one, zero], [zero, one]], field)
     seen = {idm}
     frontier = [idm]
     gens_n = [_mat_normalize(g, field) for g in gens]
@@ -1178,9 +1146,7 @@ def _poly_remainder(p: MultiPoly, divisor: MultiPoly) -> MultiPoly:
     if divisor.is_zero():
         raise ZeroDivisionError
     div_exp, div_coeff = divisor.leading_term()
-    from .multipoly import _coeff_invert
-
-    inv = _coeff_invert(p.field, div_coeff)
+    inv = invert(p.field, div_coeff)
     rem = MultiPoly.zero(p.field, p.vars)
     work = p
     while work.terms:
@@ -1331,11 +1297,8 @@ def _polar_genus_once(F: PlaneFoliation, base) -> int:
         sq = squarefree_part(pol)
         if sq.total_degree() != pol.total_degree():
             raise ValueError("polar not reduced")
-    try:
-        if len(factor_irreducible(pol)) != 1:
-            raise ValueError("polar reducible for this base point")
-    except FactorUnavailable:
-        pass
+    if len(factor_irreducible(pol)) != 1:
+        raise ValueError("polar reducible for this base point")
     ph = pol.homogenize("z", d + 1).with_vars(PROJ).permute_to(PROJ)
     total_delta = 0
     for point, class_size in _curve_singularities(ph):
@@ -1380,6 +1343,8 @@ def branching_and_genus(F: PlaneFoliation, verdict: GaloisVerdict, seed: int = 2
             pass
         return None
     g = generic_polar_genus(F, seed=seed)
+    if d == 1:
+        return WeightedBranchingType(1, {}), g  # a degree-one Gauss map has no branching
     two_c = 2 * d - 2 + 2 * g
     if two_c % (d - 1):
         raise AssertionError("genus incompatible with an extremal covering")

@@ -4,25 +4,19 @@ the projective line.
 The branch data is extracted exactly: critical points from the Wronskian's
 squarefree structure, branch values as annihilator polynomials of the map's
 image in the quotient ring modulo each critical factor, and ramification
-profiles from squarefree decompositions of the fibre polynomial, with
-dynamic field extensions where loci are nonlinear.
+profiles from squarefree decompositions of the fibre polynomial.  A
+nonlinear branch locus is factored into irreducible loci, and each is
+evaluated once over the field with one of its roots adjoined.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .multipoly import MultiPoly
-from .numberfield import (
-    NumberField,
-    RationalField,
-    extend,
-    poly_divmod,
-    run_with_splitting,
-)
+from .numberfield import _trim, extend, fresh_name, invert, poly_divmod
 from .polyops import mpoly_gcd, squarefree_decompose
-from .sympy_bridge import FactorUnavailable, factor_irreducible
+from .sympy_bridge import factor_irreducible
 
 ZVAR = ("z",)
 
@@ -54,10 +48,7 @@ class BinaryRationalMap:
         if not g.is_constant():
             num = num.exact_div(g)
             den = den.exact_div(g)
-        lc = den.leading_coefficient()
-        from .multipoly import _coeff_invert
-
-        inv = _coeff_invert(num.field, lc)
+        inv = invert(num.field, den.leading_coefficient())
         return BinaryRationalMap(num.scale(inv), den.scale(inv))
 
     @property
@@ -158,14 +149,8 @@ def _from_coeffs(field, coeffs, var="z") -> MultiPoly:
     return MultiPoly.from_dict(field, (var,), {(i,): c for i, c in enumerate(coeffs)})
 
 
-def _trim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
 def _poly_mulmod(a, b, mod, fld):
-    prod = [fld_zero(fld)] * (len(a) + len(b) - 1) if a and b else []
+    prod = [fld.zero()] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
         if not x:
             continue
@@ -176,21 +161,13 @@ def _poly_mulmod(a, b, mod, fld):
     return rem
 
 
-def fld_zero(fld):
-    return Fraction(0) if isinstance(fld, RationalField) else fld.zero()
-
-
-def fld_one(fld):
-    return Fraction(1) if isinstance(fld, RationalField) else fld.one()
-
-
 def _poly_invmod(a, mod, fld):
     """Inverse of ``a`` modulo ``mod`` over a field layer, or None."""
     r0, s0 = list(mod), []
-    r1, s1 = _trim(list(a)), [fld_one(fld)]
+    r1, s1 = _trim(list(a)), [fld.one()]
     while r1:
         if len(r1) == 1:
-            inv = (1 / r1[0]) if isinstance(fld, RationalField) else r1[0].inverse()
+            inv = invert(fld, r1[0])
             out = [c * inv for c in s1]
             _, rem = poly_divmod(out, mod, fld)
             return rem
@@ -198,7 +175,7 @@ def _poly_invmod(a, mod, fld):
         new_s = list(s0)
         need = len(q) + len(s1) - 1
         while len(new_s) < need:
-            new_s.append(fld_zero(fld))
+            new_s.append(fld.zero())
         for i, qc in enumerate(q):
             if not qc:
                 continue
@@ -217,8 +194,8 @@ def _value_annihilator(num, den, modulus, fld):
     assert inv_den is not None, "denominator must be invertible here"
     w = _poly_mulmod(_trim(list(num)), inv_den, modulus, fld)
     # incremental echelon over fld; rows: (vector, pivot, combo)
-    zero = fld_zero(fld)
-    one = fld_one(fld)
+    zero = fld.zero()
+    one = fld.one()
     rows = []
     power = [one] + [zero] * (n - 1)
     combos = []
@@ -237,10 +214,10 @@ def _value_annihilator(num, den, modulus, fld):
                 combo = [a - c * b for a, b in zip(ca, cb)]
         if not any(vec):
             # monic annihilator of degree k from the combo
-            inv = (1 / combo[k]) if isinstance(fld, RationalField) else combo[k].inverse()
+            inv = invert(fld, combo[k])
             return [c * inv for c in combo]
         pivot = next(i for i, c in enumerate(vec) if c)
-        inv = (1 / vec[pivot]) if isinstance(fld, RationalField) else vec[pivot].inverse()
+        inv = invert(fld, vec[pivot])
         vec = [c * inv for c in vec]
         combo = [c * inv for c in combo]
         rows.append((vec, pivot, combo))
@@ -251,18 +228,6 @@ def _value_annihilator(num, den, modulus, fld):
 
 
 # -- profiles -------------------------------------------------------------------------
-
-
-def _fresh_name(field) -> str:
-    used = set()
-    fld = field
-    while isinstance(fld, NumberField):
-        used.add(fld.name)
-        fld = fld.base
-    k = 1
-    while f"w{k}" in used:
-        k += 1
-    return f"w{k}"
 
 
 def _fiber_profile(f: BinaryRationalMap, value_field, value) -> tuple:
@@ -305,9 +270,8 @@ def _infinity_value_locus(f: BinaryRationalMap):
     if dcoef is None or not dcoef:
         return None  # value infinity
     if ncoef is None:
-        ncoef = fld_zero(f.field)
-    inv = (1 / dcoef) if isinstance(f.field, RationalField) else dcoef.inverse()
-    return ncoef * inv
+        ncoef = f.field.zero()
+    return ncoef * invert(f.field, dcoef)
 
 
 def ramification_profile(f: BinaryRationalMap) -> list[BranchPointRecord]:
@@ -351,48 +315,24 @@ def ramification_profile(f: BinaryRationalMap) -> list[BranchPointRecord]:
             note_value_linear(v)
 
     # split into irreducible loci and deduplicate
-    pieces: list[tuple[MultiPoly, bool]] = []
+    seen: list[MultiPoly] = []
     for locus in finite_loci:
-        if locus.total_degree() == 1:
-            pieces.append((locus.monic(), True))
-            continue
-        try:
-            for fac, _ in factor_irreducible(locus):
-                pieces.append((fac.monic(), True))
-        except FactorUnavailable:
-            for fac, _ in squarefree_decompose(locus):
-                pieces.append((fac.monic(), False))
-    seen = []
-    for p, cert in pieces:
-        if all(p != q for q, _ in seen):
-            seen.append((p, cert))
+        pieces = [(locus, 1)] if locus.total_degree() == 1 else factor_irreducible(locus)
+        for p, _ in pieces:
+            p = p.monic()
+            if all(p != q for q in seen):
+                seen.append(p)
 
     records = []
-    for locus, certified in seen:
+    for locus in seen:
         deg = locus.total_degree()
+        coeffs = _coeff_list(locus)
         if deg == 1:
-            coeffs = _coeff_list(locus)
-            value = -coeffs[0]
-            profile = _fiber_profile(f, field, value)
-            records.append(BranchPointRecord(locus, profile, 1))
+            profile = _fiber_profile(f, field, -coeffs[0])
         else:
-            coeffs = _coeff_list(locus)
-            name = _fresh_name(field)
-            ext = extend(field, name, coeffs[:-1], certified=certified)
-            if certified:
-                profile = _fiber_profile(f, ext, ext.gen())
-                records.append(BranchPointRecord(locus, profile, deg))
-            else:
-                def compute(fld, proj):
-                    layer = next(l for l in fld.chain() if l.name == name)
-                    return layer.degree, _fiber_profile(f, fld, proj(ext.gen()))
-
-                for branch_field, (wdeg, profile) in run_with_splitting(ext, compute):
-                    layer = next(l for l in branch_field.chain() if l.name == name)
-                    blocus = _from_coeffs(
-                        field, [c for c in layer.min_poly] + [fld_one(field)], "y"
-                    )
-                    records.append(BranchPointRecord(blocus, profile, wdeg))
+            ext = extend(field, fresh_name(field, "w"), coeffs[:-1])
+            profile = _fiber_profile(f, ext, ext.gen())
+        records.append(BranchPointRecord(locus, profile, deg))
 
     if has_infinity_value:
         records.append(BranchPointRecord(None, _infinity_profile(f), 1))

@@ -1,21 +1,12 @@
 """Exact dense linear algebra over Q or a number-field layer.
 
 Matrices are lists of row lists whose entries share one coefficient field
-(Fraction over Q, FieldElement over an extension).  Divisions can raise
-FieldSplit, which callers handle via the usual D5 re-run.
+(Fraction over Q, FieldElement over an extension).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .numberfield import FieldElement
-
-
-def _inv(field, value):
-    if isinstance(value, FieldElement):
-        return value.inverse()
-    return 1 / Fraction(value)
+from .numberfield import invert
 
 
 def rref(matrix: list[list], field):
@@ -35,7 +26,7 @@ def rref(matrix: list[list], field):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = _inv(field, rows[r][c])
+        inv = invert(field, rows[r][c])
         rows[r] = [v * inv for v in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:

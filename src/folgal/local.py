@@ -13,17 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .multipoly import MultiPoly
-from .numberfield import (
-    FieldElement,
-    NumberField,
-    RationalField,
-    extend,
-    run_with_splitting,
-)
+from .numberfield import extend, fresh_name
 from .polyops import squarefree_decompose, squarefree_part
 from .foliation import AFFINE, PROJ, PlaneFoliation, ProjPoint, \
     _restrict, singular_locus
-from .sympy_bridge import FactorUnavailable, factor_irreducible
+from .sympy_bridge import factor_irreducible
 
 
 class NotSingular(Exception):
@@ -120,80 +114,35 @@ def vanishing_and_tangency_order(F: PlaneFoliation, point: ProjPoint):
 # -- blow-up resolution of a curve germ --------------------------------------------
 
 
-def _fresh_name(field) -> str:
-    used = set()
-    fld = field
-    while isinstance(fld, NumberField):
-        used.add(fld.name)
-        fld = fld.base
-    k = 1
-    while f"b{k}" in used:
-        k += 1
-    return f"b{k}"
-
-
-def _certify_structure(p: MultiPoly):
-    """Force splits for coefficients that are zero divisors on uncertified layers."""
-    field = p.field
-    if isinstance(field, RationalField):
-        return
-    fld = field
-    uncertified = False
-    while isinstance(fld, NumberField):
-        if not fld.certified:
-            uncertified = True
-            break
-        fld = fld.base
-    if not uncertified:
-        return
-    for c in p.terms.values():
-        if isinstance(c, FieldElement):
-            c.inverse()  # raises FieldSplit when ambiguous
-
-
 def _per_root_sum(field, modulus: list, worker):
     """Sum worker(root_field, root) over the roots of a squarefree monic
     polynomial given by its full coefficient list over ``field``.
 
-    Conjugate roots contribute equal values, so each irreducible (or D5)
-    class is evaluated once and weighted by its degree.
+    Conjugate roots contribute equal values, so each irreducible class is
+    evaluated once and weighted by its degree.
     """
     deg = len(modulus) - 1
     if deg == 1:
         root = -modulus[0]
         b, dlt = worker(field, root)
         return b, dlt
-    name = _fresh_name(field)
+    name = fresh_name(field, "b")
     poly = MultiPoly.from_dict(
         field, ("T",), {(i,): c for i, c in enumerate(modulus)}
     )
     total_b = 0
     total_d = 0
-    try:
-        pieces = factor_irreducible(poly)
-        for fac, mult in pieces:
-            assert mult == 1, "modulus was squarefree"
-            fdeg = fac.degree_in("T")
-            coeffs = [c.constant_value() for c in fac.univariate_coeffs("T")]
-            if fdeg == 1:
-                b, dlt = worker(field, -coeffs[0])
-            else:
-                ext = extend(field, name, coeffs[:-1], certified=True)
-                b, dlt = worker(ext, ext.gen())
-            total_b += fdeg * b
-            total_d += fdeg * dlt
-        return total_b, total_d
-    except FactorUnavailable:
-        pass
-    ext = extend(field, name, modulus[:-1], certified=False)
-
-    def compute(fld, proj):
-        layer = next(l for l in fld.chain() if l.name == name)
-        return layer.degree, worker(fld, proj(ext.gen()))
-
-    for branch_field, (wdeg, (b, dlt)) in run_with_splitting(ext, compute):
-        total_b += wdeg * b
-        total_d += wdeg * dlt
+    for fac, mult in factor_irreducible(poly):
+        assert mult == 1, "modulus was squarefree"
+        fdeg = fac.degree_in("T")
+        coeffs = [c.constant_value() for c in fac.univariate_coeffs("T")]
+        if fdeg == 1:
+            b, dlt = worker(field, -coeffs[0])
+        else:
+            ext = extend(field, name, coeffs[:-1])
+            b, dlt = worker(ext, ext.gen())
+        total_b += fdeg * b
+        total_d += fdeg * dlt
     return total_b, total_d
 
 
@@ -206,7 +155,6 @@ def resolve_germ(germ: MultiPoly, depth: int = 0):
     """
     if depth > 60:
         raise RuntimeError("blow-up recursion exceeded the depth bound")
-    _certify_structure(germ)
     m = germ.lowest_degree()
     if m < 1:
         raise ValueError("germ does not vanish at the origin")

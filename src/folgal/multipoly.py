@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .numberfield import FieldElement, RationalField, field_element_str
+from .numberfield import FieldElement, RationalField, field_element_str, invert
 
 
 class NotDivisible(Exception):
@@ -140,7 +140,7 @@ class MultiPoly:
         if not self.terms:
             return self
         _, lc = self.leading_term()
-        inv = _coeff_invert(self.field, lc)
+        inv = invert(self.field, lc)
         return self.scale(inv)
 
     # -- ring operations -----------------------------------------------------------
@@ -223,7 +223,7 @@ class MultiPoly:
         """Division by an exact divisor (polynomial) or a scalar."""
         if isinstance(other, MultiPoly):
             return self.exact_div(other)
-        inv = _coeff_invert(self.field, _coerce_coeff(self.field, other))
+        inv = invert(self.field, _coerce_coeff(self.field, other))
         return self.scale(inv)
 
     def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":
@@ -234,7 +234,7 @@ class MultiPoly:
         if self.is_zero():
             return self
         div_exp, div_coeff = divisor.leading_term()
-        inv = _coeff_invert(self.field, div_coeff)
+        inv = invert(self.field, div_coeff)
         quot_terms = {}
         rem = self
         while rem.terms:
@@ -318,15 +318,20 @@ class MultiPoly:
         missing = [v for v in self.vars if v not in point]
         if missing:
             raise ValueError(f"missing coordinates {missing}")
-        coords = [
-            _coerce_coeff(self.field, point[v]) for v in self.vars
-        ]
+        powers = []  # powers[i][k - 1] is the i-th coordinate to the k
+        for i, v in enumerate(self.vars):
+            x = _coerce_coeff(self.field, point[v])
+            row = [x]
+            top = max((e[i] for e in self.terms), default=0)
+            while len(row) < top:
+                row.append(row[-1] * x)
+            powers.append(row)
         total = _coerce_coeff(self.field, 0)
         for e, c in self.terms.items():
             val = c
-            for x, k in zip(coords, e):
+            for row, k in zip(powers, e):
                 if k:
-                    val = val * x**k
+                    val = val * row[k - 1]
             total = total + val
         return total
 
@@ -517,14 +522,6 @@ def evaluate_at(polys: Sequence[MultiPoly], point: Sequence[MultiPoly]) -> list:
                 acc = acc + combine(rows[k])
         out.append(acc)
     return out
-
-
-def _coeff_invert(field, coeff):
-    if isinstance(field, RationalField):
-        if not coeff:
-            raise ZeroDivisionError("division by zero")
-        return 1 / Fraction(coeff)
-    return field.coerce(coeff).inverse()
 
 
 def _coeff_complex(field, coeff) -> complex:

@@ -1,18 +1,20 @@
-"""Coefficient fields: Q and towers of simple extensions with dynamic evaluation.
+"""Coefficient fields: Q and towers of simple extensions.
 
 A :class:`NumberField` layer is a quotient ``base[g]/(m(g))`` with ``m``
-monic and squarefree.  ``m`` need not be irreducible: arithmetic proceeds
-as if it were, and the first inversion that meets a zero divisor raises
-:class:`FieldSplit` carrying a proper factorization of ``m``.  Callers
-re-run the computation on each branch (see :func:`run_with_splitting`).
+monic and irreducible over ``base``, so every layer is a field.  A modulus
+is proved irreducible before it is adjoined: a user's modulus over Q when it
+is parsed, and every other one because it is a factor returned by
+:func:`folgal.sympy_bridge.factor_irreducible`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 
+# Raised only if a modulus that is not irreducible was adjoined, which is an
+# internal error; the name stays because folgal exports it and tracers count it.
 class FieldSplit(Exception):
     """A zero divisor was inverted in ``field``; ``min_poly = f1 * f2``."""
 
@@ -75,8 +77,7 @@ class NumberField:
     ``g^n + c_{n-1} g^{n-1} + ... + c0``.
     """
 
-    def __init__(self, base, name: str, min_poly: Sequence, embedding: complex,
-                 certified: bool = False):
+    def __init__(self, base, name: str, min_poly: Sequence, embedding: complex):
         self.base = base
         self.name = name
         self.min_poly = tuple(base.coerce(c) for c in min_poly)
@@ -84,8 +85,6 @@ class NumberField:
         if self.degree < 1:
             raise ValueError("empty minimal polynomial")
         self.embedding = complex(embedding)
-        # certified: the modulus is known irreducible, so the layer is a field
-        self.certified = bool(certified)
 
     # -- element constructors ------------------------------------------------
 
@@ -335,7 +334,7 @@ def poly_divmod(num, den, fld):
     _trim(den)
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
-    inv_lc = _field_invert(den[-1], fld)
+    inv_lc = invert(fld, den[-1])
     quot = [fld.zero()] * max(0, len(num) - len(den) + 1)
     while len(num) >= len(den):
         c = num[-1] * inv_lc
@@ -347,16 +346,20 @@ def poly_divmod(num, den, fld):
     return quot, num
 
 
-def _field_invert(value, fld):
-    if isinstance(fld, RationalField):
-        if not value:
-            raise ZeroDivisionError("division by zero in QQ")
-        return 1 / Fraction(value)
-    return _invert(value)
+def invert(fld, value):
+    """Inverse of a nonzero scalar of ``fld``: of Q, of a layer, or of a
+    layer below it."""
+    if isinstance(value, FieldElement):
+        return _invert(value)
+    if isinstance(fld, NumberField):
+        return _invert(fld.coerce(value))
+    if not value:
+        raise ZeroDivisionError("division by zero in QQ")
+    return 1 / Fraction(value)
 
 
 def _invert(elem: FieldElement) -> FieldElement:
-    """Extended Euclid in base[g] mod min_poly; splits on zero divisors."""
+    """Extended Euclid in base[g] mod min_poly."""
     field = elem.field
     base = field.base
     if not elem:
@@ -366,15 +369,15 @@ def _invert(elem: FieldElement) -> FieldElement:
     s0, s1 = [], [base.one()]
     while True:
         if len(r1) == 1:
-            inv = _field_invert(r1[0], base)
+            inv = invert(base, r1[0])
             rep = [c * inv for c in s1]
             rep = _reduce_mod(rep, field)
             return FieldElement(field, tuple(rep))
         quot, rem = poly_divmod(r0, r1, base)
         _trim(rem)
         if not rem:
-            # r1 is a nonunit divisor of the modulus: dynamic split.
-            lc_inv = _field_invert(r1[-1], base)
+            # r1 is a proper divisor of the modulus, so it was not irreducible
+            lc_inv = invert(base, r1[-1])
             f1 = [c * lc_inv for c in r1]
             f2, tail = poly_divmod(m, f1, base)
             assert not _trim(tail), "modulus factor must divide exactly"
@@ -410,28 +413,31 @@ def _pick_root(roots, hint=None):
     return max(roots, key=lambda r: (round(r.imag, 9), round(r.real, 9)))
 
 
-def extend(base, name: str, min_poly: Sequence, embedding_hint=None,
-           certified: bool = False) -> NumberField:
+def extend(base, name: str, min_poly: Sequence, embedding_hint=None) -> NumberField:
     """Adjoin a root of the monic polynomial ``min_poly`` (coeffs over ``base``).
 
-    The modulus must be squarefree (dynamic evaluation needs it); this is
-    checked via gcd with the derivative.
+    The caller proves ``min_poly`` irreducible over ``base``; this checks
+    only that it is squarefree, by a gcd with the derivative.
     """
     coeffs = [base.coerce(c) for c in min_poly]
     full = list(coeffs) + [base.coerce(1)]
     deriv = [c * k for k, c in enumerate(full)][1:]
-    try:
-        g = _squarefree_check_gcd(full, deriv, base)
-        if len(g) > 1:
-            raise ValueError("minimal polynomial must be squarefree")
-    except FieldSplit:
-        # gcd over an uncertified lower layer split: conservatively accept;
-        # later arithmetic will split again where it matters
-        pass
+    if len(_squarefree_check_gcd(full, deriv, base)) > 1:
+        raise ValueError("minimal polynomial must be squarefree")
     numeric = [base.to_complex(c) for c in coeffs] + [1.0 + 0j]
     roots = _poly_complex_roots(numeric)
     emb = _pick_root(roots, embedding_hint)
-    return NumberField(base, name, coeffs, emb, certified=certified)
+    return NumberField(base, name, coeffs, emb)
+
+
+def fresh_name(field, prefix: str, start: int = 1) -> str:
+    """The first of ``prefix{start}``, ``prefix{start + 1}``, ... that names
+    no layer of ``field``; index 0 stands for the bare ``prefix``."""
+    used = {layer.name for layer in field.chain()}
+    k = start
+    while (name := f"{prefix}{k or ''}") in used:
+        k += 1
+    return name
 
 
 def _squarefree_check_gcd(f, g, base):
@@ -441,87 +447,6 @@ def _squarefree_check_gcd(f, g, base):
         _, r = poly_divmod(f, g, base)
         f, g = g, _trim(r)
     return f
-
-
-def split_field(top, layer: NumberField, factor: Sequence):
-    """Rebuild the tower ``top`` with ``layer``'s modulus replaced by ``factor``.
-
-    ``factor`` is monic, given as a full coefficient list (leading 1 included)
-    over ``layer.base``.  Returns ``(new_top, project)`` where ``project`` maps
-    elements of any original layer into the rebuilt tower.
-    """
-    factor = list(factor)
-    assert factor[-1] == layer.base.coerce(1) or factor[-1] == 1
-    new_min = factor[:-1]
-    chain = top.chain()
-    try:
-        idx = chain.index(layer)
-    except ValueError:
-        raise ValueError("layer does not belong to the tower") from None
-
-    mapping = {}
-
-    def project(elem):
-        if isinstance(elem, (int, Fraction)):
-            return elem
-        fld = elem.field
-        if fld not in mapping:
-            # element lives below the split layer: unchanged
-            return elem
-        new_fld = mapping[fld]
-        rep = [project(c) for c in elem.rep]
-        rep = _reduce_mod(rep, new_fld) if len(rep) > new_fld.degree else rep
-        rep = list(rep)[: new_fld.degree]
-        while len(rep) < new_fld.degree:
-            rep.append(new_fld.base.zero())
-        return FieldElement(new_fld, tuple(rep))
-
-    # rebuild the split layer
-    numeric = [layer.base.to_complex(c) for c in new_min] + [1.0 + 0j]
-    roots = _poly_complex_roots(numeric)
-    emb = _pick_root(roots, layer.embedding)
-    new_layer = NumberField(layer.base, layer.name, new_min, emb)
-    mapping[layer] = new_layer
-
-    prev_new = new_layer
-    for old in chain[idx + 1 :]:
-        coeffs = [project(c) for c in old.min_poly]
-        numeric = [prev_new.to_complex(c) for c in coeffs] + [1.0 + 0j]
-        roots = _poly_complex_roots(numeric)
-        emb = _pick_root(roots, old.embedding)
-        new_fld = NumberField(prev_new, old.name, coeffs, emb, certified=old.certified)
-        mapping[old] = new_fld
-        prev_new = new_fld
-
-    return mapping[chain[-1]], project
-
-
-def run_with_splitting(field, compute: Callable, max_branches: int = 64):
-    """Run ``compute(field, project)`` under D5 semantics.
-
-    ``compute`` receives the working field and a projection callable mapping
-    originally-built values into that field's tower.  On :class:`FieldSplit`
-    the computation is re-run on both branch towers; the result list covers
-    every branch.  Returns a list of ``(branch_field, result)`` pairs.
-    """
-    results = []
-    identity = lambda value: value
-    stack = [(field, identity)]
-    while stack:
-        fld, proj = stack.pop()
-        if len(results) + len(stack) > max_branches:
-            raise RuntimeError("dynamic splitting exceeded branch budget")
-        try:
-            results.append((fld, compute(fld, proj)))
-        except FieldSplit as split:
-            for fac in (split.f1, split.f2):
-                new_top, project = split_field(fld, split.field, fac)
-                stack.append((new_top, _compose(project, proj)))
-    return results
-
-
-def _compose(f, g):
-    return lambda value: f(g(value))
 
 
 # -- printing ----------------------------------------------------------------------

@@ -4,11 +4,10 @@ Strategy: over Q, every gcd and resultant goes to sympy's dense integer
 kernels on integer-cleared inputs: the heuristic gcd of Char-Geddes-Gonnet,
 certified by exact cofactor products, and the subresultant chain, which gives
 the resultant and, to :mod:`folgal.solve2d`, the common roots of the fibres.  Over a
-number-field tower they stay in-house, following D5 dynamic evaluation: gcds
-by a Euclidean sequence in one variable or on binary forms and by content
-extraction plus subresultant pseudo-remainder sequences otherwise, resultants
-by a Bareiss determinant of the Sylvester matrix.  Both paths are exact; the
-tower path propagates :class:`~folgal.numberfield.FieldSplit`.
+number-field tower they stay in-house: gcds by a Euclidean sequence in one
+variable or on binary forms and by content extraction plus subresultant
+pseudo-remainder sequences otherwise, resultants by a Bareiss determinant of
+the Sylvester matrix.  Both paths are exact.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dmp_inner_gcd, dmp_inner_subresultants
 
 from .multipoly import MultiPoly
-from .numberfield import FieldElement, RationalField, poly_divmod
+from .numberfield import RationalField, invert, poly_divmod
 from .sympy_bridge import from_dense, to_dense
 
 
@@ -143,14 +142,7 @@ def _resultant_rational(p: MultiPoly, q: MultiPoly, var: str, dp: int, dq: int) 
 
 
 def _gcd_univariate_field(f: list, g: list, field) -> list:
-    """Monic Euclidean gcd over ``field``, following D5 dynamic evaluation.
-
-    :class:`~folgal.numberfield.FieldSplit` is raised only when a leading
-    coefficient that must be inverted (a divisor's in a division step, or the
-    gcd's own when it is made monic) is a zero divisor modulo the tower's
-    moduli.  Otherwise no split is raised, and the returned gcd is valid on
-    every branch of the moduli.
-    """
+    """Monic Euclidean gcd of coefficient lists (low to high) over ``field``."""
 
     def trim(a):
         while a and not a[-1]:
@@ -164,7 +156,7 @@ def _gcd_univariate_field(f: list, g: list, field) -> list:
         f, g = g, r
     if not f:
         return []
-    inv = f[-1].inverse() if isinstance(f[-1], FieldElement) else 1 / f[-1]
+    inv = invert(field, f[-1])
     return [c * inv for c in f]
 
 
@@ -182,22 +174,8 @@ def mpoly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
 
     Over Q the gcd comes from sympy's dense heuristic gcd, certified by exact
     cofactor products.  Over a number-field tower it comes from content
-    extraction and subresultant pseudo-remainder sequences, under the D5
-    contract: :class:`~folgal.numberfield.FieldSplit` is raised only when a
-    coefficient that must be inverted is a zero divisor modulo the tower's
-    moduli; otherwise no split is raised, and the returned gcd is valid on
-    every branch of the moduli.  Callers that need per-branch results run the
-    gcd under :func:`~folgal.numberfield.run_with_splitting`.  The contract
-    holds when an argument is constant (a constant that is not rational is
-    inverted, so ``gcd(u - 1, x - 1)`` over ``Q[u]/(u^2 - 1)`` splits), when
-    both are univariate of positive degree, and when both are forms in the
-    same two variables (both take the Euclidean path, so
-    ``gcd((u - 1)*x^2, x^2*y)`` splits).  The other multivariate inputs go
-    through content stripping and pseudo-division (it multiplies by leading
-    coefficients instead of inverting them), so there a zero-divisor
-    coefficient can give a gcd that is wrong on some branch, with no split:
-    ``gcd((u - 1)*x, x*(y + 1))`` over ``Q[u]/(u^2 - 1)`` returns ``x``,
-    though at ``u = 1`` the gcd is ``x*(y + 1)``.
+    extraction and subresultant pseudo-remainder sequences, with a Euclidean
+    gcd in one variable and on binary forms.
     """
     if p.is_zero() and q.is_zero():
         return p.zero_like()
@@ -206,11 +184,6 @@ def mpoly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     if q.is_zero():
         return p.monic()
     if p.is_constant() or q.is_constant():
-        consts = [f.constant_value() for f in (p, q) if f.is_constant()]
-        # a rational constant is a unit on every branch; any other constant
-        # may be a zero divisor, and inverting it splits the tower (D5)
-        if all(isinstance(c, FieldElement) and c.rational_value() is None for c in consts):
-            consts[0].inverse()
         return p.one_like()
     if isinstance(p.field, RationalField):
         return _gcd_rational(p, q)
@@ -263,17 +236,9 @@ def _gcd_binary_forms(p: MultiPoly, q: MultiPoly, u: str, v: str) -> MultiPoly:
     A form not divisible by ``u`` is the homogenisation of its slice at
     ``u = 1``, and the map is multiplicative, so the gcd is the Euclidean gcd
     of the two slices, homogenised again, times the power of ``u`` that both
-    inputs share.  That power is read off the term of least degree in ``u``,
-    whose coefficient is inverted first: if it is a zero divisor, the power
-    differs between branches, and the tower splits (D5).
+    inputs share.
     """
     iu, iv = p.vars.index(u), p.vars.index(v)
-
-    def valuation(f):
-        e, c = min(f.terms.items(), key=lambda t: t[0][iu])
-        if isinstance(c, FieldElement) and c.rational_value() is None:
-            c.inverse()
-        return e[iu]
 
     def slice_at_one(f):
         coeffs = [f.field.zero()] * (f.degree_in(v) + 1)
@@ -282,7 +247,7 @@ def _gcd_binary_forms(p: MultiPoly, q: MultiPoly, u: str, v: str) -> MultiPoly:
         return coeffs
 
     g = _gcd_univariate_field(slice_at_one(p), slice_at_one(q), p.field)
-    shift = min(valuation(p), valuation(q))
+    shift = min(e[iu] for f in (p, q) for e in f.terms)
     terms = {}
     for k, c in enumerate(g):
         exp = [0] * len(p.vars)

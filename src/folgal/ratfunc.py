@@ -9,6 +9,7 @@ end.
 from __future__ import annotations
 
 from .multipoly import MultiPoly, evaluate_at
+from .numberfield import invert
 from .polyops import mpoly_gcd
 
 
@@ -27,10 +28,7 @@ class RationalFunction:
                 den = den.exact_div(g)
         if num.is_zero():
             den = den.one_like()
-        lc = den.leading_coefficient()
-        from .multipoly import _coeff_invert
-
-        inv = _coeff_invert(den.field, lc)
+        inv = invert(den.field, den.leading_coefficient())
         num = num.scale(inv)
         den = den.scale(inv)
         self.num = num

@@ -26,9 +26,9 @@ from sympy.polys.domains import QQ as SQQ
 from sympy.polys.euclidtools import dup_invert
 
 from .multipoly import MultiPoly
-from .numberfield import NumberField, RationalField, extend
+from .numberfield import RationalField, extend, fresh_name
 from .polyops import mpoly_gcd, resultant, subresultant_chain
-from .sympy_bridge import FactorUnavailable, factor_irreducible, to_dense
+from .sympy_bridge import factor_irreducible, to_dense
 
 
 class ShearFailure(Exception):
@@ -48,18 +48,6 @@ class PlanePoint:
     xy: tuple
     multiplicity: int
     class_size: int
-
-
-def _fresh_gen_name(field) -> str:
-    used = set()
-    fld = field
-    while isinstance(fld, NumberField):
-        used.add(fld.name)
-        fld = fld.base
-    k = 1
-    while f"r{k}" in used:
-        k += 1
-    return f"r{k}"
 
 
 def _univ_coeff_list(p: MultiPoly, var: str):
@@ -141,21 +129,15 @@ def _common_zeros_sheared(F: MultiPoly, G: MultiPoly, lam: Fraction):
     if res.is_constant():
         return []
     res = res.monic()
-    try:
-        factors = factor_irreducible(res)
-    except FactorUnavailable as exc:
-        raise RuntimeError(f"cannot factor eliminant: {exc}") from None
-
     points = []
-    for fac, mult in factors:
+    for fac, mult in factor_irreducible(res):
         coeffs = _univ_coeff_list(fac, var_x)
         deg = len(coeffs) - 1
         if deg == 1:
             xi_field = field
             xi = -coeffs[0]
         else:
-            name = _fresh_gen_name(field)
-            xi_field = extend(field, name, coeffs[:-1], certified=True)
+            xi_field = extend(field, fresh_name(field, "r"), coeffs[:-1])
             xi = xi_field.gen()
         fy = _eval_x(Fs, var_x, xi, xi_field)
         gy = _eval_x(Gs, var_x, xi, xi_field)

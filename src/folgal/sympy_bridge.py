@@ -1,36 +1,36 @@
-"""Certified irreducible factorization over Q and over a simple extension Q(a).
+"""Certified irreducible factorization over Q and over towers of number fields.
 
-Over Q the factorization is sympy's.  Over a field ``K = Q(a)`` whose
-declared modulus ``m`` is checked irreducible over Q, it follows Trager,
-"Algebraic factoring and rational function integration" (SYMSAC 1976):
+Over Q the factorization is sympy's.  Over a layer ``K = k(a)`` of a tower,
+with base field ``k`` (Q or a lower layer) and the modulus ``m`` of ``a``
+irreducible over ``k``, it follows Trager, "Algebraic factoring and rational
+function integration" (SYMSAC 1976), one layer at a time:
 
-1. The part ``R`` of ``f`` with rational coefficients is split off first:
-   with ``f = sum a^i f_i`` and every ``f_i`` over Q, ``R`` is the gcd of
-   the ``f_i``.  ``R`` is factored over Q, and each rational factor goes
-   through step 2, since it may still split over ``K`` (``x^2 - 2`` over
-   Q(sqrt 2)).
+1. The part ``R`` of ``f`` with coefficients in ``k`` is split off first:
+   with ``f = sum a^i f_i`` and every ``f_i`` over ``k``, ``R`` is the gcd
+   of the ``f_i``.  ``R`` is factored over ``k`` by the same method, and
+   each factor of it goes through step 2, since it may still split over
+   ``K`` (``x^2 - 2`` over Q(sqrt 2)).
 2. Each variable ``v`` is shifted to ``v - s_v a``, trying the shift
    vectors ``s`` by growing L1 norm, until the norm ``N = Res_t(m(t), f(t))``
-   is squarefree over Q.  The norm comes from
+   is squarefree over ``k``.  The norm comes from
    :func:`folgal.polyops.resultant`.  A squarefree norm proves ``f``
    squarefree.  When no shift of L1 norm at most two gives one, ``f`` is
    split by :func:`folgal.polyops.squarefree_decompose` and the search goes
    on, without a bound, for each squarefree part: its bad shifts lie on
    finitely many proper affine subspaces, so the search ends.
-3. ``N`` is factored over Q, and each irreducible factor ``h`` gives the
-   factor ``gcd(f, h)`` over ``K``, shifted back.  It is irreducible because
-   ``N`` is squarefree and ``h`` irreducible (Trager's theorem).
+3. ``N`` is factored over ``k`` (by sympy when ``k`` is Q, else by the same
+   method), and each irreducible factor ``h`` gives the factor ``gcd(f, h)``
+   over ``K``, shifted back.  It is irreducible because ``N`` is squarefree
+   and ``h`` irreducible (Trager's theorem).
 4. The product of the factors, raised to their multiplicities, must equal
    the monic input exactly.
 
-Nothing here builds sympy's algebraic domain ``QQ<a>``: the one check on
-``K`` is that its declared modulus is irreducible over Q, so that ``K`` is a
-field (:func:`_check_simple_extension`).  Towers of depth two or more, and a
-reducible modulus, report :class:`FactorUnavailable`; callers fall back to
-squarefree data plus dynamic splitting.  The module also holds the one
-converter between MultiPoly over Q and sympy's dense recursive polynomials
-(:func:`to_dense`, :func:`from_dense`), which the Q kernels of
-:mod:`folgal.polyops` use too.
+Nothing here builds sympy's algebraic domains and nothing checks that a
+modulus is irreducible: a user's modulus is checked when it is parsed
+(:func:`folgal.foliation.field_from_spec`), and every other layer adjoins a
+factor returned here.  The module also holds the one converter between
+MultiPoly over Q and sympy's dense recursive polynomials (:func:`to_dense`,
+:func:`from_dense`), which the Q kernels of :mod:`folgal.polyops` use too.
 """
 
 from __future__ import annotations
@@ -42,30 +42,22 @@ from typing import Sequence
 
 from sympy.polys.densebasic import dmp_from_dict, dmp_to_dict
 from sympy.polys.domains import QQ as SQQ
-from sympy.polys.factortools import dmp_factor_list, dup_irreducible_p
+from sympy.polys.factortools import dmp_factor_list
 from sympy.polys.polyclasses import DMP
 from sympy.polys.sqfreetools import dmp_sqf_p
 
 from .multipoly import MultiPoly
-from .numberfield import QQ, NumberField, RationalField
+from .numberfield import FieldElement, RationalField
 
 
+# Never raised: every field factors.  The name stays for outside tools that
+# count it, such as the benchmark's tracer.
 class FactorUnavailable(Exception):
     pass
 
 
 # shifts of L1 norm up to this are tried before the squarefree split
 _FIRST_NORM = 2
-
-
-def _check_simple_extension(field: NumberField) -> None:
-    """Raise :class:`FactorUnavailable` unless ``field`` is Q(a) with a
-    modulus irreducible over Q, so that it is a field of degree n over Q."""
-    if not isinstance(field.base, RationalField):
-        raise FactorUnavailable("tower deeper than one extension layer")
-    modulus = [SQQ(1)] + [SQQ(c.numerator, c.denominator) for c in reversed(field.min_poly)]
-    if not dup_irreducible_p(modulus, SQQ):
-        raise FactorUnavailable("declared modulus is reducible over Q")
 
 
 def to_dense(p: MultiPoly, order: Sequence[str]) -> list:
@@ -98,8 +90,8 @@ def factor_irreducible(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
     """Monic irreducible factors with multiplicities over the working field.
 
     The constant content is dropped (recoverable by exact division).  Over
-    an extension of Q the factors are recovered from norms (see the module
-    docstring) and checked against the input by an exact product.
+    a tower the factors are recovered from norms, one layer at a time (see
+    the module docstring), and checked against the input by an exact product.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -108,7 +100,6 @@ def factor_irreducible(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
     if isinstance(p.field, RationalField):
         out = _factor_rational(p)
     else:
-        _check_simple_extension(p.field)
         out = _factor_by_norms(p)
         _check_product(p, out)
     out.sort(key=_order_key)
@@ -116,16 +107,22 @@ def factor_irreducible(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
 
 
 def _order_key(fm):
-    """Degree, then support; over Q(a), ties are broken as sympy's
-    factor_list broke them, by multiplicity and then by the coefficients in
-    descending exponent order, each listed by descending powers of a."""
+    """Degree, then support; over a tower, ties are broken by multiplicity
+    and then by the coefficients in descending exponent order, each
+    flattened to rationals by descending powers of the generators (over
+    Q(a), the order of sympy's factor_list)."""
     f, mult = fm
     key = (f.total_degree(), sorted(f.terms))
     if isinstance(f.field, RationalField):
         return key
 
+    def flat(c):
+        if isinstance(c, FieldElement):
+            return [v for part in reversed(c.rep) for v in flat(part)]
+        return [c]
+
     def coeff(c):
-        high = list(reversed(c.rep))
+        high = flat(c)
         while not high[0]:
             high.pop(0)
         return high
@@ -149,7 +146,7 @@ def _check_product(p: MultiPoly, factors) -> None:
 
 
 def _coordinates(p: MultiPoly) -> list[dict]:
-    """Term dicts of the ``f_i`` over Q with ``p = sum a^i f_i``."""
+    """Term dicts of the ``f_i`` over the base field with ``p = sum a^i f_i``."""
     coords = [{} for _ in range(p.field.degree)]
     for e, c in p.terms.items():
         for i, v in enumerate(c.rep):
@@ -165,15 +162,15 @@ def _factor_by_norms(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
 
     field = p.field
     p = p.monic()
-    # a polynomial over Q divides p exactly when it divides every f_i, since
-    # 1, a, ..., a^(n-1) are linearly independent over Q
-    rational = mpoly_gcd_list([MultiPoly(QQ, p.vars, t) for t in _coordinates(p) if t])
+    # a polynomial over the base divides p exactly when it divides every f_i,
+    # since 1, a, ..., a^(n-1) are linearly independent over the base
+    lower = mpoly_gcd_list([MultiPoly(field.base, p.vars, t) for t in _coordinates(p) if t])
     found = Counter()
-    if not rational.is_constant():
-        for q, mult in _factor_rational(rational):
+    if not lower.is_constant():
+        for q, mult in factor_irreducible(lower):
             for f, k in _factor_squarefree_or_split(q.to_field(field)):
                 found[f] += mult * k
-        p = p.exact_div(rational.to_field(field))
+        p = p.exact_div(lower.to_field(field))
     if not p.is_constant():
         for f, k in _factor_squarefree_or_split(p):
             found[f] += k
@@ -211,14 +208,13 @@ def _shifts(count: int, first: int, last: int | None):
 
 
 def _factor_by_shift(p: MultiPoly, first: int, last: int | None):
-    """Irreducible monic factors of ``p`` over Q(a), from the first shift of
-    L1 norm in ``first..last`` with a squarefree norm; None when there is
-    none (then ``p`` may not be squarefree)."""
+    """Irreducible monic factors of ``p`` over its top layer, from the first
+    shift of L1 norm in ``first..last`` with a squarefree norm; None when
+    there is none (then ``p`` may not be squarefree)."""
     from .polyops import mpoly_gcd
 
     field = p.field
     order = [v for v in p.vars if p.degree_in(v) > 0]
-    u = len(order) - 1
     alpha = MultiPoly.constant(field, p.vars, field.gen())
 
     def move(poly, shift, sign):
@@ -229,27 +225,42 @@ def _factor_by_shift(p: MultiPoly, first: int, last: int | None):
 
     for shift in _shifts(len(order), first, last):
         shifted = move(p, shift, -1)
-        norm = to_dense(_norm(shifted), order)
-        if not dmp_sqf_p(norm, u, SQQ):
-            continue
-        _, pieces = dmp_factor_list(norm, u, SQQ)
-        like = MultiPoly.zero(QQ, p.vars)
-        return [move(mpoly_gcd(shifted, from_dense(h, order, like).to_field(field)), shift, 1).monic()
-                for h, _ in pieces]
+        pieces = _squarefree_factors(_norm(shifted), order)
+        if pieces is not None:
+            return [move(mpoly_gcd(shifted, h.to_field(field)), shift, 1).monic()
+                    for h in pieces]
     return None
 
 
+def _squarefree_factors(norm: MultiPoly, order: list) -> list | None:
+    """Irreducible factors of ``norm`` over its field, or None when it is
+    not squarefree; over Q by sympy's dense kernels on ``order``."""
+    from .polyops import squarefree_decompose
+
+    if not isinstance(norm.field, RationalField):
+        if any(mult > 1 for _, mult in squarefree_decompose(norm)):
+            return None
+        return [h for h, _ in factor_irreducible(norm)]
+    u = len(order) - 1
+    dense = to_dense(norm, order)
+    if not dmp_sqf_p(dense, u, SQQ):
+        return None
+    _, pieces = dmp_factor_list(dense, u, SQQ)
+    return [from_dense(h, order, norm) for h, _ in pieces]
+
+
 def _norm(p: MultiPoly) -> MultiPoly:
-    """``Res_t(m(t), p(t))`` over Q, where ``p(t)`` puts a new variable ``t``
-    in place of the generator ``a``; for ``m = t^2 - c`` it is ``A^2 - c B^2``
-    with ``p = A + a B``."""
+    """``Res_t(m(t), p(t))`` over the base field, where ``p(t)`` puts a new
+    variable ``t`` in place of the top generator ``a``; for ``m = t^2 - c``
+    it is ``A^2 - c B^2`` with ``p = A + a B``."""
     from .polyops import resultant
 
     field = p.field
+    base = field.base
     t = "_" + "_".join(p.vars) + "_norm"  # longer than any variable's name
     ring = p.vars + (t,)
     lifted = {e + (i,): v for i, coord in enumerate(_coordinates(p)) for e, v in coord.items()}
     modulus = {(0,) * len(p.vars) + (i,): c for i, c in enumerate(field.min_poly) if c}
-    modulus[(0,) * len(p.vars) + (field.degree,)] = Fraction(1)
-    norm = resultant(MultiPoly(QQ, ring, modulus), MultiPoly(QQ, ring, lifted), t)
+    modulus[(0,) * len(p.vars) + (field.degree,)] = base.one()
+    norm = resultant(MultiPoly(base, ring, modulus), MultiPoly(base, ring, lifted), t)
     return norm.drop_vars([t])

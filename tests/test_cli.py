@@ -160,3 +160,21 @@ def test_analyze_modular_quintic_end_to_end(capsys):
     for c in finite:
         assert c["multiplicity"] == 1
         assert parse_poly(c["curve"], F.field, ("x", "y", "z")).total_degree() == 1
+
+
+def test_analyze_degree_one(capsys):
+    # a degree-one Gauss map is an isomorphism: Galois, with no branching
+    code, out, _ = run_cli(capsys, "analyze", "--inline", "A: y; B: -x")
+    assert code == 0
+    assert "galois" in out
+
+
+@pytest.mark.parametrize("command, spec", [
+    ("analyze", "field: u^2-1; A: x^2; B: u*y^2"),
+    ("deck", "field: u^2-1; A: x^3; B: y^3"),
+    ("analyze", "field: u^4+2*u^2+1; A: x^2; B: u*y^2"),
+])
+def test_reducible_field_spec_is_an_input_error(capsys, command, spec):
+    code, _, err = run_cli(capsys, command, "--inline", spec)
+    assert code == 3
+    assert "error:" in err

@@ -206,3 +206,9 @@ def test_tangency_degree_on_random_lines():
             continue
         td = fol.tangency_on_line(F, dual)
         assert td.poly.degree_in("t") == F.degree
+
+
+def test_field_spec_must_be_irreducible():
+    assert fol.field_from_spec("g^2-g+1").degree == 2
+    with pytest.raises(ValueError, match="reducible"):
+        fol.field_from_spec("u^2-4")

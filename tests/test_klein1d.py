@@ -12,7 +12,7 @@ from folgal.klein1d import (
     regular_type_test,
 )
 from folgal.multipoly import MultiPoly
-from folgal.numberfield import QQ
+from folgal.numberfield import QQ, extend
 from folgal.parsing import parse_rational
 
 
@@ -141,3 +141,19 @@ def test_weighted_branching_formatting():
     bw = WeightedBranchingType(3, {(3,): 3})
     assert str(bw) == "3(3)_1"
     assert bw.size() == 6
+
+
+@pytest.mark.parametrize("text, loci", [
+    ("z^3+3*z^2", {"y", "y - 4"}),
+    ("z^5-5*z", {"y - 4", "y + 4", "y + 4*i", "y + (-4*i)"}),
+])
+def test_branch_loci_over_a_tower_are_irreducible(text, loci):
+    # over Q(sqrt 2)(i) every finite branch locus is linear, with weight 1
+    # and the profile it has over Q
+    root2 = extend(QQ, "s", [Fraction(-2), Fraction(0)])
+    tower = extend(root2, "i", [root2.coerce(1), root2.coerce(0)])
+    finite = [r for r in ramification_profile(make_map(text, tower)) if r.locus is not None]
+    assert {str(r.locus) for r in finite} == loci
+    assert all(r.weight == 1 for r in finite)
+    over_q = {r.profile for r in ramification_profile(make_map(text)) if r.locus is not None}
+    assert {r.profile for r in finite} == over_q

@@ -60,7 +60,7 @@ def test_gcd_simple_cases():
 
 
 def test_gcd_over_extension_is_one():
-    K = extend(QQ, "g", parse_min_poly("g^2-g+1", "g"), certified=True)
+    K = extend(QQ, "g", parse_min_poly("g^2-g+1", "g"))
     p = parse_poly("x*y", K, ("x", "y"))
     q = parse_poly("g*y^2 + x^3", K, ("x", "y"))
     g = mpoly_gcd(p, q)
@@ -113,7 +113,7 @@ def binary_form(draw, names=("t", "x", "y")):
     )
 
 
-Q_I = extend(QQ, "c", [Fraction(1), Fraction(0)], certified=True)  # c^2 + 1 = 0
+Q_I = extend(QQ, "c", [Fraction(1), Fraction(0)])  # c^2 + 1 = 0
 
 
 @given(binary_form(), binary_form(), binary_form())
@@ -339,7 +339,7 @@ def test_perfect_power():
 
 
 def test_perfect_power_over_extension():
-    K = extend(QQ, "g", parse_min_poly("g^2+3", "g"), certified=True)
+    K = extend(QQ, "g", parse_min_poly("g^2+3", "g"))
     base = parse_poly("z^4 + 2*g*z^2 + 1", K, ("z",))
     cube = base**3
     assert perfect_power_part(cube, 3) == base.monic()

@@ -7,8 +7,8 @@ from folgal.multipoly import MultiPoly
 from folgal.numberfield import QQ, extend
 from folgal.ratfunc import RationalFunction, compose_poly
 
-K_G = extend(QQ, "g", [Fraction(3), Fraction(0)], certified=True)  # g^2 + 3 = 0
-TOWER = extend(K_G, "c", [K_G.coerce(1), K_G.coerce(0)], certified=True)  # c^2 + 1 = 0
+K_G = extend(QQ, "g", [Fraction(3), Fraction(0)])  # g^2 + 3 = 0
+TOWER = extend(K_G, "c", [K_G.coerce(1), K_G.coerce(0)])  # c^2 + 1 = 0
 
 
 def _coeff(rng, field):

@@ -55,7 +55,7 @@ def test_tangency_multiplicity():
 
 
 def test_over_extension_field():
-    K = extend(QQ, "g", parse_min_poly("g^2-g+1", "g"), certified=True)
+    K = extend(QQ, "g", parse_min_poly("g^2-g+1", "g"))
     pts = common_zeros(poly("x*y", K), poly("g*y^2 + x^3", K))
     assert len(pts) == 1 and pts[0].multiplicity == 5
 
@@ -103,7 +103,7 @@ def euclid_points(F, G, lam):
         if len(coeffs) == 2:
             K, xi = QQ, -coeffs[0]
         else:
-            K = extend(QQ, "r1", coeffs[:-1], certified=True)
+            K = extend(QQ, "r1", coeffs[:-1])
             xi = K.gen()
         fibres = (solve2d._eval_x(P, "x", xi, K) for P in (Fs, Gs))
         g = solve2d._monic_gcd_coeffs(*fibres, K)

@@ -9,7 +9,7 @@ from sympy.polys.domains import QQ as SQQ
 from folgal import polyops, sympy_bridge
 from folgal.multipoly import MultiPoly
 from folgal.numberfield import QQ, NumberField, extend
-from folgal.sympy_bridge import FactorUnavailable, factor_irreducible
+from folgal.sympy_bridge import factor_irreducible
 
 VARS = ("x", "y")
 
@@ -23,7 +23,7 @@ FIELDS = {
 
 def _field(name):
     coeffs, emb = FIELDS[name]
-    return NumberField(QQ, "a", coeffs, emb, certified=True)
+    return NumberField(QQ, "a", coeffs, emb)
 
 
 def _poly(field, terms):
@@ -159,12 +159,25 @@ def test_dropped_factor_fails_the_product_check(monkeypatch):
         factor_irreducible(p)
 
 
-def test_reducible_modulus_or_tower_is_unavailable():
-    reducible = NumberField(QQ, "a", (Fraction(-4), Fraction(0)), 2.0)
-    x = MultiPoly.variable(reducible, ("x",), "x")
-    with pytest.raises(FactorUnavailable):
-        factor_irreducible(x * x - MultiPoly.constant(reducible, ("x",), 2))
-    tower = extend(_field("sqrt2"), "b", [Fraction(1), Fraction(0)], certified=True)
-    z = MultiPoly.variable(tower, ("x",), "x")
-    with pytest.raises(FactorUnavailable):
-        factor_irreducible(z * z + MultiPoly.constant(tower, ("x",), 1))
+# Q(sqrt 2)(i): s^2 = 2, then i^2 = -1 over Q(s)
+TOWER_TEXTS = ["x^4+1", "(x^2+1)*(x^2-2)*(x^2-3)", "x^2+y^2", "(x-s)^2*(x+i)", "x^3-2"]
+
+
+@pytest.mark.parametrize("text", TOWER_TEXTS)
+def test_tower_factors_match_sympy(text):
+    from folgal.parsing import parse_poly
+
+    root2 = extend(QQ, "s", [Fraction(-2), Fraction(0)])
+    tower = extend(root2, "i", [root2.coerce(1), root2.coerce(0)])
+    p = parse_poly(text, tower, VARS)
+    ours = factor_irreducible(p)
+    prod = p.one_like()
+    for f, m in ours:
+        assert f.field is tower
+        prod = prod * f**m
+    assert prod == p.monic()
+    x, y = sp.symbols("x y")
+    expr = sp.sympify(text.replace("^", "**"), locals={"s": sp.sqrt(2), "i": sp.I})
+    _, theirs = sp.factor_list(expr, x, y, extension=[sp.sqrt(2), sp.I])
+    assert sorted((f.total_degree(), m) for f, m in ours) == sorted(
+        (sp.Poly(f, x, y).total_degree(), m) for f, m in theirs)
