@@ -10,15 +10,12 @@ from dataclasses import dataclass, field as dc_field
 from .foliation import PlaneFoliation, inflection_divisor
 from .galois import (
     GaloisVerdict,
-    ReductionDegenerate,
     UseAnotherMethod,
     branching_and_genus,
-    detect_symmetry,
     discriminant_square_test,
     extremal_type_report,
-    reduce_to_p1,
+    symmetry_verdict,
 )
-from .klein1d import classify
 
 
 @dataclass
@@ -74,24 +71,11 @@ def analyze(
 
     t0 = time.perf_counter()
     sym_block = None
-    if d >= 2:
-        for sym in detect_symmetry(F):
-            if sym.normal_form is None:
-                continue
-            try:
-                fmap = reduce_to_p1(F, sym)
-            except ReductionDegenerate:
-                continue
-            outcome = classify(fmap)
-            status = "galois" if outcome.klein.is_galois() else "not_galois"
-            routes["symmetry_reduction"] = GaloisVerdict(
-                status,
-                "symmetry_reduction",
-                d,
-                {"symmetry": sym, "reduction": fmap, "klein": outcome},
-            )
-            sym_block = SymmetryBlock(sym, fmap, outcome)
-            break
+    sym_verdict = symmetry_verdict(F) if d >= 2 else None
+    if sym_verdict is not None:
+        routes["symmetry_reduction"] = sym_verdict
+        cert = sym_verdict.certificate
+        sym_block = SymmetryBlock(cert["symmetry"], cert["reduction"], cert["klein"])
     timings["symmetry"] = time.perf_counter() - t0
 
     decided_already = any(v.status != "inconclusive" for v in routes.values())

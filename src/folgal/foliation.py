@@ -10,10 +10,9 @@ is the Gauss map in homogeneous coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .multipoly import MultiPoly, NotDivisible
-from .numberfield import QQ, RationalField, invert
+from .numberfield import QQ, invert
 from .polyops import mpoly_gcd, mpoly_gcd_list
 from .ratfunc import RationalFunction
 from .solve2d import common_zeros
@@ -36,8 +35,7 @@ class ProjPoint:
 
     @staticmethod
     def make(point_field, coords):
-        coords = [point_field.coerce(c) if not isinstance(point_field, RationalField)
-                  else Fraction(c) for c in coords]
+        coords = [point_field.coerce(c) for c in coords]
         if not any(coords):
             raise ValueError("all coordinates vanish")
         inv = invert(point_field, next(c for c in coords if c))
@@ -176,7 +174,6 @@ class PlaneFoliation:
 def _restrict(p: MultiPoly, images) -> MultiPoly:
     """Evaluate a (x,y,z) polynomial at (images) expressed in AFFINE vars."""
     field = p.field
-    u = MultiPoly.variable(field, AFFINE, "x")
     mapping = {}
     for name, img in zip(PROJ, images):
         if isinstance(img, MultiPoly):
@@ -317,10 +314,9 @@ def singular_locus(F: PlaneFoliation) -> list[SingularPoint]:
     # affine chart
     for pt in common_zeros(F.A, F.B):
         x0, y0 = pt.xy
-        one = 1 if isinstance(pt.point_field, RationalField) else pt.point_field.one()
         out.append(
             SingularPoint(
-                ProjPoint.make(pt.point_field, (x0, y0, one)),
+                ProjPoint.make(pt.point_field, (x0, y0, 1)),
                 pt.multiplicity,
                 pt.class_size,
             )
@@ -331,10 +327,9 @@ def singular_locus(F: PlaneFoliation) -> list[SingularPoint]:
         u0, v0 = pt.xy
         if v0:
             continue
-        one = 1 if isinstance(pt.point_field, RationalField) else pt.point_field.one()
         out.append(
             SingularPoint(
-                ProjPoint.make(pt.point_field, (one, u0, v0)),
+                ProjPoint.make(pt.point_field, (1, u0, v0)),
                 pt.multiplicity,
                 pt.class_size,
             )
@@ -345,14 +340,9 @@ def singular_locus(F: PlaneFoliation) -> list[SingularPoint]:
         for pt in common_zeros(Ay, By):
             u0, v0 = pt.xy
             if not u0 and not v0:
-                one = (
-                    1
-                    if isinstance(pt.point_field, RationalField)
-                    else pt.point_field.one()
-                )
                 out.append(
                     SingularPoint(
-                        ProjPoint.make(pt.point_field, (u0, one, v0)),
+                        ProjPoint.make(pt.point_field, (u0, 1, v0)),
                         pt.multiplicity,
                         pt.class_size,
                     )
@@ -427,8 +417,8 @@ class TangencyData:
 
 def _line_points(F: PlaneFoliation, dual: tuple):
     """Two distinct points spanning the line u x + v y + w z = 0."""
-    u, v, w = [MultiPoly.constant(F.field, PROJ, c).constant_value() for c in dual]
-    zero = MultiPoly.constant(F.field, PROJ, 0).constant_value()
+    u, v, w = [F.field.coerce(c) for c in dual]
+    zero = F.field.zero()
     candidates = [(v, -u, zero), (w, zero, -u), (zero, w, -v)]
     pts = [c for c in candidates if any(c)]
     for i in range(len(pts)):

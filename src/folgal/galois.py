@@ -19,6 +19,8 @@ from .foliation import (
     AFFINE,
     PROJ,
     PlaneFoliation,
+    ProjPoint,
+    _restrict,
     from_vector_field,
     inflection_divisor,
 )
@@ -26,7 +28,7 @@ from .klein1d import BinaryRationalMap, WeightedBranchingType, classify
 from .linalg import kernel_basis, rank as matrix_rank
 from .local import classify_singularities, germ_delta, polar_curve
 from .multipoly import MultiPoly, NotDivisible, evaluate_at
-from .numberfield import FieldElement, NumberField, RationalField, extend, fresh_name, invert
+from .numberfield import adjoin_root, invert
 from .polyops import is_square_over_closure, mpoly_gcd, squarefree_part
 from .ratfunc import RationalFunction, compose_poly
 from .solve2d import common_zeros
@@ -77,27 +79,6 @@ def gauss_fiber_polynomial(F: PlaneFoliation) -> MultiPoly:
     if not P.substitute({"t": 0}).is_zero():
         raise AssertionError("t must divide the fibre polynomial")
     return P
-
-
-def _field_sqrt(field, value):
-    """Square root of a field constant inside the field, or None."""
-    if isinstance(field, RationalField):
-        v = Fraction(value)
-        if v < 0:
-            return None
-        num = math.isqrt(v.numerator)
-        den = math.isqrt(v.denominator)
-        if num * num == v.numerator and den * den == v.denominator:
-            return Fraction(num, den)
-        return None
-    probe = MultiPoly.from_dict(
-        field, ("T",), {(2,): field.coerce(1), (0,): -field.coerce(value)}
-    )
-    for fac, _ in factor_irreducible(probe):
-        if fac.degree_in("T") == 1:
-            coeffs = [c.constant_value() for c in fac.univariate_coeffs("T")]
-            return -coeffs[0]
-    return None
 
 
 def discriminant_square_test(F: PlaneFoliation) -> GaloisVerdict:
@@ -165,14 +146,17 @@ def check_root_identity(cert: dict) -> None:
 def _cubic_fibre_roots(F: PlaneFoliation, cert: dict) -> list[RationalFunction]:
     """The two roots ``(-a2 +- sqrt(unit) r) / (2 a3)`` of a degree-3
     certificate, over ``F.field`` with ``sqrt(unit)`` adjoined when it is not
-    there already."""
+    there already.
+
+    ``sqrt(unit)`` is a root of the first irreducible factor of
+    ``T^2 - unit``; over Q, for a square ``unit``, that factor is ``T - s``
+    with ``s >= 0``.
+    """
     check_root_identity(cert)
     unit, r, a2, a3 = (cert[k] for k in ("unit", "square_root_witness", "a2", "a3"))
-    srt = _field_sqrt(F.field, unit)
-    if srt is None:
-        field = extend(F.field, fresh_name(F.field, "q"), [-F.field.coerce(unit), 0])
-        srt = field.gen()
-        r, a2, a3 = (c.to_field(field) for c in (r, a2, a3))
+    probe = MultiPoly.from_dict(F.field, ("T",), {(2,): 1, (0,): -unit})
+    field, srt = adjoin_root(factor_irreducible(probe)[0][0], "q")
+    r, a2, a3 = (c.to_field(field) for c in (r, a2, a3))
     delta = r.scale(srt)
     return [
         RationalFunction(-a2 + delta, a3 * 2),
@@ -328,7 +312,7 @@ def detect_symmetry(F: PlaneFoliation) -> list[InfinitesimalSymmetry]:
     for colA, colB in columns:
         monomials |= set(colA.terms) | set(colB.terms)
     monomials = sorted(monomials)
-    zero = Fraction(0) if isinstance(field, RationalField) else field.zero()
+    zero = field.zero()
     rows = []
     for which in (0, 1):
         for mono in monomials:
@@ -337,23 +321,14 @@ def detect_symmetry(F: PlaneFoliation) -> list[InfinitesimalSymmetry]:
                 rows.append(row)
     if not rows:
         return []
-    one = Fraction(1) if isinstance(field, RationalField) else field.one()
-    kernel = kernel_basis(rows, field, zero, one)
+    kernel = kernel_basis(rows, field)
     return [_normalize_symmetry(F, vec) for vec in kernel]
 
 
-def _matrix_from_coords(field, coords):
+def _matrix_from_coords(coords):
     """Traceless 3x3 matrix from the 8 coordinates."""
     t1, t2, m12, m21, h1, h2, m31, m32 = coords
-
-    def co(v):
-        return v if not isinstance(field, RationalField) else Fraction(v)
-
-    third = Fraction(1, 3)
-    if isinstance(field, RationalField):
-        m33 = -(h1 + h2) * third
-    else:
-        m33 = -(h1 + h2) * field.coerce(third)
+    m33 = -(h1 + h2) * Fraction(1, 3)
     m11 = h1 + m33
     m22 = h2 + m33
     return [
@@ -367,7 +342,7 @@ def _normalize_symmetry(F: PlaneFoliation, vec) -> InfinitesimalSymmetry:
     field = F.field
     coords, eps = list(vec[:8]), vec[8]
     sym = InfinitesimalSymmetry(coeffs=coords, epsilon=eps)
-    M = _matrix_from_coords(field, coords)
+    M = _matrix_from_coords(coords)
     try:
         _attach_normal_form(F, sym, M)
     except NotImplementedError as exc:
@@ -376,11 +351,9 @@ def _normalize_symmetry(F: PlaneFoliation, vec) -> InfinitesimalSymmetry:
 
 
 def _char_poly_roots(field, M):
-    """Eigenvalues of a 3x3 matrix over the field, with the field possibly
-    extended by one certified quadratic/cubic factor; None when the needed
-    extension is unsupported."""
+    """Eigenvalues of a 3x3 matrix, with multiplicity, when all of them lie in
+    the field; None otherwise."""
     # char poly: det(M - L I) expanded over field[L]
-    one = MultiPoly.constant(field, ("L",), 1)
     L = MultiPoly.variable(field, ("L",), "L")
 
     def entry(i, j):
@@ -394,34 +367,33 @@ def _char_poly_roots(field, M):
         + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
     )
     roots = []
-    work_field = field
     for fac, mult in factor_irreducible(det):
         deg = fac.degree_in("L")
         coeffs = [c.constant_value() for c in fac.univariate_coeffs("L")]
         if deg == 1:
             roots.extend([-coeffs[0]] * mult)
         else:
-            return None, None  # irrational eigenvalue ratios handled by caller
-    return work_field, roots
+            return None  # irrational eigenvalue ratios handled by caller
+    return roots
 
 
 def _attach_normal_form(F: PlaneFoliation, sym: InfinitesimalSymmetry, M):
     field = F.field
-    M2 = _mat_mul(field, M, M)
-    M3 = _mat_mul(field, M2, M)
+    M2 = _mat_mul(M, M)
+    M3 = _mat_mul(M2, M)
     if _mat_is_zero(M3):
         if _mat_is_zero(M2):
             _normalize_shear(F, sym, M)
         else:
             _normalize_parabolic(F, sym, M, M2)
         return
-    work_field, eigen = _char_poly_roots(field, M)
+    eigen = _char_poly_roots(field, M)
     if eigen is None:
         raise NotImplementedError("irrational eigenvalue ratios")
     _normalize_weighted(F, sym, M, eigen)
 
 
-def _mat_mul(field, A, B):
+def _mat_mul(A, B):
     n = len(A)
     out = []
     for i in range(n):
@@ -450,20 +422,12 @@ def sum_prod(row, v):
     return acc
 
 
-def _kernel_of_matrix(field, M):
-    zero = Fraction(0) if isinstance(field, RationalField) else field.zero()
-    one = Fraction(1) if isinstance(field, RationalField) else field.one()
-    return kernel_basis([list(r) for r in M], field, zero, one)
-
-
-def transform_foliation(F: PlaneFoliation, T_cols) -> tuple[PlaneFoliation, list]:
+def transform_foliation(F: PlaneFoliation, T_cols) -> PlaneFoliation:
     """Pull the foliation back by the projective change with column vectors
-    ``T_cols`` (the new chart's frame); returns the new foliation."""
-    field = F.A.field if not T_cols or not isinstance(T_cols[0][0], FieldElement) else T_cols[0][0].field
-    work = field if isinstance(field, (NumberField, RationalField)) else F.field
+    ``T_cols`` over ``F.field`` (the new chart's frame); returns the new
+    foliation."""
+    work = F.field
     a, b, c = F.triple
-    if isinstance(work, NumberField) and a.field is not work:
-        a, b, c = (p.to_field(work) for p in (a, b, c))
     X3 = [MultiPoly.variable(work, PROJ, v) for v in PROJ]
     images = []
     for i in range(3):
@@ -483,7 +447,7 @@ def transform_foliation(F: PlaneFoliation, T_cols) -> tuple[PlaneFoliation, list
     # affine field from the new triple
     Anew = -_at_z1(new_b)
     Bnew = _at_z1(new_a)
-    return from_vector_field(Anew, Bnew, work), T_cols
+    return from_vector_field(Anew, Bnew, work)
 
 
 def _at_z1(p: MultiPoly) -> MultiPoly:
@@ -503,7 +467,7 @@ def _normalize_weighted(F, sym, M, eigen):
         shifted = [list(row) for row in M]
         for i in range(3):
             shifted[i][i] = M[i][i] - ev
-        kern = _kernel_of_matrix(field, shifted)
+        kern = kernel_basis(shifted, field)
         mult = sum(1 for e in eigen if e == ev)
         if len(kern) != mult:
             raise NotImplementedError(
@@ -531,7 +495,7 @@ def _normalize_weighted(F, sym, M, eigen):
     g = math.gcd(a_int, b_int)
     alpha, beta = a_int // g, b_int // g
     cols = [list(flat[xi][1]), list(flat[yi][1]), list(flat[base][1])]
-    Fn, _ = transform_foliation(F, cols)
+    Fn = transform_foliation(F, cols)
     sym.normal_form = "weighted"
     sym.weights = (alpha, beta)
     sym.chart_change = cols
@@ -547,16 +511,14 @@ def _normalize_shear(F, sym, M):
     # M^2 = 0, M != 0: columns v1 = M w, v2 = w, v3 in ker M independent
     img = None
     wvec = None
-    zero = Fraction(0) if isinstance(field, RationalField) else field.zero()
-    one = Fraction(1) if isinstance(field, RationalField) else field.one()
     for k in range(3):
-        w = [zero] * 3
-        w[k] = one
+        w = [field.zero()] * 3
+        w[k] = field.one()
         mv = _mat_vec(M, w)
         if any(mv):
             img, wvec = mv, w
             break
-    kern = _kernel_of_matrix(field, M)
+    kern = kernel_basis(M, field)
     third = None
     for v in kern:
         mat = [list(img), list(v)]
@@ -566,7 +528,7 @@ def _normalize_shear(F, sym, M):
     if third is None:
         raise AssertionError("rank-1 nilpotent without a second kernel vector")
     cols = [list(img), list(wvec), list(third)]
-    Fn, _ = transform_foliation(F, cols)
+    Fn = transform_foliation(F, cols)
     sym.normal_form = "shear"
     sym.chart_change = cols
     sym.transformed = Fn
@@ -574,19 +536,17 @@ def _normalize_shear(F, sym, M):
 
 def _normalize_parabolic(F, sym, M, M2):
     field = F.field
-    zero = Fraction(0) if isinstance(field, RationalField) else field.zero()
-    one = Fraction(1) if isinstance(field, RationalField) else field.one()
     wvec = None
     for k in range(3):
-        w = [zero] * 3
-        w[k] = one
+        w = [field.zero()] * 3
+        w[k] = field.one()
         if any(_mat_vec(M2, w)):
             wvec = w
             break
     v2 = _mat_vec(M, wvec)
     v1 = _mat_vec(M2, wvec)
     cols = [list(v1), list(v2), list(wvec)]
-    Fn, _ = transform_foliation(F, cols)
+    Fn = transform_foliation(F, cols)
     sym.normal_form = "parabolic"
     sym.chart_change = cols
     sym.transformed = Fn
@@ -662,7 +622,6 @@ def reduce_to_p1(F: PlaneFoliation, sym: InfinitesimalSymmetry) -> BinaryRationa
         Pxy = A - x * Qxy
         if Pxy.degree_in("x") > 0:
             raise ReductionDegenerate("shear normal form violated (P depends on x)")
-        z = MultiPoly.variable(field, ("z",), "z")
         Pz = Pxy.drop_vars(["x"]).rename_vars({"y": "z"})
         Qz = Qp.rename_vars({"y": "z"})
         ghat = RationalFunction(-Qz, Pz)
@@ -678,7 +637,6 @@ def reduce_to_p1(F: PlaneFoliation, sym: InfinitesimalSymmetry) -> BinaryRationa
         z = MultiPoly.variable(field, ("z",), "z")
         Pz = Pw.rename_vars({"w": "z"})
         Qz = Qw.rename_vars({"w": "z"})
-        one = MultiPoly.constant(field, ("z",), 1)
         ghat = RationalFunction(Qz * Qz - z * Pz * Pz, Pz * Pz)
     else:
         raise ReductionDegenerate(f"unknown normal form {sym.normal_form}")
@@ -826,54 +784,46 @@ def _cyclotomic_coeffs(n: int):
 
 def _mobius_generators(tag: str, d: int, base_field):
     """``(K, generator matrices [[a, b], [c, e]])`` over an extension K of
-    base_field, one pair for each choice of the root the table needs."""
+    base_field, one pair for each irreducible factor over base_field of the
+    polynomial whose root the table needs; a root of a linear factor lies in
+    base_field, any other factor is adjoined as a layer named ``c`` (or
+    ``c1``, ... when that is taken)."""
     if tag == "cyclic":
-        for K, zeta in _adjoined_roots(base_field, _cyclotomic_coeffs(d)):
-            yield K, [[[zeta, K.coerce(0)], [K.coerce(0), K.one()]]]
+        coeffs = _cyclotomic_coeffs(d)
     elif tag == "dihedral":
-        for K, zeta in _adjoined_roots(base_field, _cyclotomic_coeffs(d // 2)):
-            zero, one = K.coerce(0), K.one()
-            inv = [[zero, one], [one, zero]]          # z -> 1/z
-            rot = [[zeta, zero], [zero, one]]          # z -> zeta z
-            yield K, [inv, rot]
+        coeffs = _cyclotomic_coeffs(d // 2)
     elif tag == "tetrahedral" or tag == "octahedral":
-        for K, i in _adjoined_roots(base_field, [Fraction(1), Fraction(0)]):  # i^2+1
-            zero, one = K.coerce(0), K.one()
+        coeffs = [Fraction(1), Fraction(0)]  # i^2 + 1
+    elif tag == "icosahedral":
+        coeffs = _cyclotomic_coeffs(5)
+    else:
+        raise ValueError(f"no Möbius generators for {tag}")
+    poly = MultiPoly.from_dict(
+        base_field, ("T",), {(i,): c for i, c in enumerate(list(coeffs) + [1])}
+    )
+    for fac, _ in factor_irreducible(poly):
+        K, root = adjoin_root(fac, "c", start=0)
+        zero, one = K.zero(), K.one()
+        if tag == "cyclic":
+            yield K, [[[root, zero], [zero, one]]]
+        elif tag == "dihedral":
+            inv = [[zero, one], [one, zero]]          # z -> 1/z
+            rot = [[root, zero], [zero, one]]          # z -> zeta z
+            yield K, [inv, rot]
+        elif tag == "icosahedral":
+            zeta = root
+            phi = zeta + zeta**4  # golden section (sqrt5 - 1)/2
+            sigma = [[-one, phi], [phi, one]]          # z -> (phi - z)/(phi z + 1)
+            tau = [[-zeta, phi * zeta], [phi, one]]    # z -> (phi - z) zeta/(phi z + 1)
+            yield K, [sigma, tau]
+        else:
+            i = root
             tau = [[one, i], [one, -i]]                # z -> (z+i)/(z-i)
             if tag == "tetrahedral":
                 sigma = [[-one, zero], [zero, one]]    # z -> -z
             else:
                 sigma = [[i, -one], [one, -i]]         # z -> (iz-1)/(z-i)
             yield K, [sigma, tau]
-    elif tag == "icosahedral":
-        for K, zeta in _adjoined_roots(base_field, _cyclotomic_coeffs(5)):
-            phi = zeta + zeta**4  # golden section (sqrt5 - 1)/2
-            zero, one = K.coerce(0), K.one()
-            sigma = [[-one, phi], [phi, one]]          # z -> (phi - z)/(phi z + 1)
-            tau = [[-zeta, phi * zeta], [phi, one]]    # z -> (phi - z) zeta/(phi z + 1)
-            yield K, [sigma, tau]
-    else:
-        raise ValueError(f"no Möbius generators for {tag}")
-
-
-def _adjoined_roots(base_field, coeffs):
-    """``(K, root)`` for each irreducible factor over base_field of the monic
-    polynomial with low-to-high coefficients ``coeffs`` (leading 1 implied).
-
-    A linear factor gives its root in K = base_field.  Any other factor is
-    adjoined as a layer named ``c`` (or ``c1``, ... when that is taken).
-    """
-    poly = MultiPoly.from_dict(
-        base_field, ("T",), {(i,): c for i, c in enumerate(list(coeffs) + [1])}
-    )
-    name = fresh_name(base_field, "c", start=0)
-    for fac, _ in factor_irreducible(poly):
-        low = [c.constant_value() for c in fac.univariate_coeffs("T")][:-1]
-        if len(low) == 1:
-            yield base_field, -low[0]
-        else:
-            K = extend(base_field, name, low)
-            yield K, K.gen()
 
 
 def _mat_normalize(m, field):
@@ -893,13 +843,7 @@ def _mobius_close(gens, field, cap: int):
         nxt = []
         for g in frontier:
             for h in gens_n:
-                prod = [
-                    [g[0][0] * h[0][0] + g[0][1] * h[1][0],
-                     g[0][0] * h[0][1] + g[0][1] * h[1][1]],
-                    [g[1][0] * h[0][0] + g[1][1] * h[1][0],
-                     g[1][0] * h[0][1] + g[1][1] * h[1][1]],
-                ]
-                pn = _mat_normalize(prod, field)
+                pn = _mat_normalize(_mat_mul(g, h), field)
                 if pn not in seen:
                     seen.add(pn)
                     nxt.append(pn)
@@ -993,18 +937,12 @@ def _conjugation_pool(K):
 
 
 def _conj_mat(c, g):
-    def mul(a, b):
-        return [
-            [a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]],
-            [a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]],
-        ]
-
     inv = [[c[1][1], -c[0][1]], [-c[1][0], c[0][0]]]
-    return mul(mul(inv, g), c)
+    return _mat_mul(_mat_mul(inv, g), c)
 
 
 def _restrict_homog(p: MultiPoly, K) -> MultiPoly:
-    q = p.to_field(K) if K is not p.field else p
+    q = p.to_field(K)
     return q.substitute({"x": 1, "y": MultiPoly.variable(K, AFFINE, "y")}).drop_vars(["x"]).rename_vars({"y": "z"})
 
 
@@ -1045,15 +983,11 @@ def lr_deformation(F: PlaneFoliation, u: MultiPoly, v: MultiPoly, rows) -> Plane
     if u.total_degree() > 1 or v.total_degree() > 1:
         raise ValueError("substitution polynomials must have degree at most 1")
     mono = [(0, 0), (1, 0), (0, 1)]
-    mat = [[_monomial_coeff(u, e) for e in mono], [_monomial_coeff(v, e) for e in mono]]
-    if matrix_rank([list(r) for r in mat], field) < 2:
+    mat = [[p.terms.get(e, field.zero()) for e in mono] for p in (u, v)]
+    if matrix_rank(mat, field) < 2:
         raise ValueError("substitution polynomials are linearly dependent")
-    (al, ga, la), (be, de, mu) = rows
-    rmat = [
-        [_to_coeff(field, al), _to_coeff(field, ga), _to_coeff(field, la)],
-        [_to_coeff(field, be), _to_coeff(field, de), _to_coeff(field, mu)],
-    ]
-    if matrix_rank([list(r) for r in rmat], field) < 2:
+    rmat = [[field.coerce(c) for c in row] for row in rows]
+    if matrix_rank(rmat, field) < 2:
         raise ValueError("mixing rows are linearly dependent")
     sub = {"x": u, "y": v}
     Au = F.A.substitute(sub)
@@ -1064,17 +998,6 @@ def lr_deformation(F: PlaneFoliation, u: MultiPoly, v: MultiPoly, rows) -> Plane
     Anew = Au.scale(rmat[0][0]) + Bu.scale(rmat[1][0]) + x * radial
     Bnew = Au.scale(rmat[0][1]) + Bu.scale(rmat[1][1]) + y * radial
     return from_vector_field(Anew, Bnew, field)
-
-
-def _monomial_coeff(p: MultiPoly, exp):
-    zero = Fraction(0) if isinstance(p.field, RationalField) else p.field.zero()
-    return p.terms.get(tuple(exp), zero)
-
-
-def _to_coeff(field, v):
-    if isinstance(field, RationalField):
-        return Fraction(v)
-    return field.coerce(v)
 
 
 # -- tangent space bound in degree 3 ----------------------------------------------------
@@ -1180,14 +1103,13 @@ def tangent_dim_bound_g3(F: PlaneFoliation, verdict: GaloisVerdict | None = None
     if delta.field is not F.field:
         raise ValueError("witness lives in an extension; unexpected for this route")
     basis = _u3_basis(F.field)
-    rows_by_mono: dict = {}
     columns = []
     for Y in basis:
         gamma = _disc_first_order(F, Y)
         rem = _poly_remainder(gamma, delta)
         columns.append(rem)
     monomials = sorted(set().union(*[set(c.terms) for c in columns]))
-    zero = Fraction(0) if isinstance(F.field, RationalField) else F.field.zero()
+    zero = F.field.zero()
     matrix = [
         [col.terms.get(m, zero) for col in columns] for m in monomials
     ]
@@ -1200,8 +1122,6 @@ def tangent_dim_bound_g3(F: PlaneFoliation, verdict: GaloisVerdict | None = None
 
 def _curve_singularities(curve_h: MultiPoly):
     """Singular points of a projective plane curve, one per conjugacy class."""
-    from .foliation import ProjPoint, _restrict
-
     field = curve_h.field
     px = curve_h.derivative("x")
     py = curve_h.derivative("y")
@@ -1218,12 +1138,9 @@ def _curve_singularities(curve_h: MultiPoly):
     curve_aff = _at_z1(curve_h)
     for pt in pts:
         x0, y0 = pt.xy
-        cval = curve_aff.to_field(pt.point_field).eval_field({"x": x0, "y": y0}) \
-            if pt.point_field is not field else curve_aff.eval_field({"x": x0, "y": y0})
-        if cval:
+        if curve_aff.to_field(pt.point_field).eval_field({"x": x0, "y": y0}):
             continue
-        one = 1 if isinstance(pt.point_field, RationalField) else pt.point_field.one()
-        out.append((ProjPoint.make(pt.point_field, (x0, y0, one)), pt.class_size))
+        out.append((ProjPoint.make(pt.point_field, (x0, y0, 1)), pt.class_size))
     # chart x = 1 for points at infinity
     u = MultiPoly.variable(field, AFFINE, "x")
     v = MultiPoly.variable(field, AFFINE, "y")
@@ -1235,12 +1152,9 @@ def _curve_singularities(curve_h: MultiPoly):
             u0, v0 = pt.xy
             if v0:
                 continue
-            cval = curve_x.to_field(pt.point_field).eval_field({"x": u0, "y": v0}) \
-                if pt.point_field is not field else curve_x.eval_field({"x": u0, "y": v0})
-            if cval:
+            if curve_x.to_field(pt.point_field).eval_field({"x": u0, "y": v0}):
                 continue
-            one = 1 if isinstance(pt.point_field, RationalField) else pt.point_field.one()
-            out.append((ProjPoint.make(pt.point_field, (one, u0, v0)), pt.class_size))
+            out.append((ProjPoint.make(pt.point_field, (1, u0, v0)), pt.class_size))
     # the point [0, 1, 0]
     probe = {"x": 0, "y": 0}
     gx_y = _restrict(px, (u, 1, v))
@@ -1252,9 +1166,7 @@ def _curve_singularities(curve_h: MultiPoly):
         and not curve_y.eval_field(probe)
         and not _restrict(py, (u, 1, v)).eval_field(probe)
     ):
-        from .foliation import ProjPoint as PP
-
-        out.append((PP.make(field, (0, 1, 0)), 1))
+        out.append((ProjPoint.make(field, (0, 1, 0)), 1))
     return out
 
 
@@ -1285,8 +1197,6 @@ def generic_polar_genus(F: PlaneFoliation, seed: int = 23) -> int:
 
 
 def _polar_genus_once(F: PlaneFoliation, base) -> int:
-    from .local import germ_delta
-
     d = F.degree
     pol = polar_curve(F, base)
     if pol.total_degree() != d + 1:
@@ -1309,12 +1219,8 @@ def _polar_genus_once(F: PlaneFoliation, base) -> int:
         else:
             u = MultiPoly.variable(F.field, AFFINE, "x")
             v = MultiPoly.variable(F.field, AFFINE, "y")
-            from .foliation import _restrict
-
             curve = _restrict(ph, (1, u, v) if chart == "x" else (u, 1, v))
-        if point.point_field is not F.field:
-            curve = curve.to_field(point.point_field)
-        _, delta = germ_delta(curve, (u0, v0))
+        _, delta = germ_delta(curve.to_field(point.point_field), (u0, v0))
         total_delta += class_size * delta
     return d * (d - 1) // 2 - total_delta
 
@@ -1336,11 +1242,6 @@ def branching_and_genus(F: PlaneFoliation, verdict: GaloisVerdict, seed: int = 2
     elif d == 2:
         extremal = True
     if not extremal:
-        klein = verdict.certificate.get("klein")
-        if klein is not None and klein.klein.tag == "cyclic":
-            # cyclic reductions of prime degree are extremal; composite ones
-            # are not decided here
-            pass
         return None
     g = generic_polar_genus(F, seed=seed)
     if d == 1:
@@ -1354,6 +1255,28 @@ def branching_and_genus(F: PlaneFoliation, verdict: GaloisVerdict, seed: int = 2
 
 
 # -- the decision cascade ----------------------------------------------------------------
+
+
+def symmetry_verdict(F: PlaneFoliation) -> GaloisVerdict | None:
+    """Verdict of the symmetry-reduction route: the Klein class of the line
+    map of the first symmetry that has a normal form and reduces without
+    degenerating; None when no symmetry does."""
+    for sym in detect_symmetry(F):
+        if sym.normal_form is None:
+            continue
+        try:
+            fmap = reduce_to_p1(F, sym)
+        except ReductionDegenerate:
+            continue
+        outcome = classify(fmap)
+        status = "galois" if outcome.klein.is_galois() else "not_galois"
+        return GaloisVerdict(
+            status,
+            "symmetry_reduction",
+            F.degree,
+            {"symmetry": sym, "reduction": fmap, "klein": outcome},
+        )
+    return None
 
 
 def verdict(F: PlaneFoliation, seed: int = 7) -> GaloisVerdict:
@@ -1378,20 +1301,8 @@ def verdict(F: PlaneFoliation, seed: int = 7) -> GaloisVerdict:
             return discriminant_square_test(F)
         except UseAnotherMethod:
             pass
-    for sym in detect_symmetry(F):
-        if sym.normal_form is None:
-            continue
-        try:
-            fmap = reduce_to_p1(F, sym)
-        except ReductionDegenerate:
-            continue
-        outcome = classify(fmap)
-        status = "galois" if outcome.klein.is_galois() else "not_galois"
-        return GaloisVerdict(
-            status,
-            "symmetry_reduction",
-            d,
-            {"symmetry": sym, "reduction": fmap, "klein": outcome},
-        )
+    sym_verdict = symmetry_verdict(F)
+    if sym_verdict is not None:
+        return sym_verdict
     report = extremal_type_report(F, seed=seed)
     return report.verdict

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .multipoly import MultiPoly
-from .numberfield import _trim, extend, fresh_name, invert, poly_divmod
+from .numberfield import _trim, adjoin_root, invert, poly_divmod, poly_invmod
 from .polyops import mpoly_gcd, squarefree_decompose
 from .sympy_bridge import factor_irreducible
 
@@ -161,36 +161,10 @@ def _poly_mulmod(a, b, mod, fld):
     return rem
 
 
-def _poly_invmod(a, mod, fld):
-    """Inverse of ``a`` modulo ``mod`` over a field layer, or None."""
-    r0, s0 = list(mod), []
-    r1, s1 = _trim(list(a)), [fld.one()]
-    while r1:
-        if len(r1) == 1:
-            inv = invert(fld, r1[0])
-            out = [c * inv for c in s1]
-            _, rem = poly_divmod(out, mod, fld)
-            return rem
-        q, r = poly_divmod(r0, r1, fld)
-        new_s = list(s0)
-        need = len(q) + len(s1) - 1
-        while len(new_s) < need:
-            new_s.append(fld.zero())
-        for i, qc in enumerate(q):
-            if not qc:
-                continue
-            for j, sc in enumerate(s1):
-                if sc:
-                    new_s[i + j] = new_s[i + j] - qc * sc
-        r0, s0 = r1, s1
-        r1, s1 = _trim(r), _trim(new_s)
-    return None
-
-
 def _value_annihilator(num, den, modulus, fld):
     """Monic annihilator of num/den in fld[z]/(modulus); roots = value set."""
     n = len(modulus) - 1
-    inv_den = _poly_invmod(den, modulus, fld)
+    inv_den = poly_invmod(den, modulus, fld)
     assert inv_den is not None, "denominator must be invertible here"
     w = _poly_mulmod(_trim(list(num)), inv_den, modulus, fld)
     # incremental echelon over fld; rows: (vector, pivot, combo)
@@ -198,7 +172,6 @@ def _value_annihilator(num, den, modulus, fld):
     one = fld.one()
     rows = []
     power = [one] + [zero] * (n - 1)
-    combos = []
     k = 0
     while True:
         vec = list(power) + [zero] * (n - len(power))
@@ -232,9 +205,7 @@ def _value_annihilator(num, den, modulus, fld):
 
 def _fiber_profile(f: BinaryRationalMap, value_field, value) -> tuple:
     """Sorted ramification profile of the fibre over a finite value."""
-    num = f.num.to_field(value_field) if value_field is not f.field else f.num
-    den = f.den.to_field(value_field) if value_field is not f.field else f.den
-    fib = num - den.scale(value)
+    fib = f.num.to_field(value_field) - f.den.to_field(value_field).scale(value)
     if fib.is_zero():
         raise ValueError("constant map has no fibres")
     d = f.degree
@@ -325,14 +296,8 @@ def ramification_profile(f: BinaryRationalMap) -> list[BranchPointRecord]:
 
     records = []
     for locus in seen:
-        deg = locus.total_degree()
-        coeffs = _coeff_list(locus)
-        if deg == 1:
-            profile = _fiber_profile(f, field, -coeffs[0])
-        else:
-            ext = extend(field, fresh_name(field, "w"), coeffs[:-1])
-            profile = _fiber_profile(f, ext, ext.gen())
-        records.append(BranchPointRecord(locus, profile, deg))
+        profile = _fiber_profile(f, *adjoin_root(locus, "w"))
+        records.append(BranchPointRecord(locus, profile, locus.total_degree()))
 
     if has_infinity_value:
         records.append(BranchPointRecord(None, _infinity_profile(f), 1))

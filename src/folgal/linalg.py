@@ -1,7 +1,11 @@
-"""Exact dense linear algebra over Q or a number-field layer.
+"""Exact dense linear algebra over a coefficient field: Q or a number-field
+layer.
 
-Matrices are lists of row lists whose entries share one coefficient field
-(Fraction over Q, FieldElement over an extension).
+Matrices are lists of row lists whose entries are scalars of one field
+(Fraction over Q, FieldElement over a layer).  Scalars are made by the
+field's own ``zero()`` and ``one()`` and inverted by
+:func:`folgal.numberfield.invert`, so no function here asks which field it
+has.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ def rank(matrix: list[list], field) -> int:
     return len(rref(matrix, field)[1])
 
 
-def kernel_basis(matrix: list[list], field, zero, one) -> list[list]:
+def kernel_basis(matrix: list[list], field) -> list[list]:
     """Basis of the right kernel of ``matrix``."""
     if not matrix:
         raise ValueError("empty matrix has ambiguous width")
@@ -52,8 +56,8 @@ def kernel_basis(matrix: list[list], field, zero, one) -> list[list]:
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        vec = [zero] * ncols
-        vec[fc] = one
+        vec = [field.zero()] * ncols
+        vec[fc] = field.one()
         for r, pc in enumerate(pivots):
             vec[pc] = -rows[r][fc]
         basis.append(vec)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .multipoly import MultiPoly
-from .numberfield import extend, fresh_name
+from .numberfield import adjoin_root
 from .polyops import squarefree_decompose, squarefree_part
 from .foliation import AFFINE, PROJ, PlaneFoliation, ProjPoint, \
     _restrict, singular_locus
@@ -71,10 +71,7 @@ class SingularInvariants:
 
 def _lift_pair(F: PlaneFoliation, chart: str, point_field):
     Ac, Bc = F.chart_vector_field(chart)
-    if point_field is not F.field:
-        Ac = Ac.to_field(point_field)
-        Bc = Bc.to_field(point_field)
-    return Ac, Bc
+    return Ac.to_field(point_field), Bc.to_field(point_field)
 
 
 def _translate(p: MultiPoly, x0, y0) -> MultiPoly:
@@ -114,35 +111,21 @@ def vanishing_and_tangency_order(F: PlaneFoliation, point: ProjPoint):
 # -- blow-up resolution of a curve germ --------------------------------------------
 
 
-def _per_root_sum(field, modulus: list, worker):
+def _per_root_sum(poly: MultiPoly, worker):
     """Sum worker(root_field, root) over the roots of a squarefree monic
-    polynomial given by its full coefficient list over ``field``.
+    univariate polynomial.
 
     Conjugate roots contribute equal values, so each irreducible class is
     evaluated once and weighted by its degree.
     """
-    deg = len(modulus) - 1
-    if deg == 1:
-        root = -modulus[0]
-        b, dlt = worker(field, root)
-        return b, dlt
-    name = fresh_name(field, "b")
-    poly = MultiPoly.from_dict(
-        field, ("T",), {(i,): c for i, c in enumerate(modulus)}
-    )
+    factors = [(poly, 1)] if poly.total_degree() == 1 else factor_irreducible(poly)
     total_b = 0
     total_d = 0
-    for fac, mult in factor_irreducible(poly):
-        assert mult == 1, "modulus was squarefree"
-        fdeg = fac.degree_in("T")
-        coeffs = [c.constant_value() for c in fac.univariate_coeffs("T")]
-        if fdeg == 1:
-            b, dlt = worker(field, -coeffs[0])
-        else:
-            ext = extend(field, name, coeffs[:-1])
-            b, dlt = worker(ext, ext.gen())
-        total_b += fdeg * b
-        total_d += fdeg * dlt
+    for fac, mult in factors:
+        assert mult == 1, "polynomial was squarefree"
+        b, dlt = worker(*adjoin_root(fac, "b"))
+        total_b += fac.total_degree() * b
+        total_d += fac.total_degree() * dlt
     return total_b, total_d
 
 
@@ -190,17 +173,16 @@ def resolve_germ(germ: MultiPoly, depth: int = 0):
             if mult == 1:
                 branches += fdeg
                 continue
-            coeffs = [c.constant_value() for c in fac.monic().univariate_coeffs("T")]
 
             def worker(fld, tau, _germ=germ, _m=m, _depth=depth):
-                g = _germ.to_field(fld) if fld is not _germ.field else _germ
+                g = _germ.to_field(fld)
                 xx = MultiPoly.variable(fld, AFFINE, "x")
                 yy = MultiPoly.variable(fld, AFFINE, "y")
                 shift = yy + MultiPoly.constant(fld, AFFINE, tau)
                 strict = g.substitute({"y": xx * shift}).exact_div(xx**_m)
                 return resolve_germ(strict, _depth + 1)
 
-            b, dlt = _per_root_sum(field, coeffs, worker)
+            b, dlt = _per_root_sum(fac.monic(), worker)
             branches += b
             delta += dlt
     return branches, delta
@@ -302,7 +284,7 @@ def _polar_branches_at(
     seen = []
     for index in range(6):
         pol = pool.chart_polar(index, chart)
-        pol = pol.to_field(point.point_field) if point.point_field is not F.field else pol
+        pol = pol.to_field(point.point_field)
         germ = _translate(pol, u0, v0)
         if germ.eval_field({"x": 0, "y": 0}):
             continue  # polar misses the point: not generic enough here

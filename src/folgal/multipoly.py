@@ -11,22 +11,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .numberfield import FieldElement, RationalField, field_element_str, invert
+from .numberfield import FieldElement, field_element_str, invert
 
 
 class NotDivisible(Exception):
     """Exact polynomial division failed."""
-
-
-def _coerce_coeff(field, value):
-    if isinstance(field, RationalField):
-        if isinstance(value, FieldElement):
-            rat = value.rational_value()
-            if rat is None:
-                raise TypeError("field element does not lie in QQ")
-            return Fraction(rat)
-        return Fraction(value)
-    return field.coerce(value)
 
 
 class MultiPoly:
@@ -52,7 +41,7 @@ class MultiPoly:
             exp = tuple(exp)
             if len(exp) != nvars:
                 raise ValueError("exponent arity mismatch")
-            coeff = _coerce_coeff(field, val)
+            coeff = field.coerce(val)
             if coeff:
                 terms[exp] = coeff
         return cls(field, variables, terms)
@@ -63,7 +52,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, field, variables, value):
-        value = _coerce_coeff(field, value)
+        value = field.coerce(value)
         if not value:
             return cls.zero(field, variables)
         exp = (0,) * len(tuple(variables))
@@ -74,7 +63,7 @@ class MultiPoly:
         variables = tuple(variables)
         idx = variables.index(name)
         exp = tuple(1 if i == idx else 0 for i in range(len(variables)))
-        return cls(field, variables, {exp: _coerce_coeff(field, 1)})
+        return cls(field, variables, {exp: field.coerce(1)})
 
     def one_like(self):
         return MultiPoly.constant(self.field, self.vars, 1)
@@ -95,7 +84,7 @@ class MultiPoly:
 
     def constant_value(self):
         if not self.terms:
-            return _coerce_coeff(self.field, 0)
+            return self.field.coerce(0)
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
         return next(iter(self.terms.values()))
@@ -178,7 +167,7 @@ class MultiPoly:
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            return self.scale(_coerce_coeff(self.field, other))
+            return self.scale(self.field.coerce(other))
         self._check_compatible(other)
         if not self.terms or not other.terms:
             return self.zero_like()
@@ -200,7 +189,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def scale(self, coeff) -> "MultiPoly":
-        coeff = _coerce_coeff(self.field, coeff)
+        coeff = self.field.coerce(coeff)
         if not coeff:
             return self.zero_like()
         return MultiPoly(
@@ -223,7 +212,7 @@ class MultiPoly:
         """Division by an exact divisor (polynomial) or a scalar."""
         if isinstance(other, MultiPoly):
             return self.exact_div(other)
-        inv = invert(self.field, _coerce_coeff(self.field, other))
+        inv = invert(self.field, self.field.coerce(other))
         return self.scale(inv)
 
     def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":
@@ -320,13 +309,13 @@ class MultiPoly:
             raise ValueError(f"missing coordinates {missing}")
         powers = []  # powers[i][k - 1] is the i-th coordinate to the k
         for i, v in enumerate(self.vars):
-            x = _coerce_coeff(self.field, point[v])
+            x = self.field.coerce(point[v])
             row = [x]
             top = max((e[i] for e in self.terms), default=0)
             while len(row) < top:
                 row.append(row[-1] * x)
             powers.append(row)
-        total = _coerce_coeff(self.field, 0)
+        total = self.field.coerce(0)
         for e, c in self.terms.items():
             val = c
             for row, k in zip(powers, e):
@@ -339,7 +328,7 @@ class MultiPoly:
         coords = [complex(point[v]) for v in self.vars]
         total = 0j
         for e, c in self.terms.items():
-            val = _coeff_complex(self.field, c)
+            val = complex(c)
             for x, k in zip(coords, e):
                 if k:
                     val *= x**k
@@ -495,7 +484,7 @@ def evaluate_at(polys: Sequence[MultiPoly], point: Sequence[MultiPoly]) -> list:
             cache.append(cache[-1] * point[i])
         return cache[k]
 
-    constant = {(0,) * len(target): _coerce_coeff(field, 1)}
+    constant = {(0,) * len(target): field.coerce(1)}
 
     def combine(items):
         """The sum of ``c * prod_i point[i]^e_i`` over (exponent, c) items."""
@@ -522,12 +511,6 @@ def evaluate_at(polys: Sequence[MultiPoly], point: Sequence[MultiPoly]) -> list:
                 acc = acc + combine(rows[k])
         out.append(acc)
     return out
-
-
-def _coeff_complex(field, coeff) -> complex:
-    if isinstance(coeff, FieldElement):
-        return complex(coeff)
-    return complex(coeff)
 
 
 def variables(field, names: Sequence[str]) -> list[MultiPoly]:

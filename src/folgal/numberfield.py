@@ -4,7 +4,14 @@ A :class:`NumberField` layer is a quotient ``base[g]/(m(g))`` with ``m``
 monic and irreducible over ``base``, so every layer is a field.  A modulus
 is proved irreducible before it is adjoined: a user's modulus over Q when it
 is parsed, and every other one because it is a factor returned by
-:func:`folgal.sympy_bridge.factor_irreducible`.
+:func:`folgal.sympy_bridge.factor_irreducible`; :func:`adjoin_root` adjoins
+a root of such a factor.
+
+Q (:data:`QQ`, scalars are :class:`fractions.Fraction`) and every layer
+(scalars are :class:`FieldElement`) answer the same calls: ``zero()``,
+``one()``, ``coerce()`` (of an int, a Fraction, or an element of the tower
+whose value lies in the field), ``chain()`` and ``to_complex()``.  Code above
+this module makes scalars through them and need not know which field it has.
 """
 
 from __future__ import annotations
@@ -41,17 +48,21 @@ class RationalField:
         return Fraction(1)
 
     def coerce(self, value):
+        """Fractions pass through; ints, and tower elements whose value is
+        rational, become Fractions."""
         if isinstance(value, Fraction):
             return value
         if isinstance(value, int):
             return Fraction(value)
+        if isinstance(value, FieldElement):
+            rat = value.rational_value()
+            if rat is not None:
+                return rat
+            raise TypeError(f"element of {value.field.name} does not lie in QQ")
         raise TypeError(f"cannot coerce {value!r} into QQ")
 
     def to_complex(self, value) -> complex:
         return complex(value)
-
-    def is_rational_field(self) -> bool:
-        return True
 
     def chain(self):
         return []
@@ -149,9 +160,6 @@ class NumberField:
         for c in reversed(rep):
             acc = acc * self.embedding + self.base.to_complex(c)
         return acc
-
-    def is_rational_field(self) -> bool:
-        return False
 
     def __repr__(self):
         names = ",".join(self.gen_names())
@@ -359,33 +367,44 @@ def invert(fld, value):
 
 
 def _invert(elem: FieldElement) -> FieldElement:
-    """Extended Euclid in base[g] mod min_poly."""
+    """Inverse in base[g] mod min_poly, by :func:`poly_invmod`."""
     field = elem.field
     base = field.base
     if not elem:
         raise ZeroDivisionError(f"division by zero in {field.name}")
     m = list(field.min_poly) + [base.one()]
-    r0, r1 = m, _trim(list(elem.rep))
-    s0, s1 = [], [base.one()]
-    while True:
+    rep = poly_invmod(elem.rep, m, base)
+    if rep is None:
+        # elem shares a proper factor with the modulus, so it was not irreducible
+        f1 = poly_gcd(elem.rep, m, base)
+        raise FieldSplit(field, f1, poly_divmod(m, f1, base)[0])
+    return FieldElement(field, tuple(rep + [base.zero()] * (field.degree - len(rep))))
+
+
+def poly_gcd(f, g, fld):
+    """Monic Euclidean gcd of coefficient lists (low to high) over ``fld``;
+    ``[]`` when both are zero."""
+    f, g = _trim(list(f)), _trim(list(g))
+    while g:
+        f, g = g, poly_divmod(f, g, fld)[1]
+    if not f:
+        return []
+    inv = invert(fld, f[-1])
+    return [c * inv for c in f]
+
+
+def poly_invmod(a, mod, fld):
+    """Inverse of ``a`` modulo ``mod`` over ``fld`` (coefficient lists, low to
+    high) by the extended Euclidean algorithm, of degree below ``mod``'s;
+    None when ``a`` and ``mod`` share a factor."""
+    r0, r1 = list(mod), _trim(list(a))
+    s0, s1 = [], [fld.one()]
+    while r1:
         if len(r1) == 1:
-            inv = invert(base, r1[0])
-            rep = [c * inv for c in s1]
-            rep = _reduce_mod(rep, field)
-            return FieldElement(field, tuple(rep))
-        quot, rem = poly_divmod(r0, r1, base)
-        _trim(rem)
-        if not rem:
-            # r1 is a proper divisor of the modulus, so it was not irreducible
-            lc_inv = invert(base, r1[-1])
-            f1 = [c * lc_inv for c in r1]
-            f2, tail = poly_divmod(m, f1, base)
-            assert not _trim(tail), "modulus factor must divide exactly"
-            raise FieldSplit(field, f1, f2)
-        new_s = list(s0)
-        prod_len = len(quot) + len(s1) - 1
-        while len(new_s) < prod_len:
-            new_s.append(base.zero())
+            inv = invert(fld, r1[0])
+            return [c * inv for c in s1]
+        quot, rem = poly_divmod(r0, r1, fld)
+        new_s = s0 + [fld.zero()] * (len(quot) + len(s1) - 1 - len(s0))
         for i, qc in enumerate(quot):
             if not qc:
                 continue
@@ -394,6 +413,7 @@ def _invert(elem: FieldElement) -> FieldElement:
                     new_s[i + j] = new_s[i + j] - qc * sc
         r0, r1 = r1, rem
         s0, s1 = s1, _trim(new_s)
+    return None
 
 
 # -- construction helpers --------------------------------------------------------
@@ -422,7 +442,7 @@ def extend(base, name: str, min_poly: Sequence, embedding_hint=None) -> NumberFi
     coeffs = [base.coerce(c) for c in min_poly]
     full = list(coeffs) + [base.coerce(1)]
     deriv = [c * k for k, c in enumerate(full)][1:]
-    if len(_squarefree_check_gcd(full, deriv, base)) > 1:
+    if len(poly_gcd(full, deriv, base)) > 1:
         raise ValueError("minimal polynomial must be squarefree")
     numeric = [base.to_complex(c) for c in coeffs] + [1.0 + 0j]
     roots = _poly_complex_roots(numeric)
@@ -440,13 +460,18 @@ def fresh_name(field, prefix: str, start: int = 1) -> str:
     return name
 
 
-def _squarefree_check_gcd(f, g, base):
-    f = _trim(list(f))
-    g = _trim(list(g))
-    while g:
-        _, r = poly_divmod(f, g, base)
-        f, g = g, _trim(r)
-    return f
+def adjoin_root(factor, prefix: str, start: int = 1):
+    """``(K, root)`` for a monic irreducible univariate polynomial ``factor``
+    over ``base = factor.field``: ``(base, -c0)`` when ``factor`` is linear,
+    else a new layer over ``base``, named by :func:`fresh_name`, and its
+    generator."""
+    base = factor.field
+    var = next(v for v in factor.vars if factor.degree_in(v) > 0)
+    low = [c.constant_value() for c in factor.univariate_coeffs(var)][:-1]
+    if len(low) == 1:
+        return base, -low[0]
+    K = extend(base, fresh_name(base, prefix, start), low)
+    return K, K.gen()
 
 
 # -- printing ----------------------------------------------------------------------
@@ -460,28 +485,19 @@ def field_element_str(elem) -> str:
     name = field.name
     parts = []
     for i, c in enumerate(elem.rep):
-        if isinstance(c, FieldElement):
-            if not c:
-                continue
-            cs = field_element_str(c)
-            if i == 0:
-                parts.append(cs)
-            else:
-                mono = name if i == 1 else f"{name}^{i}"
-                parts.append(f"({cs})*{mono}" if ("+" in cs or "-" in cs[1:]) else f"{cs}*{mono}")
+        if not c:
+            continue
+        if i == 0:
+            parts.append(field_element_str(c))
+            continue
+        mono = name if i == 1 else f"{name}^{i}"
+        if c == 1:
+            parts.append(mono)
+        elif c == -1:
+            parts.append(f"-{mono}")
         else:
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                mono = name if i == 1 else f"{name}^{i}"
-                if c == 1:
-                    parts.append(mono)
-                elif c == -1:
-                    parts.append(f"-{mono}")
-                else:
-                    parts.append(f"{c}*{mono}")
+            cs = field_element_str(c)
+            parts.append(f"({cs})*{mono}" if ("+" in cs or "-" in cs[1:]) else f"{cs}*{mono}")
     if not parts:
         return "0"
     out = parts[0]

@@ -23,7 +23,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dmp_inner_gcd, dmp_inner_subresultants
 
 from .multipoly import MultiPoly
-from .numberfield import RationalField, invert, poly_divmod
+from .numberfield import RationalField, poly_gcd
 from .sympy_bridge import from_dense, to_dense
 
 
@@ -138,28 +138,6 @@ def _resultant_rational(p: MultiPoly, q: MultiPoly, var: str, dp: int, dq: int) 
     return from_dense(s[0], order[1:], p).scale(c)
 
 
-# -- univariate gcd over a number field ------------------------------------------------
-
-
-def _gcd_univariate_field(f: list, g: list, field) -> list:
-    """Monic Euclidean gcd of coefficient lists (low to high) over ``field``."""
-
-    def trim(a):
-        while a and not a[-1]:
-            a.pop()
-        return a
-
-    f = trim(list(f))
-    g = trim(list(g))
-    while g:
-        _, r = poly_divmod(f, g, field)
-        f, g = g, r
-    if not f:
-        return []
-    inv = invert(field, f[-1])
-    return [c * inv for c in f]
-
-
 # -- multivariate gcd ---------------------------------------------------------------------
 
 
@@ -208,7 +186,7 @@ def _gcd_content_prs(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     var = min(shared, key=lambda t: min(t[1], t[2]))[0]
 
     if len(active) == 1:
-        res = _gcd_univariate_field(
+        res = poly_gcd(
             _univariate_constant_coeffs(p, var),
             _univariate_constant_coeffs(q, var),
             p.field,
@@ -246,7 +224,7 @@ def _gcd_binary_forms(p: MultiPoly, q: MultiPoly, u: str, v: str) -> MultiPoly:
             coeffs[e[iv]] = c
         return coeffs
 
-    g = _gcd_univariate_field(slice_at_one(p), slice_at_one(q), p.field)
+    g = poly_gcd(slice_at_one(p), slice_at_one(q), p.field)
     shift = min(e[iu] for f in (p, q) for e in f.terms)
     terms = {}
     for k, c in enumerate(g):

@@ -7,21 +7,15 @@ stability.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .analyze import AnalysisResult
 from .multipoly import MultiPoly, poly_str
-from .numberfield import FieldElement, NumberField
+from .numberfield import NumberField
 from .ratfunc import RationalFunction
 
 SCHEMA_VERSION = "1"
 
 
 def _scalar(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, FieldElement):
-        return str(v)
     if isinstance(v, (int, bool, float, str)) or v is None:
         return v
     return str(v)

@@ -26,7 +26,7 @@ from sympy.polys.domains import QQ as SQQ
 from sympy.polys.euclidtools import dup_invert
 
 from .multipoly import MultiPoly
-from .numberfield import RationalField, extend, fresh_name
+from .numberfield import RationalField, adjoin_root
 from .polyops import mpoly_gcd, resultant, subresultant_chain
 from .sympy_bridge import factor_irreducible, to_dense
 
@@ -48,10 +48,6 @@ class PlanePoint:
     xy: tuple
     multiplicity: int
     class_size: int
-
-
-def _univ_coeff_list(p: MultiPoly, var: str):
-    return [c.constant_value() for c in p.univariate_coeffs(var)]
 
 
 def _eval_x(p: MultiPoly, var_x: str, value, target_field):
@@ -131,14 +127,7 @@ def _common_zeros_sheared(F: MultiPoly, G: MultiPoly, lam: Fraction):
     res = res.monic()
     points = []
     for fac, mult in factor_irreducible(res):
-        coeffs = _univ_coeff_list(fac, var_x)
-        deg = len(coeffs) - 1
-        if deg == 1:
-            xi_field = field
-            xi = -coeffs[0]
-        else:
-            xi_field = extend(field, fresh_name(field, "r"), coeffs[:-1])
-            xi = xi_field.gen()
+        xi_field, xi = adjoin_root(fac, "r")
         fy = _eval_x(Fs, var_x, xi, xi_field)
         gy = _eval_x(Gs, var_x, xi, xi_field)
         if chain is not None:
@@ -146,15 +135,15 @@ def _common_zeros_sheared(F: MultiPoly, G: MultiPoly, lam: Fraction):
         else:
             g = _monic_gcd_coeffs(fy, gy, xi_field)
             k = len(g) - 1
-            eta = _scalar_div(-g[k - 1], k, xi_field) if k >= 1 else None
+            eta = -g[k - 1] / k if k >= 1 else None
         if k < 1:
             raise ShearFailure("eliminant root without a matching point")
         # the fibre gcd has degree k, so it is (y - eta)^k exactly when that
         # power divides both fibres
         if not (_linear_power_divides(fy, eta, k) and _linear_power_divides(gy, eta, k)):
             raise ShearFailure("two points share a sheared abscissa")
-        x0 = xi + _scalar_mul(eta, lam, xi_field)
-        points.append(PlanePoint(xi_field, (x0, eta), mult, deg))
+        x0 = xi + eta * lam
+        points.append(PlanePoint(xi_field, (x0, eta), mult, fac.degree_in(var_x)))
     return points
 
 
@@ -199,18 +188,6 @@ def _fibre_from_chain(chain, h: list, xi_field):
     if isinstance(xi_field, RationalField):
         return j, eta[0] if eta else Fraction(0)
     return j, xi_field.element(eta + [Fraction(0)] * (xi_field.degree - len(eta)))
-
-
-def _scalar_div(val, k: int, field):
-    if isinstance(field, RationalField):
-        return Fraction(val) / k
-    return val / field.coerce(k)
-
-
-def _scalar_mul(val, lam: Fraction, field):
-    if isinstance(field, RationalField):
-        return Fraction(val) * lam
-    return val * field.coerce(lam)
 
 
 def _monic_gcd_coeffs(f: list, g: list, field):

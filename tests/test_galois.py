@@ -6,6 +6,7 @@ import pytest
 from folgal import corpus
 from folgal import foliation as fol
 from folgal import galois as gal
+from folgal import numberfield
 from folgal.analyze import analyze
 from folgal.klein1d import BinaryRationalMap
 from folgal.multipoly import MultiPoly
@@ -65,7 +66,7 @@ def test_cubic_route_builds_no_field_over_q(monkeypatch):
     F = corpus.random_deformation_member(rng, 3)
     assert F.degree == 3
     built = []
-    monkeypatch.setattr(gal, "extend", lambda *a, **k: built.append(a))
+    monkeypatch.setattr(numberfield, "extend", lambda *a, **k: built.append(a))
     v = gal.discriminant_square_test(F)
     assert v.is_galois and not built
     assert v.certificate["unit"] == -314928
@@ -290,13 +291,13 @@ def test_decks_use_a_root_of_unity_already_in_the_base(spec, order, monkeypatch)
     # the root of unity the Möbius table needs lies in the base field, so no
     # layer is adjoined; any layer that is adjoined must be irreducible
     built = []
-    original = gal.extend
+    original = numberfield.extend
 
     def recording(*args, **kwargs):
         built.append(original(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr(gal, "extend", recording)
+    monkeypatch.setattr(numberfield, "extend", recording)
     F = fol.from_strings(*spec)
     decks = gal.deck_transformations(F, gal.verdict(F))
     assert len(decks) == order

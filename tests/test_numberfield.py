@@ -1,8 +1,14 @@
+import ast
+import pathlib
 from fractions import Fraction
 
 import pytest
 
-from folgal.numberfield import QQ, FieldSplit, extend
+from folgal.linalg import kernel_basis
+from folgal.multipoly import MultiPoly
+from folgal.numberfield import QQ, FieldSplit, adjoin_root, extend
+from folgal.parsing import parse_poly
+from folgal.sympy_bridge import factor_irreducible
 
 
 @pytest.fixture
@@ -59,3 +65,83 @@ def test_rational_value_detection(K_zeta):
 def test_non_squarefree_modulus_rejected():
     with pytest.raises(ValueError):
         extend(QQ, "u", [Fraction(1), Fraction(0), Fraction(-2), Fraction(0)])
+
+
+# -- one field interface for Q and every layer ------------------------------------
+
+
+def test_qq_coerces_tower_elements_with_rational_value(K_zeta):
+    assert QQ.coerce(K_zeta.coerce(3)) == 3
+    with pytest.raises(TypeError):
+        QQ.coerce(K_zeta.gen())
+
+
+@pytest.mark.parametrize("over_tower", [False, True])
+def test_kernel_basis_makes_its_scalars_from_the_field(K_zeta, over_tower):
+    field = K_zeta if over_tower else QQ
+    c = K_zeta.gen() if over_tower else Fraction(3)
+    rows = [[field.coerce(1), field.coerce(2), c], [field.coerce(2), field.coerce(4), c * 2]]
+    kernel = kernel_basis(rows, field)
+    assert len(kernel) == 2
+    for vec in kernel:
+        for row in rows:
+            assert sum((a * b for a, b in zip(row, vec)), field.zero()) == field.zero()
+    assert kernel[0] == [field.coerce(-2), field.one(), field.zero()]
+
+
+def test_adjoin_root_of_a_linear_factor_stays_in_the_base(K_zeta):
+    factor = MultiPoly.from_dict(K_zeta, ("T",), {(1,): 1, (0,): -K_zeta.gen()})
+    field, root = adjoin_root(factor, "r")
+    assert field is K_zeta
+    assert root == K_zeta.gen()
+
+
+def test_adjoin_root_names_a_new_layer_after_the_taken_ones():
+    R1 = extend(QQ, "r1", [Fraction(-2), Fraction(0)])
+    factor = MultiPoly.from_dict(R1, ("T",), {(2,): 1, (0,): -3})
+    field, root = adjoin_root(factor, "r")
+    assert field.gen_names() == ["r1", "r2"]
+    assert field.base is R1
+    assert root == field.gen() and root * root == 3
+
+
+@pytest.mark.parametrize("square", [Fraction(1), Fraction(9, 4), Fraction(121, 9)])
+def test_root_of_a_rational_square_is_nonnegative(square):
+    # the degree-3 deck route takes sqrt(unit) this way; the sign fixes the
+    # order of the decks it prints
+    probe = MultiPoly.from_dict(QQ, ("T",), {(2,): 1, (0,): -square})
+    field, root = adjoin_root(factor_irreducible(probe)[0][0], "q")
+    assert field is QQ and root >= 0 and root * root == square
+
+
+def test_nested_unit_coefficients_print_like_rational_ones():
+    over_i = extend(QQ, "i", [Fraction(1), Fraction(0)])
+    sqrt2 = extend(QQ, "s", [Fraction(-2), Fraction(0)])
+    over_tower = extend(sqrt2, "i", [sqrt2.one(), sqrt2.zero()])
+    expected = ["x + (-i)*y", "x + i*y"]
+    for field in (over_i, over_tower):
+        factors = factor_irreducible(parse_poly("x^2+y^2", field, ("x", "y")))
+        assert [str(f) for f, _ in factors] == expected
+
+
+KERNEL_MODULES = {"numberfield", "polyops", "sympy_bridge", "solve2d"}
+
+
+def test_field_type_branches_stay_in_the_arithmetic_kernels():
+    """Q and every layer share one interface, so only the modules that pick
+    a kernel by field (and numberfield itself) may test for RationalField."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "folgal"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem in KERNEL_MODULES:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+                and len(node.args) == 2
+                and "RationalField" in ast.unparse(node.args[1])
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"field-type branches outside the kernels: {found}"
