@@ -28,7 +28,7 @@ from .klein1d import BinaryRationalMap, WeightedBranchingType, classify
 from .linalg import kernel_basis, rank as matrix_rank
 from .local import classify_singularities, germ_delta, polar_curve
 from .multipoly import MultiPoly, NotDivisible, evaluate_at
-from .numberfield import adjoin_root, invert
+from .numberfield import QQ, adjoin_root, coordinates, invert
 from .polyops import is_square_over_closure, mpoly_gcd, squarefree_part
 from .ratfunc import RationalFunction, compose_poly
 from .solve2d import common_zeros
@@ -476,14 +476,10 @@ def _normalize_weighted(F, sym, M, eigen):
         for v in kern:
             flat.append((ev, v))
 
-    def as_rat(val):
-        if isinstance(val, Fraction):
-            return val
-        return val.rational_value()
-
-    rats = [as_rat(ev) for ev, _ in flat]
-    if any(r is None for r in rats):
-        raise NotImplementedError("eigenvalues outside the rationals")
+    try:
+        rats = [QQ.coerce(ev) for ev, _ in flat]
+    except TypeError:
+        raise NotImplementedError("eigenvalues outside the rationals") from None
     order = sorted(range(3), key=lambda i: rats[i])
     base = order[0]
     xi, yi = order[1], order[2]  # convention: alpha <= beta
@@ -717,31 +713,6 @@ def _mobius_forms(m, top: MultiPoly, bottom: MultiPoly):
     )
 
 
-def _verify_line_deck_lift(F: PlaneFoliation, m, K) -> bool:
-    """G o tau = G for a homogeneous foliation and tau lifted from the Möbius
-    deck w = (a z + b)/(c z + e), m = [[a, b], [c, e]], of the reduced line map.
-
-    By homogeneity the identity is equivalent to the pair of univariate
-    identities (with affine slices P(z) = P(1, z) and C = yA - xB):
-
-        A(w)(A(z) w - B(z)) = A(z) C(w)
-        B(w)(A(z) w - B(z)) = B(z) C(w)
-
-    With W1 = a z + b, W0 = c z + e and P^h the slice P(z) homogenised to
-    n = max(deg A(z), deg B(z)), P(w) = P^h(W1, W0)/W0^n, so clearing
-    denominators gives the polynomial identities
-    A^h(W1, W0)(A(z) W1 - B(z) W0) = A(z) C^h(W1, W0), the same with B, where
-    C^h(W1, W0) = A^h(W1, W0) W1 - B^h(W1, W0) W0.
-    """
-    A1, B1 = _restrict_homog(F.A, K), _restrict_homog(F.B, K)
-    n = max(A1.total_degree(), B1.total_degree())
-    W1, W0 = _mobius_forms(m, MultiPoly.variable(K, ("z",), "z"), A1.one_like())
-    Aw, Bw = evaluate_at([f.homogenize("w", n) for f in (A1, B1)], [W1, W0])
-    Cw = Aw * W1 - Bw * W0
-    mid = A1 * W1 - B1 * W0
-    return Aw * mid == A1 * Cw and Bw * mid == B1 * Cw
-
-
 def decks_from_roots(F: PlaneFoliation, roots) -> list[DeckTransformation]:
     """tau = (x + tA, y + tB) for each rational fibre root t(x, y), verified."""
     out = []
@@ -850,17 +821,32 @@ def _mobius_close(gens, field, cap: int):
                     if len(seen) > cap:
                         raise AssertionError("Möbius closure exceeded expected order")
         frontier = nxt
-    return sorted(seen, key=lambda m: str(m))
+    return sorted(seen, key=lambda m: [coordinates(c) for row in m for c in row])
 
 
-def _map_fixes(fmap: BinaryRationalMap, m) -> bool:
-    """Whether f o w = f symbolically for w = (a z + b)/(c z + e),
-    m = [[a, b], [c, e]]: with W1 = a z + b, W0 = c z + e and N, D homogenised
-    to deg f, N(W1, W0) D(z) == D(W1, W0) N(z)."""
-    N, D = fmap.num, fmap.den
-    W1, W0 = _mobius_forms(m, MultiPoly.variable(fmap.field, ("z",), "z"), N.one_like())
-    Nw, Dw = evaluate_at([f.homogenize("w", fmap.degree) for f in (N, D)], [W1, W0])
-    return Nw * D == Dw * N
+def _fixes_line_map(num: MultiPoly, den: MultiPoly, m, n: int) -> bool:
+    """Whether ``num/den o w == num/den`` symbolically, for slices ``num``,
+    ``den`` in ``z`` of degree at most ``n`` and w = (a z + b)/(c z + e),
+    m = [[a, b], [c, e]]: with W1 = a z + b, W0 = c z + e and P^h the slice P
+    homogenised to n, P(w) = P^h(W1, W0)/W0^n, so the identity is
+    num^h(W1, W0) den == den^h(W1, W0) num.
+
+    It checks both the table generators, on the reduced line map, and every
+    lifted deck, on the unreduced slices A1 = A(1, z), B1 = B(1, z) of a
+    homogeneous foliation.  By homogeneity, G o tau = G for the lift tau of
+    w is equivalent to the univariate identities (C = yA - xB)
+
+        A(w)(A(z) w - B(z)) = A(z) C(w),    B(w)(A(z) w - B(z)) = B(z) C(w),
+
+    that is, with Aw = A1^h(W1, W0), Bw = B1^h(W1, W0), mid = A1 W1 - B1 W0
+    and Cw = Aw W1 - Bw W0, to Aw mid == A1 Cw and Bw mid == B1 Cw.  But
+    Aw mid - A1 Cw = W0 (A1 Bw - Aw B1) and Bw mid - B1 Cw = W1 (A1 Bw - Aw B1),
+    and W0, W1 are nonzero because m is nonsingular, so both hold exactly
+    when Aw B1 == A1 Bw: this identity with num, den = B1, A1.
+    """
+    W1, W0 = _mobius_forms(m, MultiPoly.variable(num.field, ("z",), "z"), num.one_like())
+    Nw, Dw = evaluate_at([f.homogenize("w", n) for f in (num, den)], [W1, W0])
+    return Nw * den == Dw * num
 
 
 def decks_from_line_decks(F: PlaneFoliation, klein, fmap: BinaryRationalMap):
@@ -880,10 +866,11 @@ def decks_from_line_decks(F: PlaneFoliation, klein, fmap: BinaryRationalMap):
     working = None
     for K, gens in _mobius_generators(tag, degree, F.field):
         # the line map whose decks we lift
-        gmap = BinaryRationalMap.make(_restrict_homog(F.B, K), _restrict_homog(F.A, K))
+        A1, B1 = _restrict_homog(F.A, K), _restrict_homog(F.B, K)
+        gmap = BinaryRationalMap.make(B1, A1)
         for conj in _conjugation_pool(K):
             cand = [_conj_mat(conj, g) for g in gens]
-            if all(_map_fixes(gmap, g) for g in cand):
+            if all(_fixes_line_map(gmap.num, gmap.den, g, gmap.degree) for g in cand):
                 working = cand
                 break
         if working is not None:
@@ -902,6 +889,7 @@ def decks_from_line_decks(F: PlaneFoliation, klein, fmap: BinaryRationalMap):
     x = MultiPoly.variable(K, AFFINE, "x")
     y = MultiPoly.variable(K, AFFINE, "y")
     C = A * y - B * x
+    n = max(A1.total_degree(), B1.total_degree())
     out = []
     for m in group:
         W1, W0 = _mobius_forms(m, y, x)
@@ -909,9 +897,9 @@ def decks_from_line_decks(F: PlaneFoliation, klein, fmap: BinaryRationalMap):
         g = mpoly_gcd(C, D)
         Cg, Dg = C.exact_div(g), D.exact_div(g)
         tau = DeckTransformation(_times_linear(Cg, Dg, W0), _times_linear(Cg, Dg, W1))
-        # the Gauss-map identity reduces exactly to univariate identities
-        # for homogeneous foliations; see _verify_line_deck_lift
-        tau.verified = _verify_line_deck_lift(F, m, K)
+        # the Gauss-map identity reduces exactly to the line map's identity
+        # on the unreduced slices; see _fixes_line_map
+        tau.verified = _fixes_line_map(B1, A1, m, n)
         if not tau.verified:
             raise AssertionError("lifted deck failed the Gauss-map identity")
         out.append(tau)

@@ -474,6 +474,15 @@ def adjoin_root(factor, prefix: str, start: int = 1):
     return K, K.gen()
 
 
+def coordinates(value) -> list:
+    """Rational coordinates of a scalar of Q or of a layer: for an element
+    of a layer, the coordinates of its power-basis coefficients, lowest
+    power first, each flattened the same way down to Q."""
+    if isinstance(value, FieldElement):
+        return [v for part in value.rep for v in coordinates(part)]
+    return [value]
+
+
 # -- printing ----------------------------------------------------------------------
 
 

@@ -3,28 +3,45 @@
 Strategy: over Q, every gcd and resultant goes to sympy's dense integer
 kernels on integer-cleared inputs: the heuristic gcd of Char-Geddes-Gonnet,
 certified by exact cofactor products, and the subresultant chain, which gives
-the resultant and, to :mod:`folgal.solve2d`, the common roots of the fibres.  Over a
-number-field tower they stay in-house: gcds by a Euclidean sequence in one
-variable or on binary forms and by content extraction plus subresultant
-pseudo-remainder sequences otherwise, resultants by a Bareiss determinant of
-the Sylvester matrix.  Both paths are exact.
+the resultant and, to :mod:`folgal.solve2d`, the common roots of the fibres.
+Over a number-field tower, resultants are interpolated from integer
+resultants at integer points (Collins 1971), each reduced at the generators;
+gcds stay in-house, by a Euclidean sequence in one variable or on binary
+forms and by content extraction plus subresultant pseudo-remainder sequences
+otherwise.  Every path is exact.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Sequence
 
-from sympy.polys.densearith import dmp_exquo, dmp_mul, dmp_pow
-from sympy.polys.densebasic import dmp_degree, dmp_LC
-from sympy.polys.densetools import dmp_clear_denoms
+from sympy.polys.densearith import (
+    dmp_add_term,
+    dmp_exquo,
+    dmp_mul,
+    dmp_neg,
+    dmp_pow,
+    dmp_quo_ground,
+    dmp_sub,
+)
+from sympy.polys.densebasic import (
+    dmp_degree,
+    dmp_degree_in,
+    dmp_ground,
+    dmp_LC,
+    dmp_one,
+    dmp_zero,
+)
+from sympy.polys.densetools import dmp_eval
 from sympy.polys.domains import QQ as SQQ
 from sympy.polys.domains import ZZ
-from sympy.polys.euclidtools import dmp_inner_gcd, dmp_inner_subresultants
+from sympy.polys.euclidtools import dmp_inner_gcd, dmp_inner_subresultants, dmp_resultant
 
 from .multipoly import MultiPoly
 from .numberfield import RationalField, poly_gcd
-from .sympy_bridge import from_dense, to_dense
+from .sympy_bridge import at_generators, from_dense, lift, to_dense
 
 
 class DegenerateResultant(Exception):
@@ -43,13 +60,6 @@ def _active_vars(p: MultiPoly, q: MultiPoly):
     return out
 
 
-def _dense_zz(p: MultiPoly, order: Sequence[str]):
-    """``(den, f)``: ``f`` is ``den * p`` as a dense polynomial over sympy's ZZ."""
-    u = len(order) - 1
-    den, f = dmp_clear_denoms(to_dense(p, order), u, SQQ, ZZ, convert=True)
-    return int(den), f
-
-
 def _gcd_rational(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """Monic gcd of non-constant polynomials over Q.
 
@@ -59,8 +69,8 @@ def _gcd_rational(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """
     order = [v for v, _, _ in _active_vars(p, q)]
     u = len(order) - 1
-    _, f = _dense_zz(p, order)
-    _, g = _dense_zz(q, order)
+    _, f = lift(p, order)
+    _, g = lift(q, order)
     h, cf, cg = dmp_inner_gcd(f, g, u, ZZ)
     if dmp_mul(h, cf, u, ZZ) != f or dmp_mul(h, cg, u, ZZ) != g:
         raise ArithmeticError("dense gcd over Q failed its cofactor check")
@@ -91,8 +101,8 @@ def _subresultants_rational(p: MultiPoly, q: MultiPoly, var: str, dp: int, dq: i
     rest = [v for v, _, _ in _active_vars(p, q) if v != var]
     order = [var] + rest
     u = len(rest)
-    a, f = _dense_zz(p, order)
-    b, g = _dense_zz(q, order)
+    a, f = lift(p, order)
+    b, g = lift(q, order)
     R, S = dmp_inner_subresultants(g, f, u, ZZ) if dp < dq else dmp_inner_subresultants(f, g, u, ZZ)
     chain = []
     for i in range(len(R) - 1, 1, -1):
@@ -100,8 +110,8 @@ def _subresultants_rational(p: MultiPoly, q: MultiPoly, var: str, dp: int, dq: i
         d = dmp_degree(R[i - 1], u) - j
         s = R[i]
         if d > 1:
-            lift = dmp_pow([dmp_LC(s, ZZ)], d - 1, u, ZZ)
-            s = dmp_exquo(dmp_mul(s, lift, u, ZZ), dmp_pow([S[i - 1]], d - 1, u, ZZ), u, ZZ)
+            lc_power = dmp_pow([dmp_LC(s, ZZ)], d - 1, u, ZZ)
+            s = dmp_exquo(dmp_mul(s, lc_power, u, ZZ), dmp_pow([S[i - 1]], d - 1, u, ZZ), u, ZZ)
         # S_j(a p, b q) = a^(dq - j) b^(dp - j) S_j(p, q)
         sign = (-1) ** ((dp - j) * (dq - j)) if dp < dq else 1
         chain.append((j, s, Fraction(sign, a ** (dq - j) * b ** (dp - j))))
@@ -318,61 +328,113 @@ def _gcd_prs(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
 # -- resultants and discriminants -----------------------------------------------------
 
 
-def _bareiss_det(matrix: list[list[MultiPoly]]):
-    """Fraction-free determinant; entries are MultiPoly over the same ring."""
-    n = len(matrix)
-    if n == 0:
-        raise ValueError("empty matrix")
-    m = [row[:] for row in matrix]
-    one = m[0][0].one_like()
-    zero = m[0][0].zero_like()
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot_row = None
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                return zero
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][k] = zero
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+def _resultant_tower(p: MultiPoly, q: MultiPoly, var: str, dp: int, dq: int) -> MultiPoly:
+    """Sylvester resultant over a number-field tower of inputs of degrees
+    ``dp, dq > 0`` in ``var``, by evaluation at integer points and
+    interpolation (Collins, "The calculation of multivariate polynomial
+    resultants", J. ACM 1971).
+
+    :func:`lift` writes ``a p`` and ``b q`` over ZZ in the other variables
+    ``rest``, ``var`` and one variable per generator.  The resultant is a
+    polynomial in the entries of the Sylvester matrix, so it commutes with
+    every ring map that keeps both degrees in ``var``: with setting a
+    variable of ``rest`` to an integer at which neither leading coefficient
+    in ``var`` vanishes over the field (other points are skipped), and with
+    replacing the generators by their values.  Since :func:`lift` writes
+    coordinates in the power basis of the generators, a leading coefficient
+    vanishes over the field exactly when its image over ZZ does.  At each
+    point of ``rest`` the resultant is taken over ZZ in ``var`` and the
+    generators and reduced at the generators; the rational coordinates of
+    these values are interpolated one variable of ``rest`` at a time.  At
+    the end ``Res(a p, b q) = a^dq b^dp Res(p, q)`` is divided out.
+
+    Number of points: the entry of the Sylvester matrix in a row ``i`` of
+    ``p``'s coefficients and column ``j`` has total degree at most
+    ``tp - dp + j - i`` in ``rest``, where ``tp`` is ``p``'s total degree,
+    and likewise for ``q``.  So every term of the determinant has total
+    degree at most ``dq tp + dp tq - dp dq``, and degree at most
+    ``dq deg_v p + dp deg_v q`` in each ``v``.
+    """
+    field = p.field
+    rest = [v for v, _, _ in _active_vars(p, q) if v != var]
+    a, f = lift(p, rest + [var])
+    b, g = lift(q, rest + [var])
+    top = dq * p.total_degree() + dp * q.total_degree() - dp * dq
+    bounds = [min(dq * p.degree_in(v) + dp * q.degree_in(v), top) for v in rest]
+    values = _values_at_points(f, g, bounds, dp, dq, field)
+    u = len(rest) + len(field.chain()) - 1
+    return from_dense(dmp_quo_ground(values, SQQ(a**dq * b**dp), u, SQQ), rest, p)
 
 
-def sylvester_matrix(p: MultiPoly, q: MultiPoly, var: str):
-    """Sylvester matrix of ``p`` and ``q`` in ``var``; entries keep the full ring."""
-    fc = [c.with_vars(p.vars) for c in p.univariate_coeffs(var)]
-    gc = [c.with_vars(p.vars) for c in q.univariate_coeffs(var)]
-    m = len(fc) - 1
-    n = len(gc) - 1
-    size = m + n
-    zero = p.zero_like()
-    rows = []
-    for i in range(n):
-        row = [zero] * size
-        for j, c in enumerate(reversed(fc)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [zero] * size
-        for j, c in enumerate(reversed(gc)):
-            row[i + j] = c
-        rows.append(row)
-    return rows
+def _values_at_points(f, g, bounds, dp: int, dq: int, field):
+    """``Res(f, g)`` in ``var``, reduced at the generators of ``field``:
+    dense over QQ in the ``k = len(bounds)`` outer variables and the
+    generators.  ``f`` and ``g`` are dense over ZZ in those variables,
+    ``var`` and the generators; ``bounds`` bounds the resultant's degree in
+    each outer variable."""
+    ngen = len(field.chain())
+    k = len(bounds)
+    if not k:
+        value = at_generators(_zz_resultant(f, g, dp, dq, ngen), field)
+        return to_dense(MultiPoly.constant(field, (), value), [])
+    u = k + ngen
+    xs, values = [], []
+    for x in _integer_points():
+        if len(xs) > bounds[0]:
+            break
+        fx, gx = dmp_eval(f, x, u, ZZ), dmp_eval(g, x, u, ZZ)
+        if dmp_degree_in(fx, k - 1, u - 1) < dp or dmp_degree_in(gx, k - 1, u - 1) < dq:
+            continue
+        xs.append(x)
+        values.append(_values_at_points(fx, gx, bounds[1:], dp, dq, field))
+    return _newton(xs, values, u - 2)
+
+
+def _integer_points():
+    """0, 1, -1, 2, -2, ...: small points keep the integers small."""
+    yield 0
+    for x in itertools.count(1):
+        yield x
+        yield -x
+
+
+def _zz_resultant(f, g, dp: int, dq: int, u: int):
+    """Sylvester resultant in the outer variable of ``f`` and ``g`` (degrees
+    ``dp``, ``dq`` in it), dense over ZZ in ``u + 1 > 1`` variables.  sympy
+    returns Sylvester's sign only with the operand of higher degree first,
+    so a swap applies ``(-1)^(dp dq)`` (see :func:`_subresultants_rational`)."""
+    if dp >= dq:
+        return dmp_resultant(f, g, u, ZZ)
+    r = dmp_resultant(g, f, u, ZZ)
+    return dmp_neg(r, u - 1, ZZ) if dp * dq % 2 else r
+
+
+def _newton(xs, values, u: int):
+    """The polynomial of degree below ``len(xs)`` in a new outer variable
+    that takes ``values[i]`` (dense over QQ in ``u + 1`` variables) at
+    ``xs[i]``, by Newton's divided differences; dense over QQ."""
+    c = list(values)
+    n = len(xs)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            diff = dmp_sub(c[i], c[i - 1], u, SQQ)
+            c[i] = dmp_quo_ground(diff, SQQ(xs[i] - xs[i - j]), u, SQQ)
+    acc = dmp_zero(u + 1)
+    one = dmp_one(u, SQQ)
+    for i in range(n - 1, -1, -1):
+        # acc = acc * (v - xs[i]) + c[i]
+        linear = [one, dmp_ground(SQQ(-xs[i]), u)]
+        acc = dmp_add_term(dmp_mul(acc, linear, u + 1, SQQ), c[i], 0, u + 1, SQQ)
+    return acc
 
 
 def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
-    """Sylvester resultant with respect to ``var``."""
+    """Sylvester resultant with respect to ``var``.
+
+    A constant input gives a power of the other.  Over Q it is ``S_0`` of
+    the subresultant chain; over a number-field tower it is interpolated
+    from integer resultants at integer points (:func:`_resultant_tower`).
+    """
     dp = p.degree_in(var)
     dq = q.degree_in(var)
     if dp <= 0 and dq <= 0:
@@ -383,7 +445,7 @@ def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
         return q**dp
     if isinstance(p.field, RationalField):
         return _resultant_rational(p, q, var, dp, dq)
-    return _bareiss_det(sylvester_matrix(p, q, var))
+    return _resultant_tower(p, q, var, dp, dq)
 
 
 def discriminant(p: MultiPoly, var: str) -> MultiPoly:

@@ -29,8 +29,10 @@ Nothing here builds sympy's algebraic domains and nothing checks that a
 modulus is irreducible: a user's modulus is checked when it is parsed
 (:func:`folgal.foliation.field_from_spec`), and every other layer adjoins a
 factor returned here.  The module also holds the one converter between
-MultiPoly over Q and sympy's dense recursive polynomials (:func:`to_dense`,
-:func:`from_dense`), which the Q kernels of :mod:`folgal.polyops` use too.
+MultiPoly and sympy's dense recursive polynomials (:func:`to_dense`,
+:func:`from_dense`, and :func:`lift` over ZZ), which :mod:`folgal.polyops`
+uses too.  Over a tower it writes each coefficient in the power basis of the
+generators, with one variable per generator.
 """
 
 from __future__ import annotations
@@ -41,13 +43,15 @@ from fractions import Fraction
 from typing import Sequence
 
 from sympy.polys.densebasic import dmp_from_dict, dmp_to_dict
+from sympy.polys.densetools import dmp_clear_denoms
 from sympy.polys.domains import QQ as SQQ
+from sympy.polys.domains import ZZ
 from sympy.polys.factortools import dmp_factor_list
 from sympy.polys.polyclasses import DMP
 from sympy.polys.sqfreetools import dmp_sqf_p
 
 from .multipoly import MultiPoly
-from .numberfield import FieldElement, RationalField
+from .numberfield import FieldElement, RationalField, _reduce_mod, coordinates
 
 
 # Never raised: every field factors.  The name stays for outside tools that
@@ -60,30 +64,62 @@ class FactorUnavailable(Exception):
 _FIRST_NORM = 2
 
 
+def at_generators(rep, field):
+    """The element of ``field`` that ``rep`` takes at the generators.
+
+    ``rep`` is dense over sympy's ZZ or QQ in one variable per generator of
+    ``field``, top layer first (over Q, a ground element).  It is reduced
+    modulo each layer's modulus, top layer first, so its degrees need not
+    be below the layers'.
+    """
+    if isinstance(field, RationalField):
+        return Fraction(int(rep.numerator), int(rep.denominator))
+    coeffs = [at_generators(c, field.base) for c in reversed(rep)]
+    return FieldElement(field, tuple(_reduce_mod(coeffs, field)))
+
+
 def to_dense(p: MultiPoly, order: Sequence[str]) -> list:
     """Dense recursive sympy representation of ``p`` over sympy's QQ.
 
-    ``order`` lists the variables outermost first; it must contain every
-    variable that occurs in ``p``.
+    The variables are ``order``, outermost first, followed by one variable
+    per generator of ``p``'s field, top layer first (none over Q); each
+    coefficient is written in the power basis of the generators.  ``order``
+    must contain every variable that occurs in ``p``.
     """
     idx = [p.vars.index(v) for v in order]
-    flat = {tuple(e[i] for i in idx): SQQ(c.numerator, c.denominator)
-            for e, c in p.terms.items()}
-    return dmp_from_dict(flat, len(order) - 1, SQQ)
+    layers = p.field.chain()[::-1]
+    # the exponents of the generators, in the order of coordinates()
+    powers = list(itertools.product(*(range(layer.degree) for layer in layers)))
+    flat = {tuple(e[i] for i in idx) + g: SQQ(v.numerator, v.denominator)
+            for e, c in p.terms.items() for g, v in zip(powers, coordinates(c)) if v}
+    return dmp_from_dict(flat, len(order) + len(layers) - 1, SQQ)
+
+
+def lift(p: MultiPoly, order: Sequence[str]):
+    """``(den, f)``: ``f`` is :func:`to_dense` of ``den * p`` over sympy's
+    ZZ, with ``den`` the least positive integer that clears denominators."""
+    u = len(order) + len(p.field.chain()) - 1
+    den, f = dmp_clear_denoms(to_dense(p, order), u, SQQ, ZZ, convert=True)
+    return int(den), f
 
 
 def from_dense(rep, order: Sequence[str], like: MultiPoly) -> MultiPoly:
-    """Inverse of :func:`to_dense`: ``rep`` in ``order`` as a polynomial in
-    ``like``'s ring over Q.  With ``order`` empty, ``rep`` is a ground element."""
+    """Inverse of :func:`to_dense`: ``rep``, dense over sympy's ZZ or QQ in
+    ``order`` followed by the generators of ``like``'s field, as a polynomial
+    in ``like``'s ring, each coefficient taken :func:`at_generators`.  With
+    ``order`` empty, ``rep`` is dense in the generators alone (over Q, a
+    ground element)."""
+    field = like.field
     idx = [like.vars.index(v) for v in order]
+    # keys stop at the last variable of order; values are dense in the generators
     flat = dmp_to_dict(rep, len(order) - 1) if order else {(): rep}
     terms = {}
     for exp, c in flat.items():
         full = [0] * len(like.vars)
         for i, k in zip(idx, exp):
             full[i] = k
-        terms[tuple(full)] = Fraction(int(c.numerator), int(c.denominator))
-    return MultiPoly(like.field, like.vars, terms)
+        terms[tuple(full)] = at_generators(c, field)
+    return MultiPoly(field, like.vars, terms)
 
 
 def factor_irreducible(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
@@ -116,13 +152,8 @@ def _order_key(fm):
     if isinstance(f.field, RationalField):
         return key
 
-    def flat(c):
-        if isinstance(c, FieldElement):
-            return [v for part in reversed(c.rep) for v in flat(part)]
-        return [c]
-
     def coeff(c):
-        high = flat(c)
+        high = coordinates(c)[::-1]
         while not high[0]:
             high.pop(0)
         return high

@@ -238,25 +238,28 @@ def test_lifted_decks_satisfy_the_gauss_identity():
 
 
 def test_line_deck_checks_reject_matrices_outside_the_group():
+    # one identity checks the table generators on the reduced line map and
+    # the lifted decks on the unreduced slices
     F = corpus.foliation("dihedral_4")
     one, zero = Fraction(1), Fraction(0)
-    gmap = BinaryRationalMap.make(
-        gal._restrict_homog(F.B, QQ), gal._restrict_homog(F.A, QQ)
-    )
+    A1, B1 = gal._restrict_homog(F.A, QQ), gal._restrict_homog(F.B, QQ)
+    gmap = BinaryRationalMap.make(B1, A1)
+    n = max(A1.total_degree(), B1.total_degree())
+
+    def checks(m):
+        return (gal._fixes_line_map(gmap.num, gmap.den, m, gmap.degree),
+                gal._fixes_line_map(B1, A1, m, n))
+
     inside = [[[zero, one], [one, zero]], [[-one, zero], [zero, one]]]  # 1/z, -z
     for m in inside:
-        assert gal._map_fixes(gmap, m)
-        assert gal._verify_line_deck_lift(F, m, QQ)
+        assert checks(m) == (True, True)
     outside = [[2 * one, zero], [zero, one]]  # z -> 2z
-    assert not gal._map_fixes(gmap, outside)
-    assert not gal._verify_line_deck_lift(F, outside, QQ)
-    # a singular matrix is no Möbius map; both sides of the identities
-    # would vanish for [[0, 0], [0, 0]]
+    assert checks(outside) == (False, False)
+    # a singular matrix is no Möbius map; both sides of the identity would
+    # vanish for [[0, 0], [0, 0]]
     singular = [[zero, zero], [zero, zero]]
     with pytest.raises(ValueError):
-        gal._map_fixes(gmap, singular)
-    with pytest.raises(ValueError):
-        gal._verify_line_deck_lift(F, singular, QQ)
+        checks(singular)
 
 
 def test_decks_tetrahedral_order_12():

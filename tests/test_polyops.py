@@ -17,8 +17,22 @@ from folgal.polyops import (
     resultant,
     squarefree_decompose,
     subresultant_chain,
-    sylvester_matrix,
 )
+
+
+def sylvester_matrix(p, q, var):
+    """Sylvester matrix of ``p`` and ``q`` in ``var``; entries keep the full ring."""
+    fc = [c.with_vars(p.vars) for c in reversed(p.univariate_coeffs(var))]
+    gc = [c.with_vars(p.vars) for c in reversed(q.univariate_coeffs(var))]
+    m, n = len(fc) - 1, len(gc) - 1
+    zero = p.zero_like()
+    rows = []
+    for coeffs, count in ((fc, n), (gc, m)):
+        for i in range(count):
+            row = [zero] * (m + n)
+            row[i:i + len(coeffs)] = coeffs
+            rows.append(row)
+    return rows
 
 
 def brute_determinant(rows):
@@ -247,6 +261,87 @@ def test_subresultant_chain_matches_determinants(f, g):
                 assert slow.is_zero() or slow.degree_in("y") < j
         assert not chain
         assert resultant(a, b, "y") == brute_subresultant(a, b, "y", 0)
+
+
+# over a tower the resultant is interpolated from integer resultants at
+# points; the Sylvester determinant over the tower is the oracle
+SQRT5 = extend(QQ, "g", [Fraction(-5), Fraction(0)])  # g^2 - 5
+ZETA3 = extend(QQ, "g", [Fraction(1), Fraction(-1)])  # g^2 - g + 1
+ZETA3_I = extend(ZETA3, "c", [ZETA3.one(), ZETA3.zero()])  # c^2 + 1 over Q(g)
+
+
+def tower_scalar(draw, field):
+    if field is QQ:
+        return Fraction(draw(st.integers(min_value=-3, max_value=3)))
+    return field.element([tower_scalar(draw, field.base) for _ in range(field.degree)])
+
+
+@st.composite
+def tower_poly(draw, field, names, deg, lead=None):
+    """Degree ``deg`` in ``names[0]``, degree at most 1 in each other
+    variable; ``lead`` fixes the leading coefficient in ``names[0]``."""
+    terms = {}
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        rest = tuple(draw(st.integers(min_value=0, max_value=1)) for _ in names[1:])
+        terms[(draw(st.integers(min_value=0, max_value=deg - 1)),) + rest] = tower_scalar(draw, field)
+    p = MultiPoly(field, names, terms)
+    if lead is None:
+        rest = tuple(draw(st.integers(min_value=0, max_value=1)) for _ in names[1:])
+        lead = MultiPoly(field, names, {(0,) + rest: field.one() + tower_scalar(draw, field)})
+        if lead.is_zero():
+            lead = MultiPoly.constant(field, names, 1)
+    z = MultiPoly.variable(field, names, names[0])
+    return p + lead * z**deg
+
+
+def assert_matches_sylvester(p, q, var="z"):
+    assert resultant(p, q, var) == brute_determinant(sylvester_matrix(p, q, var))
+
+
+@pytest.mark.parametrize("field", [SQRT5, ZETA3_I], ids=["sqrt5", "zeta3_i"])
+@given(data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_tower_resultant_matches_brute_sylvester(field, data):
+    dp, dq = data.draw(st.integers(min_value=1, max_value=3)), data.draw(st.integers(min_value=1, max_value=3))
+    p = data.draw(tower_poly(field, ("z", "y"), dp))
+    q = data.draw(tower_poly(field, ("z", "y"), dq))
+    assert_matches_sylvester(p, q)
+
+
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_tower_resultant_three_variables(data):
+    names = ("z", "x", "y")
+    p = data.draw(tower_poly(SQRT5, names, data.draw(st.integers(min_value=1, max_value=2))))
+    q = data.draw(tower_poly(SQRT5, names, data.draw(st.integers(min_value=1, max_value=3))))
+    p = p + parse_poly("x - g*y", SQRT5, names)  # both x and y occur
+    assert_matches_sylvester(p, q)
+
+
+@pytest.mark.parametrize("field", [SQRT5, ZETA3_I], ids=["sqrt5", "zeta3_i"])
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_tower_resultant_sign_for_odd_degrees_lower_first(field, data):
+    # sympy's integer resultant at each point is taken with the operand of
+    # higher degree first; for odd x odd degrees the swap flips the sign
+    dp, dq = data.draw(st.sampled_from([(1, 3), (3, 5), (1, 5)]))
+    p = data.draw(tower_poly(field, ("z", "y"), dp))
+    q = data.draw(tower_poly(field, ("z", "y"), dq))
+    assert_matches_sylvester(p, q)
+    assert resultant(q, p, "z") == -resultant(p, q, "z")
+
+
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_tower_resultant_skips_points_where_a_leading_coefficient_vanishes(data):
+    # the leading coefficient in z vanishes at x = 0, 1, 2, the first
+    # integer points; at them the degrees drop and the points are skipped
+    names = ("z", "x")
+    lead = parse_poly("(g + 1)*x*(x - 1)*(x - 2)", SQRT5, names)
+    p = data.draw(tower_poly(SQRT5, names, 2, lead=lead))
+    q = data.draw(tower_poly(SQRT5, names, data.draw(st.integers(min_value=1, max_value=3))))
+    assert_matches_sylvester(p, q)
+    assert_matches_sylvester(q, p)
 
 
 @given(small_poly(names=("z", "y"), max_exp=2), small_poly(names=("z", "y"), max_exp=2))

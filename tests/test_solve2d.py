@@ -9,9 +9,9 @@ from folgal import solve2d
 from folgal.multipoly import MultiPoly
 from folgal.numberfield import QQ, extend
 from folgal.parsing import parse_min_poly, parse_poly
-from folgal.polyops import _dense_zz, mpoly_gcd, resultant
+from folgal.polyops import mpoly_gcd, resultant
 from folgal.solve2d import common_zeros
-from folgal.sympy_bridge import factor_irreducible, from_dense, to_dense
+from folgal.sympy_bridge import factor_irreducible, from_dense, lift, to_dense
 
 
 def poly(text, field=QQ):
@@ -182,7 +182,7 @@ def test_chain_resultant_matches_dmp_resultant():
     for _ in range(20):
         p, q = (random_regular(rng, rng.randint(1, 5)) for _ in range(2))
         dp, dq = p.degree_in("y"), q.degree_in("y")
-        (a, f), (b, g) = (_dense_zz(P, ["y", "x"]) for P in (p, q))
+        (a, f), (b, g) = (lift(P, ["y", "x"]) for P in (p, q))
         hi, lo = (g, f) if dp < dq else (f, g)
         direct = from_dense(dmp_resultant(hi, lo, 1, ZZ), ["x"], p)
         sign = (-1) ** (dp * dq) if dp < dq else 1
