@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .multipoly import MultiPoly
-from .polyops import resultant, squarefree_part
+from .polyops import mpoly_gcd, resultant, squarefree_part
 from .foliation import PlaneFoliation
 
 SU = ("s", "u")
@@ -95,11 +95,36 @@ def _numeric_roots(poly: MultiPoly, var: str) -> list[complex]:
     return list(np.roots(arr))
 
 
-def _fibration(q: MultiPoly, disc: MultiPoly, d: int, label: str) -> Fibration:
-    """Numeric fibration of q(s, u), degree d in u, with branch candidates at
-    the roots of its u-discriminant ``disc`` and of its leading coefficient."""
+def _map_branch_values(num: MultiPoly, den: MultiPoly) -> list[complex]:
+    """Finite branch values of ``q = num(u) - s den(u)``, for ``num`` and
+    ``den`` coprime and free of ``s``: ``num/den`` at the roots of the
+    Wronskian ``W = num' den - num den'`` that are not roots of ``den``.
+
+    ``q`` and ``dq/du`` share a root ``r`` at ``s`` exactly when
+    ``num(r) = s den(r)`` and ``num'(r) = s den'(r)``, that is when ``W(r) = 0``
+    and ``s = num(r)/den(r)``; ``den(r) = 0`` would force ``num(r) = 0``.  A
+    root of ``W`` that is a root of ``den`` lies over ``s = infinity``.  Several
+    roots may give one value; :func:`track_loops` clusters them.
+    """
+    wronskian = num.derivative("u") * den - num * den.derivative("u")
+    if wronskian.is_zero():
+        raise DegeneratePencil("map has identically singular fibres")
+    wronskian = squarefree_part(wronskian)
+    wronskian = wronskian.exact_div(mpoly_gcd(wronskian, den))
+    roots = np.array(_numeric_roots(wronskian, "u"), dtype=complex)
+
+    def at_roots(p):
+        coeffs = [complex(c.constant_value()) for c in p.univariate_coeffs("u")]
+        return np.polyval(coeffs[::-1], roots)
+
+    return list(at_roots(num) / at_roots(den))
+
+
+def _fibration(q: MultiPoly, candidates: list, d: int, label: str) -> Fibration:
+    """Numeric fibration of q(s, u), degree d in u, with the branch
+    ``candidates`` and the roots of its leading coefficient in u."""
     coeffs = q.univariate_coeffs("u")  # low to high in u
-    candidates = _numeric_roots(disc, "s")
+    candidates = list(candidates)
     if not coeffs[d].is_constant():
         candidates += _numeric_roots(coeffs[d], "s")
     m = max(c.degree_in("s") for c in coeffs)
@@ -151,7 +176,7 @@ def pencil_fibration(
         if disc.is_zero():
             last_error = "discriminant vanished identically"
             continue
-        return _fibration(q, disc, d, f"pencil through ({a0}, {b0})")
+        return _fibration(q, _numeric_roots(disc, "s"), d, f"pencil through ({a0}, {b0})")
     raise DegeneratePencil(
         f"foliation too degenerate for a numeric pencil: {last_error}"
     )
@@ -179,10 +204,7 @@ def map_fibration(f, rng: random.Random, max_attempts: int = 6) -> Fibration:
         q = tw_num - s * tw_den
         if q.degree_in("u") != d:
             continue
-        disc = _exact_branch_poly(q)
-        if disc.is_zero():
-            raise DegeneratePencil("map has identically singular fibres")
-        return _fibration(q, disc, d, "direct 1-d mode")
+        return _fibration(q, _map_branch_values(tw_num, tw_den), d, "direct 1-d mode")
     raise DegeneratePencil("could not find a working Möbius twist")
 
 

@@ -12,11 +12,23 @@ Q (:data:`QQ`, scalars are :class:`fractions.Fraction`) and every layer
 ``one()``, ``coerce()`` (of an int, a Fraction, or an element of the tower
 whose value lies in the field), ``chain()`` and ``to_complex()``.  Code above
 this module makes scalars through them and need not know which field it has.
+
+An element of a layer over Q is integer coordinates over one denominator
+(Cohen, *A Course in Computational Algebraic Number Theory*, 4.2): a tuple
+``num`` of ints and an int ``den > 0`` with ``gcd(den, *num) == 1``, so
+``+``, ``-`` and ``*`` run on ints.  Every operation puts its result in
+lowest terms; each value then has exactly one ``(num, den)``, which is what
+lets ``==`` and ``hash`` compare the pair directly.  Each such layer keeps
+its modulus once more as integers over the modulus's own denominator, so a
+non-integral modulus still reduces exactly.  A layer above the first holds a
+tuple of base-layer elements.  ``FieldElement.rep`` is the view shared by
+all layers: the coordinates over the base, as Fractions over Q.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -74,18 +86,14 @@ class RationalField:
 QQ = RationalField()
 
 
-def _is_field_of(value, fld) -> bool:
-    if isinstance(fld, RationalField):
-        return isinstance(value, (Fraction, int))
-    return isinstance(value, FieldElement) and value.field is fld
-
-
 class NumberField:
     """Simple extension ``base[name]/(min_poly)``.
 
     ``min_poly`` is stored as a tuple of base-field coefficients
     ``(c0, ..., c_{n-1})`` for the monic polynomial
-    ``g^n + c_{n-1} g^{n-1} + ... + c0``.
+    ``g^n + c_{n-1} g^{n-1} + ... + c0``.  Over Q it is kept once more as
+    integers over one denominator, ``mden * min_poly = mden g^n + sum mnum_i
+    g^i``, which is what the arithmetic of the layer's elements reads.
     """
 
     def __init__(self, base, name: str, min_poly: Sequence, embedding: complex):
@@ -96,6 +104,9 @@ class NumberField:
         if self.degree < 1:
             raise ValueError("empty minimal polynomial")
         self.embedding = complex(embedding)
+        self.over_q = isinstance(base, RationalField)
+        if self.over_q:
+            self._mnum, self._mden = _clear(self.min_poly)
 
     # -- element constructors ------------------------------------------------
 
@@ -103,19 +114,27 @@ class NumberField:
         rep = tuple(self.base.coerce(c) for c in rep)
         if len(rep) != self.degree:
             raise ValueError("wrong representation length")
+        if self.over_q:
+            return FieldElement(self, *_clear(rep))
         return FieldElement(self, rep)
 
+    def from_poly(self, coeffs: Sequence) -> "FieldElement":
+        """``p(g)`` for the polynomial ``p`` with base-field coefficients
+        ``coeffs``, lowest first, of any degree."""
+        if self.over_q:
+            num, den = _clear([self.base.coerce(c) for c in coeffs])
+            num, scale = _reduce_ints(list(num), self)
+            return _lowest_terms(self, num, den * scale)
+        return FieldElement(self, tuple(_reduce_mod(coeffs, self)))
+
     def zero(self):
-        return FieldElement(self, (self.base.zero(),) * self.degree)
+        return self.coerce(0)
 
     def one(self):
-        rep = [self.base.zero()] * self.degree
-        rep[0] = self.base.one()
-        return FieldElement(self, tuple(rep))
+        return self.coerce(1)
 
     def gen(self):
-        rep = _reduce_mod([self.base.zero(), self.base.one()], self)
-        return FieldElement(self, tuple(rep))
+        return self.from_poly([self.base.zero(), self.base.one()])
 
     def coerce(self, value):
         """Lift ints, Fractions and lower-tower elements into this field."""
@@ -126,10 +145,10 @@ class NumberField:
                 return self._lift(value)
             raise TypeError(f"element of {value.field.name} not in {self.name}")
         if isinstance(value, (int, Fraction)):
-            base_val = self.base.coerce(value)
-            rep = [self.base.zero()] * self.degree
-            rep[0] = base_val
-            return FieldElement(self, tuple(rep))
+            if self.over_q:
+                zeros = (0,) * (self.degree - 1)
+                return FieldElement(self, (value.numerator,) + zeros, value.denominator)
+            return self._lift(value)
         raise TypeError(f"cannot coerce {value!r} into {self.name}")
 
     def _contains_field(self, other) -> bool:
@@ -155,10 +174,14 @@ class NumberField:
         return [layer.name for layer in self.chain()]
 
     def to_complex(self, value) -> complex:
-        rep = value.rep
+        if self.over_q:
+            # int / int rounds correctly however large the integers are
+            coeffs = [complex(a / value.den) for a in value.num]
+        else:
+            coeffs = [self.base.to_complex(c) for c in value.num]
         acc = 0j
-        for c in reversed(rep):
-            acc = acc * self.embedding + self.base.to_complex(c)
+        for c in reversed(coeffs):
+            acc = acc * self.embedding + c
         return acc
 
     def __repr__(self):
@@ -167,23 +190,42 @@ class NumberField:
 
 
 class FieldElement:
-    """Immutable element of a :class:`NumberField` layer."""
+    """Immutable element of a :class:`NumberField` layer with generator ``g``.
 
-    __slots__ = ("field", "rep", "_hash")
+    Over Q it is ``sum_i num[i] g^i / den``: ``num`` is a tuple of ints and
+    ``den`` a positive int, in lowest terms, ``gcd(den, *num) == 1``.  Each
+    value then has exactly one ``(num, den)``, so ``==`` and ``hash`` compare
+    those tuples.  Above Q it is ``sum_i num[i] g^i`` with ``num`` a tuple of
+    base-layer elements, and ``den`` is None.  ``rep`` gives the coefficients
+    over the base either way, as Fractions over Q.
+    """
 
-    def __init__(self, field: NumberField, rep: tuple):
+    __slots__ = ("field", "num", "den", "_hash")
+
+    def __init__(self, field: NumberField, num: tuple, den: int | None = None):
         self.field = field
-        self.rep = rep
+        self.num = num
+        self.den = den
         self._hash = None
+
+    @property
+    def rep(self) -> tuple:
+        """Power-basis coefficients over the base field, lowest power first."""
+        den = self.den
+        if den is None:
+            return self.num
+        return tuple(Fraction(a, den) for a in self.num)
 
     # -- ring structure --------------------------------------------------------
 
     def _coerced(self, other):
-        if _is_field_of(other, self.field):
-            return other if isinstance(other, FieldElement) else self.field.coerce(other)
+        if isinstance(other, FieldElement):
+            if other.field is self.field:
+                return other
+            if self.field._contains_field(other.field):
+                return self.field.coerce(other)
+            return None
         if isinstance(other, (int, Fraction)):
-            return self.field.coerce(other)
-        if isinstance(other, FieldElement) and self.field._contains_field(other.field):
             return self.field.coerce(other)
         return None
 
@@ -191,22 +233,22 @@ class FieldElement:
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        return FieldElement(
-            self.field, tuple(a + b for a, b in zip(self.rep, other.rep))
-        )
+        if self.den is None:
+            return FieldElement(self.field, tuple(a + b for a, b in zip(self.num, other.num)))
+        return _sum_over_q(self.field, self.num, self.den, other.num, other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.rep))
+        return FieldElement(self.field, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        return FieldElement(
-            self.field, tuple(a - b for a, b in zip(self.rep, other.rep))
-        )
+        if self.den is None:
+            return FieldElement(self.field, tuple(a - b for a, b in zip(self.num, other.num)))
+        return _sum_over_q(self.field, self.num, self.den, [-b for b in other.num], other.den)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -215,30 +257,37 @@ class FieldElement:
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        n = self.field.degree
+        field = self.field
+        n = field.degree
+        if self.den is None:
+            return _mul_over_layer(self.num, other.num, field)
+        den = self.den * other.den
         if n == 2:
             # quadratic layers dominate in practice; inline the reduction
-            a0, a1 = self.rep
-            b0, b1 = other.rep
-            c0, c1 = self.field.min_poly
+            a0, a1 = self.num
+            b0, b1 = other.num
             high = a1 * b1
+            low = a0 * b0
             lin = a0 * b1 + a1 * b0
             if high:
-                return FieldElement(
-                    self.field, (a0 * b0 - high * c0, lin - high * c1)
-                )
-            return FieldElement(self.field, (a0 * b0, lin))
-        base = self.field.base
-        zero = base.zero()
-        prod = [zero] * (2 * n - 1)
-        for i, a in enumerate(self.rep):
+                m0, m1 = field._mnum
+                mden = field._mden
+                if mden != 1:
+                    low *= mden
+                    lin *= mden
+                    den *= mden
+                low -= high * m0
+                lin -= high * m1
+            return _lowest_terms(field, (low, lin), den)
+        prod = [0] * (2 * n - 1)
+        for i, a in enumerate(self.num):
             if not a:
                 continue
-            for j, b in enumerate(other.rep):
+            for j, b in enumerate(other.num):
                 if b:
-                    prod[i + j] = prod[i + j] + a * b
-        rep = _reduce_mod(prod, self.field)
-        return FieldElement(self.field, tuple(rep))
+                    prod[i + j] += a * b
+        num, scale = _reduce_ints(prod, field)
+        return _lowest_terms(field, num, den * scale)
 
     __rmul__ = __mul__
 
@@ -269,24 +318,26 @@ class FieldElement:
     # -- predicates -------------------------------------------------------------
 
     def __bool__(self):
-        return any(self.rep)
+        return any(self.num)
 
     def __eq__(self, other):
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        return self.rep == other.rep
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((id(self.field), self.rep))
+            self._hash = hash((id(self.field), self.num, self.den))
         return self._hash
 
     def as_base(self):
         """Return the base-field value when the element is constant, else None."""
-        if any(self.rep[1:]):
+        if any(self.num[1:]):
             return None
-        return self.rep[0]
+        if self.den is None:
+            return self.num[0]
+        return Fraction(self.num[0], self.den)
 
     def rational_value(self):
         """Fraction value when the element lies in QQ, else None."""
@@ -304,6 +355,89 @@ class FieldElement:
         return field_element_str(self)
 
 
+# -- arithmetic of one layer's coordinates -----------------------------------------
+
+
+def _clear(values) -> tuple[tuple, int]:
+    """``(num, den)`` with ``values == [a / den for a in num]``, for ints and
+    Fractions; in lowest terms, since ``den`` is the least common denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
+def _lowest_terms(field: NumberField, num, den: int) -> FieldElement:
+    """The element ``num / den`` of a layer over Q, with ``den > 0``, in
+    lowest terms."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [a // g for a in num]
+            den //= g
+    return FieldElement(field, tuple(num), den)
+
+
+def _sum_over_q(field: NumberField, a, d: int, b, e: int) -> FieldElement:
+    """``a/d + b/e`` for coordinates in lowest terms over Q.  As for
+    Fractions (Knuth, TAOCP 4.5.1), with ``g = gcd(d, e)`` the sum
+    ``(a e/g + b d/g) / (d e/g)`` can only share a factor of ``g``."""
+    g = gcd(d, e)
+    if g == 1:
+        return FieldElement(field, tuple(x * e + y * d for x, y in zip(a, b)), d * e)
+    d1, e1 = d // g, e // g
+    num = [x * e1 + y * d1 for x, y in zip(a, b)]
+    g = gcd(g, *num)
+    if g != 1:
+        num = [t // g for t in num]
+    return FieldElement(field, tuple(num), d1 * (e // g))
+
+
+def _reduce_ints(work: list, field: NumberField) -> tuple[list, int]:
+    """``(num, scale)``: the integer polynomial ``work`` modulo a layer's
+    modulus over Q is ``num / scale``.  Each reduced power multiplies by the
+    modulus's denominator, which is 1 for an integral modulus."""
+    n = field.degree
+    mnum, mden = field._mnum, field._mden
+    scale = 1
+    for i in range(len(work) - 1, n - 1, -1):
+        c = work[i]
+        if not c:
+            continue
+        if mden != 1:
+            for k in range(i):
+                work[k] *= mden
+            scale *= mden
+        for j, mc in enumerate(mnum):
+            if mc:
+                work[i - n + j] -= c * mc
+    work = work[:n]
+    work.extend([0] * (n - len(work)))
+    return work, scale
+
+
+def _mul_over_layer(a: tuple, b: tuple, field: NumberField) -> FieldElement:
+    """Product of two coefficient tuples over a layer above Q."""
+    n = field.degree
+    if n == 2:
+        # quadratic layers dominate in practice; inline the reduction
+        a0, a1 = a
+        b0, b1 = b
+        c0, c1 = field.min_poly
+        high = a1 * b1
+        lin = a0 * b1 + a1 * b0
+        if high:
+            return FieldElement(field, (a0 * b0 - high * c0, lin - high * c1))
+        return FieldElement(field, (a0 * b0, lin))
+    zero = field.base.zero()
+    prod = [zero] * (2 * n - 1)
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in enumerate(b):
+            if y:
+                prod[i + j] = prod[i + j] + x * y
+    return FieldElement(field, tuple(_reduce_mod(prod, field)))
+
+
 # -- dense univariate arithmetic over a field layer ----------------------------
 #
 # Polynomials as lists of coefficients, low degree first, no trailing zeros.
@@ -316,7 +450,8 @@ def _trim(poly):
 
 
 def _reduce_mod(coeffs, field: NumberField):
-    """Reduce a coefficient list modulo the (monic) minimal polynomial."""
+    """Reduce a coefficient list modulo the (monic) minimal polynomial of a
+    layer above Q."""
     n = field.degree
     work = list(coeffs)
     m = field.min_poly
@@ -378,7 +513,7 @@ def _invert(elem: FieldElement) -> FieldElement:
         # elem shares a proper factor with the modulus, so it was not irreducible
         f1 = poly_gcd(elem.rep, m, base)
         raise FieldSplit(field, f1, poly_divmod(m, f1, base)[0])
-    return FieldElement(field, tuple(rep + [base.zero()] * (field.degree - len(rep))))
+    return field.element(rep + [base.zero()] * (field.degree - len(rep)))
 
 
 def poly_gcd(f, g, fld):

@@ -51,7 +51,7 @@ from sympy.polys.polyclasses import DMP
 from sympy.polys.sqfreetools import dmp_sqf_p
 
 from .multipoly import MultiPoly
-from .numberfield import FieldElement, RationalField, _reduce_mod, coordinates
+from .numberfield import RationalField, coordinates
 
 
 # Never raised: every field factors.  The name stays for outside tools that
@@ -74,8 +74,7 @@ def at_generators(rep, field):
     """
     if isinstance(field, RationalField):
         return Fraction(int(rep.numerator), int(rep.denominator))
-    coeffs = [at_generators(c, field.base) for c in reversed(rep)]
-    return FieldElement(field, tuple(_reduce_mod(coeffs, field)))
+    return field.from_poly([at_generators(c, field.base) for c in reversed(rep)])
 
 
 def to_dense(p: MultiPoly, order: Sequence[str]) -> list:

@@ -11,6 +11,7 @@ import pytest
 
 from folgal import corpus
 from folgal import monodromy as mon
+from folgal.multipoly import MultiPoly
 
 
 def test_power_map_cyclic():
@@ -206,6 +207,31 @@ def test_out_leg_reuse_matches_round_trip_for_foliation():
     fib = mon.pencil_fibration(corpus.foliation("fermat_3"), rng)
     r = mon.track_loops(fib, rng)
     assert r.generators == _round_trip_generators(fib, r)
+
+
+# -- branch values of a line map from its Wronskian ------------------------------------
+
+
+@pytest.mark.parametrize("name", ["cusp_cubic", "tetrahedral"])
+@pytest.mark.parametrize("twist", [(1, 0, 0, 1), (2, -1, 1, 3)])
+def test_wronskian_branch_values_match_the_resultant(name, twist):
+    """The candidates from ``num/den`` at the Wronskian's roots are the roots
+    of ``Res_u(q, dq/du)``; the untwisted tetrahedral map puts the roots of
+    its cubed denominator over s = infinity, where neither may see them."""
+    f = corpus.line_map(name)
+    num = f.num.rename_vars({"z": "u"}).with_vars(mon.SU)
+    den = f.den.rename_vars({"z": "u"}).with_vars(mon.SU)
+    m0, m1, m2, m3 = twist
+    tw_num = num.scale(m0) + den.scale(m1)
+    tw_den = num.scale(m2) + den.scale(m3)
+    q = tw_num - MultiPoly.variable(f.field, mon.SU, "s") * tw_den
+    d = q.degree_in("u")
+    new = mon._fibration(q, mon._map_branch_values(tw_num, tw_den), d, "")
+    old = mon._fibration(q, mon._numeric_roots(mon._exact_branch_poly(q), "s"), d, "")
+    ours, theirs = mon._cluster(new.branch_candidates), mon._cluster(old.branch_candidates)
+    assert len(ours) == len(theirs) > 0
+    for a, b in ((ours, theirs), (theirs, ours)):
+        assert max(min(abs(x - y) for y in b) for x in a) < 1e-8
 
 
 # -- the dihedral cross-checks --------------------------------------------------------

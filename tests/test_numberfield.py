@@ -1,12 +1,16 @@
 import ast
+import math
 import pathlib
 from fractions import Fraction
 
 import pytest
+import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from folgal.linalg import kernel_basis
 from folgal.multipoly import MultiPoly
-from folgal.numberfield import QQ, FieldSplit, adjoin_root, extend
+from folgal.numberfield import QQ, FieldElement, FieldSplit, adjoin_root, coordinates, extend
 from folgal.parsing import parse_poly
 from folgal.sympy_bridge import factor_irreducible
 
@@ -151,3 +155,157 @@ def test_field_type_branches_stay_in_the_arithmetic_kernels():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"field-type branches outside the kernels: {found}"
+
+
+# -- elements against a sympy oracle ------------------------------------------------
+
+
+def _zeta5():
+    return extend(QQ, "z", [1, 1, 1, 1])
+
+
+def _sqrt_minus_3_then_i():
+    inner = extend(QQ, "g", [3, 0])
+    return extend(inner, "c", [inner.one(), inner.zero()])
+
+
+def _non_integral_modulus():
+    # h^2 + h/3 - 1/2 has discriminant 19/9, not a rational square
+    return extend(QQ, "h", [Fraction(-1, 2), Fraction(1, 3)])
+
+
+def _non_integral_cubic():
+    # k^3 - k/2 - 1/3 has no rational root, so it is irreducible; a cubic
+    # reduces through the general path rather than the quadratic one
+    return extend(QQ, "k", [Fraction(-1, 3), Fraction(-1, 2), 0])
+
+
+ORACLE_FIELDS = {"zeta5": _zeta5, "tower": _sqrt_minus_3_then_i,
+                 "non_integral": _non_integral_modulus, "non_integral_cubic": _non_integral_cubic}
+
+
+def _expr(value):
+    """``value`` as a sympy expression in the generators, power basis."""
+    if not isinstance(value, FieldElement):
+        return sp.Rational(value.numerator, value.denominator)
+    gen = sp.Symbol(value.field.name)
+    return sum((_expr(c) * gen**i for i, c in enumerate(value.rep)), sp.Integer(0))
+
+
+def _normal_form(expr, field):
+    """``expr`` reduced by the triangular set of moduli, top layer first; the
+    moduli are monic in distinct generators, so they form a lex Groebner basis."""
+    layers = field.chain()[::-1]
+    gens = [sp.Symbol(layer.name) for layer in layers]
+    moduli = [
+        gen**layer.degree + sum((_expr(c) * gen**i for i, c in enumerate(layer.min_poly)), 0)
+        for gen, layer in zip(gens, layers)
+    ]
+    _, rem = sp.reduced(sp.expand(expr), moduli, *gens, order="lex")
+    return sp.expand(rem)
+
+
+def _from_coordinates(field, coords):
+    """The element with :func:`coordinates` ``coords``."""
+    if field is QQ:
+        return coords[0]
+    size = len(coords) // field.degree
+    chunks = [coords[i * size:(i + 1) * size] for i in range(field.degree)]
+    return field.element([_from_coordinates(field.base, c) for c in chunks])
+
+
+def _total_degree(field):
+    return math.prod(layer.degree for layer in field.chain())
+
+
+_rational = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
+@st.composite
+def _field_and_elements(draw, count=2):
+    name = draw(st.sampled_from(sorted(ORACLE_FIELDS)))
+    field = ORACLE_FIELDS[name]()
+    n = _total_degree(field)
+    elems = [
+        _from_coordinates(field, draw(st.lists(_rational, min_size=n, max_size=n)))
+        for _ in range(count)
+    ]
+    return field, elems
+
+
+def _assert_lowest_terms(value):
+    if not isinstance(value, FieldElement):
+        return
+    if value.den is None:
+        for c in value.num:
+            _assert_lowest_terms(c)
+        return
+    assert all(isinstance(a, int) for a in value.num)
+    assert value.den > 0 and math.gcd(value.den, *value.num) == 1
+
+
+@given(_field_and_elements())
+@settings(max_examples=40, deadline=None)
+def test_ring_operations_match_the_sympy_oracle(drawn):
+    field, (a, b) = drawn
+    for got, want in ((a + b, _expr(a) + _expr(b)), (a - b, _expr(a) - _expr(b)),
+                      (a * b, _expr(a) * _expr(b)), (-a, -_expr(a))):
+        _assert_lowest_terms(got)
+        assert sp.expand(_expr(got) - _normal_form(want, field)) == 0
+    assert coordinates(a * b) == coordinates(b * a)
+    assert a * b == b * a and hash(a * b) == hash(b * a)
+    assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+    assert (a == b) == (_normal_form(_expr(a) - _expr(b), field) == 0)
+
+
+@given(_field_and_elements(count=1))
+@settings(max_examples=30, deadline=None)
+def test_inverse_matches_the_sympy_oracle(drawn):
+    field, (a,) = drawn
+    if not a:
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+        return
+    inv = a.inverse()
+    _assert_lowest_terms(inv)
+    assert _normal_form(_expr(a) * _expr(inv), field) == 1
+    assert inv * a == field.one()
+
+
+@given(_field_and_elements(count=1), _rational)
+@settings(max_examples=30, deadline=None)
+def test_coordinates_and_rational_value_match_the_oracle(drawn, q):
+    field, (a,) = drawn
+    layers = field.chain()[::-1]
+    gens = [sp.Symbol(layer.name) for layer in layers]
+    poly = sp.Poly(_expr(a), *gens)
+    # coordinates run over the top layer's powers first, lowest power first
+    exponents = [()]
+    for layer in layers:
+        exponents = [e + (i,) for e in exponents for i in range(layer.degree)]
+    want = [poly.coeff_monomial(tuple(e)) for e in exponents]
+    assert [sp.Rational(c.numerator, c.denominator) for c in coordinates(a)] == want
+    expected = want[0] if not any(want[1:]) else None
+    assert a.rational_value() == expected
+
+    lifted = field.coerce(q)
+    built = _from_coordinates(field, [q] + [Fraction(0)] * (_total_degree(field) - 1))
+    _assert_lowest_terms(lifted)
+    assert lifted == built and hash(lifted) == hash(built)
+    assert lifted.rational_value() == q
+    assert a * q == a * lifted and hash(a * q) == hash(lifted * a)
+
+
+def test_oracle_moduli_are_irreducible():
+    k = sp.Symbol("k")
+    assert sp.Poly(6 * k**3 - 3 * k - 2, k).is_irreducible
+    assert not sp.sqrt(sp.Rational(19, 9)).is_rational
+
+
+def test_non_integral_modulus_reduces_exactly():
+    K = _non_integral_modulus()
+    h = K.gen()
+    # h^2 = 1/2 - h/3
+    assert h * h == K.element([Fraction(1, 2), Fraction(-1, 3)])
+    assert (h * h).den == 6
+    assert h * h + h / 3 - Fraction(1, 2) == K.zero()
