@@ -4,15 +4,21 @@
 Each line ends with the elapsed time and then the time of each analysis stage
 (``res.timings``), so a slow stage shows without the benchmark.
 
-Usage: python scripts/run_corpus.py [--numeric]
+With ``--json`` each line is instead the entry's ``analysis_report`` (what
+``folgal analyze --json`` prints) without its ``timings``, so the outputs of
+two checkouts compare with one ``diff``.
+
+Usage: python scripts/run_corpus.py [--numeric] [--seed N] [--json]
 """
 
 import argparse
+import json
 import sys
 import time
 
 from folgal import corpus
 from folgal.analyze import analyze
+from folgal.report import analysis_report
 
 
 def main() -> int:
@@ -20,6 +26,8 @@ def main() -> int:
     parser.add_argument("--numeric", action="store_true",
                         help="attach the numeric monodromy cross-check")
     parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--json", action="store_true",
+                        help="print each analysis_report, timings dropped")
     args = parser.parse_args()
 
     failures = 0
@@ -29,6 +37,12 @@ def main() -> int:
             F = corpus.foliation(name)
             res = analyze(F, numeric=True if args.numeric else False, seed=args.seed)
             elapsed = time.perf_counter() - start
+            if args.json:
+                field_spec, a_text, b_text = corpus.FOLIATION_SPECS[name]
+                rep = analysis_report(res, {"field": field_spec, "A": a_text, "B": b_text})
+                del rep["timings"]
+                print(json.dumps({"name": name, "report": rep}, sort_keys=True))
+                continue
             klein = (
                 str(res.symmetry.klein.klein) if res.symmetry is not None else "-"
             )

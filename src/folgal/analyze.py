@@ -56,6 +56,10 @@ def analyze(
     expensive for high-degree symmetric foliations; by default it runs when
     the degree is at most 8 or when no other route decided.  Pass
     ``full=True`` to force it, ``full=False`` to skip it when possible.
+
+    The local route builds the inflection divisor itself unless its chi test
+    decides first, and the ``inflection`` stage then reuses it: that stage
+    takes about 0 s, and the divisor's time falls inside ``local``.
     """
     timings: dict = {}
     routes: dict = {}
@@ -96,7 +100,9 @@ def analyze(
         timings["local"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        inflection = inflection_divisor(F)
+        inflection = local_report.inflection
+        if inflection is None:
+            inflection = inflection_divisor(F)
         timings["inflection"] = time.perf_counter() - t0
 
     decided = {v.status for v in routes.values() if v.status != "inconclusive"}

@@ -188,7 +188,7 @@ def cmd_classify1d(args) -> int:
 
 
 def cmd_deck(args) -> int:
-    from .galois import deck_transformations, verdict
+    from .galois import UseAnotherMethod, deck_transformations, verdict
 
     field_spec, a_text, b_text = _load_spec(args)
     F = from_strings(field_spec, a_text, b_text)
@@ -196,7 +196,11 @@ def cmd_deck(args) -> int:
     if not v.is_galois:
         print(f"verdict: {v.status}; no deck transformations")
         return _status_exit(v.status)
-    decks = deck_transformations(F, v)
+    try:
+        decks = deck_transformations(F, v)
+    except UseAnotherMethod:
+        print(f"verdict: galois via {v.method}; no deck realization for this certificate")
+        return EXIT_INCONCLUSIVE
     payload = {
         "schema_version": SCHEMA_VERSION,
         "verdict": v.status,

@@ -308,7 +308,11 @@ def singular_locus(F: PlaneFoliation) -> list[SingularPoint]:
     """Indeterminacy points of the Gauss map, one per conjugacy class.
 
     Multiplicities are local intersection numbers of the defining pair in a
-    chart; they add up to d^2 + d + 1 over the classes.
+    chart; they add up to d^2 + d + 1 over the classes.  The affine chart
+    gives every point with ``z != 0``; the charts ``x = 1`` and ``y = 1``
+    are searched on the line at infinity alone (``common_zeros`` with
+    ``on_axis``), so only ``gcd(A(u, 0), B(u, 0))`` is factored there and
+    each multiplicity is the valuation of the chart's eliminant at the point.
     """
     out: list[SingularPoint] = []
     # affine chart
@@ -321,12 +325,10 @@ def singular_locus(F: PlaneFoliation) -> list[SingularPoint]:
                 pt.class_size,
             )
         )
-    # chart x = 1 restricted to the line at infinity (z coordinate 0)
+    # chart x = 1 on the line at infinity (z coordinate 0)
     Ax, Bx = F.chart_vector_field("x")
-    for pt in common_zeros(Ax, Bx):
+    for pt in common_zeros(Ax, Bx, on_axis=True):
         u0, v0 = pt.xy
-        if v0:
-            continue
         out.append(
             SingularPoint(
                 ProjPoint.make(pt.point_field, (1, u0, v0)),
@@ -337,9 +339,9 @@ def singular_locus(F: PlaneFoliation) -> list[SingularPoint]:
     # the single remaining point [0, 1, 0]
     Ay, By = F.chart_vector_field("y")
     if not Ay.eval_field({"x": 0, "y": 0}) and not By.eval_field({"x": 0, "y": 0}):
-        for pt in common_zeros(Ay, By):
+        for pt in common_zeros(Ay, By, on_axis=True):
             u0, v0 = pt.xy
-            if not u0 and not v0:
+            if not u0:
                 out.append(
                     SingularPoint(
                         ProjPoint.make(pt.point_field, (u0, 1, v0)),

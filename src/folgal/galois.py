@@ -18,6 +18,7 @@ from fractions import Fraction
 from .foliation import (
     AFFINE,
     PROJ,
+    InflectionReport,
     PlaneFoliation,
     ProjPoint,
     _restrict,
@@ -174,6 +175,8 @@ class LocalTypeReport:
     verdict: GaloisVerdict
     invariants: list
     transverse_orders: list
+    # the inflection divisor, when the chi test did not decide first
+    inflection: InflectionReport | None = None
 
 
 def extremal_type_report(F: PlaneFoliation, seed: int = 7) -> LocalTypeReport:
@@ -236,7 +239,7 @@ def extremal_type_report(F: PlaneFoliation, seed: int = 7) -> LocalTypeReport:
             d,
             {"invariants": invs, "transverse_orders": orders},
         )
-    return LocalTypeReport(sufficient, necessary, verdict, invs, orders)
+    return LocalTypeReport(sufficient, necessary, verdict, invs, orders, report)
 
 
 def _is_prime(n: int) -> bool:
@@ -1136,10 +1139,8 @@ def _curve_singularities(curve_h: MultiPoly):
     gz = _restrict(pz, (1, u, v))
     curve_x = _restrict(curve_h, (1, u, v))
     if not gy.is_zero() and not gz.is_zero() and mpoly_gcd(gy, gz).is_constant():
-        for pt in common_zeros(gy, gz):
+        for pt in common_zeros(gy, gz, on_axis=True):
             u0, v0 = pt.xy
-            if v0:
-                continue
             if curve_x.to_field(pt.point_field).eval_field({"x": u0, "y": v0}):
                 continue
             out.append((ProjPoint.make(pt.point_field, (1, u0, v0)), pt.class_size))

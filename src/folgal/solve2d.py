@@ -14,6 +14,16 @@ That scan, and ``eta`` read from ``S_j``, are polynomial arithmetic over Q
 modulo ``h``.  Over a number-field tower the fibre gcd is a Euclidean gcd over
 ``Q(xi)``.  Either way the point ``(xi, eta)`` is certified by checking that
 ``(y - eta)^j`` divides both fibres exactly.
+
+With ``on_axis`` only the points on the axis ``y = 0`` are wanted (the line
+at infinity in the charts of :func:`folgal.foliation.singular_locus`), and the
+eliminant is not factored.  The shear ``x -> x + lam y`` fixes the axis
+pointwise, so the abscissae of those points are the roots of the small gcd
+``g = gcd(F(x, 0), G(x, 0))``, and its irreducible factors ``h`` are
+eliminant factors.  Once the fibre over a root of ``h`` is certified to be
+the one point ``(xi, 0)``, the intersection number there is the valuation of
+the eliminant at ``xi`` (Fulton, Algebraic Curves, 3.3): the multiplicity of
+``h`` in the eliminant, found by repeated exact division.
 """
 
 from __future__ import annotations
@@ -25,10 +35,10 @@ from sympy.polys.densearith import dup_mul, dup_mul_ground, dup_rem
 from sympy.polys.domains import QQ as SQQ
 from sympy.polys.euclidtools import dup_invert
 
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, NotDivisible
 from .numberfield import RationalField, adjoin_root
 from .polyops import mpoly_gcd, resultant, subresultant_chain
-from .sympy_bridge import factor_irreducible, to_dense
+from .sympy_bridge import factor_irreducible, factor_order_key, to_dense
 
 
 class ShearFailure(Exception):
@@ -66,41 +76,37 @@ def _eval_x(p: MultiPoly, var_x: str, value, target_field):
     return out
 
 
-def common_zeros(F: MultiPoly, G: MultiPoly, max_shears: int = 12) -> list[PlanePoint]:
-    """All common projective-chart zeros of a coprime pair, with multiplicity."""
+# shears x -> x + lam y, tried in turn until one separates the points
+_SHEARS = tuple(Fraction(v) for v in (
+    "0", "5/7", "-3/11", "1", "7/3", "-11/5", "13/4", "-1", "-17/9", "23/2", "-29/13", "31/8",
+))
+
+
+def common_zeros(F: MultiPoly, G: MultiPoly, on_axis: bool = False) -> list[PlanePoint]:
+    """All common zeros of a coprime pair in the affine plane, with
+    multiplicity; with ``on_axis``, only those on the axis ``y = 0`` of the
+    second variable."""
     if F.vars != G.vars or len(F.vars) != 2:
         raise ValueError("expected two bivariate polynomials in one ring")
     if F.is_zero() or G.is_zero():
         raise ValueError("zero polynomial")
     if not mpoly_gcd(F, G).is_constant():
         raise ValueError("inputs share a factor; zero set is not finite")
-
-    candidates = [
-        Fraction(0),
-        Fraction(5, 7),
-        Fraction(-3, 11),
-        Fraction(1),
-        Fraction(7, 3),
-        Fraction(-11, 5),
-        Fraction(13, 4),
-        Fraction(-1),
-        Fraction(-17, 9),
-        Fraction(23, 2),
-        Fraction(-29, 13),
-        Fraction(31, 8),
-    ]
-    for trial in range(max_shears):
-        lam = candidates[trial % len(candidates)]
+    for lam in _SHEARS:
         try:
-            return _common_zeros_sheared(F, G, lam)
+            return _common_zeros_sheared(F, G, lam, on_axis)
         except ShearFailure:
             continue
     raise RuntimeError("no generic shear found; inputs may be degenerate")
 
 
-def _common_zeros_sheared(F: MultiPoly, G: MultiPoly, lam: Fraction):
+def _common_zeros_sheared(F: MultiPoly, G: MultiPoly, lam: Fraction, on_axis: bool = False):
     var_x, var_y = F.vars
     field = F.field
+    if on_axis:
+        axis_gcd = mpoly_gcd(_on_axis(F, var_y), _on_axis(G, var_y))
+        if axis_gcd.is_constant():
+            return []
     x = MultiPoly.variable(field, F.vars, var_x)
     y = MultiPoly.variable(field, F.vars, var_y)
     if lam:
@@ -125,8 +131,9 @@ def _common_zeros_sheared(F: MultiPoly, G: MultiPoly, lam: Fraction):
     if res.is_constant():
         return []
     res = res.monic()
+    factors = _axis_factors(axis_gcd, res) if on_axis else factor_irreducible(res)
     points = []
-    for fac, mult in factor_irreducible(res):
+    for fac, mult in factors:
         xi_field, xi = adjoin_root(fac, "r")
         fy = _eval_x(Fs, var_x, xi, xi_field)
         gy = _eval_x(Gs, var_x, xi, xi_field)
@@ -142,9 +149,36 @@ def _common_zeros_sheared(F: MultiPoly, G: MultiPoly, lam: Fraction):
         # power divides both fibres
         if not (_linear_power_divides(fy, eta, k) and _linear_power_divides(gy, eta, k)):
             raise ShearFailure("two points share a sheared abscissa")
+        if on_axis and eta:
+            raise ArithmeticError("a common zero over an axis root lies off the axis")
         x0 = xi + eta * lam
         points.append(PlanePoint(xi_field, (x0, eta), mult, fac.degree_in(var_x)))
     return points
+
+
+def _on_axis(P: MultiPoly, var_y: str) -> MultiPoly:
+    """``P`` with ``var_y = 0``."""
+    i = P.vars.index(var_y)
+    return MultiPoly(P.field, P.vars, {e: c for e, c in P.terms.items() if not e[i]})
+
+
+def _axis_factors(axis_gcd: MultiPoly, res: MultiPoly) -> list:
+    """The irreducible factors ``h`` of ``axis_gcd``, each with its
+    multiplicity in the eliminant ``res``, in the order that
+    :func:`factor_irreducible` gives them in ``res``."""
+    out = []
+    for h, _ in factor_irreducible(axis_gcd):
+        mult, rest = 0, res
+        while True:
+            try:
+                rest = rest.exact_div(h)
+            except NotDivisible:
+                break
+            mult += 1
+        if not mult:
+            raise ArithmeticError("an axis root is not a root of the eliminant")
+        out.append((h, mult))
+    return sorted(out, key=factor_order_key)
 
 
 def _fibre_chain(Fs: MultiPoly, Gs: MultiPoly, var_x: str, var_y: str):

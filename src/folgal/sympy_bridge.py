@@ -42,7 +42,8 @@ from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
-from sympy.polys.densebasic import dmp_from_dict, dmp_to_dict
+from sympy.polys.densearith import dmp_neg
+from sympy.polys.densebasic import dmp_from_dict, dmp_ground_LC, dmp_to_dict
 from sympy.polys.densetools import dmp_clear_denoms
 from sympy.polys.domains import QQ as SQQ
 from sympy.polys.domains import ZZ
@@ -137,19 +138,27 @@ def factor_irreducible(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
     else:
         out = _factor_by_norms(p)
         _check_product(p, out)
-    out.sort(key=_order_key)
+    out.sort(key=factor_order_key)
     return out
 
 
-def _order_key(fm):
-    """Degree, then support; over a tower, ties are broken by multiplicity
-    and then by the coefficients in descending exponent order, each
-    flattened to rationals by descending powers of the generators (over
-    Q(a), the order of sympy's factor_list)."""
+def factor_order_key(fm):
+    """Sort key of a factor with its multiplicity, in the order that
+    :func:`factor_irreducible` returns: degree, then support, then
+    multiplicity, then the coefficients in descending exponent order.  Over
+    Q those are the coefficients of the primitive integer multiple with a
+    positive leading coefficient in the recursive dense order, as sympy's
+    factor_list compares them; over a tower each is flattened to rationals by
+    descending powers of the generators.  The key depends on the factor and
+    its multiplicity alone, so the factors of another polynomial sort the
+    same way."""
     f, mult = fm
-    key = (f.total_degree(), sorted(f.terms))
+    key = (f.total_degree(), sorted(f.terms), mult)
     if isinstance(f.field, RationalField):
-        return key
+        # f is monic, so clearing its denominators leaves a primitive multiple
+        u = len(f.vars) - 1
+        rep = lift(f, f.vars)[1]
+        return key + (dmp_neg(rep, u, ZZ) if dmp_ground_LC(rep, u, ZZ) < 0 else rep,)
 
     def coeff(c):
         high = coordinates(c)[::-1]
@@ -157,7 +166,7 @@ def _order_key(fm):
             high.pop(0)
         return high
 
-    return key + (mult, [coeff(f.terms[e]) for e in sorted(f.terms, reverse=True)])
+    return key + ([coeff(f.terms[e]) for e in sorted(f.terms, reverse=True)],)
 
 
 def _factor_rational(p: MultiPoly) -> list[tuple[MultiPoly, int]]:

@@ -94,6 +94,14 @@ def test_deck_command(capsys):
     assert "3 verified deck transformations" in out
 
 
+def test_deck_without_realization_is_inconclusive(capsys):
+    # convex_qh_34 is Galois by symmetry reduction, a certificate with no decks
+    code, out, err = run_cli(capsys, "deck", "--inline", "A: x^5; B: y^4+x^4*y")
+    assert code == 2
+    assert "verdict: galois via symmetry_reduction; no deck realization" in out
+    assert not err
+
+
 def test_deform_command(capsys, tmp_path):
     out_file = tmp_path / "deformed.fol"
     code, out, _ = run_cli(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from folgal import corpus
 from folgal import foliation as fol
 from folgal.multipoly import MultiPoly
 from folgal.numberfield import QQ
@@ -103,6 +104,14 @@ def test_singular_multiplicity_total(degree):
             sp.multiplicity * sp.class_size for sp in fol.singular_locus(F)
         )
         assert total == d * d + d + 1
+
+
+@pytest.mark.parametrize("name", ["cyclic_cubic_qh23", "halfchi_quartic", "modular_quintic"])
+def test_singular_multiplicity_total_over_towers(name):
+    F = corpus.foliation(name)
+    d = F.degree
+    total = sum(sp.multiplicity * sp.class_size for sp in fol.singular_locus(F))
+    assert total == d * d + d + 1
 
 
 def test_inflection_power_cubic():

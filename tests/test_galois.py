@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -376,6 +377,31 @@ def test_verdict_routes_agree_on_cubics():
         assert res.status == expected, name
         statuses = {v.status for v in res.routes.values() if v.status != "inconclusive"}
         assert statuses == {expected}
+
+
+@pytest.mark.parametrize("name, built_by_local", [("dihedral_6", True), ("halfchi_quartic", False)])
+def test_analyze_builds_the_inflection_divisor_once(monkeypatch, name, built_by_local):
+    # the module, not the function that folgal's namespace exports as analyze
+    analyze_module = importlib.import_module("folgal.analyze")
+    calls, local_reports = [], []
+
+    def counted(F):
+        calls.append(F)
+        return fol.inflection_divisor(F)
+
+    def kept(F, seed=7):
+        local_reports.append(gal.extremal_type_report(F, seed=seed))
+        return local_reports[-1]
+
+    monkeypatch.setattr(gal, "inflection_divisor", counted)
+    monkeypatch.setattr(analyze_module, "inflection_divisor", counted)
+    monkeypatch.setattr(analyze_module, "extremal_type_report", kept)
+    res = analyze(corpus.foliation(name), numeric=False)
+    assert len(calls) == 1 and len(local_reports) == 1
+    assert (local_reports[0].inflection is not None) == built_by_local
+    if built_by_local:
+        assert res.inflection is local_reports[0].inflection
+    assert res.inflection.total_degree == 3 * res.foliation.degree
 
 
 def test_verdict_dihedral_even_family():

@@ -1,13 +1,16 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dmp_resultant
 
 from folgal import solve2d
 from folgal.multipoly import MultiPoly
-from folgal.numberfield import QQ, extend
+from folgal.numberfield import QQ, coordinates, extend
 from folgal.parsing import parse_min_poly, parse_poly
 from folgal.polyops import mpoly_gcd, resultant
 from folgal.solve2d import common_zeros
@@ -190,3 +193,70 @@ def test_chain_resultant_matches_dmp_resultant():
     y = parse_poly("y", QQ, ("y",))
     assert resultant(y + 2, y**5 + 1, "y") == -31
     assert resultant(y**5 + 1, y + 2, "y") == 31
+
+
+# -- points on the axis y = 0 against the full zero set -------------------------
+
+K5 = extend(QQ, "s", parse_min_poly("s^2-5", "s"))
+# factors of F(x, 0) and G(x, 0): roots over Q, over Q(sqrt 2), over Q(zeta 3),
+# a double root, and sqrt 5 (in K5, but not over Q)
+AXIS_FACTORS = ("x", "x - 1", "x^2 - 2", "x^2 + x + 1", "(x - 1)^2", "x^2 - 5")
+
+
+def axis_view(points):
+    """Point-field degree, class size, multiplicity, the generator's minimal
+    polynomial and the coordinates of each point, all as rationals."""
+    out = []
+    for p in points:
+        K = p.point_field
+        min_poly = [v for c in getattr(K, "min_poly", ()) for v in coordinates(c)]
+        out.append((math.prod(layer.degree for layer in K.chain()), p.class_size,
+                    p.multiplicity, min_poly, [coordinates(v) for v in p.xy]))
+    return out
+
+
+def assert_axis_matches_full(F, G):
+    full = [p for p in common_zeros(F, G) if not p.xy[1]]
+    assert axis_view(common_zeros(F, G, on_axis=True)) == axis_view(full)
+
+
+@st.composite
+def axis_pairs(draw):
+    """``F = h a + y P`` and ``G = h b + y Q``: ``h`` divides both restrictions
+    to the axis, so the pair has points there."""
+    field = draw(st.sampled_from([QQ, K5]))
+    coeff = st.sampled_from(["0", "1", "-1", "2"] + (["s", "1-s"] if field is K5 else []))
+
+    def small(monomials):
+        return poly(" + ".join(f"({draw(coeff)})*{m}" for m in monomials), field)
+
+    h = poly(draw(st.sampled_from(AXIS_FACTORS)), field)
+    F = h * small(["1", "x"]) + poly("y", field) * small(["1", "x", "y", "x*y", "y^2"])
+    G = h * small(["1", "x"]) + poly("y", field) * small(["1", "x", "y", "x^2", "y^2"])
+    assume(not F.is_zero() and not G.is_zero() and mpoly_gcd(F, G).is_constant())
+    return F, G
+
+
+@given(axis_pairs())
+# a tangency: multiplicity 2 at the origin
+@example((poly("y - x^2"), poly("y")))
+# two conjugate points over Q(sqrt 2), and one over Q(sqrt 5) in K5
+@example((poly("x^2 - 2 + y^2"), poly("x^2 - 2 + x*y")))
+@example((poly("x^2 - 5 + x*y", K5), poly("y^2 + s*y + x^2 - 5", K5)))
+# the fibre over x = 0 holds (0, 0) and (0, 1), so the first shear fails
+@example((poly("y^2 - y + x"), poly("y^2 - y + x^2")))
+@settings(max_examples=25, deadline=None)
+def test_on_axis_matches_the_axis_part_of_the_full_zero_set(pair):
+    assert_axis_matches_full(*pair)
+
+
+def test_on_axis_retries_when_the_first_shear_fails():
+    F, G = poly("y^2 - y + x"), poly("y^2 - y + x^2")
+    with pytest.raises(solve2d.ShearFailure):
+        solve2d._common_zeros_sheared(F, G, Fraction(0), on_axis=True)
+    (pt,) = common_zeros(F, G, on_axis=True)
+    assert pt.xy == (0, 0) and pt.multiplicity == 1
+
+
+def test_on_axis_without_axis_points_is_empty():
+    assert common_zeros(poly("x^2 + y^2 - 1"), poly("y - 1/2"), on_axis=True) == []
