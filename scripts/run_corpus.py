@@ -1,5 +1,10 @@
 #!/usr/bin/env python3
-"""Analyze every corpus foliation and print a one-line summary per entry.
+"""Analyze every corpus foliation and the criterion-7 deformation members, and
+print a one-line summary per entry.
+
+The deformation members are the 15 that ``tests/test_acceptance.py`` draws
+for criterion 7: five of each degree 3, 4 and 5 from
+``random.Random(20240813)``, named ``deform_d<degree>_<k>``.
 
 Each line ends with the elapsed time and then the time of each analysis stage
 (``res.timings``), so a slow stage shows without the benchmark.
@@ -13,12 +18,32 @@ Usage: python scripts/run_corpus.py [--numeric] [--seed N] [--json]
 
 import argparse
 import json
+import random
 import sys
 import time
 
 from folgal import corpus
 from folgal.analyze import analyze
 from folgal.report import analysis_report
+
+DEFORM_SEED = 20240813
+DEFORM_DEGREES = (3, 4, 5)
+DEFORM_PER_DEGREE = 5
+
+
+def entries():
+    """``(name, foliation, echo)`` for the corpus, then the deformation members."""
+    for name, (field_spec, a_text, b_text) in corpus.FOLIATION_SPECS.items():
+        yield name, corpus.foliation(name), {"field": field_spec, "A": a_text, "B": b_text}
+    rng = random.Random(DEFORM_SEED)
+    for d in DEFORM_DEGREES:
+        k = 0
+        while k < DEFORM_PER_DEGREE:
+            F = corpus.random_deformation_member(rng, d)
+            if F.degree != d:
+                continue  # degenerate draw, skipped as criterion 7 skips it
+            yield f"deform_d{d}_{k}", F, {"field": None, "A": str(F.A), "B": str(F.B)}
+            k += 1
 
 
 def main() -> int:
@@ -31,15 +56,13 @@ def main() -> int:
     args = parser.parse_args()
 
     failures = 0
-    for name in corpus.FOLIATION_SPECS:
+    for name, F, echo in entries():
         start = time.perf_counter()
         try:
-            F = corpus.foliation(name)
             res = analyze(F, numeric=True if args.numeric else False, seed=args.seed)
             elapsed = time.perf_counter() - start
             if args.json:
-                field_spec, a_text, b_text = corpus.FOLIATION_SPECS[name]
-                rep = analysis_report(res, {"field": field_spec, "A": a_text, "B": b_text})
+                rep = analysis_report(res, echo)
                 del rep["timings"]
                 print(json.dumps({"name": name, "report": rep}, sort_keys=True))
                 continue

@@ -47,7 +47,7 @@ def analyze(
     F: PlaneFoliation,
     numeric: bool | None = None,
     seed: int = 7,
-    full: bool | None = None,
+    full: bool = False,
     dump_csv=None,
 ) -> AnalysisResult:
     """Run every applicable route and cross-check their statuses.
@@ -55,7 +55,7 @@ def analyze(
     The local-invariant route (singularity table and inflection divisor) is
     expensive for high-degree symmetric foliations; by default it runs when
     the degree is at most 8 or when no other route decided.  Pass
-    ``full=True`` to force it, ``full=False`` to skip it when possible.
+    ``full=True`` to force it.
 
     The local route builds the inflection divisor itself unless its chi test
     decides first, and the ``inflection`` stage then reuses it: that stage
@@ -83,12 +83,7 @@ def analyze(
     timings["symmetry"] = time.perf_counter() - t0
 
     decided_already = any(v.status != "inconclusive" for v in routes.values())
-    if not decided_already:
-        want_local = True
-    elif full is not None:
-        want_local = full
-    else:
-        want_local = d <= 8
+    want_local = not decided_already or full or d <= 8
 
     invariants = []
     inflection = None

@@ -66,12 +66,6 @@ def _status_exit(status: str) -> int:
     )
 
 
-def _binary_slice(p):
-    """p(1, z) for a homogeneous polynomial in (x, y)."""
-    sliced = p.substitute({"x": 1})
-    return sliced.drop_vars(["x"]).rename_vars({"y": "z"})
-
-
 def _print_human_report(rep: dict):
     print(f"degree: {rep['degree']}")
     if rep["field"]:
@@ -118,7 +112,7 @@ def cmd_analyze(args) -> int:
     if args.no_numeric:
         numeric = False
     result = analyze(F, numeric=numeric, seed=args.seed,
-                     full=True if args.full else None,
+                     full=args.full,
                      dump_csv=args.dump_paths)
     echo = {"field": field_spec, "A": a_text, "B": b_text}
     rep = analysis_report(result, echo)
@@ -141,6 +135,7 @@ def cmd_classify1d(args) -> int:
         if "," in text:
             # homogeneous pair "A, B" in (x, y): the induced self-map of the
             # line in the coordinate z = y/x
+            from .galois import _restrict_homog
             from .parsing import parse_poly
 
             a_text, b_text = text.split(",", 1)
@@ -150,9 +145,8 @@ def cmd_classify1d(args) -> int:
                 raise CliError("pair entries must be homogeneous")
             if A.total_degree() != B.total_degree():
                 raise CliError("pair entries must have equal degree")
-            num = _binary_slice(B)
-            den = _binary_slice(A)
-            fmap = BinaryRationalMap.make(num, den)
+            fmap = BinaryRationalMap.make(_restrict_homog(B, field),
+                                          _restrict_homog(A, field))
         else:
             rf = parse_rational(text, field, ("z",))
             fmap = BinaryRationalMap.make(rf.num, rf.den)

@@ -27,10 +27,10 @@ from .foliation import (
 )
 from .klein1d import BinaryRationalMap, WeightedBranchingType, classify
 from .linalg import kernel_basis, rank as matrix_rank
-from .local import classify_singularities, germ_delta, polar_curve
+from .local import _PolarPool, classify_singularities, germ_delta
 from .multipoly import MultiPoly, NotDivisible, evaluate_at
 from .numberfield import QQ, adjoin_root, coordinates, invert
-from .polyops import is_square_over_closure, mpoly_gcd, squarefree_part
+from .polyops import is_square_over_closure, mpoly_gcd
 from .ratfunc import RationalFunction, compose_poly
 from .solve2d import common_zeros
 from .sympy_bridge import factor_irreducible
@@ -1162,56 +1162,28 @@ def _curve_singularities(curve_h: MultiPoly):
 def generic_polar_genus(F: PlaneFoliation, seed: int = 23) -> int:
     """Geometric genus of a generic polar curve, via delta invariants.
 
-    Two independent random base points must agree.
+    The polars come from a :class:`folgal.local._PolarPool`, as the
+    singularity table's do; reducible ones are skipped, and two in a row
+    must agree.
     """
-    rng = random.Random(seed)
-    values = []
-    attempts = 0
-    while len(values) < 2 and attempts < 12:
-        attempts += 1
-        base = (
-            Fraction(rng.randint(-14, 14), rng.randint(1, 3)),
-            Fraction(rng.randint(-14, 14), rng.randint(1, 3)),
-        )
-        try:
-            g = _polar_genus_once(F, base)
-        except (ValueError, NotDivisible):
-            continue
-        values.append(g)
-        if len(values) == 2 and values[0] != values[1]:
-            values = [values[1]]
-    if len(values) < 2:
-        raise RuntimeError("polar genus could not be stabilized")
-    return values[0]
-
-
-def _polar_genus_once(F: PlaneFoliation, base) -> int:
     d = F.degree
-    pol = polar_curve(F, base)
-    if pol.total_degree() != d + 1:
-        raise ValueError("polar degree dropped")
-    if not mpoly_gcd(pol, pol.derivative("x")).is_constant() or not mpoly_gcd(
-        pol, pol.derivative("y")
-    ).is_constant():
-        sq = squarefree_part(pol)
-        if sq.total_degree() != pol.total_degree():
-            raise ValueError("polar not reduced")
-    if len(factor_irreducible(pol)) != 1:
-        raise ValueError("polar reducible for this base point")
-    ph = pol.homogenize("z", d + 1).with_vars(PROJ).permute_to(PROJ)
-    total_delta = 0
-    for point, class_size in _curve_singularities(ph):
-        chart = point.chart()
-        u0, v0 = point.chart_coords(chart)
-        if chart == "z":
-            curve = _at_z1(ph)
-        else:
-            u = MultiPoly.variable(F.field, AFFINE, "x")
-            v = MultiPoly.variable(F.field, AFFINE, "y")
-            curve = _restrict(ph, (1, u, v) if chart == "x" else (u, 1, v))
-        _, delta = germ_delta(curve.to_field(point.point_field), (u0, v0))
-        total_delta += class_size * delta
-    return d * (d - 1) // 2 - total_delta
+    pool = _PolarPool(F, random.Random(seed))
+    last = None
+    for index in range(12):
+        pol = pool.chart_polar(index, "z")
+        if len(factor_irreducible(pol)) != 1:
+            continue
+        ph = pol.homogenize("z", d + 1).with_vars(PROJ).permute_to(PROJ)
+        total_delta = 0
+        for point, class_size in _curve_singularities(ph):
+            chart = point.chart()
+            curve = pool.chart_polar(index, chart).to_field(point.point_field)
+            total_delta += class_size * germ_delta(curve, point.chart_coords(chart))[1]
+        genus = d * (d - 1) // 2 - total_delta
+        if genus == last:
+            return genus
+        last = genus
+    raise RuntimeError("polar genus could not be stabilized")
 
 
 def branching_and_genus(F: PlaneFoliation, verdict: GaloisVerdict, seed: int = 23):

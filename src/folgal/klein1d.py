@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .linalg import kernel_basis
 from .multipoly import MultiPoly
 from .numberfield import _trim, adjoin_root, invert, poly_divmod, poly_invmod
 from .polyops import mpoly_gcd, squarefree_decompose
@@ -162,42 +163,23 @@ def _poly_mulmod(a, b, mod, fld):
 
 
 def _value_annihilator(num, den, modulus, fld):
-    """Monic annihilator of num/den in fld[z]/(modulus); roots = value set."""
+    """Monic annihilator of num/den in fld[z]/(modulus); roots = value set.
+
+    The columns of the matrix are the powers 1, w, ..., w^n of w = num/den
+    in the basis 1, z, ..., z^(n-1).  Its first free column is the first
+    power that depends on the ones before it, and every pivot row to its
+    right is zero there, so the first kernel vector is the monic minimal
+    polynomial of w.
+    """
     n = len(modulus) - 1
     inv_den = poly_invmod(den, modulus, fld)
     assert inv_den is not None, "denominator must be invertible here"
     w = _poly_mulmod(_trim(list(num)), inv_den, modulus, fld)
-    # incremental echelon over fld; rows: (vector, pivot, combo)
-    zero = fld.zero()
-    one = fld.one()
-    rows = []
-    power = [one] + [zero] * (n - 1)
-    k = 0
-    while True:
-        vec = list(power) + [zero] * (n - len(power))
-        combo = [zero] * (k + 1)
-        combo[k] = one
-        for rvec, pivot, rcombo in rows:
-            c = vec[pivot]
-            if c:
-                vec = [a - c * b for a, b in zip(vec, rvec)]
-                size = max(len(combo), len(rcombo))
-                ca = combo + [zero] * (size - len(combo))
-                cb = rcombo + [zero] * (size - len(rcombo))
-                combo = [a - c * b for a, b in zip(ca, cb)]
-        if not any(vec):
-            # monic annihilator of degree k from the combo
-            inv = invert(fld, combo[k])
-            return [c * inv for c in combo]
-        pivot = next(i for i, c in enumerate(vec) if c)
-        inv = invert(fld, vec[pivot])
-        vec = [c * inv for c in vec]
-        combo = [c * inv for c in combo]
-        rows.append((vec, pivot, combo))
-        power = _poly_mulmod(power, w, modulus, fld)
-        k += 1
-        if k > n:
-            raise AssertionError("annihilator search exceeded the ring dimension")
+    powers = [[fld.one()]]
+    for _ in range(n):
+        powers.append(_poly_mulmod(powers[-1], w, modulus, fld))
+    matrix = [[p[i] if i < len(p) else fld.zero() for p in powers] for i in range(n)]
+    return _trim(kernel_basis(matrix, fld)[0])
 
 
 # -- profiles -------------------------------------------------------------------------

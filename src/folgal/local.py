@@ -235,7 +235,9 @@ def polar_in_chart(F: PlaneFoliation, base, chart: str) -> MultiPoly:
 
 
 class _PolarPool:
-    """Generic polars shared by all singular points of one classification run.
+    """Generic polars of one foliation, drawn from a seeded generator.  All
+    singular points of one classification run share one pool, and
+    :func:`folgal.galois.generic_polar_genus` draws from a pool of its own.
 
     Each entry is verified squarefree over the base field once; chart
     restrictions of a reduced projective curve stay reduced, so the germs

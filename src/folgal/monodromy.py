@@ -22,6 +22,16 @@ from .foliation import PlaneFoliation
 
 SU = ("s", "u")
 
+# the tracker's constants: fibre points closer than COLLISION (chordal) are a
+# collision, and a step shorter than FLOOR in parameter length gives up
+COLLISION = 1e-8
+FLOOR = 1e-12
+PENCIL_ATTEMPTS = 5  # random pencils tried by pencil_fibration
+TWIST_ATTEMPTS = 6  # random Möbius twists tried by map_fibration
+FIBRATION_ATTEMPTS = 5  # fibrations tracked before the monodromy gives up
+CLOSURE_CAP = 500_000  # largest group order _closure_order enumerates
+CLUSTER_TOL = 1e-6  # relative distance under which branch candidates merge
+
 
 class TrackingFailure(Exception):
     def __init__(self, message, loop_index=None):
@@ -135,9 +145,7 @@ def _fibration(q: MultiPoly, candidates: list, d: int, label: str) -> Fibration:
     return Fibration(d, table, candidates, label)
 
 
-def pencil_fibration(
-    F: PlaneFoliation, rng: random.Random, max_attempts: int = 5
-) -> Fibration:
+def pencil_fibration(F: PlaneFoliation, rng: random.Random) -> Fibration:
     """Tangency fibration over a generic pencil of lines through a random point.
 
     The pencil parameter is twisted by a random rational direction frame so
@@ -147,7 +155,7 @@ def pencil_fibration(
     d = F.degree
     field = F.field
     last_error = None
-    for _ in range(max_attempts):
+    for _ in range(PENCIL_ATTEMPTS):
         a0 = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
         b0 = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
         c2 = Fraction(rng.randint(-4, 4))
@@ -182,7 +190,7 @@ def pencil_fibration(
     )
 
 
-def map_fibration(f, rng: random.Random, max_attempts: int = 6) -> Fibration:
+def map_fibration(f, rng: random.Random) -> Fibration:
     """Fibration num(u) - y den(u) of a self-map of the line, with a random
     left Möbius twist keeping every branch value at finite parameter."""
     from .klein1d import BinaryRationalMap
@@ -190,7 +198,7 @@ def map_fibration(f, rng: random.Random, max_attempts: int = 6) -> Fibration:
     assert isinstance(f, BinaryRationalMap)
     d = f.degree
     field = f.field
-    for _ in range(max_attempts):
+    for _ in range(TWIST_ATTEMPTS):
         while True:
             m = [Fraction(rng.randint(-5, 5)) for _ in range(4)]
             if m[0] * m[3] - m[1] * m[2] != 0 and m[2] != 0:
@@ -283,20 +291,19 @@ def _accept_step(prev, prev_gaps, nxt, collision):
     return nxt[:, perm], nxt_gaps[perm]
 
 
-def _track_path(fib, path, start, collision=1e-8, floor=1e-12, loop_index=None,
-                trace=None):
+def _track_path(fib, path, start, loop_index=None, trace=None):
     """Follow the fibre along a piecewise-linear path.
 
     Returns the fibre at every vertex of ``path``, each ordered as continued
     from ``start``.  A step from fibre P to fibre N is accepted iff the
     nearest-point map sigma: P -> N is injective, no two points of N are
-    closer than ``collision``, and every point i moves at most
+    closer than ``COLLISION``, and every point i moves at most
     0.33 * max(gap_N(sigma(i)), gap_P(i)), where a point's gap is its
     distance to its nearest neighbour in its own fibre.  Each root is thus
     held to its own neighbourhood: roots in a tight cluster take small steps
     while an isolated root does not throttle them.  Since 0.33 < 1/2, every
     accepted sigma is the optimal assignment (see ``_match``).  A rejected
-    step halves, down to ``floor`` in parameter length.
+    step halves, down to ``FLOOR`` in parameter length.
     """
     pts = start
     gaps = _gaps(start)
@@ -308,10 +315,10 @@ def _track_path(fib, path, start, collision=1e-8, floor=1e-12, loop_index=None,
         while cur_t < 1.0 - 1e-15:
             target = min(1.0, cur_t + step)
             s_next = seg_start + (seg_end - seg_start) * target
-            stepped = _accept_step(pts, gaps, _fiber_points(fib, s_next), collision)
+            stepped = _accept_step(pts, gaps, _fiber_points(fib, s_next), COLLISION)
             if stepped is None:
                 step /= 2
-                if step * abs(seg_end - seg_start) < floor:
+                if step * abs(seg_end - seg_start) < FLOOR:
                     raise TrackingFailure(
                         f"step floor reached near s={s_next}", loop_index
                     )
@@ -342,7 +349,7 @@ def _loop_circles(base: complex, centers: list, radii: dict):
         circles.append(circle + circle[:1])
     return circles
 
-def _closure_order(gens, degree, cap=500_000) -> int:
+def _closure_order(gens, degree) -> int:
     idp = tuple(range(degree))
     seen = {idp}
     frontier = [idp]
@@ -355,7 +362,7 @@ def _closure_order(gens, degree, cap=500_000) -> int:
                 if prod not in seen:
                     seen.add(prod)
                     nxt.append(prod)
-                    if len(seen) > cap:
+                    if len(seen) > CLOSURE_CAP:
                         raise TrackingFailure("group closure exceeded the cap")
         frontier = nxt
     return len(seen)
@@ -378,8 +385,7 @@ def _cycle_type(perm) -> tuple:
     return tuple(sorted(out, reverse=True))
 
 
-def track_loops(fib: Fibration, rng: random.Random, collision=1e-8, floor=1e-12,
-                dump_csv=None) -> MonodromyResult:
+def track_loops(fib: Fibration, rng: random.Random, dump_csv=None) -> MonodromyResult:
     """Permutation generators around every branch parameter.
 
     ``dump_csv`` (path or writable handle) records the tracked paths as rows
@@ -428,7 +434,7 @@ def track_loops(fib: Fibration, rng: random.Random, collision=1e-8, floor=1e-12,
         ordered = sorted(centers, key=lambda c: cmath.phase(c - base))
         circles = _loop_circles(base, ordered, radii)
         start = _fiber_points(fib, base)
-        if _gaps(start).min() < collision:
+        if _gaps(start).min() < COLLISION:
             continue
         gens = []
         trace = [] if dump_csv is not None else None
@@ -437,9 +443,7 @@ def track_loops(fib: Fibration, rng: random.Random, collision=1e-8, floor=1e-12,
                 # lift the way out once: the way back retraces it, so its
                 # lift inverts the outbound one and the loop lift from
                 # start[i] ends at start[j] when psi[i] lands on phi[j]
-                fibres = _track_path(
-                    fib, [base] + circle, start, collision, floor, li, trace
-                )
+                fibres = _track_path(fib, [base] + circle, start, li, trace)
                 phi, psi = fibres[1], fibres[-1]
                 matched = _match(psi, phi)
                 if matched is None or matched[1].max() > 0.2 * _gaps(phi).min():
@@ -474,20 +478,21 @@ def track_loops(fib: Fibration, rng: random.Random, collision=1e-8, floor=1e-12,
 
 
 def _write_trace(dump_csv, rows):
+    """Write ``rows`` as CSV to ``dump_csv``, a path or a writable handle."""
+    import contextlib
     import csv
 
     if hasattr(dump_csv, "write"):
-        writer = csv.writer(dump_csv)
-        writer.writerow(["loop_index", "step", "root_index", "re", "im"])
-        writer.writerows(rows)
-        return
-    with open(dump_csv, "w", newline="", encoding="utf-8") as handle:
+        target = contextlib.nullcontext(dump_csv)
+    else:
+        target = open(dump_csv, "w", newline="", encoding="utf-8")
+    with target as handle:
         writer = csv.writer(handle)
         writer.writerow(["loop_index", "step", "root_index", "re", "im"])
         writer.writerows(rows)
 
 
-def _cluster(values, tol_factor=1e-6):
+def _cluster(values):
     if not values:
         return []
     vals = sorted(values, key=lambda z: (z.real, z.imag))
@@ -495,7 +500,7 @@ def _cluster(values, tol_factor=1e-6):
     out = []
     for v in vals:
         for i, c in enumerate(out):
-            if abs(v - c[0]) < tol_factor * scale:
+            if abs(v - c[0]) < CLUSTER_TOL * scale:
                 out[i] = ((c[0] * c[1] + v) / (c[1] + 1), c[1] + 1)
                 break
         else:
@@ -506,35 +511,29 @@ def _cluster(values, tol_factor=1e-6):
 # -- top-level cross-checks ---------------------------------------------------------
 
 
-def monodromy_of_foliation(F: PlaneFoliation, seed: int = 11,
-                           dump_csv=None) -> MonodromyResult:
+def _monodromy(make_fibration, degree: int, seed: int, dump_csv) -> MonodromyResult:
+    """Track the fibrations that ``make_fibration(rng)`` draws until one
+    gives a consistent loop system; the last failure is raised otherwise."""
     rng = random.Random(seed)
-    last = None
-    for _ in range(5):
-        fib = pencil_fibration(F, rng)
+    for _ in range(FIBRATION_ATTEMPTS):
+        fib = make_fibration(rng)
         try:
             result = track_loops(fib, rng, dump_csv=dump_csv)
         except TrackingFailure as exc:
             last = exc
             continue
-        result.galois_flag = result.group_order == F.degree
+        result.galois_flag = result.group_order == degree
         return result
-    raise last if last else TrackingFailure("no pencil tracked successfully")
+    raise last
+
+
+def monodromy_of_foliation(F: PlaneFoliation, seed: int = 11,
+                           dump_csv=None) -> MonodromyResult:
+    return _monodromy(lambda rng: pencil_fibration(F, rng), F.degree, seed, dump_csv)
 
 
 def monodromy_of_map(f, seed: int = 11, dump_csv=None) -> MonodromyResult:
-    rng = random.Random(seed)
-    last = None
-    for _ in range(5):
-        fib = map_fibration(f, rng)
-        try:
-            result = track_loops(fib, rng, dump_csv=dump_csv)
-        except TrackingFailure as exc:
-            last = exc
-            continue
-        result.galois_flag = result.group_order == f.degree
-        return result
-    raise last if last else TrackingFailure("no fibration tracked successfully")
+    return _monodromy(lambda rng: map_fibration(f, rng), f.degree, seed, dump_csv)
 
 
 def cross_check(F: PlaneFoliation, seed: int = 11, dump_csv=None) -> MonodromyResult:

@@ -421,21 +421,18 @@ class MultiPoly:
         return [MultiPoly(self.field, rest, b) for b in buckets]
 
     @classmethod
-    def from_univariate(cls, coeffs: Sequence["MultiPoly"], var: str, position: int | None = None):
-        """Rebuild from univariate coefficients (polynomials in the other vars)."""
+    def from_univariate(cls, coeffs: Sequence["MultiPoly"], var: str):
+        """Rebuild from univariate coefficients (polynomials in the other
+        vars), with ``var`` appended as the last variable."""
         if not coeffs:
             raise ValueError("empty coefficient list")
         rest = coeffs[0].vars
         field = coeffs[0].field
-        if position is None:
-            position = len(rest)
-        new_vars = rest[:position] + (var,) + rest[position:]
         terms = {}
         for k, coeff in enumerate(coeffs):
             for e, c in coeff.terms.items():
-                ne = e[:position] + (k,) + e[position:]
-                terms[ne] = c
-        return cls(field, new_vars, terms)
+                terms[e + (k,)] = c
+        return cls(field, rest + (var,), terms)
 
     # -- field management ---------------------------------------------------------------
 

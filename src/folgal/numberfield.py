@@ -561,14 +561,7 @@ def _poly_complex_roots(coeffs_complex):
     return list(np.roots(arr))
 
 
-def _pick_root(roots, hint=None):
-    if hint is not None:
-        return min(roots, key=lambda r: abs(r - complex(hint)))
-    # deterministic: largest imaginary part, ties by largest real part
-    return max(roots, key=lambda r: (round(r.imag, 9), round(r.real, 9)))
-
-
-def extend(base, name: str, min_poly: Sequence, embedding_hint=None) -> NumberField:
+def extend(base, name: str, min_poly: Sequence) -> NumberField:
     """Adjoin a root of the monic polynomial ``min_poly`` (coeffs over ``base``).
 
     The caller proves ``min_poly`` irreducible over ``base``; this checks
@@ -581,7 +574,8 @@ def extend(base, name: str, min_poly: Sequence, embedding_hint=None) -> NumberFi
         raise ValueError("minimal polynomial must be squarefree")
     numeric = [base.to_complex(c) for c in coeffs] + [1.0 + 0j]
     roots = _poly_complex_roots(numeric)
-    emb = _pick_root(roots, embedding_hint)
+    # deterministic: largest imaginary part, ties by largest real part
+    emb = max(roots, key=lambda r: (round(r.imag, 9), round(r.real, 9)))
     return NumberField(base, name, coeffs, emb)
 
 

@@ -36,7 +36,7 @@ from sympy.polys.domains import QQ as SQQ
 from sympy.polys.euclidtools import dup_invert
 
 from .multipoly import MultiPoly, NotDivisible
-from .numberfield import RationalField, adjoin_root
+from .numberfield import RationalField, adjoin_root, poly_gcd
 from .polyops import mpoly_gcd, resultant, subresultant_chain
 from .sympy_bridge import factor_irreducible, factor_order_key, to_dense
 
@@ -140,7 +140,7 @@ def _common_zeros_sheared(F: MultiPoly, G: MultiPoly, lam: Fraction, on_axis: bo
         if chain is not None:
             k, eta = _fibre_from_chain(chain, to_dense(fac, [var_x]), xi_field)
         else:
-            g = _monic_gcd_coeffs(fy, gy, xi_field)
+            g = poly_gcd(fy, gy, xi_field)
             k = len(g) - 1
             eta = -g[k - 1] / k if k >= 1 else None
         if k < 1:
@@ -222,18 +222,6 @@ def _fibre_from_chain(chain, h: list, xi_field):
     if isinstance(xi_field, RationalField):
         return j, eta[0] if eta else Fraction(0)
     return j, xi_field.element(eta + [Fraction(0)] * (xi_field.degree - len(eta)))
-
-
-def _monic_gcd_coeffs(f: list, g: list, field):
-    """Monic univariate gcd of coefficient lists (low to high) over ``field``.
-
-    Only the fibres over a number-field tower take it; over Q the fibre gcd
-    is read from the subresultant chain.
-    """
-    fp, gp = (
-        MultiPoly(field, ("y",), {(k,): c for k, c in enumerate(a)}) for a in (f, g)
-    )
-    return [c.constant_value() for c in mpoly_gcd(fp, gp).univariate_coeffs("y")]
 
 
 def _linear_power_divides(f: list, eta, k: int) -> bool:

@@ -10,14 +10,13 @@ function integration" (SYMSAC 1976), one layer at a time:
    of the ``f_i``.  ``R`` is factored over ``k`` by the same method, and
    each factor of it goes through step 2, since it may still split over
    ``K`` (``x^2 - 2`` over Q(sqrt 2)).
-2. Each variable ``v`` is shifted to ``v - s_v a``, trying the shift
-   vectors ``s`` by growing L1 norm, until the norm ``N = Res_t(m(t), f(t))``
-   is squarefree over ``k``.  The norm comes from
-   :func:`folgal.polyops.resultant`.  A squarefree norm proves ``f``
-   squarefree.  When no shift of L1 norm at most two gives one, ``f`` is
-   split by :func:`folgal.polyops.squarefree_decompose` and the search goes
-   on, without a bound, for each squarefree part: its bad shifts lie on
-   finitely many proper affine subspaces, so the search ends.
+2. ``f`` is split into squarefree parts by
+   :func:`folgal.polyops.squarefree_decompose`.  In each part every variable
+   ``v`` is shifted to ``v - s_v a``, trying the shift vectors ``s`` by
+   growing L1 norm, until the norm ``N = Res_t(m(t), f(t))`` is squarefree
+   over ``k``.  The norm comes from :func:`folgal.polyops.resultant`.  The
+   bad shifts of a squarefree part lie on finitely many proper affine
+   subspaces, so the search ends.
 3. ``N`` is factored over ``k`` (by sympy when ``k`` is Q, else by the same
    method), and each irreducible factor ``h`` gives the factor ``gcd(f, h)``
    over ``K``, shifted back.  It is irreducible because ``N`` is squarefree
@@ -60,9 +59,6 @@ from .numberfield import RationalField, coordinates
 class FactorUnavailable(Exception):
     pass
 
-
-# shifts of L1 norm up to this are tried before the squarefree split
-_FIRST_NORM = 2
 
 
 def at_generators(rep, field):
@@ -217,39 +213,28 @@ def _factor_by_norms(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
 
 
 def _factor_squarefree_or_split(p: MultiPoly):
-    """Factors of ``p`` by norms, through a squarefree split when no shift
-    of L1 norm at most ``_FIRST_NORM`` has a squarefree norm."""
+    """Factors of ``p`` by norms, one shift search per squarefree part."""
     from .polyops import squarefree_decompose
 
     if p.total_degree() == 1:
         return [(p.monic(), 1)]
-    found = _factor_by_shift(p, 0, _FIRST_NORM)
-    if found is not None:
-        return [(f, 1) for f in found]
-    out = []
-    for part, mult in squarefree_decompose(p):
-        # a squarefree part has a shift with a squarefree norm, so the
-        # unbounded search returns
-        out += [(f, mult) for f in _factor_by_shift(part, 0, None)]
-    return out
+    return [(f, mult) for part, mult in squarefree_decompose(p)
+            for f in _factor_by_shift(part)]
 
 
-def _shifts(count: int, first: int, last: int | None):
-    """Shift vectors for ``count`` variables with L1 norm from ``first`` to
-    ``last`` (no bound when None), by norm; within a norm, entry by entry
-    in the order 0, 1, -1, 2, -2, ..."""
+def _shifts(count: int):
+    """Shift vectors for ``count`` variables by growing L1 norm; within a
+    norm, entry by entry in the order 0, 1, -1, 2, -2, ..."""
     rank = lambda s: 2 * abs(s) - (s > 0)
-    norms = itertools.count(first) if last is None else range(first, last + 1)
-    for n in norms:
+    for n in itertools.count():
         yield from sorted((v for v in itertools.product(range(-n, n + 1), repeat=count)
                            if sum(map(abs, v)) == n),
                           key=lambda v: [rank(s) for s in v])
 
 
-def _factor_by_shift(p: MultiPoly, first: int, last: int | None):
-    """Irreducible monic factors of ``p`` over its top layer, from the first
-    shift of L1 norm in ``first..last`` with a squarefree norm; None when
-    there is none (then ``p`` may not be squarefree)."""
+def _factor_by_shift(p: MultiPoly):
+    """Irreducible monic factors of the squarefree ``p`` over its top layer,
+    from the first shift with a squarefree norm."""
     from .polyops import mpoly_gcd
 
     field = p.field
@@ -262,13 +247,12 @@ def _factor_by_shift(p: MultiPoly, first: int, last: int | None):
                   for v, s in zip(order, shift) if s}
         return poly.substitute(images) if images else poly
 
-    for shift in _shifts(len(order), first, last):
+    for shift in _shifts(len(order)):
         shifted = move(p, shift, -1)
         pieces = _squarefree_factors(_norm(shifted), order)
         if pieces is not None:
             return [move(mpoly_gcd(shifted, h.to_field(field)), shift, 1).monic()
                     for h in pieces]
-    return None
 
 
 def _squarefree_factors(norm: MultiPoly, order: list) -> list | None:

@@ -157,3 +157,26 @@ def test_branch_loci_over_a_tower_are_irreducible(text, loci):
     assert all(r.weight == 1 for r in finite)
     over_q = {r.profile for r in ramification_profile(make_map(text)) if r.locus is not None}
     assert {r.profile for r in finite} == over_q
+
+
+def test_value_annihilator_below_the_ring_dimension():
+    # w = (z^3 + 2z^2)/(z + 2) = z^2 modulo (z^2 - 2)(z^2 - 3)(z - 1) takes the
+    # values 2, 3 and 1, so its minimal polynomial has degree 3 in a ring of
+    # dimension 5
+    import sympy as sp
+
+    from folgal.klein1d import _value_annihilator
+
+    z = sp.symbols("z")
+    mod = sp.Poly(sp.expand((z**2 - 2) * (z**2 - 3) * (z - 1)), z)
+    num, den = sp.Poly(z**3 + 2 * z**2, z), sp.Poly(z + 2, z)
+    coeffs = lambda p: [Fraction(int(c)) for c in reversed(p.all_coeffs())]
+    ann = _value_annihilator(coeffs(num), coeffs(den), coeffs(mod), QQ)
+    assert ann == [-6, 11, -6, 1]
+    # brute force: the powers w^k, reduced modulo mod, satisfy the relation,
+    # and the powers below its degree are independent
+    w = (num * sp.invert(den, mod)).rem(mod)
+    powers = [(w**k).rem(mod) for k in range(len(ann))]
+    assert sum((p * sp.Rational(c) for p, c in zip(powers, ann)), sp.Poly(0, z)).is_zero
+    rows = [[p.coeff_monomial(z**i) for i in range(mod.degree())] for p in powers[:-1]]
+    assert sp.Matrix(rows).rank() == len(ann) - 1

@@ -1,4 +1,5 @@
 import itertools
+import io
 import math
 import os
 import random
@@ -75,6 +76,10 @@ def test_path_dump_csv(tmp_path):
     lines = target.read_text().splitlines()
     assert lines[0] == "loop_index,step,root_index,re,im"
     assert len(lines) > 10
+    # a writable handle gets the same rows
+    handle = io.StringIO(newline="")
+    mon.monodromy_of_map(corpus.line_map("power_3"), seed=5, dump_csv=handle)
+    assert handle.getvalue().splitlines() == lines
 
 
 # -- the tracker's step test and fibre representation --------------------------------

@@ -80,7 +80,7 @@ def test_homogenize_dehomogenize():
 def test_univariate_views_roundtrip():
     p = parse_poly("x^2*y + 3*x - y^2 + 1", QQ, ("x", "y"))
     coeffs = p.univariate_coeffs("x")
-    rebuilt = MultiPoly.from_univariate(coeffs, "x", position=0)
+    rebuilt = MultiPoly.from_univariate(coeffs, "x")
     assert rebuilt.permute_to(("x", "y")) == p
 
 

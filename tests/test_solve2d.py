@@ -10,7 +10,7 @@ from sympy.polys.euclidtools import dmp_resultant
 
 from folgal import solve2d
 from folgal.multipoly import MultiPoly
-from folgal.numberfield import QQ, coordinates, extend
+from folgal.numberfield import QQ, coordinates, extend, poly_gcd
 from folgal.parsing import parse_min_poly, parse_poly
 from folgal.polyops import mpoly_gcd, resultant
 from folgal.solve2d import common_zeros
@@ -109,7 +109,7 @@ def euclid_points(F, G, lam):
             K = extend(QQ, "r1", coeffs[:-1])
             xi = K.gen()
         fibres = (solve2d._eval_x(P, "x", xi, K) for P in (Fs, Gs))
-        g = solve2d._monic_gcd_coeffs(*fibres, K)
+        g = poly_gcd(*fibres, K)
         k = len(g) - 1
         eta = -g[k - 1] / k
         if not solve2d._linear_power_divides(g, eta, k):

@@ -108,7 +108,8 @@ def test_squarefree_input_with_no_good_small_shift():
     # (x - r5)(x - 10 + a)(x + 10 - a)(x - 20 + 2a)(x + 20 - 2a).  The shift
     # x -> x - s a with s in 0, +-1, +-2 moves a root to a rational number,
     # and r5 has a double norm at s = 0, so no shift of norm at most two
-    # works; the squarefree split returns the input, and s = 3 does
+    # works; the squarefree split returns the input, and the search goes on
+    # to s = 3
     field = _field("zeta5")
     p = _poly(field, {(1, 0): [1], (0, 0): [1, 0, 2, 2]})
     for c in ([-10, 1], [10, -1], [-20, 2], [20, -2]):
@@ -135,6 +136,28 @@ def test_non_squarefree_input_takes_the_squarefree_fallback(monkeypatch):
     assert calls
 
 
+def test_non_squarefree_input_makes_one_norm_per_squarefree_part(monkeypatch):
+    # halfchi_quartic's inflection polynomial over Q(g) is two lines over Q
+    # times a transverse cubic cubed.  The lines need no norm, and the split
+    # comes before the shift search, so the cube takes one norm: that of the
+    # cubic at shift 0
+    from folgal import corpus
+    from folgal.foliation import inflection_polynomial
+
+    f1 = inflection_polynomial(corpus.foliation("halfchi_quartic"))
+    norms = []
+    original = sympy_bridge._norm
+
+    def counted(p):
+        norms.append(p)
+        return original(p)
+
+    monkeypatch.setattr(sympy_bridge, "_norm", counted)
+    factors = factor_irreducible(f1)
+    assert [(f.total_degree(), m) for f, m in factors] == [(1, 1), (1, 1), (3, 3)]
+    assert len(norms) == 1 and norms[0].total_degree() == 3
+
+
 def test_norm_of_quadratic_is_a2_minus_c_b2():
     field = _field("sqrt2")
     A = _poly(field, {(2, 0): [1], (0, 1): [3], (0, 0): [-1]})
@@ -148,9 +171,8 @@ def test_norm_of_quadratic_is_a2_minus_c_b2():
 def test_dropped_factor_fails_the_product_check(monkeypatch):
     original = sympy_bridge._factor_by_shift
 
-    def drop_last(p, first, last):
-        found = original(p, first, last)
-        return found[:-1] if found else found
+    def drop_last(p):
+        return original(p)[:-1]
 
     monkeypatch.setattr(sympy_bridge, "_factor_by_shift", drop_last)
     field = _field("sqrt2")
