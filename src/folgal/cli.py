@@ -249,11 +249,14 @@ def cmd_deform(args) -> int:
 
 
 def cmd_tangent(args) -> int:
-    from .galois import tangent_dim_bound_g3
+    from .galois import UseAnotherMethod, tangent_dim_bound_g3
 
     field_spec, a_text, b_text = _load_spec(args)
     F = from_strings(field_spec, a_text, b_text)
-    bound = tangent_dim_bound_g3(F)
+    try:
+        bound = tangent_dim_bound_g3(F)
+    except UseAnotherMethod as exc:
+        raise CliError(str(exc))
     print(bound)
     return EXIT_GALOIS
 
@@ -268,10 +271,11 @@ def build_parser() -> _Parser:
         p.add_argument("--json", action="store_true", help="JSON report on stdout")
         p.add_argument("--seed", type=int, default=7, help="seed for randomized steps")
         if with_numeric:
-            p.add_argument("--numeric", action="store_true",
-                           help="force the numeric monodromy cross-check")
-            p.add_argument("--no-numeric", action="store_true",
-                           help="skip the numeric monodromy cross-check")
+            numeric = p.add_mutually_exclusive_group()
+            numeric.add_argument("--numeric", action="store_true",
+                                 help="force the numeric monodromy cross-check")
+            numeric.add_argument("--no-numeric", action="store_true",
+                                 help="skip the numeric monodromy cross-check")
             p.add_argument("--full", action="store_true",
                            help="force the local-invariant route even in high degree")
             p.add_argument("--dump-paths", metavar="FILE",

@@ -13,16 +13,23 @@ Q (:data:`QQ`, scalars are :class:`fractions.Fraction`) and every layer
 whose value lies in the field), ``chain()`` and ``to_complex()``.  Code above
 this module makes scalars through them and need not know which field it has.
 
-An element of a layer over Q is integer coordinates over one denominator
-(Cohen, *A Course in Computational Algebraic Number Theory*, 4.2): a tuple
-``num`` of ints and an int ``den > 0`` with ``gcd(den, *num) == 1``, so
-``+``, ``-`` and ``*`` run on ints.  Every operation puts its result in
-lowest terms; each value then has exactly one ``(num, den)``, which is what
-lets ``==`` and ``hash`` compare the pair directly.  Each such layer keeps
-its modulus once more as integers over the modulus's own denominator, so a
-non-integral modulus still reduces exactly.  A layer above the first holds a
-tuple of base-layer elements.  ``FieldElement.rep`` is the view shared by
-all layers: the coordinates over the base, as Fractions over Q.
+An element of a layer at any depth is integer coordinates over one
+denominator (Cohen, *A Course in Computational Algebraic Number Theory*,
+4.2), taken over the power basis of the whole tower down to Q: a tuple
+``num`` of ``size`` ints, the top generator's exponent varying slowest, and
+an int ``den > 0`` with ``gcd(den, *num) == 1``.  A lower layer's basis is
+then a prefix of a higher one's, so an element moves up the tower by
+zero-padding ``num``.  Every operation puts its result in lowest terms; each
+value then has exactly one ``(num, den)``, which is what lets ``==`` and
+``hash`` compare the pair directly.
+
+``+`` and ``-`` run on the ints.  A product is one convolution and one pass
+over a table.  Two basis monomials multiply to a monomial whose exponent in
+each layer's generator is below ``2 deg - 1`` of that layer; the exponent
+vectors below those bounds are the cells of a mixed-radix grid, and each
+layer keeps, per cell, the coordinates of its monomial reduced by the moduli,
+over one denominator shared by the whole table.  ``FieldElement.rep`` is the
+view over the base layer: coordinates in the base, as Fractions over Q.
 """
 
 from __future__ import annotations
@@ -48,10 +55,17 @@ class FieldSplit(Exception):
 
 
 class RationalField:
-    """The rationals; the unique bottom layer of every tower."""
+    """The rationals; the unique bottom layer of every tower.
+
+    As the base of a layer, Q is a tower of ``size`` 1 whose product table
+    (see :class:`NumberField`) has one cell, the monomial 1."""
 
     name = "QQ"
     degree = 1
+    size = 1
+    _pos = (0,)
+    _monomials = (Fraction(1),)
+    _embeddings = (1 + 0j,)
 
     def zero(self):
         return Fraction(0)
@@ -73,6 +87,10 @@ class RationalField:
             raise TypeError(f"element of {value.field.name} does not lie in QQ")
         raise TypeError(f"cannot coerce {value!r} into QQ")
 
+    def _make(self, num, den: int):
+        """The scalar with coordinates ``num`` over ``den``."""
+        return Fraction(num[0], den)
+
     def to_complex(self, value) -> complex:
         return complex(value)
 
@@ -91,41 +109,75 @@ class NumberField:
 
     ``min_poly`` is stored as a tuple of base-field coefficients
     ``(c0, ..., c_{n-1})`` for the monic polynomial
-    ``g^n + c_{n-1} g^{n-1} + ... + c0``.  Over Q it is kept once more as
-    integers over one denominator, ``mden * min_poly = mden g^n + sum mnum_i
-    g^i``, which is what the arithmetic of the layer's elements reads.
+    ``g^n + c_{n-1} g^{n-1} + ... + c0``.  ``size`` is the degree of the
+    tower over Q, the length of every element's ``num``; basis monomial
+    ``t * base.size + i`` is ``g^t`` times the base's basis monomial ``i``.
+
+    The product tables, built once from the moduli: a grid cell is a vector
+    of exponents, one per layer and below ``2 deg - 1`` of that layer,
+    numbered in mixed radix with the top layer's digit most significant.
+    ``_monomials[cell]`` is that monomial, reduced.  ``_pos[i]`` is the cell
+    of basis monomial ``i``, so the product of basis monomials ``i`` and
+    ``j`` lies in cell ``_pos[i] + _pos[j]`` (no digit carries).  For each
+    cell outside the basis, ``_overflow`` holds ``(cell, row)``: ``row``
+    lists the nonzero ``(k, a)`` such that ``a / _tden`` is coordinate ``k``
+    of the cell's monomial, ``_tden`` being one denominator for the whole
+    table.  ``_embeddings[i]`` is the complex value of basis monomial ``i``.
     """
 
     def __init__(self, base, name: str, min_poly: Sequence, embedding: complex):
         self.base = base
         self.name = name
         self.min_poly = tuple(base.coerce(c) for c in min_poly)
-        self.degree = len(self.min_poly)
-        if self.degree < 1:
+        self.degree = n = len(self.min_poly)
+        if n < 1:
             raise ValueError("empty minimal polynomial")
+        self.size = n * base.size
         self.embedding = complex(embedding)
-        self.over_q = isinstance(base, RationalField)
-        if self.over_q:
-            self._mnum, self._mden = _clear(self.min_poly)
+        self._pos = tuple(t * len(base._monomials) + p for t in range(n) for p in base._pos)
+        self._embeddings = tuple(
+            self.embedding**t * e for t in range(n) for e in base._embeddings
+        )
+        # g^0, ..., g^(2n-2) over the base, each the previous one times g;
+        # a degree-1 layer needs g^1 for its generator
+        powers = [[base.one()] + [base.zero()] * (n - 1)]
+        while len(powers) < max(2 * n - 1, 2):
+            *low, high = powers[-1]
+            powers.append([a - high * m for a, m in zip([base.zero()] + low, self.min_poly)])
+        self._gen = self.element(powers[1])
+        self._monomials = tuple(
+            self.element([m * c for c in powers[t]])
+            for t in range(2 * n - 1)
+            for m in base._monomials
+        )
+        self._cells = len(self._monomials)
+        self._tden = lcm(*(m.den for m in self._monomials))
+        basis = set(self._pos)
+        self._overflow = tuple(
+            (cell, tuple((k, a * (self._tden // m.den)) for k, a in enumerate(m.num) if a))
+            for cell, m in enumerate(self._monomials)
+            if cell not in basis
+        )
 
     # -- element constructors ------------------------------------------------
 
     def element(self, rep: Iterable) -> "FieldElement":
-        rep = tuple(self.base.coerce(c) for c in rep)
-        if len(rep) != self.degree:
+        """The element with coefficients ``rep`` over the base, lowest power
+        first."""
+        parts = [_parts(self.base.coerce(c)) for c in rep]
+        if len(parts) != self.degree:
             raise ValueError("wrong representation length")
-        if self.over_q:
-            return FieldElement(self, *_clear(rep))
-        return FieldElement(self, rep)
+        # the least common denominator of parts in lowest terms keeps them so
+        den = lcm(*(d for _, d in parts))
+        return FieldElement(self, tuple(a * (den // d) for num, d in parts for a in num), den)
 
     def from_poly(self, coeffs: Sequence) -> "FieldElement":
         """``p(g)`` for the polynomial ``p`` with base-field coefficients
         ``coeffs``, lowest first, of any degree."""
-        if self.over_q:
-            num, den = _clear([self.base.coerce(c) for c in coeffs])
-            num, scale = _reduce_ints(list(num), self)
-            return _lowest_terms(self, num, den * scale)
-        return FieldElement(self, tuple(_reduce_mod(coeffs, self)))
+        acc = self.zero()
+        for c in reversed(coeffs):
+            acc = acc * self._gen + self.coerce(c)
+        return acc
 
     def zero(self):
         return self.coerce(0)
@@ -134,22 +186,19 @@ class NumberField:
         return self.coerce(1)
 
     def gen(self):
-        return self.from_poly([self.base.zero(), self.base.one()])
+        return self._gen
 
     def coerce(self, value):
         """Lift ints, Fractions and lower-tower elements into this field."""
         if isinstance(value, FieldElement):
             if value.field is self:
                 return value
-            if self._contains_field(value.field):
-                return self._lift(value)
-            raise TypeError(f"element of {value.field.name} not in {self.name}")
-        if isinstance(value, (int, Fraction)):
-            if self.over_q:
-                zeros = (0,) * (self.degree - 1)
-                return FieldElement(self, (value.numerator,) + zeros, value.denominator)
-            return self._lift(value)
-        raise TypeError(f"cannot coerce {value!r} into {self.name}")
+            if not self._contains_field(value.field):
+                raise TypeError(f"element of {value.field.name} not in {self.name}")
+        elif not isinstance(value, (int, Fraction)):
+            raise TypeError(f"cannot coerce {value!r} into {self.name}")
+        num, den = _parts(value)
+        return FieldElement(self, num + (0,) * (self.size - len(num)), den)
 
     def _contains_field(self, other) -> bool:
         fld = self.base
@@ -159,10 +208,9 @@ class NumberField:
             fld = fld.base
         return isinstance(other, RationalField)
 
-    def _lift(self, value):
-        rep = [self.base.zero()] * self.degree
-        rep[0] = self.base.coerce(value)
-        return FieldElement(self, tuple(rep))
+    def _make(self, num, den: int) -> "FieldElement":
+        """The element with coordinates ``num`` over ``den``."""
+        return _lowest_terms(self, num, den)
 
     # -- tower helpers ---------------------------------------------------------
 
@@ -174,15 +222,8 @@ class NumberField:
         return [layer.name for layer in self.chain()]
 
     def to_complex(self, value) -> complex:
-        if self.over_q:
-            # int / int rounds correctly however large the integers are
-            coeffs = [complex(a / value.den) for a in value.num]
-        else:
-            coeffs = [self.base.to_complex(c) for c in value.num]
-        acc = 0j
-        for c in reversed(coeffs):
-            acc = acc * self.embedding + c
-        return acc
+        # int / int rounds correctly however large the integers are
+        return sum((a / value.den * e for a, e in zip(value.num, self._embeddings) if a), 0j)
 
     def __repr__(self):
         names = ",".join(self.gen_names())
@@ -190,19 +231,19 @@ class NumberField:
 
 
 class FieldElement:
-    """Immutable element of a :class:`NumberField` layer with generator ``g``.
+    """Immutable element of a :class:`NumberField` layer.
 
-    Over Q it is ``sum_i num[i] g^i / den``: ``num`` is a tuple of ints and
-    ``den`` a positive int, in lowest terms, ``gcd(den, *num) == 1``.  Each
-    value then has exactly one ``(num, den)``, so ``==`` and ``hash`` compare
-    those tuples.  Above Q it is ``sum_i num[i] g^i`` with ``num`` a tuple of
-    base-layer elements, and ``den`` is None.  ``rep`` gives the coefficients
-    over the base either way, as Fractions over Q.
+    It is ``sum_i num[i] b_i / den`` over the power basis ``b_i`` of the
+    whole tower (see :class:`NumberField`): ``num`` is a tuple of
+    ``field.size`` ints and ``den`` a positive int, in lowest terms,
+    ``gcd(den, *num) == 1``.  Each value then has exactly one
+    ``(num, den)``, so ``==`` and ``hash`` compare those tuples.  ``rep``
+    gives the coefficients over the base layer, as Fractions over Q.
     """
 
     __slots__ = ("field", "num", "den", "_hash")
 
-    def __init__(self, field: NumberField, num: tuple, den: int | None = None):
+    def __init__(self, field: NumberField, num: tuple, den: int):
         self.field = field
         self.num = num
         self.den = den
@@ -211,10 +252,11 @@ class FieldElement:
     @property
     def rep(self) -> tuple:
         """Power-basis coefficients over the base field, lowest power first."""
-        den = self.den
-        if den is None:
-            return self.num
-        return tuple(Fraction(a, den) for a in self.num)
+        base = self.field.base
+        s = base.size
+        return tuple(
+            base._make(self.num[t * s:(t + 1) * s], self.den) for t in range(self.field.degree)
+        )
 
     # -- ring structure --------------------------------------------------------
 
@@ -233,9 +275,7 @@ class FieldElement:
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        if self.den is None:
-            return FieldElement(self.field, tuple(a + b for a, b in zip(self.num, other.num)))
-        return _sum_over_q(self.field, self.num, self.den, other.num, other.den)
+        return _sum(self.field, self.num, self.den, other.num, other.den)
 
     __radd__ = __add__
 
@@ -246,9 +286,7 @@ class FieldElement:
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        if self.den is None:
-            return FieldElement(self.field, tuple(a - b for a, b in zip(self.num, other.num)))
-        return _sum_over_q(self.field, self.num, self.den, [-b for b in other.num], other.den)
+        return _sum(self.field, self.num, self.den, [-b for b in other.num], other.den)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -258,36 +296,21 @@ class FieldElement:
         if other is None:
             return NotImplemented
         field = self.field
-        n = field.degree
-        if self.den is None:
-            return _mul_over_layer(self.num, other.num, field)
-        den = self.den * other.den
-        if n == 2:
-            # quadratic layers dominate in practice; inline the reduction
-            a0, a1 = self.num
-            b0, b1 = other.num
-            high = a1 * b1
-            low = a0 * b0
-            lin = a0 * b1 + a1 * b0
-            if high:
-                m0, m1 = field._mnum
-                mden = field._mden
-                if mden != 1:
-                    low *= mden
-                    lin *= mden
-                    den *= mden
-                low -= high * m0
-                lin -= high * m1
-            return _lowest_terms(field, (low, lin), den)
-        prod = [0] * (2 * n - 1)
-        for i, a in enumerate(self.num):
-            if not a:
-                continue
-            for j, b in enumerate(other.num):
-                if b:
-                    prod[i + j] += a * b
-        num, scale = _reduce_ints(prod, field)
-        return _lowest_terms(field, num, den * scale)
+        pos = field._pos
+        conv = [0] * field._cells
+        terms = [(q, b) for q, b in zip(pos, other.num) if b]
+        for p, a in zip(pos, self.num):
+            if a:
+                for q, b in terms:
+                    conv[p + q] += a * b
+        tden = field._tden
+        num = [conv[p] * tden for p in pos]
+        for cell, row in field._overflow:
+            c = conv[cell]
+            if c:
+                for k, a in row:
+                    num[k] += c * a
+        return _lowest_terms(field, num, self.den * other.den * tden)
 
     __rmul__ = __mul__
 
@@ -333,20 +356,14 @@ class FieldElement:
 
     def as_base(self):
         """Return the base-field value when the element is constant, else None."""
-        if any(self.num[1:]):
+        base = self.field.base
+        if any(self.num[base.size:]):
             return None
-        if self.den is None:
-            return self.num[0]
-        return Fraction(self.num[0], self.den)
+        return base._make(self.num[:base.size], self.den)
 
     def rational_value(self):
         """Fraction value when the element lies in QQ, else None."""
-        elem = self
-        while isinstance(elem, FieldElement):
-            elem = elem.as_base()
-            if elem is None:
-                return None
-        return elem
+        return None if any(self.num[1:]) else Fraction(self.num[0], self.den)
 
     def __complex__(self):
         return self.field.to_complex(self)
@@ -355,19 +372,19 @@ class FieldElement:
         return field_element_str(self)
 
 
-# -- arithmetic of one layer's coordinates -----------------------------------------
+# -- coordinates over one denominator ------------------------------------------------
 
 
-def _clear(values) -> tuple[tuple, int]:
-    """``(num, den)`` with ``values == [a / den for a in num]``, for ints and
-    Fractions; in lowest terms, since ``den`` is the least common denominator."""
-    den = lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (den // v.denominator) for v in values), den
+def _parts(value) -> tuple[tuple, int]:
+    """``(num, den)`` of a tower element, an int or a Fraction."""
+    if isinstance(value, FieldElement):
+        return value.num, value.den
+    return (value.numerator,), value.denominator
 
 
 def _lowest_terms(field: NumberField, num, den: int) -> FieldElement:
-    """The element ``num / den`` of a layer over Q, with ``den > 0``, in
-    lowest terms."""
+    """The element ``num / den`` of a layer, with ``den > 0``, in lowest
+    terms."""
     if den != 1:
         g = gcd(den, *num)
         if g != 1:
@@ -376,9 +393,9 @@ def _lowest_terms(field: NumberField, num, den: int) -> FieldElement:
     return FieldElement(field, tuple(num), den)
 
 
-def _sum_over_q(field: NumberField, a, d: int, b, e: int) -> FieldElement:
-    """``a/d + b/e`` for coordinates in lowest terms over Q.  As for
-    Fractions (Knuth, TAOCP 4.5.1), with ``g = gcd(d, e)`` the sum
+def _sum(field: NumberField, a, d: int, b, e: int) -> FieldElement:
+    """``a/d + b/e`` for coordinates in lowest terms.  As for Fractions
+    (Knuth, TAOCP 4.5.1), with ``g = gcd(d, e)`` the sum
     ``(a e/g + b d/g) / (d e/g)`` can only share a factor of ``g``."""
     g = gcd(d, e)
     if g == 1:
@@ -391,53 +408,6 @@ def _sum_over_q(field: NumberField, a, d: int, b, e: int) -> FieldElement:
     return FieldElement(field, tuple(num), d1 * (e // g))
 
 
-def _reduce_ints(work: list, field: NumberField) -> tuple[list, int]:
-    """``(num, scale)``: the integer polynomial ``work`` modulo a layer's
-    modulus over Q is ``num / scale``.  Each reduced power multiplies by the
-    modulus's denominator, which is 1 for an integral modulus."""
-    n = field.degree
-    mnum, mden = field._mnum, field._mden
-    scale = 1
-    for i in range(len(work) - 1, n - 1, -1):
-        c = work[i]
-        if not c:
-            continue
-        if mden != 1:
-            for k in range(i):
-                work[k] *= mden
-            scale *= mden
-        for j, mc in enumerate(mnum):
-            if mc:
-                work[i - n + j] -= c * mc
-    work = work[:n]
-    work.extend([0] * (n - len(work)))
-    return work, scale
-
-
-def _mul_over_layer(a: tuple, b: tuple, field: NumberField) -> FieldElement:
-    """Product of two coefficient tuples over a layer above Q."""
-    n = field.degree
-    if n == 2:
-        # quadratic layers dominate in practice; inline the reduction
-        a0, a1 = a
-        b0, b1 = b
-        c0, c1 = field.min_poly
-        high = a1 * b1
-        lin = a0 * b1 + a1 * b0
-        if high:
-            return FieldElement(field, (a0 * b0 - high * c0, lin - high * c1))
-        return FieldElement(field, (a0 * b0, lin))
-    zero = field.base.zero()
-    prod = [zero] * (2 * n - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                prod[i + j] = prod[i + j] + x * y
-    return FieldElement(field, tuple(_reduce_mod(prod, field)))
-
-
 # -- dense univariate arithmetic over a field layer ----------------------------
 #
 # Polynomials as lists of coefficients, low degree first, no trailing zeros.
@@ -447,26 +417,6 @@ def _trim(poly):
     while poly and not poly[-1]:
         poly.pop()
     return poly
-
-
-def _reduce_mod(coeffs, field: NumberField):
-    """Reduce a coefficient list modulo the (monic) minimal polynomial of a
-    layer above Q."""
-    n = field.degree
-    work = list(coeffs)
-    m = field.min_poly
-    for i in range(len(work) - 1, n - 1, -1):
-        c = work[i]
-        if not c:
-            continue
-        work[i] = field.base.zero()
-        for j, mc in enumerate(m):
-            if mc:
-                work[i - n + j] = work[i - n + j] - c * mc
-    work = work[:n]
-    while len(work) < n:
-        work.append(field.base.zero())
-    return work
 
 
 def poly_divmod(num, den, fld):
@@ -608,7 +558,7 @@ def coordinates(value) -> list:
     of a layer, the coordinates of its power-basis coefficients, lowest
     power first, each flattened the same way down to Q."""
     if isinstance(value, FieldElement):
-        return [v for part in value.rep for v in coordinates(part)]
+        return [Fraction(a, value.den) for a in value.num]
     return [value]
 
 

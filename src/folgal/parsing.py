@@ -106,17 +106,19 @@ class _Parser:
             kind, val, _ = self.peek()
             if kind == "op" and val in "*/":
                 self.advance()
+                at = self.peek()[2]
                 rhs = self.factor()
                 if val == "*":
                     acc = acc * rhs
                 else:
                     if rhs.is_zero():
-                        raise ZeroDivisionError("division by zero in expression")
+                        raise ParseError("division by zero", at)
                     acc = acc / rhs
             else:
                 return acc
 
     def factor(self) -> RationalFunction:
+        start = self.peek()[2]
         base = self.atom()
         kind, val, at = self.peek()
         if kind == "op" and val == "^":
@@ -130,6 +132,8 @@ class _Parser:
             if kind != "num":
                 raise ParseError("expected integer exponent", at)
             self.advance()
+            if neg and expo and base.is_zero():
+                raise ParseError("zero to a negative power", start)
             return base ** (-expo if neg else expo)
         return base
 

@@ -186,3 +186,30 @@ def test_reducible_field_spec_is_an_input_error(capsys, command, spec):
     code, _, err = run_cli(capsys, command, "--inline", spec)
     assert code == 3
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv, column", [
+    (("classify1d", "z/0"), 3),
+    (("analyze", "--inline", "A: x/0; B: y^2"), 3),
+    (("deck", "--inline", "A: x^2; B: y^2/(1-1)"), 5),
+    (("classify1d", "z^2*(z-z)^-1"), 5),
+])
+def test_division_by_zero_is_an_input_error(capsys, argv, column):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert "error:" in err and "internal" not in err
+    assert f"(column {column})" in err
+
+
+def test_tangent_of_another_degree_is_an_input_error(capsys):
+    code, _, err = run_cli(capsys, "tangent", "--inline", "A: x^2; B: y^2")
+    assert code == 3
+    assert "degree 3" in err and "internal" not in err
+
+
+def test_numeric_and_no_numeric_exclude_each_other(capsys):
+    code, _, err = run_cli(
+        capsys, "analyze", "--numeric", "--no-numeric", "--inline", "A: x^2; B: y^2"
+    )
+    assert code == 3
+    assert "not allowed with" in err

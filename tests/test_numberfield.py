@@ -175,8 +175,8 @@ def _non_integral_modulus():
 
 
 def _non_integral_cubic():
-    # k^3 - k/2 - 1/3 has no rational root, so it is irreducible; a cubic
-    # reduces through the general path rather than the quadratic one
+    # k^3 - k/2 - 1/3 has no rational root, so it is irreducible; products
+    # reach k^4, whose reduction goes through k^3
     return extend(QQ, "k", [Fraction(-1, 3), Fraction(-1, 2), 0])
 
 
@@ -236,11 +236,9 @@ def _field_and_elements(draw, count=2):
 def _assert_lowest_terms(value):
     if not isinstance(value, FieldElement):
         return
-    if value.den is None:
-        for c in value.num:
-            _assert_lowest_terms(c)
-        return
-    assert all(isinstance(a, int) for a in value.num)
+    # one representation on every layer: ints over the whole tower's basis
+    assert len(value.num) == _total_degree(value.field)
+    assert all(type(a) is int for a in value.num) and type(value.den) is int
     assert value.den > 0 and math.gcd(value.den, *value.num) == 1
 
 
@@ -309,3 +307,43 @@ def test_non_integral_modulus_reduces_exactly():
     assert h * h == K.element([Fraction(1, 2), Fraction(-1, 3)])
     assert (h * h).den == 6
     assert h * h + h / 3 - Fraction(1, 2) == K.zero()
+
+
+@given(_field_and_elements())
+@settings(max_examples=40, deadline=None)
+def test_complex_value_respects_sum_and_product(drawn):
+    field, (a, b) = drawn
+    x, y = complex(a), complex(b)
+    assert abs(complex(a + b) - (x + y)) <= 1e-9 * max(1.0, abs(x) + abs(y))
+    assert abs(complex(a * b) - x * y) <= 1e-9 * max(1.0, abs(x) * abs(y))
+    # the value of the base-layer view, each layer's generator at its embedding
+    horner = sum(complex(c) * field.embedding**i for i, c in enumerate(a.rep))
+    assert abs(x - horner) <= 1e-9 * max(1.0, abs(x))
+
+
+@given(st.lists(_rational, min_size=2, max_size=2))
+@settings(max_examples=30, deadline=None)
+def test_base_layer_elements_coerce_into_the_tower_by_zero_padding(coords):
+    tower = _sqrt_minus_3_then_i()
+    value = tower.base.element(coords)
+    lifted = tower.coerce(value)
+    built = tower.element([value, 0])
+    _assert_lowest_terms(lifted)
+    assert lifted == built and hash(lifted) == hash(built)
+    assert lifted.num == value.num + (0, 0) and lifted.den == value.den
+    assert lifted.as_base() == value
+
+
+def test_degree_one_layer_agrees_with_q():
+    two = extend(QQ, "g", [-2])  # g - 2
+    g = two.gen()
+    assert g == 2 and str(g) == "2" and g.rational_value() == 2
+    for p, q in ((Fraction(3, 4), Fraction(-5, 6)), (Fraction(7), Fraction(1, 9))):
+        a, b = two.coerce(p), two.coerce(q)
+        for got, want in ((a + b, p + q), (a - b, p - q), (a * b, p * q), (a / b, p / q)):
+            assert got == want and str(got) == str(want)
+            _assert_lowest_terms(got)
+    assert two.from_poly([1, 1, 1]) == 7
+    over_g = parse_poly("g*x^2 - y/g + g^3", two, ("x", "y"))
+    over_q = parse_poly("2*x^2 - y/2 + 8", QQ, ("x", "y"))
+    assert str(over_g) == str(over_q)
