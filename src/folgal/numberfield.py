@@ -150,7 +150,6 @@ class NumberField:
             for t in range(2 * n - 1)
             for m in base._monomials
         )
-        self._cells = len(self._monomials)
         self._tden = lcm(*(m.den for m in self._monomials))
         basis = set(self._pos)
         self._overflow = tuple(
@@ -297,12 +296,12 @@ class FieldElement:
             return NotImplemented
         field = self.field
         pos = field._pos
-        conv = [0] * field._cells
-        terms = [(q, b) for q, b in zip(pos, other.num) if b]
+        conv = [0] * len(field._monomials)
         for p, a in zip(pos, self.num):
             if a:
-                for q, b in terms:
-                    conv[p + q] += a * b
+                for q, b in zip(pos, other.num):
+                    if b:
+                        conv[p + q] += a * b
         tden = field._tden
         num = [conv[p] * tden for p in pos]
         for cell, row in field._overflow:
