@@ -36,7 +36,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_foliation_spec(text: str):
-    """'field: <minpoly>; A: <poly>; B: <poly>' with the field part optional."""
+    """'field: <minpoly>; A: <poly>; B: <poly>' with the field part optional.
+
+    Keys are case-insensitive; an unknown or repeated key is an input error.
+    """
     entries = {}
     for chunk in text.replace("\n", ";").split(";"):
         chunk = chunk.strip()
@@ -45,7 +48,12 @@ def _parse_foliation_spec(text: str):
         if ":" not in chunk:
             raise CliError(f"expected 'key: value' in {chunk!r}")
         key, val = chunk.split(":", 1)
-        entries[key.strip().lower()] = val.strip()
+        key = key.strip().lower()
+        if key not in ("field", "a", "b"):
+            raise CliError(f"unknown key {key!r} in {chunk!r}; expected field, A or B")
+        if key in entries:
+            raise CliError(f"repeated key {key!r} in {chunk!r}")
+        entries[key] = val.strip()
     if "a" not in entries or "b" not in entries:
         raise CliError("spec needs 'A:' and 'B:' entries")
     return entries.get("field"), entries["a"], entries["b"]

@@ -5,7 +5,10 @@ degrees 2 and 3), continuous-symmetry detection with reduction to a self-map
 of the line, and the local sufficient/necessary conditions on inflection
 orders and singularity invariants (complete in prime degree).  Certificates
 are symbolic and machine-checkable; deck transformations are verified
-against the Gauss map before being returned.
+against the Gauss map before being returned.  For extremal Galois
+certificates the branching follows from the genus of a generic polar by
+Riemann-Hurwitz; that genus is read from delta invariants at the
+foliation's singular points, the base locus of the net of polars.
 """
 
 from __future__ import annotations
@@ -15,15 +18,16 @@ import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
+from sympy import isprime
+
 from .foliation import (
     AFFINE,
     PROJ,
     InflectionReport,
     PlaneFoliation,
-    ProjPoint,
-    _restrict,
     from_vector_field,
     inflection_divisor,
+    singular_locus,
 )
 from .klein1d import BinaryRationalMap, WeightedBranchingType, classify
 from .linalg import kernel_basis, rank as matrix_rank
@@ -32,7 +36,6 @@ from .multipoly import MultiPoly, NotDivisible, evaluate_at
 from .numberfield import QQ, adjoin_root, coordinates, invert
 from .polyops import is_square_over_closure, mpoly_gcd
 from .ratfunc import RationalFunction, compose_poly
-from .solve2d import common_zeros
 from .sympy_bridge import factor_irreducible
 
 XYT = ("x", "y", "t")
@@ -186,7 +189,7 @@ def extremal_type_report(F: PlaneFoliation, seed: int = 7) -> LocalTypeReport:
     invs = classify_singularities(F, seed=seed)
     chi_ok = all(not inv.violates_local_condition for inv in invs)
     chi_extremal = all(inv.chi == 1 or inv.chi == d for inv in invs)
-    prime = _is_prime(d)
+    prime = isprime(d)
 
     if not chi_ok:
         witness = next(inv for inv in invs if inv.violates_local_condition)
@@ -240,17 +243,6 @@ def extremal_type_report(F: PlaneFoliation, seed: int = 7) -> LocalTypeReport:
             {"invariants": invs, "transverse_orders": orders},
         )
     return LocalTypeReport(sufficient, necessary, verdict, invs, orders, report)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
 
 
 # -- infinitesimal symmetries ------------------------------------------------------------
@@ -1111,74 +1103,36 @@ def tangent_dim_bound_g3(F: PlaneFoliation, verdict: GaloisVerdict | None = None
 # -- genus of the generic polar ---------------------------------------------------------
 
 
-def _curve_singularities(curve_h: MultiPoly):
-    """Singular points of a projective plane curve, one per conjugacy class."""
-    field = curve_h.field
-    px = curve_h.derivative("x")
-    py = curve_h.derivative("y")
-    pz = curve_h.derivative("z")
-    out = []
-    # affine chart z = 1
-    fx = _at_z1(px)
-    fy = _at_z1(py)
-    if not fx.is_zero() and not fy.is_zero() and mpoly_gcd(fx, fy).is_constant():
-        pts = common_zeros(fx, fy)
-    else:
-        fz = _at_z1(pz)
-        pts = common_zeros(fx if not fx.is_zero() else fz, fz if not fx.is_zero() else fy)
-    curve_aff = _at_z1(curve_h)
-    for pt in pts:
-        x0, y0 = pt.xy
-        if curve_aff.to_field(pt.point_field).eval_field({"x": x0, "y": y0}):
-            continue
-        out.append((ProjPoint.make(pt.point_field, (x0, y0, 1)), pt.class_size))
-    # chart x = 1 for points at infinity
-    u = MultiPoly.variable(field, AFFINE, "x")
-    v = MultiPoly.variable(field, AFFINE, "y")
-    gy = _restrict(py, (1, u, v))
-    gz = _restrict(pz, (1, u, v))
-    curve_x = _restrict(curve_h, (1, u, v))
-    if not gy.is_zero() and not gz.is_zero() and mpoly_gcd(gy, gz).is_constant():
-        for pt in common_zeros(gy, gz, on_axis=True):
-            u0, v0 = pt.xy
-            if curve_x.to_field(pt.point_field).eval_field({"x": u0, "y": v0}):
-                continue
-            out.append((ProjPoint.make(pt.point_field, (1, u0, v0)), pt.class_size))
-    # the point [0, 1, 0]
-    probe = {"x": 0, "y": 0}
-    gx_y = _restrict(px, (u, 1, v))
-    gz_y = _restrict(pz, (u, 1, v))
-    curve_y = _restrict(curve_h, (u, 1, v))
-    if (
-        not gx_y.eval_field(probe)
-        and not gz_y.eval_field(probe)
-        and not curve_y.eval_field(probe)
-        and not _restrict(py, (u, 1, v)).eval_field(probe)
-    ):
-        out.append((ProjPoint.make(field, (0, 1, 0)), 1))
-    return out
-
-
 def generic_polar_genus(F: PlaneFoliation, seed: int = 23) -> int:
     """Geometric genus of a generic polar curve, via delta invariants.
 
-    The polars come from a :class:`folgal.local._PolarPool`, as the
-    singularity table's do; reducible ones are skipped, and two in a row
-    must agree.
+    The polar through ``q`` is the curve of points whose leaf's tangent line
+    passes through ``q``; it is linear in ``q``, so the polars form a net of
+    curves of degree ``d + 1`` whose base locus is the singular locus of the
+    foliation.  By Bertini's theorem (Hartshorne, *Algebraic Geometry*,
+    III.10.9 and Remark 10.9.2) a generic member of that net is smooth off
+    its base locus, so only the foliation's singular points can carry delta
+    invariants, and a point where the polar's gradient does not vanish
+    carries none.  The polars come from a :class:`folgal.local._PolarPool`,
+    as the singularity table's do; reducible ones are skipped, and two in a
+    row must agree.
     """
     d = F.degree
+    points = singular_locus(F)
     pool = _PolarPool(F, random.Random(seed))
     last = None
     for index in range(12):
-        pol = pool.chart_polar(index, "z")
-        if len(factor_irreducible(pol)) != 1:
+        if len(factor_irreducible(pool.chart_polar(index, "z"))) != 1:
             continue
-        ph = pol.homogenize("z", d + 1).with_vars(PROJ).permute_to(PROJ)
         total_delta = 0
-        for point, class_size in _curve_singularities(ph):
-            chart = point.chart()
-            curve = pool.chart_polar(index, chart).to_field(point.point_field)
-            total_delta += class_size * germ_delta(curve, point.chart_coords(chart))[1]
+        for sp in points:
+            chart = sp.point.chart()
+            curve = pool.chart_polar(index, chart).to_field(sp.point_field)
+            u0, v0 = sp.point.chart_coords(chart)
+            at = {"x": u0, "y": v0}
+            if curve.derivative("x").eval_field(at) or curve.derivative("y").eval_field(at):
+                continue  # a smooth point of the polar
+            total_delta += sp.class_size * germ_delta(curve, (u0, v0))[1]
         genus = d * (d - 1) // 2 - total_delta
         if genus == last:
             return genus
@@ -1198,7 +1152,7 @@ def branching_and_genus(F: PlaneFoliation, verdict: GaloisVerdict, seed: int = 2
     extremal = False
     if verdict.certificate.get("extremal"):
         extremal = True
-    elif _is_prime(d):
+    elif isprime(d):
         extremal = True
     elif d == 2:
         extremal = True

@@ -238,6 +238,8 @@ class _PolarPool:
     """Generic polars of one foliation, drawn from a seeded generator.  All
     singular points of one classification run share one pool, and
     :func:`folgal.galois.generic_polar_genus` draws from a pool of its own.
+    Both only look at a polar at the foliation's singular points, where
+    every polar passes.
 
     Each entry is verified squarefree over the base field once; chart
     restrictions of a reduced projective curve stay reduced, so the germs
@@ -277,9 +279,7 @@ class _PolarPool:
         return cache[chart]
 
 
-def _polar_branches_at(
-    F: PlaneFoliation, point: ProjPoint, rng: random.Random, pool: _PolarPool
-) -> int:
+def _polar_branches_at(point: ProjPoint, pool: _PolarPool) -> int:
     """Branch count of a generic polar at the point, with a genericity re-check."""
     chart = point.chart()
     u0, v0 = point.chart_coords(chart)
@@ -304,13 +304,12 @@ def _polar_branches_at(
 
 def classify_singularities(F: PlaneFoliation, seed: int = 7) -> list[SingularInvariants]:
     """nu, tau, beta, chi and the ramification status for every singular class."""
-    rng = random.Random(seed)
     out = []
     d = F.degree
-    pool = _PolarPool(F, rng)
+    pool = _PolarPool(F, random.Random(seed))
     for sp in singular_locus(F):
         nu, tau = vanishing_and_tangency_order(F, sp.point)
-        beta = _polar_branches_at(F, sp.point, rng, pool)
+        beta = _polar_branches_at(sp.point, pool)
         chi = Fraction(tau, beta)
         in_ram = chi > 1
         if not in_ram:

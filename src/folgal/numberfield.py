@@ -353,13 +353,6 @@ class FieldElement:
             self._hash = hash((id(self.field), self.num, self.den))
         return self._hash
 
-    def as_base(self):
-        """Return the base-field value when the element is constant, else None."""
-        base = self.field.base
-        if any(self.num[base.size:]):
-            return None
-        return base._make(self.num[:base.size], self.den)
-
     def rational_value(self):
         """Fraction value when the element lies in QQ, else None."""
         return None if any(self.num[1:]) else Fraction(self.num[0], self.den)

@@ -188,6 +188,18 @@ def test_reducible_field_spec_is_an_input_error(capsys, command, spec):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("fields: g^2+1; A: x^2; B: y^2", "unknown key 'fields'"),
+    ("A: x^2; A: x^3; B: y^2", "repeated key 'a'"),
+    ("A: x^2; B: y^2; a: x^3", "repeated key 'a'"),
+])
+def test_unknown_or_repeated_spec_key_is_an_input_error(capsys, spec, message):
+    code, out, err = run_cli(capsys, "analyze", "--inline", spec)
+    assert code == 3
+    assert message in err and "internal" not in err
+    assert not out
+
+
 @pytest.mark.parametrize("argv, column", [
     (("classify1d", "z/0"), 3),
     (("analyze", "--inline", "A: x/0; B: y^2"), 3),

@@ -7,12 +7,15 @@ import pytest
 from folgal import corpus
 from folgal import foliation as fol
 from folgal import galois as gal
+from folgal import local
 from folgal import numberfield
 from folgal.analyze import analyze
 from folgal.klein1d import BinaryRationalMap
 from folgal.multipoly import MultiPoly
 from folgal.numberfield import QQ
 from folgal.parsing import parse_poly
+from folgal.solve2d import common_zeros
+from folgal.sympy_bridge import factor_irreducible
 
 
 # -- fibre polynomial -----------------------------------------------------------
@@ -435,3 +438,60 @@ def test_polar_genus_values():
     assert gal.generic_polar_genus(corpus.foliation("cyclic_cubic_qh23")) == 1
     assert gal.generic_polar_genus(corpus.foliation("fermat_3")) == 0
     assert gal.generic_polar_genus(corpus.foliation("convex_qh_34")) == 0
+
+
+def _first_deformation_members():
+    """The first criterion-7 member of each degree, drawn as the acceptance
+    suite draws them."""
+    rng = random.Random(20240813)
+    members = []
+    for d in (3, 4, 5):
+        produced = 0
+        while produced < 5:
+            F = corpus.random_deformation_member(rng, d)
+            if F.degree != d:
+                continue
+            if produced == 0:
+                members.append(F)
+            produced += 1
+    return members
+
+
+def test_generic_polar_is_smooth_off_the_singular_locus():
+    # the Bertini step of generic_polar_genus, checked exactly in the affine
+    # chart: every singular point of the polar it starts from is a zero of
+    # both A and B
+    foliations = [corpus.foliation(n) for n in (
+        "fermat_3", "cyclic_cubic_qh23", "parabola_cubic_qh12", "convex_qh_34",
+        "halfchi_quartic")]
+    checked = 0
+    for F in foliations + _first_deformation_members():
+        pool = local._PolarPool(F, random.Random(23))
+        P = next(pool.chart_polar(i, "z") for i in range(12)
+                 if len(factor_irreducible(pool.chart_polar(i, "z"))) == 1)
+        for pt in common_zeros(P.derivative("x"), P.derivative("y")):
+            at = dict(zip(("x", "y"), pt.xy))
+            if P.to_field(pt.point_field).eval_field(at):
+                continue
+            checked += 1
+            for part in (F.A, F.B):
+                assert not part.to_field(pt.point_field).eval_field(at), (F, pt.xy)
+    assert checked >= 7  # all but parabola_cubic_qh12 have an affine singular point
+
+
+@pytest.mark.parametrize("name", ["hessian_pencil_4", "fermat_3_perturbed"])
+def test_polar_genus_with_simple_singular_points_is_arithmetic(name):
+    # a singular point of multiplicity 1 has an invertible linear part, so
+    # the polar's gradient does not vanish there: the polar is smooth and its
+    # genus is that of a smooth curve of degree d + 1
+    F = corpus.foliation(name)
+    assert all(sp.multiplicity == 1 for sp in fol.singular_locus(F))
+    d = F.degree
+    assert gal.generic_polar_genus(F) == d * (d - 1) // 2
+
+
+@pytest.mark.parametrize("name", ["dihedral_4", "dihedral_6", "octahedral_24"])
+def test_polar_genus_of_homogeneous_galois_foliations_is_zero(name):
+    # a homogeneous Galois foliation is the pull-back of its line map, and
+    # its polar is parametrised by the source line of that map
+    assert gal.generic_polar_genus(corpus.foliation(name)) == 0
