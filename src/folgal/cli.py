@@ -17,7 +17,7 @@ from .foliation import DegenerateFoliationError, from_strings
 from .klein1d import BinaryRationalMap, classify
 from .numberfield import QQ
 from .parsing import ParseError, parse_rational
-from .report import SCHEMA_VERSION, analysis_report
+from .report import SCHEMA_VERSION, analysis_report, deck_report
 
 EXIT_GALOIS = 0
 EXIT_NOT_GALOIS = 1
@@ -203,22 +203,8 @@ def cmd_deck(args) -> int:
     except UseAnotherMethod:
         print(f"verdict: galois via {v.method}; no deck realization for this certificate")
         return EXIT_INCONCLUSIVE
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "verdict": v.status,
-        "method": v.method,
-        "count": len(decks),
-        "decks": [
-            {
-                "x": {"num": str(t.tau_x.num), "den": str(t.tau_x.den)},
-                "y": {"num": str(t.tau_y.num), "den": str(t.tau_y.den)},
-                "verified": t.verified,
-            }
-            for t in decks
-        ],
-    }
     if args.json:
-        json.dump(payload, sys.stdout, indent=2)
+        json.dump(deck_report(v, decks), sys.stdout, indent=2)
         print()
     else:
         print(f"{len(decks)} verified deck transformations:")

@@ -125,6 +125,7 @@ class PlaneFoliation:
         self.b_bar = b_bar
         self.c_bar = c_bar
         self.triple = triple  # (a, b, c) homogeneous of degree d+1
+        self._singular_locus = None  # set by singular_locus(self)
 
     def __repr__(self):
         return f"PlaneFoliation(deg {self.degree}: A={self.A}, B={self.B})"
@@ -304,7 +305,7 @@ def invariant_curve_test(F: PlaneFoliation, curve: MultiPoly) -> bool:
 # -- singular locus ----------------------------------------------------------------
 
 
-def singular_locus(F: PlaneFoliation) -> list[SingularPoint]:
+def singular_locus(F: PlaneFoliation) -> tuple[SingularPoint, ...]:
     """Indeterminacy points of the Gauss map, one per conjugacy class.
 
     Multiplicities are local intersection numbers of the defining pair in a
@@ -313,7 +314,16 @@ def singular_locus(F: PlaneFoliation) -> list[SingularPoint]:
     are searched on the line at infinity alone (``common_zeros`` with
     ``on_axis``), so only ``gcd(A(u, 0), B(u, 0))`` is factored there and
     each multiplicity is the valuation of the chart's eliminant at the point.
+
+    The locus is solved once per foliation and kept on ``F``, so the
+    singularity table and the polar genus of one analysis share it.
     """
+    if F._singular_locus is None:
+        F._singular_locus = tuple(_solve_singular_locus(F))
+    return F._singular_locus
+
+
+def _solve_singular_locus(F: PlaneFoliation) -> list[SingularPoint]:
     out: list[SingularPoint] = []
     # affine chart
     for pt in common_zeros(F.A, F.B):

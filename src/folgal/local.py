@@ -200,10 +200,14 @@ def branch_count(curve: MultiPoly, point) -> int:
 
 
 def germ_delta(curve: MultiPoly, point):
-    """(branches, delta) of the reduced germ of ``curve`` at ``point``."""
+    """(branches, delta) of the germ of ``curve`` at ``point``.
+
+    ``curve`` must be reduced, as the polars of a :class:`_PolarPool` are:
+    a squarefree polynomial stays squarefree over every extension field and
+    after a translation, so its germ needs no gcd work here.
+    """
     x0, y0 = point
-    germ = squarefree_part(_translate(curve, x0, y0))
-    return resolve_germ(germ)
+    return resolve_germ(_translate(curve, x0, y0))
 
 
 # -- polar curves ---------------------------------------------------------------------

@@ -4,6 +4,14 @@ Terms are held in a dict mapping exponent tuples to nonzero coefficients
 (:class:`fractions.Fraction` over Q, :class:`~folgal.numberfield.FieldElement`
 over an extension).  The canonical term order is graded lexicographic in the
 polynomial's variable tuple; printing and normalization refer to it.
+
+Products and exact quotients pack each exponent tuple into one int and hand
+the terms to :func:`folgal.numberfield.product_terms` and
+:func:`folgal.numberfield.quotient_terms`, which serve Q and every layer: over
+Q both run on integers (the quotient by the divisor's primitive part), over a
+layer the product sums cell convolutions and reduces each output term once,
+and the quotient is long division in the field.  This module never asks which
+field it has.
 """
 
 from __future__ import annotations
@@ -11,11 +19,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .numberfield import FieldElement, field_element_str, invert
-
-
-class NotDivisible(Exception):
-    """Exact polynomial division failed."""
+from .numberfield import (
+    FieldElement,
+    NotDivisible,
+    field_element_str,
+    invert,
+    product_terms,
+    quotient_terms,
+)
 
 
 class MultiPoly:
@@ -171,20 +182,9 @@ class MultiPoly:
         self._check_compatible(other)
         if not self.terms or not other.terms:
             return self.zero_like()
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        terms = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                acc = terms.get(e)
-                val = ca * cb if acc is None else acc + ca * cb
-                if val:
-                    terms[e] = val
-                elif acc is not None:
-                    del terms[e]
-        return MultiPoly(self.field, self.vars, terms)
+        bits = _key_bits(self.total_degree() + other.total_degree())
+        terms = product_terms(self.field, _pack(self.terms, bits), _pack(other.terms, bits))
+        return MultiPoly(self.field, self.vars, _unpack(terms, len(self.vars), bits))
 
     __rmul__ = __mul__
 
@@ -222,20 +222,12 @@ class MultiPoly:
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return self
-        div_exp, div_coeff = divisor.leading_term()
-        inv = invert(self.field, div_coeff)
-        quot_terms = {}
-        rem = self
-        while rem.terms:
-            exp, coeff = rem.leading_term()
-            qexp = tuple(a - b for a, b in zip(exp, div_exp))
-            if any(e < 0 for e in qexp):
-                raise NotDivisible("leading monomial not divisible")
-            qc = coeff * inv
-            quot_terms[qexp] = qc
-            piece = MultiPoly(self.field, self.vars, {qexp: qc})
-            rem = rem - piece * divisor
-        return MultiPoly(self.field, self.vars, quot_terms)
+        n = len(self.vars)
+        bits = _key_bits(max(self.total_degree(), divisor.total_degree()))
+        quot = quotient_terms(
+            self.field, _pack(self.terms, bits), _pack(divisor.terms, bits), _guard(n, bits)
+        )
+        return MultiPoly(self.field, self.vars, _unpack(quot, n, bits))
 
     def divides(self, other: "MultiPoly") -> bool:
         try:
@@ -461,6 +453,46 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({poly_str(self)})"
+
+
+# -- packed monomial keys ------------------------------------------------------------
+#
+# The product and quotient kernels of :mod:`folgal.numberfield` see a monomial
+# as one int: its total degree and then its exponents, ``bits`` bits each, the
+# total degree most significant.  Keys then add as monomials multiply, and
+# compare as the graded lex order does.
+
+
+def _key_bits(top: int) -> int:
+    """Bits per field for monomials of total degree at most ``top``: every
+    field stays below ``2^(bits - 1)``, so its top bit is a guard bit."""
+    return top.bit_length() + 1
+
+
+def _pack(terms: Mapping[tuple, object], bits: int) -> dict:
+    out = {}
+    for e, c in terms.items():
+        k = sum(e)
+        for x in e:
+            k = k << bits | x
+        out[k] = c
+    return out
+
+
+def _unpack(terms: Mapping[int, object], n: int, bits: int) -> dict:
+    mask = (1 << bits) - 1
+    if n == 2:  # the plane's affine charts: a tuple display beats a list comprehension
+        return {(k >> bits & mask, k & mask): c for k, c in terms.items()}
+    shifts = range((n - 1) * bits, -1, -bits)
+    return {tuple([k >> s & mask for s in shifts]): c for k, c in terms.items()}
+
+
+def _guard(n: int, bits: int) -> int:
+    """The guard bits of a key with ``n`` exponents.  The monomial of key
+    ``l`` divides that of ``k`` exactly when ``k - l >= 0`` and
+    ``(k - l) & guard == 0``: subtracting a larger field from a smaller one
+    borrows, and leaves the lowest such field's guard bit set."""
+    return sum(1 << (i * bits + bits - 1) for i in range(n + 1))
 
 
 def evaluate_at(polys: Sequence[MultiPoly], point: Sequence[MultiPoly]) -> list:

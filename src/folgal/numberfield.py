@@ -30,11 +30,16 @@ vectors below those bounds are the cells of a mixed-radix grid, and each
 layer keeps, per cell, the coordinates of its monomial reduced by the moduli,
 over one denominator shared by the whole table.  ``FieldElement.rep`` is the
 view over the base layer: coordinates in the base, as Fractions over Q.
+
+The sparse polynomial kernels that :class:`folgal.multipoly.MultiPoly` runs
+on live here too, one for every field: :func:`product_terms` and
+:func:`quotient_terms`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -302,14 +307,7 @@ class FieldElement:
                 for q, b in zip(pos, other.num):
                     if b:
                         conv[p + q] += a * b
-        tden = field._tden
-        num = [conv[p] * tden for p in pos]
-        for cell, row in field._overflow:
-            c = conv[cell]
-            if c:
-                for k, a in row:
-                    num[k] += c * a
-        return _lowest_terms(field, num, self.den * other.den * tden)
+        return _lowest_terms(field, *_reduce(field, conv, self.den * other.den))
 
     __rmul__ = __mul__
 
@@ -385,6 +383,19 @@ def _lowest_terms(field: NumberField, num, den: int) -> FieldElement:
     return FieldElement(field, tuple(num), den)
 
 
+def _reduce(field: NumberField, conv, den: int):
+    """``(num, den')``: the element ``sum_cell conv[cell] _monomials[cell] /
+    den`` as coordinates over ``den' = den * _tden``, not in lowest terms."""
+    tden = field._tden
+    num = [conv[p] * tden for p in field._pos]
+    for cell, row in field._overflow:
+        c = conv[cell]
+        if c:
+            for k, a in row:
+                num[k] += c * a
+    return num, den * tden
+
+
 def _sum(field: NumberField, a, d: int, b, e: int) -> FieldElement:
     """``a/d + b/e`` for coordinates in lowest terms.  As for Fractions
     (Knuth, TAOCP 4.5.1), with ``g = gcd(d, e)`` the sum
@@ -398,6 +409,152 @@ def _sum(field: NumberField, a, d: int, b, e: int) -> FieldElement:
     if g != 1:
         num = [t // g for t in num]
     return FieldElement(field, tuple(num), d1 * (e // g))
+
+
+# -- sparse polynomial kernels ----------------------------------------------------
+#
+# A polynomial is a dict from monomial keys to scalars of one field.  The keys
+# are ints that add as the monomials multiply (:mod:`folgal.multipoly` packs
+# the exponents into them); the quotient kernel also needs them to grow with
+# the monomial order and to show divisibility by a guard bit per field.
+
+
+class NotDivisible(Exception):
+    """Exact polynomial division failed."""
+
+
+def _cleared(terms: dict):
+    """``(den, [(key, num)])``: the least common denominator ``den`` of the
+    coefficients and the coordinates ``num`` of each over it."""
+    parts = [(k, _parts(c)) for k, c in terms.items()]
+    den = lcm(*(d for _, (_, d) in parts))
+    return den, [(k, [a * (den // d) for a in num]) for k, (num, d) in parts]
+
+
+def _cleared_rational(terms: dict):
+    """:func:`_cleared` for rational coefficients, each numerator an int."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return den, [(k, c.numerator * (den // c.denominator)) for k, c in terms.items()]
+
+
+def product_terms(field, a: dict, b: dict) -> dict:
+    """The terms of the product of polynomials with terms ``a`` and ``b``
+    over ``field``, each key the sum of two keys.
+
+    Each operand is put over one denominator, and the products of its
+    integer coordinates are summed per output key without being reduced.
+    Over Q those are plain ints.  Over a layer they are summed per cell of
+    the product table, and each output term goes through the table
+    (:func:`_reduce`) once; a coefficient of a lower layer is zero-padded,
+    as :meth:`NumberField.coerce` pads it.  Each output coefficient is made
+    in lowest terms once.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    acc: dict = {}
+    if isinstance(field, RationalField):
+        da, ca = _cleared_rational(a)
+        db, cb = _cleared_rational(b)
+        get = acc.get
+        for ka, x in ca:
+            for kb, y in cb:
+                k = ka + kb
+                acc[k] = get(k, 0) + x * y
+        den = da * db
+        return {k: Fraction(n, den) for k, n in acc.items() if n}
+    da, ca = _cleared(a)
+    db, cb = _cleared(b)
+    pos = field._pos
+    cells = len(field._monomials)
+    ca = [(k, [(pos[i], x) for i, x in enumerate(num) if x]) for k, num in ca]
+    cb = [(k, [(pos[i], y) for i, y in enumerate(num) if y]) for k, num in cb]
+    for ka, xs in ca:
+        for kb, ys in cb:
+            k = ka + kb
+            conv = acc.get(k)
+            if conv is None:
+                conv = acc[k] = [0] * cells
+            for p, x in xs:
+                for q, y in ys:
+                    conv[p + q] += x * y
+    out = {}
+    for k, conv in acc.items():
+        num, den = _reduce(field, conv, da * db)
+        if any(num):
+            out[k] = _lowest_terms(field, num, den)
+    return out
+
+
+def quotient_terms(field, f: dict, g: dict, guard: int) -> dict:
+    """The terms of the exact quotient ``f / g`` of polynomials over
+    ``field``; raises :class:`NotDivisible` when ``g`` does not divide ``f``.
+
+    The greatest key of a polynomial must be its leading monomial, and the
+    monomial of key ``l`` must divide that of key ``k`` exactly when
+    ``k - l >= 0`` and ``(k - l) & guard == 0``; ``k - l`` is then the key
+    of the quotient.  The remainder is a dict updated in place, and a heap
+    of its keys yields each leading term.
+
+    Over Q the division runs on ints.  Write ``f = F / df`` and
+    ``g = (c / dg) G`` with ``F`` and ``G`` integral and ``G`` primitive.
+    If ``G`` divides ``F`` over Q, then by Gauss's lemma the quotient ``H``
+    is integral.  Long division meets exactly ``H``'s coefficients, so a
+    leading coefficient that ``lc(G)`` does not divide proves that ``g``
+    does not divide ``f``.  Then ``f / g = H dg / (df c)``.  Over a layer it
+    is long division in the field.
+    """
+    lead = max(g)
+    if isinstance(field, RationalField):
+        df, F = _cleared_rational(f)
+        dg, G = _cleared_rational(g)
+        content = gcd(*(n for _, n in G))
+        G = {k: n // content for k, n in G}
+        lc = G.pop(lead)
+        rest = [(k - lead, -n) for k, n in G.items()]
+
+        def coefficient(c):
+            q, r = divmod(c, lc)
+            if r:
+                raise NotDivisible("leading coefficient not divisible")
+            return q
+
+        quot = _long_division(dict(F), lead, rest, guard, coefficient)
+        den = df * content
+        return {k: Fraction(h * dg, den) for k, h in quot.items()}
+    inv = invert(field, g[lead])
+    rest = [(k - lead, -c) for k, c in g.items() if k != lead]
+    # in the field itself, a lower layer's element would not add to a quotient term
+    rem = {k: field.coerce(c) for k, c in f.items()}
+    return _long_division(rem, lead, rest, guard, lambda c: c * inv)
+
+
+def _long_division(rem: dict, lead: int, rest, guard: int, coefficient) -> dict:
+    """Quotient terms of the long division of ``rem`` (consumed) by a
+    divisor with leading key ``lead``; ``rest`` lists ``(k - lead, -c)``
+    for the divisor's other terms ``(k, c)``, and ``coefficient(c)`` is the
+    quotient coefficient for a leading coefficient ``c``.  Every key in
+    ``rem`` has exactly one entry in the heap."""
+    heap = [-k for k in rem]
+    heapify(heap)
+    quot = {}
+    while heap:
+        k = -heappop(heap)
+        c = rem.pop(k)
+        if not c:
+            continue
+        qk = k - lead
+        if qk < 0 or qk & guard:
+            raise NotDivisible("leading monomial not divisible")
+        q = quot[qk] = coefficient(c)
+        for off, nc in rest:
+            kk = k + off
+            old = rem.get(kk)
+            if old is None:
+                rem[kk] = q * nc
+                heappush(heap, -kk)
+            else:
+                rem[kk] = old + q * nc
+    return quot
 
 
 # -- dense univariate arithmetic over a field layer ----------------------------

@@ -1,14 +1,18 @@
 """Exact gcd, resultant, discriminant and squarefree structure for MultiPoly.
 
-Strategy: over Q, every gcd and resultant goes to sympy's dense integer
-kernels on integer-cleared inputs: the heuristic gcd of Char-Geddes-Gonnet,
-certified by exact cofactor products, and the subresultant chain, which gives
-the resultant and, to :mod:`folgal.solve2d`, the common roots of the fibres.
-Over a number-field tower, resultants are interpolated from integer
-resultants at integer points (Collins 1971), each reduced at the generators;
-gcds stay in-house, by a Euclidean sequence in one variable or on binary
-forms and by content extraction plus subresultant pseudo-remainder sequences
-otherwise.  Every path is exact.
+Strategy: over Q, every gcd, resultant and squarefree decomposition goes to
+sympy's dense integer kernels on integer-cleared inputs: the heuristic gcd of
+Char-Geddes-Gonnet, certified by exact cofactor products; the subresultant
+chain, which gives the resultant and, to :mod:`folgal.solve2d`, the common
+roots of the fibres; and Yun's squarefree decomposition (``dmp_sqf_list``),
+certified by reconstruction and one derivative gcd.  Over a number-field
+tower, resultants are interpolated from integer resultants at integer points
+(Collins 1971), each reduced at the generators; gcds and squarefree
+decompositions stay in-house, by a Euclidean sequence in one variable or on
+binary forms, by content extraction plus subresultant pseudo-remainder
+sequences otherwise, and by Yun's recursion on derivative gcds.  Polynomial
+products and exact quotients, over Q and over towers alike, are the kernels
+of :mod:`folgal.numberfield`.  Every path is exact.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from sympy.polys.densetools import dmp_eval
 from sympy.polys.domains import QQ as SQQ
 from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dmp_inner_gcd, dmp_inner_subresultants, dmp_resultant
+from sympy.polys.sqfreetools import dmp_sqf_list
 
 from .multipoly import MultiPoly
 from .numberfield import RationalField, poly_gcd
@@ -487,25 +492,67 @@ class SquarefreeDecomposition:
 
 
 def squarefree_decompose(p: MultiPoly) -> SquarefreeDecomposition:
-    """Yun/Musser-style squarefree decomposition (characteristic zero)."""
+    """Squarefree decomposition (characteristic zero).
+
+    Over Q the parts come from sympy's ``dmp_sqf_list`` on the
+    integer-cleared input (Yun, SYMSAC 1976, on the primitive part in the
+    first variable and recursively on its content), and their product must
+    pass one gcd with its derivatives.  Over a number-field tower they come
+    from the in-house Yun/Musser recursion.  Either way ``p`` must be the
+    parts' product times a constant, which becomes the unit.
+    """
     if p.is_zero():
         raise ValueError("zero polynomial")
     if p.is_constant():
         return SquarefreeDecomposition(p.constant_value(), [])
+    if isinstance(p.field, RationalField):
+        result = _squarefree_rational(p)
+    else:
+        result = _squarefree_yun(p)
+    prod = p.one_like()
+    for f, m in result:
+        prod = prod * f**m
+    unit_poly = p.exact_div(prod)
+    if not unit_poly.is_constant():
+        raise AssertionError("squarefree reconstruction left a non-constant unit")
+    return SquarefreeDecomposition(unit_poly.constant_value(), result)
 
-    def derivative_gcd(poly):
-        acc = poly
-        for v in poly.vars:
-            if poly.degree_in(v) > 0:
-                acc = mpoly_gcd(acc, poly.derivative(v))
-                if acc.is_constant():
-                    break
-        return acc
 
+def _derivative_gcd(poly: MultiPoly) -> MultiPoly:
+    """The gcd of ``poly`` and its partial derivatives; constant exactly
+    when ``poly`` is squarefree."""
+    acc = poly
+    for v in poly.vars:
+        if poly.degree_in(v) > 0:
+            acc = mpoly_gcd(acc, poly.derivative(v))
+            if acc.is_constant():
+                break
+    return acc
+
+
+def _squarefree_rational(p: MultiPoly) -> list:
+    """``[(f, m)]`` by increasing ``m`` over Q, each ``f`` monic, from
+    sympy's ``dmp_sqf_list`` over ZZ.  The product of the ``f`` must be
+    squarefree, which makes them squarefree and pairwise coprime."""
+    order = [v for v in p.vars if p.degree_in(v) > 0]
+    _, f = lift(p, order)
+    _, parts = dmp_sqf_list(f, len(order) - 1, ZZ)
+    result = [(from_dense(h, order, p).monic(), m) for h, m in parts]
+    radical = p.one_like()
+    for h, _ in result:
+        radical = radical * h
+    if not _derivative_gcd(radical).is_constant():
+        raise ArithmeticError("sympy's squarefree parts over Q failed their derivative check")
+    return result
+
+
+def _squarefree_yun(p: MultiPoly) -> list:
+    """``[(f, m)]`` by increasing ``m``, each ``f`` monic, squarefree and
+    prime to the others, by the Yun/Musser recursion on derivative gcds."""
     factors: dict[int, MultiPoly] = {}
 
     def recurse(poly, shift):
-        g = derivative_gcd(poly)
+        g = _derivative_gcd(poly)
         if g.is_constant():
             factors[1 + shift] = poly.monic()
             return
@@ -523,15 +570,7 @@ def squarefree_decompose(p: MultiPoly) -> SquarefreeDecomposition:
             factors[1 + shift] = w.monic()
 
     recurse(p, 0)
-    items = sorted(factors.items())
-    result = [(f, m) for m, f in items]
-    prod = p.one_like()
-    for f, m in result:
-        prod = prod * f**m
-    unit_poly = p.exact_div(prod)
-    if not unit_poly.is_constant():
-        raise AssertionError("squarefree reconstruction left a non-constant unit")
-    return SquarefreeDecomposition(unit_poly.constant_value(), result)
+    return [(f, m) for m, f in sorted(factors.items())]
 
 
 def squarefree_part(p: MultiPoly) -> MultiPoly:

@@ -157,3 +157,22 @@ def analysis_report(result: AnalysisResult, input_echo: dict) -> dict:
         "monodromy": monodromy_payload(result.monodromy),
         "timings": {k: round(v, 6) for k, v in result.timings.items()},
     }
+
+
+def deck_report(verdict, decks) -> dict:
+    """What ``folgal deck --json`` prints: the verdict and, for each deck
+    transformation, its two coordinate maps and whether it was verified."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "verdict": verdict.status,
+        "method": verdict.method,
+        "count": len(decks),
+        "decks": [
+            {
+                "x": {"num": str(t.tau_x.num), "den": str(t.tau_x.den)},
+                "y": {"num": str(t.tau_y.num), "den": str(t.tau_y.den)},
+                "verified": t.verified,
+            }
+            for t in decks
+        ],
+    }

@@ -1,5 +1,6 @@
 import importlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -495,3 +496,27 @@ def test_polar_genus_of_homogeneous_galois_foliations_is_zero(name):
     # a homogeneous Galois foliation is the pull-back of its line map, and
     # its polar is parametrised by the source line of that map
     assert gal.generic_polar_genus(corpus.foliation(name)) == 0
+
+
+def test_one_analysis_solves_the_singular_locus_once(monkeypatch):
+    # the singularity table and the polar genus share the locus kept on F
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return common_zeros(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("folgal") and getattr(module, "common_zeros", None) is common_zeros:
+            monkeypatch.setattr(module, "common_zeros", counted)
+    for F, fresh in zip(_first_deformation_members(), _first_deformation_members()):
+        calls.clear()
+        res = analyze(F, numeric=False)
+        assert res.genus == 0 and res.branching is not None
+        in_analysis = len(calls)
+        calls.clear()
+        assert fol.singular_locus(fresh)
+        assert in_analysis == len(calls) > 0
+        calls.clear()
+        assert fol.singular_locus(F) is fol.singular_locus(F)
+        assert not calls
