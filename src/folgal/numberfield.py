@@ -264,22 +264,30 @@ class FieldElement:
 
     # -- ring structure --------------------------------------------------------
 
-    def _coerced(self, other):
+    def _operands(self, other):
+        """``(a, b)``: ``self`` and ``other`` in the larger of their two
+        fields, or None when ``other`` is not a scalar of the same tower.
+        When both are elements, Python never tries the reflected method, so
+        ``self`` moves up here when it lies in a lower layer of ``other``'s
+        tower."""
         if isinstance(other, FieldElement):
             if other.field is self.field:
-                return other
+                return self, other
             if self.field._contains_field(other.field):
-                return self.field.coerce(other)
+                return self, self.field.coerce(other)
+            if other.field._contains_field(self.field):
+                return other.field.coerce(self), other
             return None
         if isinstance(other, (int, Fraction)):
-            return self.field.coerce(other)
+            return self, self.field.coerce(other)
         return None
 
     def __add__(self, other):
-        other = self._coerced(other)
-        if other is None:
+        pair = self._operands(other)
+        if pair is None:
             return NotImplemented
-        return _sum(self.field, self.num, self.den, other.num, other.den)
+        a, b = pair
+        return _sum(a.field, a.num, a.den, b.num, b.den)
 
     __radd__ = __add__
 
@@ -287,27 +295,29 @@ class FieldElement:
         return FieldElement(self.field, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
-        other = self._coerced(other)
-        if other is None:
+        pair = self._operands(other)
+        if pair is None:
             return NotImplemented
-        return _sum(self.field, self.num, self.den, [-b for b in other.num], other.den)
+        a, b = pair
+        return _sum(a.field, a.num, a.den, [-x for x in b.num], b.den)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        other = self._coerced(other)
-        if other is None:
+        pair = self._operands(other)
+        if pair is None:
             return NotImplemented
-        field = self.field
+        a, b = pair
+        field = a.field
         pos = field._pos
         conv = [0] * len(field._monomials)
-        for p, a in zip(pos, self.num):
-            if a:
-                for q, b in zip(pos, other.num):
-                    if b:
-                        conv[p + q] += a * b
-        return _lowest_terms(field, *_reduce(field, conv, self.den * other.den))
+        for p, x in zip(pos, a.num):
+            if x:
+                for q, y in zip(pos, b.num):
+                    if y:
+                        conv[p + q] += x * y
+        return _lowest_terms(field, *_reduce(field, conv, a.den * b.den))
 
     __rmul__ = __mul__
 
@@ -315,13 +325,18 @@ class FieldElement:
         return _invert(self)
 
     def __truediv__(self, other):
-        other = self._coerced(other)
-        if other is None:
+        pair = self._operands(other)
+        if pair is None:
             return NotImplemented
-        return self * _invert(other)
+        a, b = pair
+        return a * _invert(b)
 
     def __rtruediv__(self, other):
-        return self._coerced(other) * _invert(self)
+        pair = self._operands(other)
+        if pair is None:
+            return NotImplemented
+        a, b = pair
+        return b * _invert(a)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -341,10 +356,11 @@ class FieldElement:
         return any(self.num)
 
     def __eq__(self, other):
-        other = self._coerced(other)
-        if other is None:
+        pair = self._operands(other)
+        if pair is None:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        a, b = pair
+        return a.num == b.num and a.den == b.den
 
     def __hash__(self):
         if self._hash is None:
@@ -523,7 +539,7 @@ def quotient_terms(field, f: dict, g: dict, guard: int) -> dict:
         return {k: Fraction(h * dg, den) for k, h in quot.items()}
     inv = invert(field, g[lead])
     rest = [(k - lead, -c) for k, c in g.items() if k != lead]
-    # in the field itself, a lower layer's element would not add to a quotient term
+    # coefficients of a lower layer move up, so every quotient term lies in the field itself
     rem = {k: field.coerce(c) for k, c in f.items()}
     return _long_division(rem, lead, rest, guard, lambda c: c * inv)
 

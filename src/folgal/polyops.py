@@ -2,17 +2,17 @@
 
 Strategy: over Q, every gcd, resultant and squarefree decomposition goes to
 sympy's dense integer kernels on integer-cleared inputs: the heuristic gcd of
-Char-Geddes-Gonnet, certified by exact cofactor products; the subresultant
-chain, which gives the resultant and, to :mod:`folgal.solve2d`, the common
-roots of the fibres; and Yun's squarefree decomposition (``dmp_sqf_list``),
-certified by reconstruction and one derivative gcd.  Over a number-field
-tower, resultants are interpolated from integer resultants at integer points
-(Collins 1971), each reduced at the generators; gcds and squarefree
-decompositions stay in-house, by a Euclidean sequence in one variable or on
-binary forms, by content extraction plus subresultant pseudo-remainder
-sequences otherwise, and by Yun's recursion on derivative gcds.  Polynomial
-products and exact quotients, over Q and over towers alike, are the kernels
-of :mod:`folgal.numberfield`.  Every path is exact.
+Char-Geddes-Gonnet, certified by exact cofactor products; the resultant over
+ZZ (``dmp_resultant``), with Sylvester's sign; and Yun's squarefree
+decomposition (``dmp_sqf_list``), certified by reconstruction and one
+derivative gcd.  Over a number-field tower, resultants are interpolated from
+the same integer resultants at integer points (Collins 1971), each reduced at
+the generators; gcds and squarefree decompositions stay in-house, by a
+Euclidean sequence in one variable or on binary forms, by content extraction
+plus subresultant pseudo-remainder sequences otherwise, and by Yun's
+recursion on derivative gcds.  Polynomial products and exact quotients, over
+Q and over towers alike, are the kernels of :mod:`folgal.numberfield`.
+Every path is exact.
 """
 
 from __future__ import annotations
@@ -21,27 +21,12 @@ import itertools
 from fractions import Fraction
 from typing import Sequence
 
-from sympy.polys.densearith import (
-    dmp_add_term,
-    dmp_exquo,
-    dmp_mul,
-    dmp_neg,
-    dmp_pow,
-    dmp_quo_ground,
-    dmp_sub,
-)
-from sympy.polys.densebasic import (
-    dmp_degree,
-    dmp_degree_in,
-    dmp_ground,
-    dmp_LC,
-    dmp_one,
-    dmp_zero,
-)
+from sympy.polys.densearith import dmp_add_term, dmp_mul, dmp_neg, dmp_quo_ground, dmp_sub
+from sympy.polys.densebasic import dmp_degree_in, dmp_ground, dmp_one, dmp_zero
 from sympy.polys.densetools import dmp_eval
 from sympy.polys.domains import QQ as SQQ
 from sympy.polys.domains import ZZ
-from sympy.polys.euclidtools import dmp_inner_gcd, dmp_inner_subresultants, dmp_resultant
+from sympy.polys.euclidtools import dmp_inner_gcd, dmp_resultant
 from sympy.polys.sqfreetools import dmp_sqf_list
 
 from .multipoly import MultiPoly
@@ -82,75 +67,15 @@ def _gcd_rational(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     return from_dense(h, order, p).monic()
 
 
-def _subresultants_rational(p: MultiPoly, q: MultiPoly, var: str, dp: int, dq: int):
-    """Regular subresultants over Q of inputs of degrees ``dp, dq > 0`` in ``var``.
-
-    Returns ``(order, chain)``.  ``chain`` lists ``(j, s, scale)`` by
-    increasing ``j < min(dp, dq)``, one for each ``S_j(p, q)`` of degree ``j``
-    in ``var``: ``s`` is a dense polynomial over sympy's ZZ in ``order``
-    (``var`` first) and ``S_j(p, q) = scale * s``.  Every other ``S_j`` with
-    ``j < min(dp, dq)`` has no term of degree ``j``: its principal coefficient
-    is zero.  ``S_0`` is the Sylvester resultant.
-
-    sympy's subresultant PRS runs on the integer-cleared inputs with the
-    operand of higher degree first; its member ``R[i]`` (``i >= 2``) is
-    ``S_{deg R[i-1] - 1}`` and ``S[i]`` the principal coefficient of
-    ``S_{deg R[i]}``.  By the subresultant theorem (von zur Gathen-Gerhard,
-    Modern Computer Algebra, 6.10-6.11) the regular member is
-    ``S_{deg R[i]} = R[i] lc(R[i])^(d-1) / S[i-1]^(d-1)`` with
-    ``d = deg R[i-1] - deg R[i]``, an exact quotient.  The sign is Sylvester's
-    only with the higher degree first (``Res(y + 2, y^5 + 1)`` is -31, but
-    sympy returns 31 for both orders), so the swap's sign
-    ``(-1)^((dp - j)(dq - j))`` is applied in ``scale``.
-    """
-    rest = [v for v, _, _ in _active_vars(p, q) if v != var]
-    order = [var] + rest
-    u = len(rest)
-    a, f = lift(p, order)
-    b, g = lift(q, order)
-    R, S = dmp_inner_subresultants(g, f, u, ZZ) if dp < dq else dmp_inner_subresultants(f, g, u, ZZ)
-    chain = []
-    for i in range(len(R) - 1, 1, -1):
-        j = dmp_degree(R[i], u)
-        d = dmp_degree(R[i - 1], u) - j
-        s = R[i]
-        if d > 1:
-            lc_power = dmp_pow([dmp_LC(s, ZZ)], d - 1, u, ZZ)
-            s = dmp_exquo(dmp_mul(s, lc_power, u, ZZ), dmp_pow([S[i - 1]], d - 1, u, ZZ), u, ZZ)
-        # S_j(a p, b q) = a^(dq - j) b^(dp - j) S_j(p, q)
-        sign = (-1) ** ((dp - j) * (dq - j)) if dp < dq else 1
-        chain.append((j, s, Fraction(sign, a ** (dq - j) * b ** (dp - j))))
-    return order, chain
-
-
-def subresultant_chain(p: MultiPoly, q: MultiPoly, var: str) -> list:
-    """``[(j, S_j)]``: the regular subresultants of ``p`` and ``q`` in ``var``
-    over Q, by increasing ``j``.
-
-    Listed are the ``S_j`` with ``j`` below both degrees in ``var`` whose
-    degree in ``var`` is ``j``; the principal coefficient of every other such
-    ``S_j`` is zero.  At a point where the leading coefficients in ``var`` do
-    not vanish, the gcd of ``p`` and ``q`` has degree the least ``j`` whose
-    principal coefficient does not vanish there, and ``S_j`` is that gcd up
-    to a unit.  ``S_0``, listed when it is nonzero, is the resultant.
-    """
-    if not isinstance(p.field, RationalField):
-        raise ValueError("the subresultant chain is computed over Q only")
-    dp, dq = p.degree_in(var), q.degree_in(var)
-    if dp <= 0 or dq <= 0:
-        raise DegenerateResultant(f"both inputs need positive degree in {var}")
-    order, chain = _subresultants_rational(p, q, var, dp, dq)
-    return [(j, from_dense(s, order, p).scale(c)) for j, s, c in chain]
-
-
 def _resultant_rational(p: MultiPoly, q: MultiPoly, var: str, dp: int, dq: int) -> MultiPoly:
     """Sylvester resultant over Q of inputs of degrees ``dp, dq > 0`` in
-    ``var``: ``S_0`` of the subresultant chain, or zero when it is not there."""
-    order, chain = _subresultants_rational(p, q, var, dp, dq)
-    if not chain or chain[0][0]:
-        return p.zero_like()
-    _, s, c = chain[0]
-    return from_dense(s[0], order[1:], p).scale(c)
+    ``var``: :func:`_zz_resultant` of the integer-cleared inputs, with
+    ``Res(a p, b q) = a^dq b^dp Res(p, q)`` divided out."""
+    rest = [v for v, _, _ in _active_vars(p, q) if v != var]
+    a, f = lift(p, [var] + rest)
+    b, g = lift(q, [var] + rest)
+    r = _zz_resultant(f, g, dp, dq, len(rest))
+    return from_dense(r, rest, p).scale(Fraction(1, a**dq * b**dp))
 
 
 # -- multivariate gcd ---------------------------------------------------------------------
@@ -405,13 +330,16 @@ def _integer_points():
 
 def _zz_resultant(f, g, dp: int, dq: int, u: int):
     """Sylvester resultant in the outer variable of ``f`` and ``g`` (degrees
-    ``dp``, ``dq`` in it), dense over ZZ in ``u + 1 > 1`` variables.  sympy
-    returns Sylvester's sign only with the operand of higher degree first,
-    so a swap applies ``(-1)^(dp dq)`` (see :func:`_subresultants_rational`)."""
+    ``dp``, ``dq`` in it), dense over ZZ in ``u + 1`` variables; an integer
+    when ``u = 0``.  sympy returns Sylvester's sign only with the operand of
+    higher degree first (``Res(y + 2, y^5 + 1)`` is -31, but sympy returns
+    31 for both orders), so a swap applies ``(-1)^(dp dq)``."""
     if dp >= dq:
         return dmp_resultant(f, g, u, ZZ)
     r = dmp_resultant(g, f, u, ZZ)
-    return dmp_neg(r, u - 1, ZZ) if dp * dq % 2 else r
+    if not dp * dq % 2:
+        return r
+    return dmp_neg(r, u - 1, ZZ) if u else -r
 
 
 def _newton(xs, values, u: int):
@@ -436,9 +364,10 @@ def _newton(xs, values, u: int):
 def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
     """Sylvester resultant with respect to ``var``.
 
-    A constant input gives a power of the other.  Over Q it is ``S_0`` of
-    the subresultant chain; over a number-field tower it is interpolated
-    from integer resultants at integer points (:func:`_resultant_tower`).
+    A constant input gives a power of the other.  Over Q it is the integer
+    resultant of the integer-cleared inputs (:func:`_resultant_rational`);
+    over a number-field tower it is interpolated from integer resultants at
+    integer points (:func:`_resultant_tower`).
     """
     dp = p.degree_in(var)
     dq = q.degree_in(var)

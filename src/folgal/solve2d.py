@@ -6,13 +6,9 @@ class size, and the local intersection multiplicity, obtained from resultant
 valuations after a shear that is verified to separate the points.
 
 After the shear, the eliminant is factored into irreducible factors ``h``.
-Over Q, the fibre over a root ``xi`` of ``h`` is read from the subresultant
-chain in ``y`` (von zur Gathen-Gerhard, Modern Computer Algebra, 6.10-6.11):
-the fibre gcd has degree ``j``, the least index whose principal subresultant
-coefficient is nonzero modulo ``h``, and it is ``S_j(xi, y)`` up to a unit.
-That scan, and ``eta`` read from ``S_j``, are polynomial arithmetic over Q
-modulo ``h``.  Over a number-field tower the fibre gcd is a Euclidean gcd over
-``Q(xi)``.  Either way the point ``(xi, eta)`` is certified by checking that
+Over every field, the fibre over a root ``xi`` of ``h`` is the Euclidean gcd
+of ``F(xi, y)`` and ``G(xi, y)`` over the point field ``K(xi)``.  If it has
+degree ``j``, the point ``(xi, eta)`` is certified by checking that
 ``(y - eta)^j`` divides both fibres exactly.
 
 With ``on_axis`` only the points on the axis ``y = 0`` are wanted (the line
@@ -31,14 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sympy.polys.densearith import dup_mul, dup_mul_ground, dup_rem
-from sympy.polys.domains import QQ as SQQ
-from sympy.polys.euclidtools import dup_invert
-
 from .multipoly import MultiPoly, NotDivisible
-from .numberfield import RationalField, adjoin_root, poly_gcd
-from .polyops import mpoly_gcd, resultant, subresultant_chain
-from .sympy_bridge import factor_irreducible, factor_order_key, to_dense
+from .numberfield import adjoin_root, poly_gcd
+from .polyops import mpoly_gcd, resultant
+from .sympy_bridge import factor_irreducible, factor_order_key
 
 
 class ShearFailure(Exception):
@@ -121,11 +113,7 @@ def _common_zeros_sheared(F: MultiPoly, G: MultiPoly, lam: Fraction, on_axis: bo
             raise ShearFailure("not regular in second variable")
     if Fs.is_constant() or Gs.is_constant():
         return []
-    chain = None
-    if isinstance(field, RationalField):
-        res, chain = _fibre_chain(Fs, Gs, var_x, var_y)
-    else:
-        res = resultant(Fs, Gs, var_y)
+    res = resultant(Fs, Gs, var_y)
     if res.is_zero():
         raise ValueError("resultant vanished for coprime inputs")
     if res.is_constant():
@@ -137,14 +125,11 @@ def _common_zeros_sheared(F: MultiPoly, G: MultiPoly, lam: Fraction, on_axis: bo
         xi_field, xi = adjoin_root(fac, "r")
         fy = _eval_x(Fs, var_x, xi, xi_field)
         gy = _eval_x(Gs, var_x, xi, xi_field)
-        if chain is not None:
-            k, eta = _fibre_from_chain(chain, to_dense(fac, [var_x]), xi_field)
-        else:
-            g = poly_gcd(fy, gy, xi_field)
-            k = len(g) - 1
-            eta = -g[k - 1] / k if k >= 1 else None
+        g = poly_gcd(fy, gy, xi_field)
+        k = len(g) - 1
         if k < 1:
             raise ShearFailure("eliminant root without a matching point")
+        eta = -g[k - 1] / k
         # the fibre gcd has degree k, so it is (y - eta)^k exactly when that
         # power divides both fibres
         if not (_linear_power_divides(fy, eta, k) and _linear_power_divides(gy, eta, k)):
@@ -179,49 +164,6 @@ def _axis_factors(axis_gcd: MultiPoly, res: MultiPoly) -> list:
             raise ArithmeticError("an axis root is not a root of the eliminant")
         out.append((h, mult))
     return sorted(out, key=factor_order_key)
-
-
-def _fibre_chain(Fs: MultiPoly, Gs: MultiPoly, var_x: str, var_y: str):
-    """``(res, chain)`` for a pair over Q that is regular in ``var_y``.
-
-    ``res`` is the resultant in ``var_y``.  ``chain`` lists ``(j, lead, nxt)``
-    by increasing ``j > 0``: the coefficients of ``y^j`` and ``y^(j-1)``, dense
-    over Q in ``var_x``, of each regular subresultant ``S_j``, closed by the
-    input of lower degree ``m`` in ``var_y``: the fibre gcd is that input when
-    every principal coefficient below ``m`` vanishes.
-    """
-    members = subresultant_chain(Fs, Gs, var_y)
-    res = members[0][1] if members and members[0][0] == 0 else Fs.zero_like()
-    low = min((Gs, Fs), key=lambda P: P.degree_in(var_y))
-    chain = []
-    for j, S in members + [(low.degree_in(var_y), low)]:
-        if j:
-            coeffs = S.univariate_coeffs(var_y)
-            chain.append((j, to_dense(coeffs[j], [var_x]), to_dense(coeffs[j - 1], [var_x])))
-    return res, chain
-
-
-def _fibre_from_chain(chain, h: list, xi_field):
-    """``(j, eta)`` over a root ``xi`` of the irreducible eliminant factor ``h``
-    (dense over Q), from a chain of :func:`_fibre_chain`.
-
-    ``j`` is the least index whose principal coefficient is nonzero modulo
-    ``h``, so the fibre gcd is ``S_j(xi, y)`` up to a unit.  If that gcd is
-    ``(y - eta)^j``, its coefficients of ``y^j`` and ``y^(j-1)`` give ``eta``,
-    computed over Q modulo ``h``.  ``(0, None)`` when no index qualifies.
-    """
-    for j, lead, nxt in chain:
-        lead = dup_rem(lead, h, SQQ)
-        if lead:
-            break
-    else:
-        return 0, None
-    eta = dup_mul(dup_rem(nxt, h, SQQ), dup_invert(lead, h, SQQ), SQQ)
-    eta = dup_mul_ground(dup_rem(eta, h, SQQ), SQQ(-1, j), SQQ)
-    eta = [Fraction(int(c.numerator), int(c.denominator)) for c in reversed(eta)]
-    if isinstance(xi_field, RationalField):
-        return j, eta[0] if eta else Fraction(0)
-    return j, xi_field.element(eta + [Fraction(0)] * (xi_field.degree - len(eta)))
 
 
 def _linear_power_divides(f: list, eta, k: int) -> bool:

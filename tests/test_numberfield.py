@@ -1,11 +1,12 @@
 import ast
 import math
+import operator
 import pathlib
 from fractions import Fraction
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from folgal.linalg import kernel_basis
@@ -128,7 +129,7 @@ def test_nested_unit_coefficients_print_like_rational_ones():
         assert [str(f) for f, _ in factors] == expected
 
 
-KERNEL_MODULES = {"numberfield", "polyops", "sympy_bridge", "solve2d"}
+KERNEL_MODULES = {"numberfield", "polyops", "sympy_bridge"}
 
 # multipoly.__eq__ may compare a polynomial against a plain constant
 FRACTION_TESTS_ALLOWED = KERNEL_MODULES | {"multipoly"}
@@ -331,6 +332,28 @@ def test_base_layer_elements_coerce_into_the_tower_by_zero_padding(coords):
     _assert_lowest_terms(lifted)
     assert lifted == built and hash(lifted) == hash(built)
     assert lifted.num == value.num + (0, 0) and lifted.den == value.den
+
+
+@given(st.lists(_rational, min_size=2, max_size=2), st.lists(_rational, min_size=4, max_size=4))
+# g and c: the generators of g^2 + 3 and of c^2 + 1 over Q(g)
+@example([0, 1], [0, 0, 1, 0])
+@settings(max_examples=30, deadline=None)
+def test_lower_layer_operand_on_either_side(low_coords, top_coords):
+    # between two FieldElements Python tries no reflected method, so a
+    # lower layer's element on the left must move up by itself
+    tower = _sqrt_minus_3_then_i()
+    low = tower.base.element(low_coords)
+    top = tower.element([tower.base.element(top_coords[:2]), tower.base.element(top_coords[2:])])
+    up = tower.coerce(low)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for a, b, ua, ub in ((low, top, up, top), (top, low, top, up)):
+            if op is operator.truediv and not b:
+                continue
+            got = op(a, b)
+            _assert_lowest_terms(got)
+            assert got.field is tower and got == op(ua, ub)
+    assert low == up and up == low
+    assert (low == top) == (up == top) and (top == low) == (top == up)
 
 
 def test_degree_one_layer_agrees_with_q():

@@ -10,11 +10,11 @@ from sympy.polys.euclidtools import dmp_resultant
 
 from folgal import solve2d
 from folgal.multipoly import MultiPoly
-from folgal.numberfield import QQ, coordinates, extend, poly_gcd
+from folgal.numberfield import QQ, coordinates, extend
 from folgal.parsing import parse_min_poly, parse_poly
 from folgal.polyops import mpoly_gcd, resultant
 from folgal.solve2d import common_zeros
-from folgal.sympy_bridge import factor_irreducible, from_dense, lift, to_dense
+from folgal.sympy_bridge import from_dense, lift
 
 
 def poly(text, field=QQ):
@@ -76,47 +76,7 @@ def test_bezout_totals():
     assert total(pts) == 4
 
 
-# -- fibres from the subresultant chain against the Euclidean route ------------
-
-
-def _key(v):
-    return v if isinstance(v, Fraction) else v.rep
-
-
-def chain_points(F, G, lam):
-    try:
-        pts = solve2d._common_zeros_sheared(F, G, lam)
-    except solve2d.ShearFailure:
-        return None
-    return [
-        (p.class_size, p.multiplicity, getattr(p.point_field, "min_poly", None),
-         _key(p.xy[0]), _key(p.xy[1]))
-        for p in pts
-    ]
-
-
-def euclid_points(F, G, lam):
-    """The Euclidean route as the oracle: eliminant factors from the resultant,
-    and the fibre over each root from a gcd over ``Q(xi)``."""
-    x, y = (MultiPoly.variable(QQ, F.vars, v) for v in F.vars)
-    Fs, Gs = (P.substitute({"x": x + y.scale(lam)}) for P in (F, G))
-    out = []
-    for fac, mult in factor_irreducible(resultant(Fs, Gs, "y").monic()):
-        coeffs = [c.constant_value() for c in fac.univariate_coeffs("x")]
-        if len(coeffs) == 2:
-            K, xi = QQ, -coeffs[0]
-        else:
-            K = extend(QQ, "r1", coeffs[:-1])
-            xi = K.gen()
-        fibres = (solve2d._eval_x(P, "x", xi, K) for P in (Fs, Gs))
-        g = poly_gcd(*fibres, K)
-        k = len(g) - 1
-        eta = -g[k - 1] / k
-        if not solve2d._linear_power_divides(g, eta, k):
-            return None
-        min_poly = getattr(K, "min_poly", None)
-        out.append((len(coeffs) - 1, mult, min_poly, _key(xi + eta * lam), _key(eta)))
-    return out
+# -- fibres: exact common zeros that account for the whole eliminant ----------
 
 
 def random_regular(rng, degree):
@@ -136,19 +96,26 @@ def random_regular(rng, degree):
     return acc
 
 
-def assert_chain_matches_euclid(F, G):
-    for lam in (Fraction(0), Fraction(5, 7), Fraction(-3, 11)):
-        if any(P.substitute({"x": poly(f"x + {lam}*y")}).degree_in("y")
-               != P.total_degree() for P in (F, G)):
+def assert_points_account_for_eliminant(F, G):
+    """At the first shear that separates the points, every point is a common
+    zero of ``F`` and ``G`` in its point field, and the points' multiplicities
+    times class sizes add up to the degree of the sheared eliminant."""
+    x, y = (MultiPoly.variable(QQ, F.vars, v) for v in F.vars)
+    for lam in solve2d._SHEARS:
+        try:
+            points = solve2d._common_zeros_sheared(F, G, lam)
+        except solve2d.ShearFailure:
             continue
-        expected = euclid_points(F, G, lam)
-        assert chain_points(F, G, lam) == expected
-        if expected is not None:
-            return expected
-    raise AssertionError("no separating shear among the first three")
+        for p in points:
+            at = dict(zip(F.vars, p.xy))
+            assert not any(P.to_field(p.point_field).eval_field(at) for P in (F, G))
+        Fs, Gs = (P.substitute({"x": x + y.scale(lam)}) for P in (F, G))
+        assert total(points) == resultant(Fs, Gs, "y").degree_in("x")
+        return points
+    raise AssertionError("no shear separates the points")
 
 
-def test_chain_fibres_match_euclid_on_random_pairs():
+def test_fibre_points_are_exact_zeros_on_random_pairs():
     rng = random.Random(20261018)
     checked = 0
     while checked < 12:
@@ -156,31 +123,31 @@ def test_chain_fibres_match_euclid_on_random_pairs():
         G = random_regular(rng, rng.randint(2, 6))
         if not mpoly_gcd(F, G).is_constant():
             continue
-        assert_chain_matches_euclid(F, G)
+        assert_points_account_for_eliminant(F, G)
         checked += 1
 
 
 @pytest.mark.parametrize(
     "f, g, j, mult",
     [
-        # tangential fibre: the gcd over x = 0 is y^2, from S_2 below deg 4
+        # tangential fibre: the gcd over x = 0 is y^2, below both degrees in y
         ("y^2*(y^3 + y - 1) + x*(y^2 - 2*x*y + 2)", "y^2*(y^2 + 1) + x*(-y + 2*x + 2)", 2, 2),
-        # defective chain: degrees 6, 5 in y; the gcd over x = 0 is y^3, read
-        # from the regular S_3 that S_4 (of degree 3) is similar to
+        # defective chain: degrees 6, 5 in y; the gcd over x = 0 is y^3, and
+        # the subresultant S_4 has degree 3
         ("y^3*(y^3 - y - 1) + x*(-y^2 + x*y - 1)", "y^3*(y^2 - 1) + x*(2*y - 1)", 3, 4),
     ],
 )
 def test_chain_fibre_degree_and_point(f, g, j, mult):
     F, G = poly(f), poly(g)
-    _, chain = solve2d._fibre_chain(F, G, "x", "y")
-    h = to_dense(parse_poly("x", QQ, ("x",)), ["x"])
-    assert solve2d._fibre_from_chain(chain, h, QQ) == (j, Fraction(0))
-    points = assert_chain_matches_euclid(F, G)
-    assert (1, mult, None, Fraction(0), Fraction(0)) in points
+    at_zero = {"x": poly("0")}
+    assert mpoly_gcd(F.substitute(at_zero), G.substitute(at_zero)) == poly(f"y^{j}")
+    points = assert_points_account_for_eliminant(F, G)
+    assert (1, mult, (0, 0)) in [(p.class_size, p.multiplicity, p.xy) for p in points]
 
 
 def test_chain_resultant_matches_dmp_resultant():
-    # the route the chain replaced: sympy's dmp_resultant, higher degree first
+    # sympy's dmp_resultant with the higher degree first, and Sylvester's sign
+    # put back by hand
     rng = random.Random(7)
     for _ in range(20):
         p, q = (random_regular(rng, rng.randint(1, 5)) for _ in range(2))
