@@ -108,9 +108,6 @@ class InflectionReport:
     def transverse(self):
         return [c for c in self.components if c.kind == "transverse"]
 
-    def invariant(self):
-        return [c for c in self.components if c.kind == "invariant_line"]
-
 
 class PlaneFoliation:
     """Saturated degree-d foliation of the projective plane."""
@@ -126,6 +123,7 @@ class PlaneFoliation:
         self.c_bar = c_bar
         self.triple = triple  # (a, b, c) homogeneous of degree d+1
         self._singular_locus = None  # set by singular_locus(self)
+        self._polar_pools = {}  # seed -> local._PolarPool, set by local._polar_pool
 
     def __repr__(self):
         return f"PlaneFoliation(deg {self.degree}: A={self.A}, B={self.B})"
@@ -137,6 +135,14 @@ class PlaneFoliation:
 
         Chart coordinates: 'z' -> (x, y) = (X/Z, Y/Z); 'x' -> (Y/X, Z/X);
         'y' -> (X/Y, Z/Y).  Always returned in the variables ("x", "y").
+
+        Charts x and y need no saturation gcd.  In chart x, a common factor
+        ``h(u, v)`` of ``b(1, u, v)`` and ``c(1, u, v)`` homogenizes to an
+        ``H`` that ``X`` does not divide, so ``H`` divides ``b`` and ``c``,
+        and by Euler's relation ``aX + bY + cZ = 0`` also ``aX``, hence
+        ``a``: ``h`` is constant because the triple is saturated (asserted by
+        :func:`from_vector_field`).  Chart y is the same with ``X`` and ``Y``
+        exchanged.
         """
         if chart == "z":
             return self.A, self.B
@@ -144,19 +150,10 @@ class PlaneFoliation:
         u = MultiPoly.variable(self.field, AFFINE, "x")
         v = MultiPoly.variable(self.field, AFFINE, "y")
         if chart == "x":
-            bb = _restrict(b, (1, u, v))
-            cc = _restrict(c, (1, u, v))
-            Ac, Bc = -cc, bb
-        elif chart == "y":
-            aa = _restrict(a, (u, 1, v))
-            cc = _restrict(c, (u, 1, v))
-            Ac, Bc = -cc, aa
-        else:
-            raise ValueError(f"unknown chart {chart!r}")
-        g = mpoly_gcd(Ac, Bc)
-        if not g.is_constant():
-            Ac, Bc = Ac.exact_div(g), Bc.exact_div(g)
-        return Ac, Bc
+            return -_restrict(c, (1, u, v)), _restrict(b, (1, u, v))
+        if chart == "y":
+            return -_restrict(c, (u, 1, v)), _restrict(a, (u, 1, v))
+        raise ValueError(f"unknown chart {chart!r}")
 
     def gauss_map(self):
         """Homogeneous triple and the affine chart form (-B/C, A/C), C = yA - xB."""

@@ -14,7 +14,6 @@ foliation's singular points, the base locus of the net of polars.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -27,11 +26,10 @@ from .foliation import (
     PlaneFoliation,
     from_vector_field,
     inflection_divisor,
-    singular_locus,
 )
 from .klein1d import BinaryRationalMap, WeightedBranchingType, classify
 from .linalg import kernel_basis, rank as matrix_rank
-from .local import _PolarPool, classify_singularities, germ_delta
+from .local import _polar_pool, classify_singularities
 from .multipoly import MultiPoly, NotDivisible, evaluate_at
 from .numberfield import QQ, adjoin_root, coordinates, invert
 from .polyops import is_square_over_closure, mpoly_gcd
@@ -1112,27 +1110,22 @@ def generic_polar_genus(F: PlaneFoliation, seed: int = 23) -> int:
     foliation.  By Bertini's theorem (Hartshorne, *Algebraic Geometry*,
     III.10.9 and Remark 10.9.2) a generic member of that net is smooth off
     its base locus, so only the foliation's singular points can carry delta
-    invariants, and a point where the polar's gradient does not vanish
-    carries none.  The polars come from a :class:`folgal.local._PolarPool`,
-    as the singularity table's do; reducible ones are skipped, and two in a
-    row must agree.
+    invariants.  The germs there come from the foliation's pool for
+    ``seed`` (:class:`folgal.local._PolarPool`), built from the jet at each
+    point as ``A (qV - v qW) - B (qU - u qW)`` and resolved once, for the
+    singularity table too; a germ of lowest degree 1 has delta 0 at once.
+    Reducible polars are skipped, and two in a row must agree.
     """
     d = F.degree
-    points = singular_locus(F)
-    pool = _PolarPool(F, random.Random(seed))
+    pool = _polar_pool(F, seed)
     last = None
     for index in range(12):
-        if len(factor_irreducible(pool.chart_polar(index, "z"))) != 1:
+        if len(factor_irreducible(pool.polar(index))) != 1:
             continue
-        total_delta = 0
-        for sp in points:
-            chart = sp.point.chart()
-            curve = pool.chart_polar(index, chart).to_field(sp.point_field)
-            u0, v0 = sp.point.chart_coords(chart)
-            at = {"x": u0, "y": v0}
-            if curve.derivative("x").eval_field(at) or curve.derivative("y").eval_field(at):
-                continue  # a smooth point of the polar
-            total_delta += sp.class_size * germ_delta(curve, (u0, v0))[1]
+        total_delta = sum(
+            sp.class_size * pool.branches_and_delta(index, k)[1]
+            for k, sp in enumerate(pool.points)
+        )
         genus = d * (d - 1) // 2 - total_delta
         if genus == last:
             return genus

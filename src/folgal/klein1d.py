@@ -60,9 +60,6 @@ class BinaryRationalMap:
     def degree(self) -> int:
         return max(self.num.total_degree(), self.den.total_degree())
 
-    def eval_complex(self, zval: complex) -> complex:
-        return self.num.eval_complex({"z": zval}) / self.den.eval_complex({"z": zval})
-
     def __str__(self):
         return f"({self.num}) / ({self.den})"
 

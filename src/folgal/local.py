@@ -2,8 +2,12 @@
 polar branch count (by embedded resolution), characteristic order, and the
 ramifying-singularity classification.
 
+Everything at a singular point is read off the foliation's jet there, the
+chart field translated to the point once; so are the germs of the generic
+polars, from one pool per foliation and seed (:class:`_PolarPool`).
+
 The blow-up recursion also accumulates delta invariants of curve germs,
-which downstream code uses for geometric genus of generic polars.
+which give the geometric genus of generic polars.
 """
 
 from __future__ import annotations
@@ -15,8 +19,7 @@ from fractions import Fraction
 from .multipoly import MultiPoly
 from .numberfield import adjoin_root
 from .polyops import squarefree_decompose, squarefree_part
-from .foliation import AFFINE, PROJ, PlaneFoliation, ProjPoint, \
-    _restrict, singular_locus
+from .foliation import AFFINE, PlaneFoliation, ProjPoint, singular_locus
 from .sympy_bridge import factor_irreducible
 
 
@@ -66,33 +69,35 @@ class SingularInvariants:
         )
 
 
-# -- germs ------------------------------------------------------------------------
+# -- jets ---------------------------------------------------------------------------
 
 
-def _lift_pair(F: PlaneFoliation, chart: str, point_field):
-    Ac, Bc = F.chart_vector_field(chart)
-    return Ac.to_field(point_field), Bc.to_field(point_field)
+def _jet(F: PlaneFoliation, point: ProjPoint):
+    """The chart field ``(A, B)`` of the point's chart, translated to the
+    point over the point's field: ``A(x + u0, y + v0)``, ``B(x + u0, y + v0)``."""
+    chart = point.chart()
+    u0, v0 = point.chart_coords(chart)
+    return tuple(
+        _translate(P.to_field(point.point_field), u0, v0) for P in F.chart_vector_field(chart)
+    )
 
 
 def _translate(p: MultiPoly, x0, y0) -> MultiPoly:
-    field = p.field
-    x = MultiPoly.variable(field, AFFINE, "x")
-    y = MultiPoly.variable(field, AFFINE, "y")
-    mapping = {}
-    if x0:
-        mapping["x"] = x + MultiPoly.constant(field, AFFINE, x0)
-    if y0:
-        mapping["y"] = y + MultiPoly.constant(field, AFFINE, y0)
+    """``p(x + x0, y + y0)``."""
+    mapping = {
+        name: MultiPoly.variable(p.field, AFFINE, name) + c
+        for name, c in zip(AFFINE, (x0, y0)) if c
+    }
     return p.substitute(mapping) if mapping else p
 
 
 def vanishing_and_tangency_order(F: PlaneFoliation, point: ProjPoint):
     """(nu, tau): first nonzero jet order, first non-radial jet order."""
-    chart = point.chart()
-    Ac, Bc = _lift_pair(F, chart, point.point_field)
-    u0, v0 = point.chart_coords(chart)
-    At = _translate(Ac, u0, v0)
-    Bt = _translate(Bc, u0, v0)
+    return _orders(_jet(F, point), point)
+
+
+def _orders(jet, point: ProjPoint):
+    At, Bt = jet
     la, lb = At.lowest_degree(), Bt.lowest_degree()
     nu = min(d for d in (la, lb) if d >= 0)
     if nu == 0:
@@ -194,18 +199,12 @@ def branch_count(curve: MultiPoly, point) -> int:
     germ = _translate(curve, x0, y0)
     if germ.eval_field({"x": 0, "y": 0}):
         raise ValueError("curve does not pass through the point")
-    germ = squarefree_part(germ)
-    b, _ = resolve_germ(germ)
-    return b
+    return resolve_germ(squarefree_part(germ))[0]
 
 
 def germ_delta(curve: MultiPoly, point):
-    """(branches, delta) of the germ of ``curve`` at ``point``.
-
-    ``curve`` must be reduced, as the polars of a :class:`_PolarPool` are:
-    a squarefree polynomial stays squarefree over every extension field and
-    after a translation, so its germ needs no gcd work here.
-    """
+    """(branches, delta) of the germ of ``curve`` at ``point``.  ``curve``
+    must be reduced, as the germs of a :class:`_PolarPool` are."""
     x0, y0 = point
     return resolve_germ(_translate(curve, x0, y0))
 
@@ -216,45 +215,45 @@ def germ_delta(curve: MultiPoly, point):
 def polar_curve(F: PlaneFoliation, base) -> MultiPoly:
     """Affine equation A(x,y)(y-b) - B(x,y)(x-a) of the polar through (a,b)."""
     a0, b0 = base
-    field = F.field
-    x = MultiPoly.variable(field, AFFINE, "x")
-    y = MultiPoly.variable(field, AFFINE, "y")
-    ca = MultiPoly.constant(field, AFFINE, a0)
-    cb = MultiPoly.constant(field, AFFINE, b0)
-    return F.A * (y - cb) - F.B * (x - ca)
-
-
-def polar_in_chart(F: PlaneFoliation, base, chart: str) -> MultiPoly:
-    pol = polar_curve(F, base)
-    if pol.total_degree() != F.degree + 1:
-        raise ValueError("polar dropped degree; pick another base point")
-    if chart == "z":
-        return pol
-    ph = pol.homogenize("z", F.degree + 1).with_vars(PROJ).permute_to(PROJ)
-    u = MultiPoly.variable(F.field, AFFINE, "x")
-    v = MultiPoly.variable(F.field, AFFINE, "y")
-    if chart == "x":
-        return _restrict(ph, (1, u, v))
-    return _restrict(ph, (u, 1, v))
+    x = MultiPoly.variable(F.field, AFFINE, "x")
+    y = MultiPoly.variable(F.field, AFFINE, "y")
+    return F.A * (y - b0) - F.B * (x - a0)
 
 
 class _PolarPool:
-    """Generic polars of one foliation, drawn from a seeded generator.  All
-    singular points of one classification run share one pool, and
-    :func:`folgal.galois.generic_polar_genus` draws from a pool of its own.
-    Both only look at a polar at the foliation's singular points, where
-    every polar passes.
+    """Generic polars of one foliation, read at its singular points, where
+    every polar passes; one pool per ``(foliation, seed)``, kept on ``F``.
 
-    Each entry is verified squarefree over the base field once; chart
-    restrictions of a reduced projective curve stay reduced, so the germs
-    need no further gcd work.
+    The polar through ``q = [qX : qY : qZ]`` is ``a qX + b qY + c qZ = 0``
+    for the foliation's triple.  In a chart with coordinates ``(u, v) =
+    (U/W, V/W)``, where ``(U, V, W)`` is ``(X, Y, Z)`` for chart z,
+    ``(Y, Z, X)`` for chart x and ``(X, Z, Y)`` for chart y, Euler's relation
+    ``aX + bY + cZ = 0`` makes it ``A (qV - v qW) - B (qU - u qW)`` up to
+    sign, ``(A, B)`` being the chart field.  With the jet at the point
+    (:func:`_jet`, ``u = x + u0``, ``v = y + v0``) that formula gives each
+    germ: no polar is restricted to a chart, moved into a point field or
+    translated.
+
+    Each polar, through a seeded random ``[qX : qY : 1]``, is verified
+    squarefree over the base field once; a reduced curve stays reduced over
+    every extension and in every chart, so germs need no gcd work.  Each
+    (polar, point) germ is resolved once: the singularity table reads its
+    branch count and the polar genus its delta.
     """
 
-    def __init__(self, F: PlaneFoliation, rng: random.Random):
+    def __init__(self, F: PlaneFoliation, seed: int):
         self.F = F
-        self.rng = rng
-        self.entries = []  # list of dicts chart -> chart polynomial
-        self.charts_cache: list[dict] = []
+        self.rng = random.Random(seed)
+        self.points = singular_locus(F)
+        self.jets = [_jet(F, sp.point) for sp in self.points]
+        self.bases = []     # (qX, qY) of each polar
+        self.polars = []    # its affine equation, polar_curve(F, base)
+        self.resolved = {}  # (polar index, point index) -> (branches, delta)
+
+    def polar(self, index: int) -> MultiPoly:
+        while len(self.polars) <= index:
+            self._new_entry()
+        return self.polars[index]
 
     def _new_entry(self):
         F = self.F
@@ -269,37 +268,45 @@ class _PolarPool:
             reduced = squarefree_part(pol)
             if reduced.total_degree() != pol.total_degree():
                 continue  # non-reduced polar: base point not generic
-            self.entries.append(base)
-            self.charts_cache.append({"z": pol.monic()})
+            self.bases.append(base)
+            self.polars.append(pol)
             return
         raise RuntimeError("could not find a generic polar base point")
 
-    def chart_polar(self, index: int, chart: str) -> MultiPoly:
-        while len(self.entries) <= index:
-            self._new_entry()
-        cache = self.charts_cache[index]
-        if chart not in cache:
-            cache[chart] = polar_in_chart(self.F, self.entries[index], chart).monic()
-        return cache[chart]
+    def germ(self, index: int, k: int) -> MultiPoly:
+        """Germ of polar ``index`` at singular point ``k``, at the origin."""
+        self.polar(index)
+        qX, qY = self.bases[index]
+        point = self.points[k].point
+        chart = point.chart()
+        qU, qV, qW = {"z": (qX, qY, 1), "x": (qY, 1, qX), "y": (qX, 1, qY)}[chart]
+        u0, v0 = point.chart_coords(chart)
+        At, Bt = self.jets[k]
+        x = MultiPoly.variable(At.field, AFFINE, "x")
+        y = MultiPoly.variable(At.field, AFFINE, "y")
+        return At * ((qV - v0 * qW) - y * qW) - Bt * ((qU - u0 * qW) - x * qW)
+
+    def branches_and_delta(self, index: int, k: int):
+        if (index, k) not in self.resolved:
+            self.resolved[index, k] = germ_delta(self.germ(index, k), (0, 0))
+        return self.resolved[index, k]
 
 
-def _polar_branches_at(point: ProjPoint, pool: _PolarPool) -> int:
-    """Branch count of a generic polar at the point, with a genericity re-check."""
-    chart = point.chart()
-    u0, v0 = point.chart_coords(chart)
-    seen = []
+def _polar_pool(F: PlaneFoliation, seed: int) -> _PolarPool:
+    if seed not in F._polar_pools:
+        F._polar_pools[seed] = _PolarPool(F, seed)
+    return F._polar_pools[seed]
+
+
+def _polar_branches_at(pool: _PolarPool, k: int) -> int:
+    """Branch count of a generic polar at singular point ``k``: two polars in
+    a row must agree."""
+    last = None
     for index in range(6):
-        pol = pool.chart_polar(index, chart)
-        pol = pol.to_field(point.point_field)
-        germ = _translate(pol, u0, v0)
-        if germ.eval_field({"x": 0, "y": 0}):
-            continue  # polar misses the point: not generic enough here
-        b, _ = resolve_germ(germ)
-        seen.append(b)
-        if len(seen) >= 2:
-            if seen[-1] == seen[-2]:
-                return seen[-1]
-            seen = [seen[-1]]
+        b = pool.branches_and_delta(index, k)[0]
+        if b == last:
+            return b
+        last = b
     raise RuntimeError("polar branch counts kept disagreeing; degenerate point?")
 
 
@@ -310,10 +317,10 @@ def classify_singularities(F: PlaneFoliation, seed: int = 7) -> list[SingularInv
     """nu, tau, beta, chi and the ramification status for every singular class."""
     out = []
     d = F.degree
-    pool = _PolarPool(F, random.Random(seed))
-    for sp in singular_locus(F):
-        nu, tau = vanishing_and_tangency_order(F, sp.point)
-        beta = _polar_branches_at(sp.point, pool)
+    pool = _polar_pool(F, seed)
+    for k, sp in enumerate(pool.points):
+        nu, tau = _orders(pool.jets[k], sp.point)
+        beta = _polar_branches_at(pool, k)
         chi = Fraction(tau, beta)
         in_ram = chi > 1
         if not in_ram:

@@ -77,12 +77,6 @@ class MonodromyResult:
     galois_flag: bool | None = None
     certified: bool = dc_field(default=False)
 
-    def summary(self) -> str:
-        return (
-            f"order {self.group_order}, cycle types {self.cycle_types}, "
-            f"genus {self.numeric_genus} (numeric, not certified)"
-        )
-
 
 # -- fibration construction ---------------------------------------------------------
 

@@ -241,7 +241,7 @@ class FieldElement:
     whole tower (see :class:`NumberField`): ``num`` is a tuple of
     ``field.size`` ints and ``den`` a positive int, in lowest terms,
     ``gcd(den, *num) == 1``.  Each value then has exactly one
-    ``(num, den)``, so ``==`` and ``hash`` compare those tuples.  ``rep``
+    ``(num, den)`` in each layer, so ``==`` compares those tuples.  ``rep``
     gives the coefficients over the base layer, as Fractions over Q.
     """
 
@@ -363,8 +363,16 @@ class FieldElement:
         return a.num == b.num and a.den == b.den
 
     def __hash__(self):
+        # == holds across the layers of one tower and against Fractions, so
+        # a rational value hashes as its Fraction, and any other value by its
+        # coordinates without the zeros that coerce pads at the top
         if self._hash is None:
-            self._hash = hash((id(self.field), self.num, self.den))
+            rat = self.rational_value()
+            if rat is not None:
+                self._hash = hash(rat)
+            else:
+                top = len(self.num) - next(i for i, a in enumerate(reversed(self.num)) if a)
+                self._hash = hash((self.num[:top], self.den))
         return self._hash
 
     def rational_value(self):

@@ -2,7 +2,6 @@
 budget and printing one PASS/FAIL line.
 
 Run standalone with:  pytest -s tests/test_acceptance.py
-or via:               python scripts/run_acceptance.py
 """
 
 import random

@@ -10,6 +10,7 @@ from folgal import foliation as fol
 from folgal.multipoly import MultiPoly
 from folgal.numberfield import QQ
 from folgal.parsing import parse_poly
+from folgal.polyops import mpoly_gcd
 
 
 def poly(text, field=QQ):
@@ -221,3 +222,12 @@ def test_field_spec_must_be_irreducible():
     assert fol.field_from_spec("g^2-g+1").degree == 2
     with pytest.raises(ValueError, match="reducible"):
         fol.field_from_spec("u^2-4")
+
+
+def test_chart_fields_are_coprime():
+    # chart_vector_field takes no saturation gcd in charts x and y: the
+    # saturated triple leaves no common factor there (see its docstring)
+    for name in corpus.FOLIATION_SPECS:
+        F = corpus.foliation(name)
+        for chart in ("x", "y"):
+            assert mpoly_gcd(*F.chart_vector_field(chart)).is_constant(), (name, chart)

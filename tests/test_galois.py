@@ -180,6 +180,22 @@ def test_reduction_shear_case():
     assert fmap.num * expected.den == fmap.den * expected.num
 
 
+def test_parabolic_normal_form():
+    # the one symmetry of this cubic takes the parabolic normal form; the
+    # discriminant route, complete in degree 3, decides independently of it
+    F = fol.from_strings(None, "y*(y^2-2*x)+1", "y^2-2*x")
+    assert F.degree == 3
+    syms = gal.detect_symmetry(F)
+    assert [s.normal_form for s in syms] == ["parabolic"]
+    assert str(gal.reduce_to_p1(F, syms[0])) == "(-z^3 + 1) / (z^2)"
+    res = analyze(F, numeric=False)
+    assert {k: v.status for k, v in res.routes.items()} == {
+        "discriminant_square": "not_galois",
+        "symmetry_reduction": "not_galois",
+        "local_conditions": "not_galois",
+    }
+
+
 # -- decks -------------------------------------------------------------------------
 
 
@@ -458,6 +474,50 @@ def _first_deformation_members():
     return members
 
 
+def _chart_polar_germ(F, base, point):
+    """The polar through ``base`` restricted to the point's chart, moved into
+    the point field and translated to the point."""
+    pol = local.polar_curve(F, base)
+    ph = pol.homogenize("z", F.degree + 1).with_vars(fol.PROJ).permute_to(fol.PROJ)
+    u = MultiPoly.variable(F.field, fol.AFFINE, "x")
+    v = MultiPoly.variable(F.field, fol.AFFINE, "y")
+    chart = point.chart()
+    images = {"z": (u, v, 1), "x": (1, u, v), "y": (u, 1, v)}[chart]
+    restricted = fol._restrict(ph, images).to_field(point.point_field)
+    return local._translate(restricted, *point.chart_coords(chart))
+
+
+def test_jet_germs_equal_translated_chart_polars():
+    # the pool builds each germ from the foliation's jet at the point; it must
+    # be a nonzero multiple of the polar built the way the jet replaces
+    foliations = [corpus.foliation(name) for name in corpus.FOLIATION_SPECS]
+    charts = set()
+    for F in [F for F in foliations if F.degree <= 8] + _first_deformation_members():
+        pool = local._polar_pool(F, 7)
+        for k, sp in enumerate(pool.points):
+            charts.add(sp.point.chart())
+            for index in (0, 1):
+                germ = pool.germ(index, k)
+                reference = _chart_polar_germ(F, pool.bases[index], sp.point)
+                assert germ.monic() == reference.monic(), (F, str(sp.point), index)
+    assert charts == {"z", "x", "y"}
+
+
+def test_one_analysis_draws_each_polar_once(monkeypatch):
+    # the singularity table and the polar genus read one pool per seed
+    bases = []
+    polar_curve = local.polar_curve
+
+    def counted(F, base):
+        bases.append(base)
+        return polar_curve(F, base)
+
+    monkeypatch.setattr(local, "polar_curve", counted)
+    res = analyze(_first_deformation_members()[0], numeric=False)
+    assert res.genus == 0 and res.invariants
+    assert len(bases) == len(set(bases)) > 0
+
+
 def test_generic_polar_is_smooth_off_the_singular_locus():
     # the Bertini step of generic_polar_genus, checked exactly in the affine
     # chart: every singular point of the polar it starts from is a zero of
@@ -467,9 +527,9 @@ def test_generic_polar_is_smooth_off_the_singular_locus():
         "halfchi_quartic")]
     checked = 0
     for F in foliations + _first_deformation_members():
-        pool = local._PolarPool(F, random.Random(23))
-        P = next(pool.chart_polar(i, "z") for i in range(12)
-                 if len(factor_irreducible(pool.chart_polar(i, "z"))) == 1)
+        pool = local._polar_pool(F, 23)
+        P = next(pool.polar(i) for i in range(12)
+                 if len(factor_irreducible(pool.polar(i))) == 1)
         for pt in common_zeros(P.derivative("x"), P.derivative("y")):
             at = dict(zip(("x", "y"), pt.xy))
             if P.to_field(pt.point_field).eval_field(at):

@@ -356,6 +356,19 @@ def test_lower_layer_operand_on_either_side(low_coords, top_coords):
     assert (low == top) == (up == top) and (top == low) == (top == up)
 
 
+def test_hash_agrees_with_equality_across_layers_and_fractions():
+    # == holds between layers of one tower and against Fractions, so the
+    # hash must too: each set below holds one value
+    tower = _sqrt_minus_3_then_i()
+    K = tower.base
+    g = K.gen()
+    assert g == tower.coerce(g) and len({g, tower.coerce(g)}) == 1
+    assert K.coerce(3) == Fraction(3) and len({K.coerce(3), Fraction(3)}) == 1
+    assert len({tower.coerce(Fraction(-2, 7)), K.coerce(Fraction(-2, 7)), Fraction(-2, 7)}) == 1
+    assert {Fraction(1, 2): "half"}[K.coerce(Fraction(1, 2))] == "half"
+    assert {tower.coerce(g / 5 + 1): "low"}[g / 5 + 1] == "low"
+
+
 def test_degree_one_layer_agrees_with_q():
     two = extend(QQ, "g", [-2])  # g - 2
     g = two.gen()
