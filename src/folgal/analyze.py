@@ -16,6 +16,7 @@ from .galois import (
     extremal_type_report,
     symmetry_verdict,
 )
+from .klein1d import WeightedBranchingType
 
 
 @dataclass
@@ -60,6 +61,13 @@ def analyze(
     The local route builds the inflection divisor itself unless its chi test
     decides first, and the ``inflection`` stage then reuses it: that stage
     takes about 0 s, and the divisor's time falls inside ``local``.
+
+    Numeric monodromy runs when ``numeric`` is True.  With ``numeric=None``
+    it runs only in degree at most 6 when the verdict is inconclusive, or
+    Galois with no exact branching type: homogeneous and extremal Galois
+    foliations get theirs from :func:`~folgal.galois.branching_and_genus`
+    and skip it.  When both exist, the numeric genus and the sum of the
+    numeric cycle types must equal the exact genus and branching type.
     """
     timings: dict = {}
     routes: dict = {}
@@ -152,8 +160,13 @@ def analyze(
 
         result.monodromy = cross_check(F, seed=seed + 100, dump_csv=dump_csv)
         timings["monodromy"] = time.perf_counter() - t0
-        if genus is not None and result.monodromy.numeric_genus != genus:
+        mon = result.monodromy
+        if genus is not None and mon.numeric_genus != genus:
             raise AssertionError(
                 "numeric genus disagrees with the symbolic certificate"
+            )
+        if bw is not None and WeightedBranchingType.from_pairs(mon.degree, mon.numeric_bw) != bw:
+            raise AssertionError(
+                "numeric cycle types disagree with the symbolic branching type"
             )
     return result

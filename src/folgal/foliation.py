@@ -128,6 +128,12 @@ class PlaneFoliation:
     def __repr__(self):
         return f"PlaneFoliation(deg {self.degree}: A={self.A}, B={self.B})"
 
+    def is_homogeneous(self) -> bool:
+        """Whether the field has no radial part (``c_bar = 0``) and ``A`` and
+        ``B`` are homogeneous, so that the leaves' directions are constant
+        along each line through the origin."""
+        return self.c_bar.is_zero() and self.A.is_homogeneous() and self.B.is_homogeneous()
+
     # -- chart machinery -------------------------------------------------------
 
     def chart_vector_field(self, chart: str):

@@ -5,10 +5,11 @@ degrees 2 and 3), continuous-symmetry detection with reduction to a self-map
 of the line, and the local sufficient/necessary conditions on inflection
 orders and singularity invariants (complete in prime degree).  Certificates
 are symbolic and machine-checkable; deck transformations are verified
-against the Gauss map before being returned.  For extremal Galois
-certificates the branching follows from the genus of a generic polar by
-Riemann-Hurwitz; that genus is read from delta invariants at the
-foliation's singular points, the base locus of the net of polars.
+against the Gauss map before being returned.  A homogeneous Galois
+foliation takes its branching type from its line map, and genus 0.  For
+extremal Galois certificates the branching follows from the genus of a
+generic polar by Riemann-Hurwitz; that genus is read from delta invariants
+at the foliation's singular points, the base locus of the net of polars.
 """
 
 from __future__ import annotations
@@ -852,7 +853,7 @@ def decks_from_line_decks(F: PlaneFoliation, klein, fmap: BinaryRationalMap):
     terms with one gcd: after g = gcd(C, D), the linear form W is either a
     factor of D/g or prime to it.
     """
-    if not F.c_bar.is_zero() or not (F.A.is_homogeneous() and F.B.is_homogeneous()):
+    if not F.is_homogeneous():
         raise UseAnotherMethod("line-deck lifting needs a homogeneous foliation")
     tag, order = klein.tag, klein.order
     degree = F.degree if tag in ("cyclic", "dihedral") else order
@@ -937,7 +938,7 @@ def deck_transformations(F: PlaneFoliation, verdict: GaloisVerdict):
     if "square_root_witness" in verdict.certificate:
         return decks_from_roots(F, _cubic_fibre_roots(F, verdict.certificate))
     klein = verdict.certificate.get("klein")
-    if klein is not None and F.c_bar.is_zero() and F.A.is_homogeneous():
+    if klein is not None and F.is_homogeneous():
         return decks_from_line_decks(F, klein.klein, verdict.certificate["reduction"])
     raise UseAnotherMethod(
         "no deck realization implemented for this certificate type"
@@ -956,7 +957,7 @@ def lr_deformation(F: PlaneFoliation, u: MultiPoly, v: MultiPoly, rows) -> Plane
     with rows = ((a, c, l), (b, d, m)) linearly independent and u, v
     independent polynomials of degree at most one.
     """
-    if not (F.A.is_homogeneous() and F.B.is_homogeneous() and F.c_bar.is_zero()):
+    if not F.is_homogeneous():
         raise ValueError("deformation applies to homogeneous foliations")
     field = F.field
     u = u.with_vars(AFFINE) if u.vars != AFFINE else u
@@ -1134,14 +1135,51 @@ def generic_polar_genus(F: PlaneFoliation, seed: int = 23) -> int:
 
 
 def branching_and_genus(F: PlaneFoliation, verdict: GaloisVerdict, seed: int = 23):
-    """(weighted branching type, genus) for extremal Galois certificates.
+    """(weighted branching type, genus) of a Galois foliation's generic polar
+    over the pencil of lines through its base point.
 
-    Covers prime-degree Galois and the top-contact local certificate; other
-    routes return None and defer to numeric monodromy.
+    Homogeneous foliations (``c_bar = 0``, ``A`` and ``B`` homogeneous of
+    degree ``d``) read both off the line map ``phi = B(1, z)/A(1, z)``:
+
+    - *Branching.*  The leaf through ``p`` has the direction
+      ``phi(l) = [A(p) : B(p)]``, where ``l`` is the line through the origin
+      and ``p``; the direction is constant along ``l``.  For a generic base
+      point ``q``, the polar ``P_q`` is the set of ``p`` whose tangent line
+      passes through ``q``, i.e. ``q - p`` is parallel to ``phi(l)``.  On
+      each ``l`` with ``phi(l) != l`` (all but the finitely many invariant
+      lines) exactly one point qualifies: where ``l`` meets the line through
+      ``q`` of direction ``phi(l)``.  So ``l`` parametrizes ``P_q``
+      birationally.  A
+      line of the pencil ``M`` through ``q`` is determined by its direction,
+      which parametrizes ``M``.  In these parameters the polar map
+      ``P_q -> M``, ``p`` to its tangent line, is ``l -> phi(l)``: its
+      branching type is ``classify(phi).branching``.
+    - *Genus.*  The same parametrization by lines through the origin makes
+      every polar rational, so the genus is 0.
+
+    When ``phi`` has degree ``d`` and is not Galois while ``verdict`` is,
+    the routes disagree, which is an ``AssertionError``.  A ``phi`` of
+    another degree (``A`` and ``B`` of different degrees) takes the
+    extremal rule below.
+
+    Extremal certificates (prime degree, degree 2 and the top-contact local
+    certificate) take the genus of a generic polar and the branching by
+    Riemann-Hurwitz.  Other inputs return None and defer to numeric
+    monodromy.
     """
     if not verdict.is_galois:
         return None
     d = F.degree
+    if F.is_homogeneous():
+        phi = BinaryRationalMap.make(_restrict_homog(F.B, F.field), _restrict_homog(F.A, F.field))
+        if phi.degree == d:
+            outcome = classify(phi)
+            if not outcome.klein.is_galois():
+                raise AssertionError(
+                    f"decision routes disagree: {verdict.method}:galois, "
+                    f"line map:{outcome.klein}"
+                )
+            return outcome.branching, 0
     extremal = False
     if verdict.certificate.get("extremal"):
         extremal = True

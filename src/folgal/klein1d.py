@@ -86,10 +86,11 @@ class WeightedBranchingType:
         self.entries = dict(entries)
 
     @classmethod
-    def from_records(cls, degree: int, records) -> "WeightedBranchingType":
+    def from_pairs(cls, degree: int, pairs) -> "WeightedBranchingType":
+        """Sum the weights of ``(profile, weight)`` pairs per profile."""
         entries: dict = {}
-        for rec in records:
-            entries[rec.profile] = entries.get(rec.profile, 0) + rec.weight
+        for profile, weight in pairs:
+            entries[profile] = entries.get(profile, 0) + weight
         return cls(degree, entries)
 
     def size(self) -> int:
@@ -326,7 +327,7 @@ def classify(f: BinaryRationalMap) -> KleinOutcome:
             KleinClass("cyclic", 1), WeightedBranchingType(1, {}), 0, []
         )
     regular, witness, records = regular_type_test(f)
-    bw = WeightedBranchingType.from_records(d, records)
+    bw = WeightedBranchingType.from_pairs(d, ((r.profile, r.weight) for r in records))
     genus2 = 2 - 2 * d + bw.size()
     assert genus2 % 2 == 0
     genus = genus2 // 2

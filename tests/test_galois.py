@@ -283,6 +283,17 @@ def test_line_deck_checks_reject_matrices_outside_the_group():
         checks(singular)
 
 
+def test_homogeneous_a_with_inhomogeneous_b_has_no_line_deck_lift():
+    # A = xy is homogeneous, B = g y^2 + x^3 is not, and c_bar = 0; the
+    # symmetry certificate is Galois, but there is no line map to lift
+    F = corpus.foliation("cyclic_cubic_qh23")
+    assert F.c_bar.is_zero() and F.A.is_homogeneous() and not F.is_homogeneous()
+    v = gal.symmetry_verdict(F)
+    assert v.is_galois and "klein" in v.certificate
+    with pytest.raises(gal.UseAnotherMethod, match="no deck realization"):
+        gal.deck_transformations(F, v)
+
+
 def test_decks_tetrahedral_order_12():
     F = corpus.foliation("tetrahedral_12")
     v = gal.verdict(F)
@@ -555,7 +566,55 @@ def test_polar_genus_with_simple_singular_points_is_arithmetic(name):
 def test_polar_genus_of_homogeneous_galois_foliations_is_zero(name):
     # a homogeneous Galois foliation is the pull-back of its line map, and
     # its polar is parametrised by the source line of that map
-    assert gal.generic_polar_genus(corpus.foliation(name)) == 0
+    genus = gal.generic_polar_genus(corpus.foliation(name))
+    assert genus == 0
+    assert analyze(corpus.foliation(name), numeric=False).genus == genus
+
+
+@pytest.mark.parametrize("name, entries", [
+    ("fermat_3", {(3,): 2}),
+    ("fermat_4", {(4,): 2}),
+    ("fermat_5", {(5,): 2}),
+    ("dihedral_4", {(2, 2): 3}),
+    ("dihedral_6", {(2, 2, 2): 2, (3, 3): 1}),
+    ("tetrahedral_12", {(2,) * 6: 1, (3,) * 4: 2}),
+    ("octahedral_24", {(2,) * 12: 1, (3,) * 8: 1, (4,) * 6: 1}),
+    ("icosahedral_60", {(2,) * 30: 1, (3,) * 20: 1, (5,) * 12: 1}),
+])
+def test_homogeneous_galois_branching_is_the_line_map_branching(name, entries, monkeypatch):
+    # the polar over the pencil through a generic point is the line map, so
+    # the polar genus is not needed, and above degree 8 (no local route)
+    # neither is the singular locus
+    def unused(*args, **kwargs):
+        raise AssertionError("the line map gives the branching")
+
+    monkeypatch.setattr(gal, "generic_polar_genus", unused)
+    F = corpus.foliation(name)
+    assert F.is_homogeneous()
+    res = analyze(F, numeric=False)
+    assert res.status == "galois"
+    assert res.branching.degree == F.degree
+    assert res.branching.entries == entries
+    assert res.genus == 0
+    assert (F._singular_locus is None) == (F.degree > 8)
+
+
+def test_homogeneous_line_map_of_lower_degree_keeps_the_extremal_rule():
+    # A = x^2 and B = y are homogeneous of different degrees: the line map z
+    # has degree 1 < 2, so the degree-2 extremal rule gives the branching
+    F = fol.from_strings(None, "x^2", "y")
+    assert F.is_homogeneous() and F.degree == 2
+    res = analyze(F, numeric=False)
+    assert str(res.branching) == "2(2)_1"
+    assert res.genus == gal.generic_polar_genus(F) == 0
+
+
+def test_non_galois_line_map_under_a_galois_verdict_is_a_disagreement():
+    F = fol.from_strings(None, "x^3", "y^3+x*y^2")
+    assert F.is_homogeneous() and F.degree == 3
+    claimed = gal.GaloisVerdict("galois", "symmetry_reduction", 3, {})
+    with pytest.raises(AssertionError, match="routes disagree"):
+        gal.branching_and_genus(F, claimed)
 
 
 def test_one_analysis_solves_the_singular_locus_once(monkeypatch):

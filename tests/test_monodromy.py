@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import io
 import math
@@ -12,6 +13,8 @@ import pytest
 
 from folgal import corpus
 from folgal import monodromy as mon
+from folgal.analyze import analyze
+from folgal.klein1d import WeightedBranchingType
 from folgal.multipoly import MultiPoly
 
 
@@ -258,7 +261,7 @@ def test_analyze_reaches_monodromy_without_scipy():
         "import sys\n"
         "from folgal import corpus\n"
         "from folgal.analyze import analyze\n"
-        "r = analyze(corpus.foliation('dihedral_6'))\n"
+        "r = analyze(corpus.foliation('dihedral_6'), numeric=True)\n"
         "assert r.monodromy is not None\n"
         "print('scipy' in sys.modules)\n"
     )
@@ -271,3 +274,33 @@ def test_analyze_reaches_monodromy_without_scipy():
         timeout=300, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_exact_branching_keeps_monodromy_off_the_default_path():
+    # the line map gives dihedral_6 its exact branching, so the default
+    # analysis runs no numeric monodromy
+    r = analyze(corpus.foliation("dihedral_6"))
+    assert r.branching is not None
+    assert r.monodromy is None
+    assert "monodromy" not in r.timings
+
+
+@pytest.mark.parametrize("name", ["dihedral_4", "dihedral_6", "fermat_4"])
+def test_numeric_cycle_types_match_the_exact_branching(name):
+    r = analyze(corpus.foliation(name), numeric=True)
+    numeric = WeightedBranchingType.from_pairs(r.monodromy.degree, r.monodromy.numeric_bw)
+    assert numeric == r.branching
+    assert r.monodromy.numeric_genus == r.genus == 0
+
+
+def test_numeric_branching_disagreement_raises(monkeypatch):
+    # fermat_3 has two totally ramified branch points; an exact type of
+    # three, with the right genus, must fail against the numeric cycle types
+    analyze_module = importlib.import_module("folgal.analyze")
+
+    def wrong(F, verdict, seed=23):
+        return WeightedBranchingType(F.degree, {(F.degree,): 3}), 0
+
+    monkeypatch.setattr(analyze_module, "branching_and_genus", wrong)
+    with pytest.raises(AssertionError, match="cycle types"):
+        analyze(corpus.foliation("fermat_3"), numeric=True)
