@@ -143,7 +143,7 @@ def cmd_classify1d(args) -> int:
         if "," in text:
             # homogeneous pair "A, B" in (x, y): the induced self-map of the
             # line in the coordinate z = y/x
-            from .galois import _restrict_homog
+            from .galois import line_map
             from .parsing import parse_poly
 
             a_text, b_text = text.split(",", 1)
@@ -153,8 +153,7 @@ def cmd_classify1d(args) -> int:
                 raise CliError("pair entries must be homogeneous")
             if A.total_degree() != B.total_degree():
                 raise CliError("pair entries must have equal degree")
-            fmap = BinaryRationalMap.make(_restrict_homog(B, field),
-                                          _restrict_homog(A, field))
+            fmap = line_map(A, B, field)
         else:
             rf = parse_rational(text, field, ("z",))
             fmap = BinaryRationalMap.make(rf.num, rf.den)

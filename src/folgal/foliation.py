@@ -130,9 +130,16 @@ class PlaneFoliation:
 
     def is_homogeneous(self) -> bool:
         """Whether the field has no radial part (``c_bar = 0``) and ``A`` and
-        ``B`` are homogeneous, so that the leaves' directions are constant
-        along each line through the origin."""
-        return self.c_bar.is_zero() and self.A.is_homogeneous() and self.B.is_homogeneous()
+        ``B`` are homogeneous of the foliation's degree ``d``, so that the
+        direction ``[A(tp) : B(tp)] = [A(p) : B(p)]`` is constant along each
+        line through the origin.  Homogeneous ``A``, ``B`` of different
+        degrees, such as ``y^2 d/dx + x d/dy``, give a direction
+        ``[t^a A(p) : t^b B(p)]`` that turns along the line: that field is
+        only quasi-homogeneous."""
+        d = self.degree
+        return (self.c_bar.is_zero()
+                and self.A.is_homogeneous() and self.A.total_degree() == d
+                and self.B.is_homogeneous() and self.B.total_degree() == d)
 
     # -- chart machinery -------------------------------------------------------
 

@@ -859,9 +859,7 @@ def decks_from_line_decks(F: PlaneFoliation, klein, fmap: BinaryRationalMap):
     degree = F.degree if tag in ("cyclic", "dihedral") else order
     working = None
     for K, gens in _mobius_generators(tag, degree, F.field):
-        # the line map whose decks we lift
-        A1, B1 = _restrict_homog(F.A, K), _restrict_homog(F.B, K)
-        gmap = BinaryRationalMap.make(B1, A1)
+        gmap = line_map(F.A, F.B, K)  # the line map whose decks we lift
         for conj in _conjugation_pool(K):
             cand = [_conj_mat(conj, g) for g in gens]
             if all(_fixes_line_map(gmap.num, gmap.den, g, gmap.degree) for g in cand):
@@ -883,6 +881,7 @@ def decks_from_line_decks(F: PlaneFoliation, klein, fmap: BinaryRationalMap):
     x = MultiPoly.variable(K, AFFINE, "x")
     y = MultiPoly.variable(K, AFFINE, "y")
     C = A * y - B * x
+    A1, B1 = _restrict_homog(F.A, K), _restrict_homog(F.B, K)
     n = max(A1.total_degree(), B1.total_degree())
     out = []
     for m in group:
@@ -926,6 +925,14 @@ def _conj_mat(c, g):
 def _restrict_homog(p: MultiPoly, K) -> MultiPoly:
     q = p.to_field(K)
     return q.substitute({"x": 1, "y": MultiPoly.variable(K, AFFINE, "y")}).drop_vars(["x"]).rename_vars({"y": "z"})
+
+
+def line_map(A: MultiPoly, B: MultiPoly, K) -> BinaryRationalMap:
+    """The self-map ``B(1, z)/A(1, z)`` of the line of directions, in the
+    coordinate ``z = y/x``, that homogeneous ``A``, ``B`` of one degree
+    induce: the line through the origin of slope ``z`` goes to the
+    direction ``[A : B]`` of the field along it."""
+    return BinaryRationalMap.make(_restrict_homog(B, K), _restrict_homog(A, K))
 
 
 def deck_transformations(F: PlaneFoliation, verdict: GaloisVerdict):
@@ -1138,18 +1145,20 @@ def branching_and_genus(F: PlaneFoliation, verdict: GaloisVerdict, seed: int = 2
     """(weighted branching type, genus) of a Galois foliation's generic polar
     over the pencil of lines through its base point.
 
-    Homogeneous foliations (``c_bar = 0``, ``A`` and ``B`` homogeneous of
-    degree ``d``) read both off the line map ``phi = B(1, z)/A(1, z)``:
+    Homogeneous foliations (``F.is_homogeneous()``: ``c_bar = 0``, ``A`` and
+    ``B`` homogeneous of degree ``d``) read both off the line map
+    ``phi = B(1, z)/A(1, z)`` (``line_map``), which has degree ``d`` because
+    the saturated ``A`` and ``B`` are coprime:
 
     - *Branching.*  The leaf through ``p`` has the direction
       ``phi(l) = [A(p) : B(p)]``, where ``l`` is the line through the origin
-      and ``p``; the direction is constant along ``l``.  For a generic base
-      point ``q``, the polar ``P_q`` is the set of ``p`` whose tangent line
-      passes through ``q``, i.e. ``q - p`` is parallel to ``phi(l)``.  On
-      each ``l`` with ``phi(l) != l`` (all but the finitely many invariant
-      lines) exactly one point qualifies: where ``l`` meets the line through
-      ``q`` of direction ``phi(l)``.  So ``l`` parametrizes ``P_q``
-      birationally.  A
+      and ``p``; as ``A`` and ``B`` have the same degree, the direction is
+      constant along ``l``.  For a generic base point ``q``, the polar
+      ``P_q`` is the set of ``p`` whose tangent line passes through ``q``,
+      i.e. ``q - p`` is parallel to ``phi(l)``.  On each ``l`` with
+      ``phi(l) != l`` (all but the finitely many invariant lines) exactly
+      one point qualifies: where ``l`` meets the line through ``q`` of
+      direction ``phi(l)``.  So ``l`` parametrizes ``P_q`` birationally.  A
       line of the pencil ``M`` through ``q`` is determined by its direction,
       which parametrizes ``M``.  In these parameters the polar map
       ``P_q -> M``, ``p`` to its tangent line, is ``l -> phi(l)``: its
@@ -1157,10 +1166,11 @@ def branching_and_genus(F: PlaneFoliation, verdict: GaloisVerdict, seed: int = 2
     - *Genus.*  The same parametrization by lines through the origin makes
       every polar rational, so the genus is 0.
 
-    When ``phi`` has degree ``d`` and is not Galois while ``verdict`` is,
-    the routes disagree, which is an ``AssertionError``.  A ``phi`` of
-    another degree (``A`` and ``B`` of different degrees) takes the
-    extremal rule below.
+    When ``phi`` is not Galois while ``verdict`` is, the routes disagree,
+    which is an ``AssertionError``.  Homogeneous ``A`` and ``B`` of
+    different degrees do not qualify: the direction turns along each line
+    through the origin, and ``y^2 d/dx + x d/dy`` has polars of genus 1.
+    They take the extremal rule below.
 
     Extremal certificates (prime degree, degree 2 and the top-contact local
     certificate) take the genus of a generic polar and the branching by
@@ -1171,15 +1181,13 @@ def branching_and_genus(F: PlaneFoliation, verdict: GaloisVerdict, seed: int = 2
         return None
     d = F.degree
     if F.is_homogeneous():
-        phi = BinaryRationalMap.make(_restrict_homog(F.B, F.field), _restrict_homog(F.A, F.field))
-        if phi.degree == d:
-            outcome = classify(phi)
-            if not outcome.klein.is_galois():
-                raise AssertionError(
-                    f"decision routes disagree: {verdict.method}:galois, "
-                    f"line map:{outcome.klein}"
-                )
-            return outcome.branching, 0
+        outcome = classify(line_map(F.A, F.B, F.field))
+        if not outcome.klein.is_galois():
+            raise AssertionError(
+                f"decision routes disagree: {verdict.method}:galois, "
+                f"line map:{outcome.klein}"
+            )
+        return outcome.branching, 0
     extremal = False
     if verdict.certificate.get("extremal"):
         extremal = True

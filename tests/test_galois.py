@@ -599,14 +599,24 @@ def test_homogeneous_galois_branching_is_the_line_map_branching(name, entries, m
     assert (F._singular_locus is None) == (F.degree > 8)
 
 
-def test_homogeneous_line_map_of_lower_degree_keeps_the_extremal_rule():
-    # A = x^2 and B = y are homogeneous of different degrees: the line map z
-    # has degree 1 < 2, so the degree-2 extremal rule gives the branching
-    F = fol.from_strings(None, "x^2", "y")
-    assert F.is_homogeneous() and F.degree == 2
+@pytest.mark.parametrize(
+    "a, b, branching, genus",
+    [
+        ("x^2", "y", "2(2)_1", 0),  # line map z, of degree 1
+        # line map 1/z^2 has degree 2, yet the polar through q is the smooth
+        # cubic y^3 - x^2 z - q2 y^2 z + q1 x z^2
+        ("y^2", "x", "4(2)_1", 1),
+    ],
+)
+def test_homogeneous_fields_of_unequal_degrees_keep_the_extremal_rule(a, b, branching, genus):
+    # A and B homogeneous of different degrees: the direction turns along
+    # each line through the origin, so the line map says nothing about the
+    # polars and the degree-2 extremal rule gives the branching
+    F = fol.from_strings(None, a, b)
+    assert F.c_bar.is_zero() and F.degree == 2 and not F.is_homogeneous()
     res = analyze(F, numeric=False)
-    assert str(res.branching) == "2(2)_1"
-    assert res.genus == gal.generic_polar_genus(F) == 0
+    assert str(res.branching) == branching
+    assert res.genus == gal.generic_polar_genus(F) == genus
 
 
 def test_non_galois_line_map_under_a_galois_verdict_is_a_disagreement():
