@@ -27,6 +27,15 @@ class SymmetryBlock:
 
 
 @dataclass
+class UnreliableMonodromy:
+    """Numeric monodromy that gave no consistent answer: tracking failed, or
+    the two independent pencils disagreed.  ``reason`` is the tracker's
+    message; the exact verdict stands."""
+
+    reason: str
+
+
+@dataclass
 class AnalysisResult:
     foliation: PlaneFoliation
     verdict: GaloisVerdict
@@ -60,14 +69,19 @@ def analyze(
 
     The local route builds the inflection divisor itself unless its chi test
     decides first, and the ``inflection`` stage then reuses it: that stage
-    takes about 0 s, and the divisor's time falls inside ``local``.
+    takes about 0 s, and the divisor's time falls inside ``local``.  The
+    divisor is built as squarefree invariant and transverse parts, which is
+    all the local route reads; no stage factors it.  Its irreducible
+    components are factored when first read, by the report.
 
     Numeric monodromy runs when ``numeric`` is True.  With ``numeric=None``
     it runs only in degree at most 6 when the verdict is inconclusive, or
     Galois with no exact branching type: homogeneous and extremal Galois
     foliations get theirs from :func:`~folgal.galois.branching_and_genus`
     and skip it.  When both exist, the numeric genus and the sum of the
-    numeric cycle types must equal the exact genus and branching type.
+    numeric cycle types must equal the exact genus and branching type.  A
+    numeric run that fails to track, or whose two pencils disagree, leaves
+    the verdict alone: ``monodromy`` is then an :class:`UnreliableMonodromy`.
     """
     timings: dict = {}
     routes: dict = {}
@@ -156,17 +170,22 @@ def analyze(
     )
     if want_numeric:
         t0 = time.perf_counter()
-        from .monodromy import cross_check
+        from .monodromy import TrackingFailure, cross_check
 
-        result.monodromy = cross_check(F, seed=seed + 100, dump_csv=dump_csv)
+        try:
+            mon = cross_check(F, seed=seed + 100, dump_csv=dump_csv)
+        except TrackingFailure as exc:
+            result.monodromy = UnreliableMonodromy(str(exc))
+        else:
+            result.monodromy = mon
+            if genus is not None and mon.numeric_genus != genus:
+                raise AssertionError(
+                    "numeric genus disagrees with the symbolic certificate"
+                )
+            numeric_bw = WeightedBranchingType.from_pairs(mon.degree, mon.numeric_bw)
+            if bw is not None and numeric_bw != bw:
+                raise AssertionError(
+                    "numeric cycle types disagree with the symbolic branching type"
+                )
         timings["monodromy"] = time.perf_counter() - t0
-        mon = result.monodromy
-        if genus is not None and mon.numeric_genus != genus:
-            raise AssertionError(
-                "numeric genus disagrees with the symbolic certificate"
-            )
-        if bw is not None and WeightedBranchingType.from_pairs(mon.degree, mon.numeric_bw) != bw:
-            raise AssertionError(
-                "numeric cycle types disagree with the symbolic branching type"
-            )
     return result

@@ -102,10 +102,13 @@ def _print_human_report(rep: dict):
         print(f"branching type: {rep['branching']['text']}  genus: {rep['genus']}")
     if rep["monodromy"]:
         m = rep["monodromy"]
-        print(
-            f"numeric monodromy (not certified): order {m['group_order']}, "
-            f"genus {m['numeric_genus']}"
-        )
+        if not m["reliable"]:
+            print(f"numeric monodromy unreliable: {m['reason']}")
+        else:
+            print(
+                f"numeric monodromy (not certified): order {m['group_order']}, "
+                f"genus {m['numeric_genus']}"
+            )
 
 
 def cmd_analyze(args) -> int:

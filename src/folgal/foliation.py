@@ -10,13 +10,14 @@ is the Gauss map in homogeneous coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .multipoly import MultiPoly, NotDivisible
 from .numberfield import QQ, invert
-from .polyops import mpoly_gcd, mpoly_gcd_list
+from .polyops import mpoly_gcd, mpoly_gcd_list, squarefree_decompose
 from .ratfunc import RationalFunction
 from .solve2d import common_zeros
-from .sympy_bridge import factor_irreducible
+from .sympy_bridge import factor_irreducible, factor_order_key
 
 AFFINE = ("x", "y")
 PROJ = ("x", "y", "z")
@@ -81,7 +82,7 @@ class SingularPoint:
 
 @dataclass
 class InflectionComponent:
-    curve: MultiPoly            # homogeneous in (x, y, z), irreducible over the field
+    curve: MultiPoly            # homogeneous in (x, y, z), squarefree; irreducible in components
     affine: MultiPoly | None    # chart-z equation; None for the line z = 0
     multiplicity: int
     kind: str                   # "invariant_line" | "transverse"
@@ -97,13 +98,41 @@ class InflectionComponent:
 
 @dataclass
 class InflectionReport:
+    """Inflection divisor of a degree-``d`` foliation as squarefree parts.
+
+    Each part is the product of the divisor's components of one multiplicity
+    and one kind, and the line ``z = 0`` is a part of its own, last.  The
+    parts carry all that the local route decides from: the multiplicity, so
+    the contact order ``rho = multiplicity + 1``, of every transverse
+    component, and which components are invariant.
+
+    ``components`` factors each part into irreducible curves on first use
+    and keeps the list on the report.  The factors inherit their part's
+    multiplicity and kind and are sorted by ``factor_order_key``, with the
+    line ``z = 0`` last: the list that factoring the whole inflection
+    polynomial gives.  Only reports and witnesses read it.
+    """
+
     degree: int
-    components: list
+    parts: list
     every_point_inflectional: bool = False
 
     @property
     def total_degree(self) -> int:
-        return sum(c.multiplicity * c.degree() for c in self.components)
+        return sum(p.multiplicity * p.degree() for p in self.parts)
+
+    @cached_property
+    def components(self) -> list:
+        affine, zline = [], []
+        for part in self.parts:
+            if part.affine is None:
+                zline.append(part)
+                continue
+            for g, _ in factor_irreducible(part.affine):
+                affine.append(InflectionComponent(
+                    _homogenize(g), g, part.multiplicity, part.kind))
+        affine.sort(key=lambda c: factor_order_key((c.affine, c.multiplicity)))
+        return affine + zline
 
     def transverse(self):
         return [c for c in self.components if c.kind == "transverse"]
@@ -319,7 +348,10 @@ def singular_locus(F: PlaneFoliation) -> tuple[SingularPoint, ...]:
     """Indeterminacy points of the Gauss map, one per conjugacy class.
 
     Multiplicities are local intersection numbers of the defining pair in a
-    chart; they add up to d^2 + d + 1 over the classes.  The affine chart
+    chart.  Over the classes, ``class_size * multiplicity`` must add up to
+    ``d^2 + d + 1``, the number of singular points of a degree-d foliation
+    counted with multiplicity; a locus that misses a point raises
+    ``AssertionError``.  The affine chart
     gives every point with ``z != 0``; the charts ``x = 1`` and ``y = 1``
     are searched on the line at infinity alone (``common_zeros`` with
     ``on_axis``), so only ``gcd(A(u, 0), B(u, 0))`` is factored there and
@@ -329,7 +361,13 @@ def singular_locus(F: PlaneFoliation) -> tuple[SingularPoint, ...]:
     singularity table and the polar genus of one analysis share it.
     """
     if F._singular_locus is None:
-        F._singular_locus = tuple(_solve_singular_locus(F))
+        points = tuple(_solve_singular_locus(F))
+        d = F.degree
+        total = sum(p.class_size * p.multiplicity for p in points)
+        if total != d * d + d + 1:
+            raise AssertionError(f"singular locus has total multiplicity {total}, "
+                                 f"expected d^2 + d + 1 = {d * d + d + 1}")
+        F._singular_locus = points
     return F._singular_locus
 
 
@@ -380,24 +418,52 @@ def inflection_polynomial(F: PlaneFoliation) -> MultiPoly:
     return F.A * F.apply_vector_field(F.B) - F.B * F.apply_vector_field(F.A)
 
 
+def _homogenize(g: MultiPoly) -> MultiPoly:
+    """The chart-z curve ``g`` as a form in (x, y, z) of its own degree."""
+    return g.homogenize("z", g.total_degree()).with_vars(PROJ).permute_to(PROJ)
+
+
 def inflection_divisor(F: PlaneFoliation) -> InflectionReport:
+    """The inflection divisor, split into invariant and transverse squarefree
+    parts without factoring.
+
+    The affine inflection polynomial ``f1`` splits by
+    :func:`~folgal.polyops.squarefree_decompose` into coprime squarefree
+    parts ``s`` of multiplicity ``m``.  Write ``s = g_1 ... g_k`` with the
+    ``g_i`` irreducible and pairwise non-associate.  By the Leibniz rule
+    ``X(s) = sum_i X(g_i) prod_{j != i} g_j``, and ``g_k`` divides every term
+    but the k-th, so ``g_k | X(s)`` exactly when ``g_k | X(g_k) prod_{j != k}
+    g_j``, that is, since the prime ``g_k`` divides no other ``g_j``, when
+    ``g_k | X(g_k)``: when ``g_k`` is invariant.  As ``s`` is squarefree,
+    ``inv = gcd(s, X(s))`` is therefore the product of the invariant
+    components of ``s`` and ``s / inv`` that of its transverse ones.  When
+    ``s | X(s)`` the gcd is ``s`` itself and is not computed.
+
+    The line ``z = 0`` has multiplicity ``3d - deg f1``, cross-checked in
+    chart x, and is invariant exactly when ``c_bar = 0``.  The parts must
+    have total degree ``3d``.
+    """
     d = F.degree
     f1 = inflection_polynomial(F)
     if f1.is_zero():
-        return InflectionReport(degree=d, components=[], every_point_inflectional=True)
+        return InflectionReport(degree=d, parts=[], every_point_inflectional=True)
     z_mult = 3 * d - f1.total_degree()
     if z_mult < 0:
         raise AssertionError("inflection determinant exceeds the divisor degree")
 
-    components: list[InflectionComponent] = []
-    for g, mult in factor_irreducible(f1):
-        gh = g.homogenize("z", g.total_degree()).with_vars(PROJ).permute_to(PROJ)
-        kind = "invariant_line" if invariant_curve_test(F, g) else "transverse"
-        components.append(InflectionComponent(gh, g, mult, kind))
+    parts: list[InflectionComponent] = []
+    for s, mult in squarefree_decompose(f1):
+        Xs = F.apply_vector_field(s)
+        inv = s if Xs.is_zero() or s.divides(Xs) else mpoly_gcd(s, Xs)
+        if not inv.is_constant():
+            parts.append(InflectionComponent(_homogenize(inv), inv, mult, "invariant_line"))
+        if inv is not s:
+            trans = s.exact_div(inv)
+            parts.append(InflectionComponent(_homogenize(trans), trans, mult, "transverse"))
     if z_mult > 0:
         zline = MultiPoly.variable(F.field, PROJ, "z")
         kind = "invariant_line" if F.c_bar.is_zero() else "transverse"
-        components.append(InflectionComponent(zline, None, z_mult, kind))
+        parts.append(InflectionComponent(zline, None, z_mult, kind))
         # cross-check the infinity multiplicity in a second chart
         Ax, Bx = F.chart_vector_field("x")
         F2 = from_vector_field(Ax, Bx, F.field)
@@ -412,7 +478,7 @@ def inflection_divisor(F: PlaneFoliation) -> InflectionReport:
             raise AssertionError(
                 f"charts disagree on the infinity component: {val} vs {z_mult}"
             )
-    report = InflectionReport(degree=d, components=components)
+    report = InflectionReport(degree=d, parts=parts)
     if report.total_degree != 3 * d:
         raise AssertionError(
             f"inflection divisor has degree {report.total_degree}, expected {3*d}"

@@ -183,7 +183,11 @@ class LocalTypeReport:
 
 def extremal_type_report(F: PlaneFoliation, seed: int = 7) -> LocalTypeReport:
     """Sufficient (top contact order everywhere) and necessary (orders divide
-    the degree) local conditions, with the verdict they imply."""
+    the degree) local conditions, with the verdict they imply.
+
+    The transverse contact orders come from the inflection divisor's
+    squarefree parts; only a not-Galois witness factors a part into its
+    irreducible components."""
     d = F.degree
     invs = classify_singularities(F, seed=seed)
     chi_ok = all(not inv.violates_local_condition for inv in invs)
@@ -205,10 +209,9 @@ def extremal_type_report(F: PlaneFoliation, seed: int = 7) -> LocalTypeReport:
         return LocalTypeReport(False, False, verdict, invs, [])
 
     report = inflection_divisor(F)
-    trans = report.transverse()
-    orders = sorted({c.rho for c in trans})
-    sufficient = chi_extremal and all(c.rho == d for c in trans)
-    necessary = chi_ok and all(d % c.rho == 0 for c in trans)
+    orders = sorted({p.rho for p in report.parts if p.kind == "transverse"})
+    sufficient = chi_extremal and all(rho == d for rho in orders)
+    necessary = chi_ok and all(d % rho == 0 for rho in orders)
 
     if sufficient:
         verdict = GaloisVerdict(
@@ -218,7 +221,8 @@ def extremal_type_report(F: PlaneFoliation, seed: int = 7) -> LocalTypeReport:
             {"extremal": True, "invariants": invs, "transverse_orders": orders},
         )
     elif not necessary:
-        bad = next(c for c in trans if d % c.rho != 0)
+        # the witness is an irreducible component: only this branch factors
+        bad = next(c for c in report.transverse() if d % c.rho != 0)
         verdict = GaloisVerdict(
             "not_galois",
             "local_conditions",

@@ -538,7 +538,5 @@ def cross_check(F: PlaneFoliation, seed: int = 11, dump_csv=None) -> MonodromyRe
     if first.group_order != second.group_order or sorted(
         first.cycle_types
     ) != sorted(second.cycle_types):
-        raise TrackingFailure(
-            "independent pencils disagree; numeric monodromy unreliable"
-        )
+        raise TrackingFailure("independent pencils disagree")
     return first

@@ -10,8 +10,9 @@ the same integer resultants at integer points (Collins 1971), each reduced at
 the generators; gcds and squarefree decompositions stay in-house, by a
 Euclidean sequence in one variable or on binary forms, by content extraction
 plus subresultant pseudo-remainder sequences otherwise, and by Yun's
-recursion on derivative gcds.  Polynomial products and exact quotients, over
-Q and over towers alike, are the kernels of :mod:`folgal.numberfield`.
+recursion on derivative gcds once the part over the base field is split off
+and decomposed there.  Polynomial products and exact quotients, over Q and
+over towers alike, are the kernels of :mod:`folgal.numberfield`.
 Every path is exact.
 """
 
@@ -31,7 +32,7 @@ from sympy.polys.sqfreetools import dmp_sqf_list
 
 from .multipoly import MultiPoly
 from .numberfield import RationalField, poly_gcd
-from .sympy_bridge import at_generators, from_dense, lift, to_dense
+from .sympy_bridge import at_generators, base_field_part, from_dense, lift, to_dense
 
 
 class DegenerateResultant(Exception):
@@ -427,8 +428,9 @@ def squarefree_decompose(p: MultiPoly) -> SquarefreeDecomposition:
     integer-cleared input (Yun, SYMSAC 1976, on the primitive part in the
     first variable and recursively on its content), and their product must
     pass one gcd with its derivatives.  Over a number-field tower they come
-    from the in-house Yun/Musser recursion.  Either way ``p`` must be the
-    parts' product times a constant, which becomes the unit.
+    from the in-house Yun/Musser recursion (see :func:`_squarefree_tower`).
+    Either way ``p`` must be the parts' product times a constant, which
+    becomes the unit.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -437,7 +439,7 @@ def squarefree_decompose(p: MultiPoly) -> SquarefreeDecomposition:
     if isinstance(p.field, RationalField):
         result = _squarefree_rational(p)
     else:
-        result = _squarefree_yun(p)
+        result = _squarefree_tower(p)
     prod = p.one_like()
     for f, m in result:
         prod = prod * f**m
@@ -473,6 +475,44 @@ def _squarefree_rational(p: MultiPoly) -> list:
     if not _derivative_gcd(radical).is_constant():
         raise ArithmeticError("sympy's squarefree parts over Q failed their derivative check")
     return result
+
+
+def _squarefree_tower(p: MultiPoly) -> list:
+    """``[(f, m)]`` by increasing ``m`` over a tower, each ``f`` monic.
+
+    The part ``L`` of ``p`` over the base field
+    (:func:`~folgal.sympy_bridge.base_field_part`) is split over the base
+    field, where it costs far less, and only ``p / L`` goes through Yun's
+    recursion over the top layer.  A part ``l`` of ``L`` of
+    multiplicity ``i`` and a part ``r`` of ``p / L`` of multiplicity ``j``
+    may share factors over the top layer.  Each irreducible factor of ``p``
+    divides at most one ``l`` and at most one ``r``, so ``gcd(l, r)`` is
+    exactly the product of the shared ones, each of multiplicity ``i + j``
+    in ``p``; what is left of ``l`` and ``r`` keeps ``i`` and ``j``."""
+    field = p.field
+    lower = base_field_part(p)
+    if lower.is_constant():
+        return _squarefree_yun(p)
+    rest = p.exact_div(lower.to_field(field))
+    high = [] if rest.is_constant() else _squarefree_yun(rest)
+    merged: dict[int, MultiPoly] = {}
+
+    def add(f, m):
+        if not f.is_constant():
+            merged[m] = merged[m] * f if m in merged else f
+
+    for low, i in squarefree_decompose(lower):
+        low = low.to_field(field)
+        for k, (r, j) in enumerate(high):
+            shared = mpoly_gcd(low, r)
+            if not shared.is_constant():
+                add(shared, i + j)
+                low = low.exact_div(shared)
+                high[k] = (r.exact_div(shared), j)
+        add(low, i)
+    for r, j in high:
+        add(r, j)
+    return [(f.monic(), m) for m, f in sorted(merged.items())]
 
 
 def _squarefree_yun(p: MultiPoly) -> list:

@@ -7,7 +7,7 @@ stability.
 
 from __future__ import annotations
 
-from .analyze import AnalysisResult
+from .analyze import AnalysisResult, UnreliableMonodromy
 from .multipoly import MultiPoly, poly_str
 from .numberfield import NumberField
 from .ratfunc import RationalFunction
@@ -80,8 +80,11 @@ def branching_payload(bw) -> dict | None:
 def monodromy_payload(mon) -> dict | None:
     if mon is None:
         return None
+    if isinstance(mon, UnreliableMonodromy):
+        return {"certified": False, "reliable": False, "reason": mon.reason}
     return {
         "certified": False,
+        "reliable": True,
         "group_order": mon.group_order,
         "cycle_types": [list(ct) for ct in mon.cycle_types],
         "numeric_genus": mon.numeric_genus,

@@ -190,16 +190,26 @@ def _coordinates(p: MultiPoly) -> list[dict]:
     return coords
 
 
-def _factor_by_norms(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
-    # polyops imports this module's converter, so its kernels are imported
+def base_field_part(p: MultiPoly) -> MultiPoly:
+    """The monic divisor of ``p`` of largest degree with coefficients in the
+    base field of ``p``'s top layer, as a polynomial over that base field.
+
+    Write ``p = sum a^i f_i`` with the ``f_i`` over the base.  A polynomial
+    over the base divides ``p`` exactly when it divides every ``f_i``, since
+    1, a, ..., a^(n-1) are linearly independent over the base; so this is the
+    gcd of the ``f_i``."""
+    # polyops imports this module's converters, so its kernels are imported
     # at call time here and below
     from .polyops import mpoly_gcd_list
 
+    base = p.field.base
+    return mpoly_gcd_list([MultiPoly(base, p.vars, t) for t in _coordinates(p) if t])
+
+
+def _factor_by_norms(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
     field = p.field
     p = p.monic()
-    # a polynomial over the base divides p exactly when it divides every f_i,
-    # since 1, a, ..., a^(n-1) are linearly independent over the base
-    lower = mpoly_gcd_list([MultiPoly(field.base, p.vars, t) for t in _coordinates(p) if t])
+    lower = base_field_part(p)
     found = Counter()
     if not lower.is_constant():
         for q, mult in factor_irreducible(lower):

@@ -39,6 +39,27 @@ def test_analyze_not_galois_quartic(capsys):
     assert "chi=3/2" in out
 
 
+def test_analyze_numeric_disagreement_keeps_the_exact_exit_code(capsys):
+    # at seed 901 the two pencils of halfchi_quartic see different branch
+    # points; the numeric block is marked unreliable, the verdict stands
+    code, out, err = run_cli(
+        capsys,
+        "analyze",
+        "--inline",
+        "field: g^2-4*g+6; A: (y^2+x^3)*x; B: (g/6*y^2+4*x^3)*g*y",
+        "--numeric",
+        "--seed",
+        "901",
+        "--json",
+    )
+    assert code == 1 and not err
+    rep = json.loads(out)
+    assert rep["verdict"]["status"] == "not_galois"
+    assert rep["monodromy"] == {
+        "certified": False, "reliable": False, "reason": "independent pencils disagree",
+    }
+
+
 def test_analyze_degenerate_exit_code(capsys):
     code, _, err = run_cli(capsys, "analyze", "--inline", "A: x; B: y")
     assert code > 2

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from folgal.multipoly import MultiPoly
 from folgal.numberfield import QQ
 from folgal.parsing import parse_poly
 from folgal.polyops import mpoly_gcd
+from folgal.sympy_bridge import factor_irreducible
 
 
 def poly(text, field=QQ):
@@ -115,6 +117,18 @@ def test_singular_multiplicity_total_over_towers(name):
     assert total == d * d + d + 1
 
 
+def test_singular_locus_checks_its_total_multiplicity(monkeypatch):
+    real = fol.common_zeros
+
+    def drop_first(*args, **kwargs):
+        return list(real(*args, **kwargs))[1:]
+
+    monkeypatch.setattr(fol, "common_zeros", drop_first)
+    F = fol.from_strings(None, "x^3-x", "y^3-y")
+    with pytest.raises(AssertionError, match="total multiplicity"):
+        fol.singular_locus(F)
+
+
 def test_inflection_power_cubic():
     F = fol.from_strings(None, "x^3", "y^3")
     rep = fol.inflection_divisor(F)
@@ -143,7 +157,10 @@ def test_inflection_halfchi_quartic():
     assert len(trans) == 1 and trans[0].multiplicity == 3 and trans[0].rho == 4
 
 
-def test_inflection_degree_on_random_foliations():
+def _random_inflection_cases():
+    """``(F, inflection_divisor(F))`` for 20 random foliations of degree 1-4
+    over Q, drawn from ``random.Random(5)``, with no everywhere-inflectional
+    one among them."""
     rng = random.Random(5)
     produced = 0
     while produced < 20:
@@ -168,7 +185,56 @@ def test_inflection_degree_on_random_foliations():
         if rep.every_point_inflectional:
             continue
         produced += 1
+        yield F, rep
+
+
+def test_inflection_degree_on_random_foliations():
+    for F, rep in _random_inflection_cases():
         assert rep.total_degree == 3 * F.degree
+
+
+def _factored_inflection(F):
+    """(curve, multiplicity, kind) of every irreducible inflection component,
+    by factoring the inflection polynomial and testing each factor for
+    invariance, with the line z = 0 last."""
+    f1 = fol.inflection_polynomial(F)
+    out = []
+    for g, mult in factor_irreducible(f1):
+        kind = "invariant_line" if fol.invariant_curve_test(F, g) else "transverse"
+        out.append((g.homogenize("z", g.total_degree()).with_vars(fol.PROJ), mult, kind))
+    z_mult = 3 * F.degree - f1.total_degree()
+    if z_mult:
+        kind = "invariant_line" if F.c_bar.is_zero() else "transverse"
+        out.append((MultiPoly.variable(F.field, fol.PROJ, "z"), z_mult, kind))
+    return out
+
+
+def _criterion_7_members():
+    rng = random.Random(20240813)
+    for d in (3, 4, 5):
+        k = 0
+        while k < 5:
+            F = corpus.random_deformation_member(rng, d)
+            if F.degree == d:
+                yield F
+                k += 1
+
+
+def test_squarefree_parts_match_the_factored_divisor():
+    corpus_fols = (corpus.foliation(name) for name in corpus.FOLIATION_SPECS)
+    cases = [(F, fol.inflection_divisor(F)) for F in corpus_fols if F.degree <= 8]
+    cases += [(F, fol.inflection_divisor(F)) for F in _criterion_7_members()]
+    cases += list(_random_inflection_cases())
+    assert len(cases) == 12 + 15 + 20
+    for F, rep in cases:
+        reference = _factored_inflection(F)
+        by_part, by_factor = Counter(), Counter()
+        for part in rep.parts:
+            by_part[part.kind, part.multiplicity] += part.degree()
+        for curve, mult, kind in reference:
+            by_factor[kind, mult] += curve.total_degree()
+        assert by_part == by_factor, F
+        assert [(c.curve, c.multiplicity, c.kind) for c in rep.components] == reference, F
 
 
 def test_inflection_components_invariance_consistency():

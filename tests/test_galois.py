@@ -15,6 +15,7 @@ from folgal.klein1d import BinaryRationalMap
 from folgal.multipoly import MultiPoly
 from folgal.numberfield import QQ
 from folgal.parsing import parse_poly
+from folgal.report import analysis_report
 from folgal.solve2d import common_zeros
 from folgal.sympy_bridge import factor_irreducible
 
@@ -433,6 +434,36 @@ def test_analyze_builds_the_inflection_divisor_once(monkeypatch, name, built_by_
     if built_by_local:
         assert res.inflection is local_reports[0].inflection
     assert res.inflection.total_degree == 3 * res.foliation.degree
+
+
+def test_the_local_route_decides_without_factoring_the_divisor(monkeypatch):
+    # the first three members of each degree of criterion 7's draw
+    members = []
+    rng = random.Random(20240813)
+    for d in (3, 4, 5):
+        drawn = []
+        while len(drawn) < 5:
+            F = corpus.random_deformation_member(rng, d)
+            if F.degree == d:
+                drawn.append(F)
+        members += drawn[:3]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the inflection divisor was factored")
+
+    def outcome(res):
+        routes = {k: v.status for k, v in res.routes.items()}
+        return res.verdict.status, res.verdict.method, routes, res.branching, res.genus
+
+    monkeypatch.setattr(fol, "factor_irreducible", refuse)
+    results = [analyze(F, numeric=False) for F in members]
+    monkeypatch.undo()
+    for F, res in zip(members, results):
+        assert outcome(res) == outcome(analyze(F, numeric=False))
+        assert res.branching.entries == {(F.degree,): 2} and res.genus == 0
+        echo = {"field": None, "A": str(F.A), "B": str(F.B)}
+        rep = analysis_report(res, echo)["inflection"]
+        assert rep["components"] and rep["total_degree"] == 3 * F.degree
 
 
 def test_verdict_dihedral_even_family():

@@ -10,6 +10,7 @@ from folgal.parsing import parse_min_poly, parse_poly
 from folgal.polyops import (
     DegenerateResultant,
     _gcd_content_prs,
+    _squarefree_yun,
     discriminant,
     is_square_over_closure,
     mpoly_gcd,
@@ -395,6 +396,22 @@ def test_squarefree_reconstructs(p, q, k):
     for f, _ in dec:
         inner = squarefree_decompose(f)
         assert all(m == 1 for _, m in inner)
+
+
+@pytest.mark.parametrize("field, text, expected", [
+    # (x^2 + 1)(x + y)^2 is the part over Q; x^2 + 1 shares x - c with (x - c)^2
+    (Q_I, "(x^2+1)*(x-c)^2*(x+y)^2*(y-c)",
+     [("x*y + (-c)*x + c*y + 1", 1), ("x + y", 2), ("x + (-c)", 3)]),
+    # over Q(g)(c) the part over Q(g), (x^2 - x + 1)(x - g)^3 y, is split the
+    # same way one layer down: x^2 - x + 1 = (x - g)(x - 1 + g)
+    (ZETA3_I, "(x^2+1)*(x-c)^2*(x^2-x+1)*(x-g)^3*y",
+     [("x^2*y + (-1 + g + c)*x*y + ((-1 + g)*c)*y", 1), ("x + (-c)", 3), ("x + (-g)", 4)]),
+])
+def test_squarefree_over_a_tower_matches_yun(field, text, expected):
+    p = parse_poly(text, field, ("x", "y"))
+    dec = squarefree_decompose(p)
+    assert [(str(f), m) for f, m in dec] == expected
+    assert dec.factors == _squarefree_yun(p)
 
 
 @given(small_poly())
