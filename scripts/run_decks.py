@@ -6,7 +6,7 @@ number of decks that ``deck_transformations(F, verdict(F))`` returns, whether
 every one of them is verified, and the seconds that call took; the verdict
 itself is not timed.  This is what ``folgal deck`` runs.  An entry that is
 not Galois, or whose certificate has no deck realization, says so instead.
-``icosahedral_60`` takes minutes.
+``icosahedral_60`` takes under a second.
 
 With ``--json`` each line is instead ``{"name": ..., "report": ...}``, the
 report being what ``folgal deck --json`` prints, or null with a ``reason``

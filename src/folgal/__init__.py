@@ -34,7 +34,6 @@ from .galois import (
 )
 from .klein1d import BinaryRationalMap, classify, ramification_profile, regular_type_test
 from .local import branch_count, classify_singularities, polar_curve, vanishing_and_tangency_order
-from .monodromy import cross_check, monodromy_of_foliation, monodromy_of_map
 from .multipoly import MultiPoly
 from .numberfield import QQ, FieldSplit, NumberField, extend
 from .polyops import (
@@ -46,5 +45,16 @@ from .polyops import (
     squarefree_decompose,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The numeric monodromy names load numpy, so they are imported on first use.
+_MONODROMY_NAMES = ("cross_check", "monodromy_of_foliation", "monodromy_of_map")
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + list(_MONODROMY_NAMES))
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _MONODROMY_NAMES:
+        from . import monodromy
+
+        return getattr(monodromy, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from sympy import isprime
+from sympy.polys.domains import ZZ
+from sympy.polys.factortools import dup_zz_cyclotomic_poly
 
 from .foliation import (
     AFFINE,
@@ -739,13 +741,9 @@ def decks_from_roots(F: PlaneFoliation, roots) -> list[DeckTransformation]:
 
 
 def _cyclotomic_coeffs(n: int):
-    import sympy as sp
-
-    z = sp.Symbol("z")
-    poly = sp.Poly(sp.cyclotomic_poly(n, z), z)
-    coeffs = [Fraction(int(c.numerator), int(c.denominator)) for c in
-              [sp.Rational(v) for v in poly.all_coeffs()]]
-    coeffs.reverse()
+    """The n-th cyclotomic polynomial's coefficients below the leading 1,
+    low to high, from sympy's dense integer kernel."""
+    coeffs = [Fraction(c) for c in reversed(dup_zz_cyclotomic_poly(n, ZZ))]
     lead = coeffs.pop()
     assert lead == 1
     return coeffs
@@ -829,10 +827,11 @@ def _fixes_line_map(num: MultiPoly, den: MultiPoly, m, n: int) -> bool:
     homogenised to n, P(w) = P^h(W1, W0)/W0^n, so the identity is
     num^h(W1, W0) den == den^h(W1, W0) num.
 
-    It checks both the table generators, on the reduced line map, and every
-    lifted deck, on the unreduced slices A1 = A(1, z), B1 = B(1, z) of a
-    homogeneous foliation.  By homogeneity, G o tau = G for the lift tau of
-    w is equivalent to the univariate identities (C = yA - xB)
+    :func:`decks_from_line_decks` checks the table generators with it, on the
+    reduced line map.  On the unreduced slices A1 = A(1, z), B1 = B(1, z) of
+    a homogeneous foliation it is the Gauss-map identity of the lift.  By
+    homogeneity, G o tau = G for the lift tau of w is equivalent to the
+    univariate identities (C = yA - xB)
 
         A(w)(A(z) w - B(z)) = A(z) C(w),    B(w)(A(z) w - B(z)) = B(z) C(w),
 
@@ -847,18 +846,39 @@ def _fixes_line_map(num: MultiPoly, den: MultiPoly, m, n: int) -> bool:
     return Nw * den == Dw * num
 
 
-def decks_from_line_decks(F: PlaneFoliation, klein, fmap: BinaryRationalMap):
-    """Lift the deck group of the line reduction of a homogeneous foliation.
+def _cancel_common_lines(C: MultiPoly, D: MultiPoly, Q: MultiPoly):
+    """``(C/g, D/g)`` for g = gcd(C, D), with C = Ay - Bx, D = A W1 - B W0
+    and the fixed-line form Q = x W1 - y W0 of a Möbius matrix m.
 
-    Uses tau(x, y) = [(Ay - Bx)/(A w(y/x) - B)] (1, w(y/x)) for each Möbius
-    deck w of B(1, z)/A(1, z); every lift is verified against the Gauss map.
-    With w(y/x) = W1/W0, W1 = a y + b x, W0 = c y + e x and D = A W1 - B W0,
-    tau = (C W0/D, C W1/D) for C = Ay - Bx.  Both coordinates are put in lowest
-    terms with one gcd: after g = gcd(C, D), the linear form W is either a
-    factor of D/g or prime to it.
+    Q is zero only when m is scalar; then W0, W1 = (s x, s y), D = s C and
+    g = C.  Otherwise let a line p through the origin, with direction
+    (x0, y0), divide both C and D.  A and B are coprime, since the foliation
+    is saturated, so (A(p), B(p)) is not zero, and C(p) = D(p) = 0 make
+    (x0, y0) and (W0(p), W1(p)) both parallel to it; hence Q(p) = 0, and
+    every linear factor of g divides Q.  So g is found from r = gcd(C, Q), a
+    form of degree at most 2, without Euclid on C and D: while h = gcd(r, D)
+    is not constant, divide C and D by h and set r = gcd(r, C).  The loop
+    keeps r = gcd(Q, C) for the current C, so a common factor of the current
+    C and D, being one of the original pair, divides r and hence h; when h
+    is constant the quotients are coprime.  A line dividing g to a higher
+    power than r takes more than one round; each round lowers deg C.
     """
-    if not F.is_homogeneous():
-        raise UseAnotherMethod("line-deck lifting needs a homogeneous foliation")
+    if Q.is_zero():
+        return C.one_like(), D.exact_div(C)
+    r = mpoly_gcd(C, Q)
+    while not r.is_constant():
+        h = mpoly_gcd(r, D)
+        if h.is_constant():
+            break
+        C, D = C.exact_div(h), D.exact_div(h)
+        r = mpoly_gcd(r, C)
+    return C, D
+
+
+def _mobius_deck_group(F: PlaneFoliation, klein):
+    """``(K, group)``: the normalized Möbius deck group of the line map of a
+    homogeneous foliation, over the field K of the table generators, closed
+    from generators that pass :func:`_fixes_line_map` on the reduced map."""
     tag, order = klein.tag, klein.order
     degree = F.degree if tag in ("cyclic", "dihedral") else order
     working = None
@@ -880,26 +900,49 @@ def decks_from_line_decks(F: PlaneFoliation, klein, fmap: BinaryRationalMap):
         raise AssertionError(
             f"Möbius group has order {len(group)}, expected {order}"
         )
+    return K, group
+
+
+def decks_from_line_decks(F: PlaneFoliation, klein):
+    """Lift the deck group of the line reduction of a homogeneous foliation.
+
+    Uses tau(x, y) = [(Ay - Bx)/(A w(y/x) - B)] (1, w(y/x)) for each Möbius
+    deck w of B(1, z)/A(1, z).  With w(y/x) = W1/W0, W1 = a y + b x,
+    W0 = c y + e x and D = A W1 - B W0, tau = (C W0/D, C W1/D) for
+    C = Ay - Bx.  Both coordinates are put in lowest terms with one gcd,
+    taken through the fixed lines of w (:func:`_cancel_common_lines`):
+    after g = gcd(C, D), the linear form W is either a factor of D/g or
+    prime to it.
+
+    Every lift is verified from the generators.  The table generators
+    w1, w2 pass :func:`_fixes_line_map` on the reduced line map f = b/a, and
+    f o w1 = f o w2 = f gives f o (w1 o w2) = f, so every element of the
+    group that :func:`_mobius_close` builds from exact products fixes f;
+    the closure has the expected order, so it is the whole deck group.
+    With A1 = A(1, z) = h a and B1 = B(1, z) = h b (the scalar of f's monic
+    denominator taken into h), homogenising to n = deg h + deg f splits each
+    evaluation in the notation of :func:`_fixes_line_map`:
+    Aw = h^h(W1, W0) a^h(W1, W0) and Bw = h^h(W1, W0) b^h(W1, W0), so
+    Aw B1 - A1 Bw = h^h(W1, W0) h (a^h(W1, W0) b - a b^h(W1, W0)), which the
+    reduced identity makes zero for every group element; that docstring
+    shows the unreduced identity is the Gauss-map identity G o tau = G of
+    the lift.
+    """
+    if not F.is_homogeneous():
+        raise UseAnotherMethod("line-deck lifting needs a homogeneous foliation")
+    K, group = _mobius_deck_group(F, klein)
     A = F.A.to_field(K)
     B = F.B.to_field(K)
     x = MultiPoly.variable(K, AFFINE, "x")
     y = MultiPoly.variable(K, AFFINE, "y")
     C = A * y - B * x
-    A1, B1 = _restrict_homog(F.A, K), _restrict_homog(F.B, K)
-    n = max(A1.total_degree(), B1.total_degree())
     out = []
     for m in group:
         W1, W0 = _mobius_forms(m, y, x)
-        D = A * W1 - B * W0
-        g = mpoly_gcd(C, D)
-        Cg, Dg = C.exact_div(g), D.exact_div(g)
-        tau = DeckTransformation(_times_linear(Cg, Dg, W0), _times_linear(Cg, Dg, W1))
-        # the Gauss-map identity reduces exactly to the line map's identity
-        # on the unreduced slices; see _fixes_line_map
-        tau.verified = _fixes_line_map(B1, A1, m, n)
-        if not tau.verified:
-            raise AssertionError("lifted deck failed the Gauss-map identity")
-        out.append(tau)
+        Cg, Dg = _cancel_common_lines(C, A * W1 - B * W0, x * W1 - y * W0)
+        out.append(DeckTransformation(
+            _times_linear(Cg, Dg, W0), _times_linear(Cg, Dg, W1), verified=True
+        ))
     return out
 
 
@@ -950,7 +993,7 @@ def deck_transformations(F: PlaneFoliation, verdict: GaloisVerdict):
         return decks_from_roots(F, _cubic_fibre_roots(F, verdict.certificate))
     klein = verdict.certificate.get("klein")
     if klein is not None and F.is_homogeneous():
-        return decks_from_line_decks(F, klein.klein, verdict.certificate["reduction"])
+        return decks_from_line_decks(F, klein.klein)
     raise UseAnotherMethod(
         "no deck realization implemented for this certificate type"
     )

@@ -247,9 +247,9 @@ def test_verify_deck_rejects_tampered_decks():
 
 
 def test_lifted_decks_satisfy_the_gauss_identity():
-    # decks lifted from line decks are checked through the univariate
-    # identities; the bivariate identity must hold for them as well, and
-    # each coordinate comes in lowest terms
+    # decks lifted from line decks are verified from the group's generators;
+    # the bivariate identity must hold for each of them as well, and each
+    # coordinate comes in lowest terms
     F = corpus.foliation("dihedral_4")
     decks = gal.deck_transformations(F, gal.verdict(F))
     assert len(decks) == 4
@@ -260,8 +260,8 @@ def test_lifted_decks_satisfy_the_gauss_identity():
 
 
 def test_line_deck_checks_reject_matrices_outside_the_group():
-    # one identity checks the table generators on the reduced line map and
-    # the lifted decks on the unreduced slices
+    # one identity checks the table generators on the reduced line map and,
+    # as the tests' oracle, the lifted decks on the unreduced slices
     F = corpus.foliation("dihedral_4")
     one, zero = Fraction(1), Fraction(0)
     A1, B1 = gal._restrict_homog(F.A, QQ), gal._restrict_homog(F.B, QQ)
@@ -343,6 +343,85 @@ def test_decks_use_a_root_of_unity_already_in_the_base(spec, order, monkeypatch)
         modulus = MultiPoly.from_dict(layer.base, ("T",), {
             (i,): c for i, c in enumerate(list(layer.min_poly) + [1])})
         assert [m for _, m in gal.factor_irreducible(modulus)] == [1]
+
+
+def _line_deck_group(name):
+    F = corpus.foliation(name)
+    v = gal.verdict(F)
+    K, group = gal._mobius_deck_group(F, v.certificate["klein"].klein)
+    return F, v, K, group
+
+
+@pytest.mark.parametrize("name", ["fermat_4", "fermat_5", "dihedral_4", "dihedral_6",
+                                  "tetrahedral_12", "octahedral_24"])
+def test_fixed_line_gcd_is_the_gcd_of_the_lift(name):
+    # the lift cancels g = gcd(C, D) through the fixed lines of each group
+    # element; the Euclidean gcd over the tower is the oracle
+    F, _, K, group = _line_deck_group(name)
+    A, B = F.A.to_field(K), F.B.to_field(K)
+    x = MultiPoly.variable(K, fol.AFFINE, "x")
+    y = MultiPoly.variable(K, fol.AFFINE, "y")
+    C = A * y - B * x
+    for m in group:
+        W1, W0 = gal._mobius_forms(m, y, x)
+        D = A * W1 - B * W0
+        Cg, Dg = gal._cancel_common_lines(C, D, x * W1 - y * W0)
+        g = C.exact_div(Cg)
+        assert g.monic() == gal.mpoly_gcd(C, D)
+        assert Dg * g == D
+
+
+@pytest.mark.parametrize("name, order, step", [
+    ("tetrahedral_12", 12, 1), ("octahedral_24", 24, 1), ("icosahedral_60", 60, 10)])
+def test_decks_verified_from_generators_fix_the_unreduced_line_map(name, order, step):
+    # lifts are verified from the table generators; the per-deck identity on
+    # the unreduced slices, which is the Gauss-map identity of each lift, is
+    # the oracle
+    F, v, K, group = _line_deck_group(name)
+    decks = gal.deck_transformations(F, v)
+    assert len(decks) == len(group) == order
+    assert all(t.verified for t in decks)
+    A1, B1 = gal._restrict_homog(F.A, K), gal._restrict_homog(F.B, K)
+    n = max(A1.total_degree(), B1.total_degree())
+    for m in group[::step]:
+        assert gal._fixes_line_map(B1, A1, m, n)
+
+
+def test_generators_that_fail_the_reduced_identity_give_no_decks(monkeypatch):
+    # 1/z fixes dihedral_4's line map but 2z does not, in any conjugate: the
+    # generator set fails, and no deck is lifted from it
+    F = corpus.foliation("dihedral_4")
+    v = gal.verdict(F)
+
+    def table(tag, d, base_field):
+        one, zero = base_field.one(), base_field.zero()
+        yield base_field, [[[zero, one], [one, zero]], [[2 * one, zero], [zero, one]]]
+
+    monkeypatch.setattr(gal, "_mobius_generators", table)
+    with pytest.raises(gal.UseAnotherMethod, match="conjugation search failed"):
+        gal.deck_transformations(F, v)
+
+
+def test_cyclotomic_coeffs_match_sympy():
+    import sympy as sp
+
+    z = sp.Symbol("z")
+    for n in range(1, 31):
+        coeffs = sp.Poly(sp.cyclotomic_poly(n, z), z).all_coeffs()
+        assert gal._cyclotomic_coeffs(n) + [1] == [Fraction(int(c)) for c in reversed(coeffs)]
+
+
+def test_cyclotomic_decks_load_no_sympy_combinatorics(run_python):
+    # the dense cyclotomic kernel needs none of sympy's expression layer
+    code = (
+        "import sys\n"
+        "from folgal import corpus\n"
+        "from folgal.galois import deck_transformations, verdict\n"
+        "F = corpus.foliation('fermat_4')\n"
+        "assert len(deck_transformations(F, verdict(F))) == 4\n"
+        "print([m for m in sys.modules if m.startswith('sympy.combinatorics')])\n"
+    )
+    assert run_python(code) == "[]"
 
 
 # -- deformations ---------------------------------------------------------------------

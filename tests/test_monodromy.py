@@ -2,11 +2,7 @@ import importlib
 import itertools
 import io
 import math
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,7 +252,7 @@ def test_dihedral_cross_check(name, order, cycle_types):
     assert r.numeric_genus == 0
 
 
-def test_analyze_reaches_monodromy_without_scipy():
+def test_analyze_reaches_monodromy_without_scipy(run_python):
     code = (
         "import sys\n"
         "from folgal import corpus\n"
@@ -265,15 +261,21 @@ def test_analyze_reaches_monodromy_without_scipy():
         "assert r.monodromy is not None\n"
         "print('scipy' in sys.modules)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        timeout=300, check=True,
+    assert run_python(code) == "False"
+
+
+def test_import_folgal_loads_no_numpy(run_python):
+    # the numeric monodromy names are exported lazily: numpy loads on first use
+    code = (
+        "import sys\n"
+        "import folgal\n"
+        "print('numpy' in sys.modules)\n"
+        "names = ('cross_check', 'monodromy_of_foliation', 'monodromy_of_map')\n"
+        "assert set(names) <= set(folgal.__all__)\n"
+        "from folgal import monodromy\n"
+        "assert all(getattr(folgal, n) is getattr(monodromy, n) for n in names)\n"
     )
-    assert out.stdout.strip() == "False"
+    assert run_python(code) == "False"
 
 
 def test_exact_branching_keeps_monodromy_off_the_default_path():
