@@ -14,6 +14,7 @@ from .galois import (
     branching_and_genus,
     discriminant_square_test,
     extremal_type_report,
+    low_degree_verdict,
     symmetry_verdict,
 )
 from .klein1d import WeightedBranchingType
@@ -57,15 +58,18 @@ def analyze(
     F: PlaneFoliation,
     numeric: bool | None = None,
     seed: int = 7,
-    full: bool = False,
     dump_csv=None,
 ) -> AnalysisResult:
     """Run every applicable route and cross-check their statuses.
 
-    The local-invariant route (singularity table and inflection divisor) is
-    expensive for high-degree symmetric foliations; by default it runs when
-    the degree is at most 8 or when no other route decided.  Pass
-    ``full=True`` to force it.
+    The routes run in the order ``discriminant_square``,
+    ``symmetry_reduction``, ``local_conditions``, and the verdict is the
+    first that decides, after the low-degree verdict
+    (:func:`~folgal.galois.low_degree_verdict`) in degree 1, and in degree 2
+    without the discriminant route.  The local-invariant route (singularity
+    table and inflection divisor) is expensive for high-degree symmetric
+    foliations; it runs when the degree is at most 8 or when no other route
+    decided.
 
     The local route builds the inflection divisor itself unless its chi test
     decides first, and the ``inflection`` stage then reuses it: that stage
@@ -105,7 +109,7 @@ def analyze(
     timings["symmetry"] = time.perf_counter() - t0
 
     decided_already = any(v.status != "inconclusive" for v in routes.values())
-    want_local = not decided_already or full or d <= 8
+    want_local = not decided_already or d <= 8
 
     invariants = []
     inflection = None
@@ -122,32 +126,24 @@ def analyze(
             inflection = inflection_divisor(F)
         timings["inflection"] = time.perf_counter() - t0
 
-    decided = {v.status for v in routes.values() if v.status != "inconclusive"}
-    if len(decided) > 1:
+    decided = [v for v in routes.values() if v.status != "inconclusive"]
+    if len({v.status for v in decided}) > 1:
         raise AssertionError(
             f"decision routes disagree: "
             + ", ".join(f"{k}:{v.status}" for k, v in routes.items())
         )
 
-    if d == 1:
-        main = GaloisVerdict("galois", "low_degree", d, {})
-    elif "discriminant_square" in routes:
-        main = routes["discriminant_square"]
-    elif d == 2:
-        main = GaloisVerdict("galois", "low_degree", d, {})
-    elif "symmetry_reduction" in routes and routes["symmetry_reduction"].status != "inconclusive":
-        main = routes["symmetry_reduction"]
-    else:
-        main = routes["local_conditions"]
+    low = None if "discriminant_square" in routes else low_degree_verdict(d)
+    # above degree 8 the local route runs only when nothing else decided
+    main = low or (decided[0] if decided else routes["local_conditions"])
 
     bw = genus = None
     t0 = time.perf_counter()
     if main.is_galois:
         best = main
-        if not main.certificate.get("extremal") and routes.get(
-            "local_conditions", None
-        ) is not None and routes["local_conditions"].certificate.get("extremal"):
-            best = routes["local_conditions"]
+        local = routes.get("local_conditions")
+        if not main.certificate.get("extremal") and local and local.certificate.get("extremal"):
+            best = local
         data = branching_and_genus(F, best, seed=seed)
         if data is not None:
             bw, genus = data

@@ -122,9 +122,7 @@ def cmd_analyze(args) -> int:
         numeric = True
     if args.no_numeric:
         numeric = False
-    result = analyze(F, numeric=numeric, seed=args.seed,
-                     full=args.full,
-                     dump_csv=args.dump_paths)
+    result = analyze(F, numeric=numeric, seed=args.seed, dump_csv=args.dump_paths)
     echo = {"field": field_spec, "A": a_text, "B": b_text}
     rep = analysis_report(result, echo)
     if args.json:
@@ -272,8 +270,6 @@ def build_parser() -> _Parser:
                                  help="force the numeric monodromy cross-check")
             numeric.add_argument("--no-numeric", action="store_true",
                                  help="skip the numeric monodromy cross-check")
-            p.add_argument("--full", action="store_true",
-                           help="force the local-invariant route even in high degree")
             p.add_argument("--dump-paths", metavar="FILE",
                            help="write tracked monodromy paths as CSV")
 

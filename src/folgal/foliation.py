@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .linalg import rank
 from .multipoly import MultiPoly, NotDivisible
 from .numberfield import QQ, invert
 from .polyops import mpoly_gcd, mpoly_gcd_list, squarefree_decompose
@@ -512,13 +513,7 @@ def _line_points(F: PlaneFoliation, dual: tuple):
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             p, q = pts[i], pts[j]
-            # independence: some 2x2 minor nonzero
-            minors = [
-                p[0] * q[1] - p[1] * q[0],
-                p[0] * q[2] - p[2] * q[0],
-                p[1] * q[2] - p[2] * q[1],
-            ]
-            if any(minors):
+            if rank([p, q], F.field) == 2:
                 return p, q
     raise ValueError("dual point does not define a line")
 

@@ -31,7 +31,7 @@ from .foliation import (
     inflection_divisor,
 )
 from .klein1d import BinaryRationalMap, WeightedBranchingType, classify
-from .linalg import kernel_basis, rank as matrix_rank
+from .linalg import kernel_basis, mat_mul, mat_vec, rank as matrix_rank
 from .local import _polar_pool, classify_singularities
 from .multipoly import MultiPoly, NotDivisible, evaluate_at
 from .numberfield import QQ, adjoin_root, coordinates, invert
@@ -64,23 +64,32 @@ class GaloisVerdict:
 # -- translation-fiber polynomial -----------------------------------------------------
 
 
+def _fiber_polynomial(A: MultiPoly, B: MultiPoly, target, trim=None) -> MultiPoly:
+    """``A * B(x + tA, y + tB) - B * A(x + tA, y + tB)`` over the variables
+    ``target``, which hold those of ``A`` and ``B`` and ``t``.  ``A`` and
+    ``B`` are substituted in their own variables; ``trim``, when given, is
+    applied to both shifted fields before the products."""
+    field = A.field
+    At, Bt = A.with_vars(target), B.with_vars(target)
+    t = MultiPoly.variable(field, target, "t")
+    shift = {
+        "x": MultiPoly.variable(field, target, "x") + t * At,
+        "y": MultiPoly.variable(field, target, "y") + t * Bt,
+    }
+    Ash = A.substitute(shift, target=target)
+    Bsh = B.substitute(shift, target=target)
+    if trim is not None:
+        Ash, Bsh = trim(Ash), trim(Bsh)
+    return At * Bsh - Bt * Ash
+
+
 def gauss_fiber_polynomial(F: PlaneFoliation) -> MultiPoly:
     """P(x, y, t) comparing the field at (x, y) and at (x + tA, y + tB).
 
     Its roots in t locate the other points of the Gauss fibre through
     (x, y) along the common tangent line; t divides P identically.
     """
-    field = F.field
-    A3 = F.A.with_vars(XYT)
-    B3 = F.B.with_vars(XYT)
-    x = MultiPoly.variable(field, XYT, "x")
-    y = MultiPoly.variable(field, XYT, "y")
-    t = MultiPoly.variable(field, XYT, "t")
-    xs = x + t * A3
-    ys = y + t * B3
-    Ash = F.A.substitute({"x": xs, "y": ys}, target=XYT)
-    Bsh = F.B.substitute({"x": xs, "y": ys}, target=XYT)
-    P = A3 * Bsh - B3 * Ash
+    P = _fiber_polynomial(F.A, F.B, XYT)
     if not P.substitute({"t": 0}).is_zero():
         raise AssertionError("t must divide the fibre polynomial")
     return P
@@ -379,10 +388,10 @@ def _char_poly_roots(field, M):
 
 def _attach_normal_form(F: PlaneFoliation, sym: InfinitesimalSymmetry, M):
     field = F.field
-    M2 = _mat_mul(M, M)
-    M3 = _mat_mul(M2, M)
-    if _mat_is_zero(M3):
-        if _mat_is_zero(M2):
+    M2 = mat_mul(M, M)
+    M3 = mat_mul(M2, M)
+    if not any(map(any, M3)):
+        if not any(map(any, M2)):
             _normalize_shear(F, sym, M)
         else:
             _normalize_parabolic(F, sym, M, M2)
@@ -393,35 +402,6 @@ def _attach_normal_form(F: PlaneFoliation, sym: InfinitesimalSymmetry, M):
     _normalize_weighted(F, sym, M, eigen)
 
 
-def _mat_mul(A, B):
-    n = len(A)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = A[i][0] * B[0][j]
-            for k in range(1, n):
-                acc = acc + A[i][k] * B[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _mat_is_zero(M):
-    return all(not e for row in M for e in row)
-
-
-def _mat_vec(M, v):
-    return [sum_prod(M[i], v) for i in range(len(M))]
-
-
-def sum_prod(row, v):
-    acc = row[0] * v[0]
-    for a, b in zip(row[1:], v[1:]):
-        acc = acc + a * b
-    return acc
-
-
 def transform_foliation(F: PlaneFoliation, T_cols) -> PlaneFoliation:
     """Pull the foliation back by the projective change with column vectors
     ``T_cols`` over ``F.field`` (the new chart's frame); returns the new
@@ -429,18 +409,11 @@ def transform_foliation(F: PlaneFoliation, T_cols) -> PlaneFoliation:
     work = F.field
     a, b, c = F.triple
     X3 = [MultiPoly.variable(work, PROJ, v) for v in PROJ]
-    images = []
-    for i in range(3):
-        acc = MultiPoly.zero(work, PROJ)
-        for j in range(3):
-            acc = acc + X3[j].scale(T_cols[j][i])
-        images.append(acc)
-    sub = {"x": images[0], "y": images[1], "z": images[2]}
+    images = mat_vec(list(zip(*T_cols)), X3)
+    sub = dict(zip(PROJ, images))
     comps = [p.substitute(sub, target=PROJ) for p in (a, b, c)]
     # omega' = T^t (omega o T)
-    new_a = comps[0].scale(T_cols[0][0]) + comps[1].scale(T_cols[0][1]) + comps[2].scale(T_cols[0][2])
-    new_b = comps[0].scale(T_cols[1][0]) + comps[1].scale(T_cols[1][1]) + comps[2].scale(T_cols[1][2])
-    new_c = comps[0].scale(T_cols[2][0]) + comps[1].scale(T_cols[2][1]) + comps[2].scale(T_cols[2][2])
+    new_a, new_b, new_c = mat_vec(T_cols, comps)
     g = mpoly_gcd(mpoly_gcd(new_a, new_b), new_c)
     if not g.is_constant():
         new_a, new_b, new_c = (p.exact_div(g) for p in (new_a, new_b, new_c))
@@ -510,7 +483,7 @@ def _normalize_shear(F, sym, M):
     for k in range(3):
         w = [field.zero()] * 3
         w[k] = field.one()
-        mv = _mat_vec(M, w)
+        mv = mat_vec(M, w)
         if any(mv):
             img, wvec = mv, w
             break
@@ -536,11 +509,11 @@ def _normalize_parabolic(F, sym, M, M2):
     for k in range(3):
         w = [field.zero()] * 3
         w[k] = field.one()
-        if any(_mat_vec(M2, w)):
+        if any(mat_vec(M2, w)):
             wvec = w
             break
-    v2 = _mat_vec(M, wvec)
-    v1 = _mat_vec(M2, wvec)
+    v2 = mat_vec(M, wvec)
+    v1 = mat_vec(M2, wvec)
     cols = [list(v1), list(v2), list(wvec)]
     Fn = transform_foliation(F, cols)
     sym.normal_form = "parabolic"
@@ -810,7 +783,7 @@ def _mobius_close(gens, field, cap: int):
         nxt = []
         for g in frontier:
             for h in gens_n:
-                pn = _mat_normalize(_mat_mul(g, h), field)
+                pn = _mat_normalize(mat_mul(g, h), field)
                 if pn not in seen:
                     seen.add(pn)
                     nxt.append(pn)
@@ -966,7 +939,7 @@ def _conjugation_pool(K):
 
 def _conj_mat(c, g):
     inv = [[c[1][1], -c[0][1]], [-c[1][0], c[0][0]]]
-    return _mat_mul(_mat_mul(inv, g), c)
+    return mat_mul(mat_mul(inv, g), c)
 
 
 def _restrict_homog(p: MultiPoly, K) -> MultiPoly:
@@ -1061,25 +1034,16 @@ def _u3_basis(field):
 def _disc_first_order(F: PlaneFoliation, Y):
     """d/de of the fibre discriminant of X + e Y at e = 0 (degree 3 only)."""
     field = F.field
-    XE = ("x", "y", "t", "e")
-    A = F.A.with_vars(XE)
-    B = F.B.with_vars(XE)
+    XYE = ("x", "y", "e")
     Ya, Yb = Y
-    e = MultiPoly.variable(field, XE, "e")
-    Ae = A + e * Ya.with_vars(XE)
-    Be = B + e * Yb.with_vars(XE)
-    x = MultiPoly.variable(field, XE, "x")
-    y = MultiPoly.variable(field, XE, "y")
-    t = MultiPoly.variable(field, XE, "t")
-    xs = x + t * Ae
-    ys = y + t * Be
-    As = _truncate_e(Ae.substitute({"x": xs, "y": ys}), 1)
-    Bs = _truncate_e(Be.substitute({"x": xs, "y": ys}), 1)
-    P = _truncate_e(Ae * Bs - Be * As, 1)
+    e = MultiPoly.variable(field, XYE, "e")
+    Ae = F.A.with_vars(XYE) + e * Ya.with_vars(XYE)
+    Be = F.B.with_vars(XYE) + e * Yb.with_vars(XYE)
+    P = _mod_e2(_fiber_polynomial(Ae, Be, ("x", "y", "t", "e"), trim=_mod_e2))
     # coefficients a_i = a_i0 + e a_i1 of P/t = a_1 + a_2 t + a_3 t^2
     tc = P.univariate_coeffs("t")
     if len(tc) < 4:
-        tc = tc + [MultiPoly.zero(field, ("x", "y", "e"))] * (4 - len(tc))
+        tc = tc + [MultiPoly.zero(field, XYE)] * (4 - len(tc))
     a = {}
     for i in (1, 2, 3):
         ci = tc[i]
@@ -1094,9 +1058,10 @@ def _disc_first_order(F: PlaneFoliation, Y):
     return gamma
 
 
-def _truncate_e(p: MultiPoly, max_deg: int) -> MultiPoly:
+def _mod_e2(p: MultiPoly) -> MultiPoly:
+    """``p`` modulo ``e^2``."""
     idx = p.vars.index("e")
-    terms = {exp: c for exp, c in p.terms.items() if exp[idx] <= max_deg}
+    terms = {exp: c for exp, c in p.terms.items() if exp[idx] <= 1}
     return MultiPoly(p.field, p.vars, terms)
 
 
@@ -1235,14 +1200,7 @@ def branching_and_genus(F: PlaneFoliation, verdict: GaloisVerdict, seed: int = 2
                 f"line map:{outcome.klein}"
             )
         return outcome.branching, 0
-    extremal = False
-    if verdict.certificate.get("extremal"):
-        extremal = True
-    elif isprime(d):
-        extremal = True
-    elif d == 2:
-        extremal = True
-    if not extremal:
+    if not (verdict.certificate.get("extremal") or isprime(d)):
         return None
     g = generic_polar_genus(F, seed=seed)
     if d == 1:
@@ -1280,28 +1238,32 @@ def symmetry_verdict(F: PlaneFoliation) -> GaloisVerdict | None:
     return None
 
 
+def low_degree_verdict(d: int) -> GaloisVerdict | None:
+    """The Galois verdict that degrees 1 and 2 get without a certificate, as
+    every covering of degree at most 2 is Galois; None in higher degree."""
+    reason = {1: "degree one", 2: "degree-two coverings are Galois"}.get(d)
+    if reason is None:
+        return None
+    return GaloisVerdict("galois", "low_degree", d, {"reason": reason})
+
+
 def verdict(F: PlaneFoliation, seed: int = 7) -> GaloisVerdict:
     """Symbolic decision cascade.
 
-    Order: trivial degrees, the degree-3 discriminant test, symmetry
-    reduction, then the local conditions (complete for prime degree).
-    Returns an inconclusive verdict only for composite degree without
-    usable symmetry where the local conditions split.
+    Order: the discriminant test in degrees 2 and 3, the low-degree verdict,
+    symmetry reduction, then the local conditions (complete for prime
+    degree).  Returns an inconclusive verdict only for composite degree
+    without usable symmetry where the local conditions split.
     """
     d = F.degree
-    if d == 1:
-        return GaloisVerdict("galois", "low_degree", d, {"reason": "degree one"})
-    if d == 2:
-        try:
-            return discriminant_square_test(F)
-        except UseAnotherMethod:
-            return GaloisVerdict("galois", "low_degree", d,
-                                 {"reason": "degree-two coverings are Galois"})
-    if d == 3:
+    if d in (2, 3):
         try:
             return discriminant_square_test(F)
         except UseAnotherMethod:
             pass
+    low = low_degree_verdict(d)
+    if low is not None:
+        return low
     sym_verdict = symmetry_verdict(F)
     if sym_verdict is not None:
         return sym_verdict

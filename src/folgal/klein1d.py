@@ -17,6 +17,7 @@ from .linalg import kernel_basis
 from .multipoly import MultiPoly
 from .numberfield import _trim, adjoin_root, invert, poly_divmod, poly_invmod
 from .polyops import mpoly_gcd, squarefree_decompose
+from .ratfunc import RationalFunction
 from .sympy_bridge import factor_irreducible
 
 ZVAR = ("z",)
@@ -45,12 +46,8 @@ class BinaryRationalMap:
             raise ValueError("zero denominator; not a self-map")
         if num.is_zero():
             raise ValueError("zero map")
-        g = mpoly_gcd(num, den)
-        if not g.is_constant():
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        inv = invert(num.field, den.leading_coefficient())
-        return BinaryRationalMap(num.scale(inv), den.scale(inv))
+        reduced = RationalFunction(num, den)
+        return BinaryRationalMap(reduced.num, reduced.den)
 
     @property
     def field(self):
@@ -183,12 +180,13 @@ def _value_annihilator(num, den, modulus, fld):
 # -- profiles -------------------------------------------------------------------------
 
 
-def _fiber_profile(f: BinaryRationalMap, value_field, value) -> tuple:
-    """Sorted ramification profile of the fibre over a finite value."""
-    fib = f.num.to_field(value_field) - f.den.to_field(value_field).scale(value)
+def _fiber_profile(d: int, fib: MultiPoly) -> tuple:
+    """Sorted ramification profile of a degree-``d`` map's fibre with the
+    fibre polynomial ``fib``: ``num - value * den`` over a finite value,
+    ``den`` over infinity.  The degree that ``fib`` lacks is the
+    multiplicity at z = infinity."""
     if fib.is_zero():
         raise ValueError("constant map has no fibres")
-    d = f.degree
     parts = []
     drop = d - fib.total_degree()
     if drop > 0:
@@ -196,18 +194,6 @@ def _fiber_profile(f: BinaryRationalMap, value_field, value) -> tuple:
     for fac, mult in squarefree_decompose(fib):
         parts.extend([mult] * fac.total_degree())
     assert sum(parts) == d, "profile must partition the degree"
-    return tuple(sorted(parts, reverse=True))
-
-
-def _infinity_profile(f: BinaryRationalMap) -> tuple:
-    d = f.degree
-    parts = []
-    drop = d - f.den.total_degree()
-    if drop > 0:
-        parts.append(drop)
-    for fac, mult in squarefree_decompose(f.den):
-        parts.extend([mult] * fac.total_degree())
-    assert sum(parts) == d
     return tuple(sorted(parts, reverse=True))
 
 
@@ -276,11 +262,12 @@ def ramification_profile(f: BinaryRationalMap) -> list[BranchPointRecord]:
 
     records = []
     for locus in seen:
-        profile = _fiber_profile(f, *adjoin_root(locus, "w"))
-        records.append(BranchPointRecord(locus, profile, locus.total_degree()))
+        value_field, value = adjoin_root(locus, "w")
+        fib = num.to_field(value_field) - den.to_field(value_field).scale(value)
+        records.append(BranchPointRecord(locus, _fiber_profile(d, fib), locus.total_degree()))
 
     if has_infinity_value:
-        records.append(BranchPointRecord(None, _infinity_profile(f), 1))
+        records.append(BranchPointRecord(None, _fiber_profile(d, den), 1))
 
     records = [r for r in records if any(e > 1 for e in r.profile)]
     total_ram = sum(r.weight * sum(e - 1 for e in r.profile) for r in records)

@@ -5,7 +5,8 @@ Matrices are lists of row lists whose entries are scalars of one field
 (Fraction over Q, FieldElement over a layer).  Scalars are made by the
 field's own ``zero()`` and ``one()`` and inverted by
 :func:`folgal.numberfield.invert`, so no function here asks which field it
-has.
+has.  The products :func:`mat_vec` and :func:`mat_mul` use only ``+`` and
+``*``, so a vector may also hold polynomials.
 """
 
 from __future__ import annotations
@@ -62,3 +63,21 @@ def kernel_basis(matrix: list[list], field) -> list[list]:
             vec[pc] = -rows[r][fc]
         basis.append(vec)
     return basis
+
+
+def _dot(row, vec):
+    acc = row[0] * vec[0]
+    for a, b in zip(row[1:], vec[1:]):
+        acc = acc + a * b
+    return acc
+
+
+def mat_vec(matrix: list[list], vec: list) -> list:
+    """The product ``matrix * vec`` of a matrix and a column vector."""
+    return [_dot(row, vec) for row in matrix]
+
+
+def mat_mul(a: list[list], b: list[list]) -> list[list]:
+    """The matrix product ``a * b``."""
+    cols = list(zip(*b))
+    return [[_dot(row, col) for col in cols] for row in a]

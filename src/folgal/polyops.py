@@ -177,16 +177,8 @@ def _gcd_binary_forms(p: MultiPoly, q: MultiPoly, u: str, v: str) -> MultiPoly:
 
 
 def content_in(p: MultiPoly, var: str) -> MultiPoly:
-    """Gcd of the coefficients of ``p`` viewed in ``var``."""
-    coeffs = [c.with_vars(p.vars) for c in p.univariate_coeffs(var)]
-    acc = None
-    for c in coeffs:
-        if c.is_zero():
-            continue
-        acc = c if acc is None else mpoly_gcd(acc, c)
-        if acc.is_constant():
-            break
-    return acc.monic() if acc is not None else p.zero_like()
+    """Gcd of the coefficients of the nonzero ``p`` viewed in ``var``."""
+    return mpoly_gcd_list(_uv(p, var))
 
 
 def primitive_part(p: MultiPoly, var: str) -> MultiPoly:
@@ -592,7 +584,7 @@ def mpoly_gcd_list(polys: Sequence[MultiPoly]) -> MultiPoly:
     for p in polys:
         if p.is_zero():
             continue
-        acc = p.monic() if acc is None else mpoly_gcd(acc, p)
+        acc = p if acc is None else mpoly_gcd(acc, p)
         if acc.is_constant():
             break
     if acc is None:

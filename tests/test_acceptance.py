@@ -135,7 +135,6 @@ def test_criterion_5_homogeneous_families():
             assert str(res.symmetry.klein.klein) == tag, (name, tag)
 
 
-@pytest.mark.slow
 def test_criterion_5_extended_icosahedral():
     with criterion("5x", "degree-60 homogeneous family: icosahedral", 600):
         F = corpus.foliation("icosahedral_60")

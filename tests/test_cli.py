@@ -115,6 +115,22 @@ def test_deck_command(capsys):
     assert "3 verified deck transformations" in out
 
 
+def test_deck_json(capsys):
+    code, out, _ = run_cli(capsys, "deck", "--inline", "A: x^3; B: y^3", "--json")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["schema_version"] == "1"
+    assert rep["count"] == len(rep["decks"]) == 3
+    assert all(deck["verified"] for deck in rep["decks"])
+
+
+def test_deck_of_a_non_galois_foliation(capsys):
+    spec = "A: {1}; B: {2}".format(*corpus.FOLIATION_SPECS["fermat_3_perturbed"])
+    code, out, err = run_cli(capsys, "deck", "--inline", spec)
+    assert code == 1 and not err
+    assert out == "verdict: not_galois; no deck transformations\n"
+
+
 def test_deck_without_realization_is_inconclusive(capsys):
     # convex_qh_34 is Galois by symmetry reduction, a certificate with no decks
     code, out, err = run_cli(capsys, "deck", "--inline", "A: x^5; B: y^4+x^4*y")
@@ -193,9 +209,12 @@ def test_analyze_modular_quintic_end_to_end(capsys):
 
 def test_analyze_degree_one(capsys):
     # a degree-one Gauss map is an isomorphism: Galois, with no branching
-    code, out, _ = run_cli(capsys, "analyze", "--inline", "A: y; B: -x")
+    code, out, _ = run_cli(capsys, "analyze", "--inline", "A: y; B: -x", "--json")
     assert code == 0
-    assert "galois" in out
+    rep = json.loads(out)
+    assert rep["verdict"] == {
+        "status": "galois", "method": "low_degree", "certificate": {"reason": "degree one"},
+    }
 
 
 @pytest.mark.parametrize("command, spec", [

@@ -102,6 +102,35 @@ def test_degree_two_always_galois():
     assert v.is_galois and len(v.certificate["roots"]) == 1
 
 
+def test_verdict_in_degrees_one_and_two():
+    v = gal.verdict(fol.from_strings(None, "y", "x"))
+    assert (v.status, v.method, v.certificate) == ("galois", "low_degree", {"reason": "degree one"})
+    F = fol.from_strings(None, "x^2", "y^2")
+    v = gal.verdict(F)
+    assert (v.status, v.method, F.degree) == ("galois", "discriminant_square", 2)
+    decks = gal.deck_transformations(F, v)
+    assert len(decks) == 2 and all(t.verified for t in decks)
+    cert = analysis_report(analyze(F, numeric=False), {})["verdict"]["certificate"]
+    assert [set(root) for root in cert["roots"]] == [{"num", "den"}]
+
+
+def test_low_degree_verdict_is_shared_by_verdict_and_analyze(monkeypatch):
+    assert gal.low_degree_verdict(3) is None
+    F = fol.from_strings(None, "x^2", "y^2")
+
+    def unavailable(F):
+        raise gal.UseAnotherMethod("discriminant route withheld")
+
+    monkeypatch.setattr(gal, "discriminant_square_test", unavailable)
+    monkeypatch.setattr(importlib.import_module("folgal.analyze"),
+                        "discriminant_square_test", unavailable)
+    expected = gal.low_degree_verdict(2)
+    assert expected.certificate == {"reason": "degree-two coverings are Galois"}
+    assert gal.verdict(F) == expected
+    res = analyze(F, numeric=False)
+    assert res.verdict == expected and "discriminant_square" not in res.routes
+
+
 def test_use_another_method_guard():
     F = corpus.foliation("halfchi_quartic")
     with pytest.raises(gal.UseAnotherMethod):
@@ -565,6 +594,14 @@ def test_branching_and_genus_cyclic_cubic():
     assert res.genus == 1
 
 
+def test_prime_degree_branching_needs_no_extremal_key():
+    F = corpus.foliation("cyclic_cubic_qh23")
+    v = gal.discriminant_square_test(F)
+    assert v.is_galois and "extremal" not in v.certificate
+    bw, genus = gal.branching_and_genus(F, v)
+    assert (str(bw), genus) == ("3(3)_1", 1)
+
+
 def test_branching_and_genus_parabola_cubic():
     F = corpus.foliation("parabola_cubic_qh12")
     res = analyze(F, numeric=False)
@@ -707,6 +744,20 @@ def test_homogeneous_galois_branching_is_the_line_map_branching(name, entries, m
     assert res.branching.entries == entries
     assert res.genus == 0
     assert (F._singular_locus is None) == (F.degree > 8)
+
+
+@pytest.mark.parametrize("name", ["fermat_3", "fermat_4", "fermat_5", "dihedral_4",
+                                  "dihedral_6", "tetrahedral_12", "octahedral_24",
+                                  "icosahedral_60"])
+def test_symmetry_reduction_of_a_homogeneous_foliation_is_minus_one_over_the_line_map(name):
+    # the reduced map of the radial symmetry is the Möbius image -1/phi of
+    # the line map phi, so both routes see the same Klein class
+    F = corpus.foliation(name)
+    sym = gal.symmetry_verdict(F)
+    assert sym.is_galois
+    red = sym.certificate["reduction"]
+    phi = gal.line_map(F.A, F.B, F.field)
+    assert red.num * phi.num == -(red.den * phi.den)
 
 
 @pytest.mark.parametrize(

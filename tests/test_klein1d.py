@@ -70,7 +70,6 @@ def test_octahedral_row():
     assert out.genus == 0
 
 
-@pytest.mark.slow
 def test_icosahedral_row():
     out = classify(corpus.line_map("icosahedral"))
     assert out.klein.tag == "icosahedral"

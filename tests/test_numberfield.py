@@ -9,7 +9,7 @@ import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from folgal.linalg import kernel_basis
+from folgal.linalg import kernel_basis, mat_mul, mat_vec
 from folgal.multipoly import MultiPoly
 from folgal.numberfield import QQ, FieldElement, FieldSplit, adjoin_root, coordinates, extend
 from folgal.parsing import parse_poly
@@ -92,6 +92,16 @@ def test_kernel_basis_makes_its_scalars_from_the_field(K_zeta, over_tower):
         for row in rows:
             assert sum((a * b for a, b in zip(row, vec)), field.zero()) == field.zero()
     assert kernel[0] == [field.coerce(-2), field.one(), field.zero()]
+
+
+def test_matrix_products_over_a_tower_and_on_polynomial_vectors(K_zeta):
+    g, one, zero = K_zeta.gen(), K_zeta.one(), K_zeta.zero()
+    a = [[one, g], [zero, one]]
+    b = [[g, zero], [one, g]]
+    assert mat_mul(a, b) == [[g * 2, g * g], [one, g]]
+    assert mat_vec(a, [one, g]) == [one + g * g, g]
+    x, y = (MultiPoly.variable(K_zeta, ("x", "y"), v) for v in ("x", "y"))
+    assert mat_vec(a, [x, y]) == [x + y.scale(g), y]
 
 
 def test_adjoin_root_of_a_linear_factor_stays_in_the_base(K_zeta):
