@@ -17,7 +17,7 @@ from .multipoly import MultiPoly, NotDivisible
 from .numberfield import QQ, invert
 from .polyops import mpoly_gcd, mpoly_gcd_list, squarefree_decompose
 from .ratfunc import RationalFunction
-from .solve2d import common_zeros
+from .solve2d import axis_points, common_zeros, intersection_number
 from .sympy_bridge import factor_irreducible, factor_order_key
 
 AFFINE = ("x", "y")
@@ -352,11 +352,14 @@ def singular_locus(F: PlaneFoliation) -> tuple[SingularPoint, ...]:
     chart.  Over the classes, ``class_size * multiplicity`` must add up to
     ``d^2 + d + 1``, the number of singular points of a degree-d foliation
     counted with multiplicity; a locus that misses a point raises
-    ``AssertionError``.  The affine chart
-    gives every point with ``z != 0``; the charts ``x = 1`` and ``y = 1``
-    are searched on the line at infinity alone (``common_zeros`` with
-    ``on_axis``), so only ``gcd(A(u, 0), B(u, 0))`` is factored there and
-    each multiplicity is the valuation of the chart's eliminant at the point.
+    ``AssertionError``.  The affine chart gives every point with ``z != 0``
+    from the certified eliminant of :func:`~folgal.solve2d.common_zeros`.
+    On the line at infinity no eliminant is built: chart ``x = 1`` factors
+    only ``gcd(A(u, 0), B(u, 0))`` (:func:`~folgal.solve2d.axis_points`),
+    and the one remaining point ``[0 : 1 : 0]``, the origin of chart
+    ``y = 1``, needs no factoring at all.  Each of these multiplicities is
+    the local intersection number at the point
+    (:func:`~folgal.solve2d.intersection_number`).
 
     The locus is solved once per foliation and kept on ``F``, so the
     singularity table and the polar genus of one analysis share it.
@@ -386,7 +389,7 @@ def _solve_singular_locus(F: PlaneFoliation) -> list[SingularPoint]:
         )
     # chart x = 1 on the line at infinity (z coordinate 0)
     Ax, Bx = F.chart_vector_field("x")
-    for pt in common_zeros(Ax, Bx, on_axis=True):
+    for pt in axis_points(Ax, Bx):
         u0, v0 = pt.xy
         out.append(
             SingularPoint(
@@ -398,16 +401,8 @@ def _solve_singular_locus(F: PlaneFoliation) -> list[SingularPoint]:
     # the single remaining point [0, 1, 0]
     Ay, By = F.chart_vector_field("y")
     if not Ay.eval_field({"x": 0, "y": 0}) and not By.eval_field({"x": 0, "y": 0}):
-        for pt in common_zeros(Ay, By, on_axis=True):
-            u0, v0 = pt.xy
-            if not u0:
-                out.append(
-                    SingularPoint(
-                        ProjPoint.make(pt.point_field, (u0, 1, v0)),
-                        pt.multiplicity,
-                        pt.class_size,
-                    )
-                )
+        point = ProjPoint.make(F.field, (0, 1, 0))
+        out.append(SingularPoint(point, intersection_number(Ay, By), 1))
     return out
 
 

@@ -1177,6 +1177,15 @@ def branching_and_genus(F: PlaneFoliation, verdict: GaloisVerdict, seed: int = 2
       branching type is ``classify(phi).branching``.
     - *Genus.*  The same parametrization by lines through the origin makes
       every polar rational, so the genus is 0.
+    - *Reuse.*  When ``verdict`` is the symmetry route's and its symmetry has
+      the weighted normal form with weights ``(1, 1)`` (the radial one), its
+      reduced map ``red`` is already classified.  If ``red.num phi.num =
+      -red.den phi.den``, checked exactly, then ``red = -1/phi`` is ``phi``
+      followed by the Möbius map ``w -> -1/w`` of the target.  That map
+      moves the branch values and keeps every ramification profile, and
+      ``red o s = red`` exactly when ``phi o s = phi``, so ``red`` and ``phi``
+      have one branching type and one deck group: the route's class stands
+      for ``phi``'s.  Any other reduction classifies ``phi``.
 
     When ``phi`` is not Galois while ``verdict`` is, the routes disagree,
     which is an ``AssertionError``.  Homogeneous ``A`` and ``B`` of
@@ -1193,7 +1202,14 @@ def branching_and_genus(F: PlaneFoliation, verdict: GaloisVerdict, seed: int = 2
         return None
     d = F.degree
     if F.is_homogeneous():
-        outcome = classify(line_map(F.A, F.B, F.field))
+        phi = line_map(F.A, F.B, F.field)
+        cert = verdict.certificate
+        sym, red = cert.get("symmetry"), cert.get("reduction")
+        if (sym is not None and sym.normal_form == "weighted" and sym.weights == (1, 1)
+                and red.field is phi.field and red.num * phi.num == -(red.den * phi.den)):
+            outcome = cert["klein"]
+        else:
+            outcome = classify(phi)
         if not outcome.klein.is_galois():
             raise AssertionError(
                 f"decision routes disagree: {verdict.method}:galois, "

@@ -19,6 +19,7 @@ from fractions import Fraction
 from .multipoly import MultiPoly
 from .numberfield import adjoin_root
 from .polyops import squarefree_decompose, squarefree_part
+from .solve2d import translate
 from .foliation import AFFINE, PlaneFoliation, ProjPoint, singular_locus
 from .sympy_bridge import factor_irreducible
 
@@ -78,17 +79,8 @@ def _jet(F: PlaneFoliation, point: ProjPoint):
     chart = point.chart()
     u0, v0 = point.chart_coords(chart)
     return tuple(
-        _translate(P.to_field(point.point_field), u0, v0) for P in F.chart_vector_field(chart)
+        translate(P.to_field(point.point_field), u0, v0) for P in F.chart_vector_field(chart)
     )
-
-
-def _translate(p: MultiPoly, x0, y0) -> MultiPoly:
-    """``p(x + x0, y + y0)``."""
-    mapping = {
-        name: MultiPoly.variable(p.field, AFFINE, name) + c
-        for name, c in zip(AFFINE, (x0, y0)) if c
-    }
-    return p.substitute(mapping) if mapping else p
 
 
 def vanishing_and_tangency_order(F: PlaneFoliation, point: ProjPoint):
@@ -196,7 +188,7 @@ def resolve_germ(germ: MultiPoly, depth: int = 0):
 def branch_count(curve: MultiPoly, point) -> int:
     """Number of local analytic branches of the reduced curve at the point."""
     x0, y0 = point
-    germ = _translate(curve, x0, y0)
+    germ = translate(curve, x0, y0)
     if germ.eval_field({"x": 0, "y": 0}):
         raise ValueError("curve does not pass through the point")
     return resolve_germ(squarefree_part(germ))[0]
@@ -206,7 +198,7 @@ def germ_delta(curve: MultiPoly, point):
     """(branches, delta) of the germ of ``curve`` at ``point``.  ``curve``
     must be reduced, as the germs of a :class:`_PolarPool` are."""
     x0, y0 = point
-    return resolve_germ(_translate(curve, x0, y0))
+    return resolve_germ(translate(curve, x0, y0))
 
 
 # -- polar curves ---------------------------------------------------------------------

@@ -11,15 +11,31 @@ of ``F(xi, y)`` and ``G(xi, y)`` over the point field ``K(xi)``.  If it has
 degree ``j``, the point ``(xi, eta)`` is certified by checking that
 ``(y - eta)^j`` divides both fibres exactly.
 
-With ``on_axis`` only the points on the axis ``y = 0`` are wanted (the line
-at infinity in the charts of :func:`folgal.foliation.singular_locus`), and the
-eliminant is not factored.  The shear ``x -> x + lam y`` fixes the axis
-pointwise, so the abscissae of those points are the roots of the small gcd
-``g = gcd(F(x, 0), G(x, 0))``, and its irreducible factors ``h`` are
-eliminant factors.  Once the fibre over a root of ``h`` is certified to be
-the one point ``(xi, 0)``, the intersection number there is the valuation of
-the eliminant at ``xi`` (Fulton, Algebraic Curves, 3.3): the multiplicity of
-``h`` in the eliminant, found by repeated exact division.
+Points on the axis ``y = 0`` (the line at infinity in the charts of
+:func:`folgal.foliation.singular_locus`) come from :func:`axis_points`,
+without an eliminant.  Their abscissae are the roots of the small gcd
+``g = gcd(F(x, 0), G(x, 0))``; each irreducible factor ``h`` of ``g`` is one
+class of points ``(xi, 0)``, and the multiplicity is the local intersection
+number there, :func:`intersection_number` of the pair translated to
+``(xi, 0)`` over ``K(xi)``.
+
+:func:`intersection_number` follows Fulton (Algebraic Curves, 3.3).  Let
+``m`` and ``n`` be the orders of ``F`` and ``G`` at the origin.  If their
+tangent cones ``F_m`` and ``G_n`` are coprime, ``I_0(F, G) = m n``
+(property 5); otherwise ``I_0 > m n`` and Fulton's algorithm runs on the
+jets of order ``N``, terms of higher degree dropped after every step,
+starting at ``N = 2 m n`` and doubling ``N`` up to the Bezout bound
+``deg F deg G``.  Truncation is exact.  Let ``M`` be the maximal ideal of
+the local ring ``O`` at the origin, let a run end with the count
+``c <= N``, and let ``J`` be the ideal that the pair generates just after
+some truncation.  Working back from the end, ``dim O/J`` is what the run
+counted after that point, at most ``c``, so ``M^c`` lies in ``J`` and
+``M^(N+1)`` in ``M J``.  The dropped terms lie in ``M^(N+1)``, so the ideal
+``I`` of the pair before the truncation lies in ``J`` and ``J`` in
+``I + M J``; Nakayama's lemma gives ``I = J``.  No truncation changes the
+ideal, and ``c`` is exact.  At the Bezout bound the true number is at most
+``N``, so ``M^N`` lies in the ideal of every pair the run meets, each
+truncation keeps that ideal by the same argument, and the run decides.
 """
 
 from __future__ import annotations
@@ -27,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .multipoly import MultiPoly, NotDivisible
+from .multipoly import MultiPoly
 from .numberfield import adjoin_root, poly_gcd
 from .polyops import mpoly_gcd, resultant
 from .sympy_bridge import factor_irreducible, factor_order_key
@@ -74,10 +90,9 @@ _SHEARS = tuple(Fraction(v) for v in (
 ))
 
 
-def common_zeros(F: MultiPoly, G: MultiPoly, on_axis: bool = False) -> list[PlanePoint]:
+def common_zeros(F: MultiPoly, G: MultiPoly) -> list[PlanePoint]:
     """All common zeros of a coprime pair in the affine plane, with
-    multiplicity; with ``on_axis``, only those on the axis ``y = 0`` of the
-    second variable."""
+    multiplicity."""
     if F.vars != G.vars or len(F.vars) != 2:
         raise ValueError("expected two bivariate polynomials in one ring")
     if F.is_zero() or G.is_zero():
@@ -86,19 +101,15 @@ def common_zeros(F: MultiPoly, G: MultiPoly, on_axis: bool = False) -> list[Plan
         raise ValueError("inputs share a factor; zero set is not finite")
     for lam in _SHEARS:
         try:
-            return _common_zeros_sheared(F, G, lam, on_axis)
+            return _common_zeros_sheared(F, G, lam)
         except ShearFailure:
             continue
     raise RuntimeError("no generic shear found; inputs may be degenerate")
 
 
-def _common_zeros_sheared(F: MultiPoly, G: MultiPoly, lam: Fraction, on_axis: bool = False):
+def _common_zeros_sheared(F: MultiPoly, G: MultiPoly, lam: Fraction):
     var_x, var_y = F.vars
     field = F.field
-    if on_axis:
-        axis_gcd = mpoly_gcd(_on_axis(F, var_y), _on_axis(G, var_y))
-        if axis_gcd.is_constant():
-            return []
     x = MultiPoly.variable(field, F.vars, var_x)
     y = MultiPoly.variable(field, F.vars, var_y)
     if lam:
@@ -118,10 +129,8 @@ def _common_zeros_sheared(F: MultiPoly, G: MultiPoly, lam: Fraction, on_axis: bo
         raise ValueError("resultant vanished for coprime inputs")
     if res.is_constant():
         return []
-    res = res.monic()
-    factors = _axis_factors(axis_gcd, res) if on_axis else factor_irreducible(res)
     points = []
-    for fac, mult in factors:
+    for fac, mult in factor_irreducible(res.monic()):
         xi_field, xi = adjoin_root(fac, "r")
         fy = _eval_x(Fs, var_x, xi, xi_field)
         gy = _eval_x(Gs, var_x, xi, xi_field)
@@ -134,11 +143,36 @@ def _common_zeros_sheared(F: MultiPoly, G: MultiPoly, lam: Fraction, on_axis: bo
         # power divides both fibres
         if not (_linear_power_divides(fy, eta, k) and _linear_power_divides(gy, eta, k)):
             raise ShearFailure("two points share a sheared abscissa")
-        if on_axis and eta:
-            raise ArithmeticError("a common zero over an axis root lies off the axis")
         x0 = xi + eta * lam
         points.append(PlanePoint(xi_field, (x0, eta), mult, fac.degree_in(var_x)))
     return points
+
+
+def axis_points(F: MultiPoly, G: MultiPoly) -> list[PlanePoint]:
+    """The common zeros of a coprime pair on the axis ``y = 0`` of the second
+    variable, one per class, each with its local intersection number; in
+    the order that :func:`factor_irreducible` gives the classes' factors with
+    those numbers as multiplicities."""
+    var_x, var_y = F.vars
+    g = mpoly_gcd(_on_axis(F, var_y), _on_axis(G, var_y))
+    if g.is_zero():
+        raise ValueError("inputs share the axis; zero set is not finite")
+    found = []
+    for h, _ in factor_irreducible(g):
+        K, xi = adjoin_root(h, "r")
+        mult = intersection_number(*(translate(P.to_field(K), xi, 0) for P in (F, G)))
+        found.append((h, mult, PlanePoint(K, (xi, K.zero()), mult, h.degree_in(var_x))))
+    found.sort(key=lambda t: factor_order_key(t[:2]))
+    return [pt for _, _, pt in found]
+
+
+def translate(p: MultiPoly, x0, y0) -> MultiPoly:
+    """``p(x + x0, y + y0)`` in the two variables ``x, y`` of ``p``."""
+    mapping = {
+        name: MultiPoly.variable(p.field, p.vars, name) + c
+        for name, c in zip(p.vars, (x0, y0)) if c
+    }
+    return p.substitute(mapping) if mapping else p
 
 
 def _on_axis(P: MultiPoly, var_y: str) -> MultiPoly:
@@ -147,23 +181,73 @@ def _on_axis(P: MultiPoly, var_y: str) -> MultiPoly:
     return MultiPoly(P.field, P.vars, {e: c for e, c in P.terms.items() if not e[i]})
 
 
-def _axis_factors(axis_gcd: MultiPoly, res: MultiPoly) -> list:
-    """The irreducible factors ``h`` of ``axis_gcd``, each with its
-    multiplicity in the eliminant ``res``, in the order that
-    :func:`factor_irreducible` gives them in ``res``."""
-    out = []
-    for h, _ in factor_irreducible(axis_gcd):
-        mult, rest = 0, res
-        while True:
-            try:
-                rest = rest.exact_div(h)
-            except NotDivisible:
-                break
-            mult += 1
-        if not mult:
-            raise ArithmeticError("an axis root is not a root of the eliminant")
-        out.append((h, mult))
-    return sorted(out, key=factor_order_key)
+def intersection_number(F: MultiPoly, G: MultiPoly) -> int:
+    """``I_0(F, G)``, the intersection number at the origin of two bivariate
+    polynomials with no common component through it: ``m n`` when the
+    tangent cones are coprime, else Fulton's algorithm on jets of doubling
+    order (see the module docstring)."""
+    m, n = F.lowest_degree(), G.lowest_degree()
+    if m < 0 or n < 0:
+        raise ValueError("zero polynomial")
+    if not (m and n):
+        return 0
+    if mpoly_gcd(F.homogeneous_part(m), G.homogeneous_part(n)).is_constant():
+        return m * n
+    # shared tangent lines make I_0 > m n, so a first run at N = m n is
+    # bound to stop undecided
+    bezout = F.total_degree() * G.total_degree()
+    N = 2 * m * n
+    while True:
+        N = min(N, bezout)
+        found = _fulton(F.terms, G.terms, N)
+        if found is not None:
+            return found
+        if N == bezout:
+            raise ValueError("inputs share a component through the origin")
+        N *= 2
+
+
+def _fulton(F: dict, G: dict, N: int):
+    """Fulton's algorithm on the jets of order ``N`` of the term dicts ``F``
+    and ``G`` (exponents ``(i, j)`` of ``x^i y^j``): the count when it ends
+    at most ``N``, else None.
+
+    A pair with a unit counts 0.  When ``P(x, 0) = 0``, ``P = y H`` and
+    ``I_0(P, Q) = ord_x Q(x, 0) + I_0(H, Q)``.  Otherwise the restriction of
+    higher degree in ``x`` loses its top term to a multiple ``c x^k`` of the
+    other polynomial, which keeps the ideal; terms of degree above ``N`` are
+    dropped after each such step."""
+
+    P, Q = ({e: c for e, c in T.items() if sum(e) <= N} for T in (F, G))
+    total = 0
+    while P and Q:
+        if (0, 0) in P or (0, 0) in Q:
+            return total
+        p = {i: c for (i, j), c in P.items() if not j}
+        q = {i: c for (i, j), c in Q.items() if not j}
+        if not q:
+            P, Q, p, q = Q, P, q, p
+        if not q:
+            return None  # y divides both jets
+        if not p:
+            total += min(q)
+            if total > N:
+                return None
+            P = {(i, j - 1): c for (i, j), c in P.items()}
+            continue
+        if max(p) > max(q):
+            P, Q, p, q = Q, P, q, p
+        k = max(q) - max(p)
+        c = q[max(q)] / p[max(p)]
+        for (i, j), a in P.items():
+            if i + k + j <= N:
+                e = (i + k, j)
+                v = Q[e] - c * a if e in Q else -c * a
+                if v:
+                    Q[e] = v
+                else:
+                    del Q[e]
+    return None
 
 
 def _linear_power_divides(f: list, eta, k: int) -> bool:

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from folgal import corpus
 from folgal import foliation as fol
+from folgal import local
 from folgal.multipoly import MultiPoly
 from folgal.numberfield import QQ
 from folgal.parsing import parse_poly
 from folgal.polyops import mpoly_gcd
+from folgal.solve2d import intersection_number
 from folgal.sympy_bridge import factor_irreducible
 
 
@@ -115,6 +117,21 @@ def test_singular_multiplicity_total_over_towers(name):
     d = F.degree
     total = sum(sp.multiplicity * sp.class_size for sp in fol.singular_locus(F))
     assert total == d * d + d + 1
+
+
+def test_affine_multiplicities_are_intersection_numbers():
+    # the affine chart reads each multiplicity off the sheared eliminant; the
+    # local intersection number at the point, which the line at infinity
+    # uses, must agree with it; 3 of the 85 points are not ordinary and take
+    # Fulton's algorithm
+    foliations = [corpus.foliation(n) for n in corpus.FOLIATION_SPECS if n != "icosahedral_60"]
+    checked = 0
+    for F in foliations + list(_criterion_7_members()):
+        for sp in fol.singular_locus(F):
+            if sp.point.chart() == "z":
+                assert sp.multiplicity == intersection_number(*local._jet(F, sp.point)), (F, sp)
+                checked += 1
+    assert checked == 85
 
 
 def test_singular_locus_checks_its_total_multiplicity(monkeypatch):

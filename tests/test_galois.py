@@ -11,12 +11,12 @@ from folgal import galois as gal
 from folgal import local
 from folgal import numberfield
 from folgal.analyze import analyze
-from folgal.klein1d import BinaryRationalMap
+from folgal.klein1d import BinaryRationalMap, classify
 from folgal.multipoly import MultiPoly
 from folgal.numberfield import QQ
 from folgal.parsing import parse_poly
 from folgal.report import analysis_report
-from folgal.solve2d import common_zeros
+from folgal.solve2d import common_zeros, translate
 from folgal.sympy_bridge import factor_irreducible
 
 
@@ -642,7 +642,7 @@ def _chart_polar_germ(F, base, point):
     chart = point.chart()
     images = {"z": (u, v, 1), "x": (1, u, v), "y": (u, 1, v)}[chart]
     restricted = fol._restrict(ph, images).to_field(point.point_field)
-    return local._translate(restricted, *point.chart_coords(chart))
+    return translate(restricted, *point.chart_coords(chart))
 
 
 def test_jet_germs_equal_translated_chart_polars():
@@ -736,9 +736,21 @@ def test_homogeneous_galois_branching_is_the_line_map_branching(name, entries, m
         raise AssertionError("the line map gives the branching")
 
     monkeypatch.setattr(gal, "generic_polar_genus", unused)
+    # where the symmetry route's verdict gives the branching, its reduction
+    # -1/phi is the one classified map and phi is not classified again; the
+    # Fermat entries take theirs from the discriminant or the extremal local
+    # route, so phi is classified there
+    classified = []
+
+    def counted(fmap):
+        classified.append(fmap)
+        return classify(fmap)
+
+    monkeypatch.setattr(gal, "classify", counted)
     F = corpus.foliation(name)
     assert F.is_homogeneous()
     res = analyze(F, numeric=False)
+    assert len(classified) == (2 if name.startswith("fermat") else 1)
     assert res.status == "galois"
     assert res.branching.degree == F.degree
     assert res.branching.entries == entries

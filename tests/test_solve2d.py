@@ -13,7 +13,7 @@ from folgal.multipoly import MultiPoly
 from folgal.numberfield import QQ, coordinates, extend
 from folgal.parsing import parse_min_poly, parse_poly
 from folgal.polyops import mpoly_gcd, resultant
-from folgal.solve2d import common_zeros
+from folgal.solve2d import axis_points, common_zeros
 from folgal.sympy_bridge import from_dense, lift
 
 
@@ -184,7 +184,7 @@ def axis_view(points):
 
 def assert_axis_matches_full(F, G):
     full = [p for p in common_zeros(F, G) if not p.xy[1]]
-    assert axis_view(common_zeros(F, G, on_axis=True)) == axis_view(full)
+    assert axis_view(axis_points(F, G)) == axis_view(full)
 
 
 @st.composite
@@ -210,20 +210,77 @@ def axis_pairs(draw):
 # two conjugate points over Q(sqrt 2), and one over Q(sqrt 5) in K5
 @example((poly("x^2 - 2 + y^2"), poly("x^2 - 2 + x*y")))
 @example((poly("x^2 - 5 + x*y", K5), poly("y^2 + s*y + x^2 - 5", K5)))
-# the fibre over x = 0 holds (0, 0) and (0, 1), so the first shear fails
+# the fibre over x = 0 holds (0, 0) and (0, 1), so the first shear of the
+# full zero set fails
 @example((poly("y^2 - y + x"), poly("y^2 - y + x^2")))
 @settings(max_examples=25, deadline=None)
-def test_on_axis_matches_the_axis_part_of_the_full_zero_set(pair):
+def test_axis_points_match_the_axis_part_of_the_full_zero_set(pair):
     assert_axis_matches_full(*pair)
 
 
-def test_on_axis_retries_when_the_first_shear_fails():
-    F, G = poly("y^2 - y + x"), poly("y^2 - y + x^2")
-    with pytest.raises(solve2d.ShearFailure):
-        solve2d._common_zeros_sheared(F, G, Fraction(0), on_axis=True)
-    (pt,) = common_zeros(F, G, on_axis=True)
+def test_axis_points_beside_a_second_point_in_the_fibre():
+    # (0, 1) shares the abscissa of the axis point (0, 0)
+    (pt,) = axis_points(poly("y^2 - y + x"), poly("y^2 - y + x^2"))
     assert pt.xy == (0, 0) and pt.multiplicity == 1
 
 
-def test_on_axis_without_axis_points_is_empty():
-    assert common_zeros(poly("x^2 + y^2 - 1"), poly("y - 1/2"), on_axis=True) == []
+def test_axis_points_without_axis_points_is_empty():
+    assert axis_points(poly("x^2 + y^2 - 1"), poly("y - 1/2")) == []
+
+
+# -- intersection numbers at the origin against the eliminant ---------------------
+
+
+def eliminant_multiplicity_at_origin(F, G):
+    """The multiplicity that ``common_zeros`` reads off the sheared
+    eliminant for the point (0, 0)."""
+    (pt,) = [p for p in common_zeros(F, G) if not any(p.xy)]
+    return pt.multiplicity
+
+
+@st.composite
+def origin_pairs(draw):
+    """``F = y a + x^k b`` and ``G = y c + x^l e`` with small ``a, b, c, e``:
+    both vanish at the origin, and ``a = c = 1``, ``b = -1``, ``e = 0`` plants
+    ``y - x^k`` against ``y``.  Over K5 the degrees stay lower, as the
+    eliminant is factored by norms there."""
+    field = draw(st.sampled_from([QQ, K5]))
+    coeff = st.sampled_from(["0", "1", "-1", "2"] + (["s", "1-s"] if field is K5 else []))
+
+    def small():
+        return poly(" + ".join(f"({draw(coeff)})*{m}" for m in ["1", "x", "y"]), field)
+
+    top = 4 if field is QQ else 2
+    k, l = draw(st.integers(1, top)), draw(st.integers(1, top))
+    F = poly("y", field) * small() + poly(f"x^{k}", field) * small()
+    G = poly("y", field) * small() + poly(f"x^{l}", field) * small()
+    assume(not F.is_zero() and not G.is_zero() and mpoly_gcd(F, G).is_constant())
+    return F, G
+
+
+@given(origin_pairs())
+# I = k > m n = 1: the jets double from N = 2 up to the Bezout bound 5
+@example((poly("y - x^5"), poly("y")))
+# cusp against its tangent line: cones y^2 and y share a line, I = 3
+@example((poly("y^2 - x^3"), poly("y")))
+# (x^2 - 5)^2 against y, translated to the point (sqrt 5, 0) over Q(sqrt 5)
+@example(tuple(solve2d.translate(poly(f, K5), K5.gen(), 0)
+               for f in ("y - (x^2 - 5)^2", "y + x*y - 3*(x^2 - 5)^2")))
+@settings(max_examples=40, deadline=None)
+def test_intersection_number_is_the_eliminant_valuation(pair):
+    assert solve2d.intersection_number(*pair) == eliminant_multiplicity_at_origin(*pair)
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_intersection_number_of_a_planted_contact(k):
+    assert solve2d.intersection_number(poly(f"y - x^{k}"), poly("y")) == k
+    assert solve2d.intersection_number(poly("y"), poly(f"y - x^{k}")) == k
+
+
+def test_intersection_number_off_the_origin_is_zero():
+    assert solve2d.intersection_number(poly("y - 1"), poly("x")) == 0
+
+
+def test_intersection_number_rejects_a_shared_component():
+    with pytest.raises(ValueError):
+        solve2d.intersection_number(poly("y*(y - x^2)"), poly("y*(x - 1)"))
