@@ -13,7 +13,10 @@ With ``--json`` each line is instead the entry's ``analysis_report`` (what
 ``folgal analyze --json`` prints) without its ``timings``, so the outputs of
 two checkouts compare with one ``diff``.
 
-Usage: python scripts/run_corpus.py [--numeric] [--seed N] [--json]
+Usage: python scripts/run_corpus.py [--numeric [--seed N]] [--json]
+
+``--seed`` seeds the numeric monodromy cross-check, so it takes effect only
+with ``--numeric``.
 """
 
 import argparse
@@ -50,7 +53,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--numeric", action="store_true",
                         help="attach the numeric monodromy cross-check")
-    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--seed", type=int, default=7,
+                        help="seed of the numeric cross-check; only with --numeric")
     parser.add_argument("--json", action="store_true",
                         help="print each analysis_report, timings dropped")
     args = parser.parse_args()

@@ -86,6 +86,8 @@ def analyze(
     numeric cycle types must equal the exact genus and branching type.  A
     numeric run that fails to track, or whose two pencils disagree, leaves
     the verdict alone: ``monodromy`` is then an :class:`UnreliableMonodromy`.
+    ``seed`` seeds only the numeric run, as ``seed + 100``; the exact routes
+    draw their generic polars from :data:`folgal.local.POLAR_SEED`.
     """
     timings: dict = {}
     routes: dict = {}
@@ -115,7 +117,7 @@ def analyze(
     inflection = None
     if want_local:
         t0 = time.perf_counter()
-        local_report = extremal_type_report(F, seed=seed)
+        local_report = extremal_type_report(F)
         routes["local_conditions"] = local_report.verdict
         invariants = local_report.invariants
         timings["local"] = time.perf_counter() - t0
@@ -144,7 +146,7 @@ def analyze(
         local = routes.get("local_conditions")
         if not main.certificate.get("extremal") and local and local.certificate.get("extremal"):
             best = local
-        data = branching_and_genus(F, best, seed=seed)
+        data = branching_and_genus(F, best)
         if data is not None:
             bw, genus = data
     timings["branching"] = time.perf_counter() - t0

@@ -194,7 +194,7 @@ def cmd_deck(args) -> int:
 
     field_spec, a_text, b_text = _load_spec(args)
     F = from_strings(field_spec, a_text, b_text)
-    v = verdict(F, seed=args.seed)
+    v = verdict(F)
     if not v.is_galois:
         print(f"verdict: {v.status}; no deck transformations")
         return _status_exit(v.status)
@@ -236,7 +236,7 @@ def cmd_deform(args) -> int:
     else:
         print(spec_text)
     if args.analyze:
-        result = analyze(Fd, numeric=False, seed=args.seed)
+        result = analyze(Fd, numeric=False)
         print(f"re-analysis: {result.status} via {result.verdict.method}")
         return _status_exit(result.status)
     return EXIT_GALOIS
@@ -259,22 +259,22 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="folgal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_numeric=False):
+    def add_common(p):
         p.add_argument("path", nargs="?", help="input file with field/A/B lines")
         p.add_argument("--inline", help="inline spec 'field: ...; A: ...; B: ...'")
         p.add_argument("--json", action="store_true", help="JSON report on stdout")
-        p.add_argument("--seed", type=int, default=7, help="seed for randomized steps")
-        if with_numeric:
-            numeric = p.add_mutually_exclusive_group()
-            numeric.add_argument("--numeric", action="store_true",
-                                 help="force the numeric monodromy cross-check")
-            numeric.add_argument("--no-numeric", action="store_true",
-                                 help="skip the numeric monodromy cross-check")
-            p.add_argument("--dump-paths", metavar="FILE",
-                           help="write tracked monodromy paths as CSV")
 
     p = sub.add_parser("analyze", help="full Galois analysis of a plane foliation")
-    add_common(p, with_numeric=True)
+    add_common(p)
+    numeric = p.add_mutually_exclusive_group()
+    numeric.add_argument("--numeric", action="store_true",
+                         help="force the numeric monodromy cross-check")
+    numeric.add_argument("--no-numeric", action="store_true",
+                         help="skip the numeric monodromy cross-check")
+    p.add_argument("--seed", type=int, default=7,
+                   help="seed of the numeric monodromy cross-check")
+    p.add_argument("--dump-paths", metavar="FILE",
+                   help="write tracked monodromy paths as CSV")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("classify1d", help="Klein classification of a line self-map")

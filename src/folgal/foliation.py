@@ -153,7 +153,7 @@ class PlaneFoliation:
         self.c_bar = c_bar
         self.triple = triple  # (a, b, c) homogeneous of degree d+1
         self._singular_locus = None  # set by singular_locus(self)
-        self._polar_pools = {}  # seed -> local._PolarPool, set by local._polar_pool
+        self._polar_pool = None  # set by local._polar_pool(self)
 
     def __repr__(self):
         return f"PlaneFoliation(deg {self.degree}: A={self.A}, B={self.B})"

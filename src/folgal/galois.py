@@ -192,7 +192,7 @@ class LocalTypeReport:
     inflection: InflectionReport | None = None
 
 
-def extremal_type_report(F: PlaneFoliation, seed: int = 7) -> LocalTypeReport:
+def extremal_type_report(F: PlaneFoliation) -> LocalTypeReport:
     """Sufficient (top contact order everywhere) and necessary (orders divide
     the degree) local conditions, with the verdict they imply.
 
@@ -200,7 +200,7 @@ def extremal_type_report(F: PlaneFoliation, seed: int = 7) -> LocalTypeReport:
     squarefree parts; only a not-Galois witness factors a part into its
     irreducible components."""
     d = F.degree
-    invs = classify_singularities(F, seed=seed)
+    invs = classify_singularities(F)
     chi_ok = all(not inv.violates_local_condition for inv in invs)
     chi_extremal = all(inv.chi == 1 or inv.chi == d for inv in invs)
     prime = isprime(d)
@@ -1086,7 +1086,7 @@ def _poly_remainder(p: MultiPoly, divisor: MultiPoly) -> MultiPoly:
     return rem
 
 
-def tangent_dim_bound_g3(F: PlaneFoliation, verdict: GaloisVerdict | None = None) -> int:
+def tangent_dim_bound_g3(F: PlaneFoliation) -> int:
     """Upper bound for the tangent dimension of the degree-3 Galois locus at F.
 
     Dimension of { Y : delta | d/de disc(X + e Y) } modulo the line spanned
@@ -1094,11 +1094,10 @@ def tangent_dim_bound_g3(F: PlaneFoliation, verdict: GaloisVerdict | None = None
     """
     if F.degree != 3:
         raise UseAnotherMethod("tangent bound is defined for degree 3")
-    if verdict is None:
-        verdict = discriminant_square_test(F)
-    if not verdict.is_galois:
+    disc = discriminant_square_test(F)
+    if not disc.is_galois:
         raise ValueError("tangent bound needs a Galois foliation")
-    delta = verdict.certificate.get("square_root_witness")
+    delta = disc.certificate.get("square_root_witness")
     if delta is None:
         raise ValueError("certificate lacks the square-root witness")
     if delta.field is not F.field:
@@ -1121,7 +1120,7 @@ def tangent_dim_bound_g3(F: PlaneFoliation, verdict: GaloisVerdict | None = None
 # -- genus of the generic polar ---------------------------------------------------------
 
 
-def generic_polar_genus(F: PlaneFoliation, seed: int = 23) -> int:
+def generic_polar_genus(F: PlaneFoliation) -> int:
     """Geometric genus of a generic polar curve, via delta invariants.
 
     The polar through ``q`` is the curve of points whose leaf's tangent line
@@ -1130,14 +1129,14 @@ def generic_polar_genus(F: PlaneFoliation, seed: int = 23) -> int:
     foliation.  By Bertini's theorem (Hartshorne, *Algebraic Geometry*,
     III.10.9 and Remark 10.9.2) a generic member of that net is smooth off
     its base locus, so only the foliation's singular points can carry delta
-    invariants.  The germs there come from the foliation's pool for
-    ``seed`` (:class:`folgal.local._PolarPool`), built from the jet at each
+    invariants.  The germs there come from the foliation's one pool
+    (:class:`folgal.local._PolarPool`), built from the jet at each
     point as ``A (qV - v qW) - B (qU - u qW)`` and resolved once, for the
     singularity table too; a germ of lowest degree 1 has delta 0 at once.
     Reducible polars are skipped, and two in a row must agree.
     """
     d = F.degree
-    pool = _polar_pool(F, seed)
+    pool = _polar_pool(F)
     last = None
     for index in range(12):
         if len(factor_irreducible(pool.polar(index))) != 1:
@@ -1153,7 +1152,7 @@ def generic_polar_genus(F: PlaneFoliation, seed: int = 23) -> int:
     raise RuntimeError("polar genus could not be stabilized")
 
 
-def branching_and_genus(F: PlaneFoliation, verdict: GaloisVerdict, seed: int = 23):
+def branching_and_genus(F: PlaneFoliation, verdict: GaloisVerdict):
     """(weighted branching type, genus) of a Galois foliation's generic polar
     over the pencil of lines through its base point.
 
@@ -1177,15 +1176,6 @@ def branching_and_genus(F: PlaneFoliation, verdict: GaloisVerdict, seed: int = 2
       branching type is ``classify(phi).branching``.
     - *Genus.*  The same parametrization by lines through the origin makes
       every polar rational, so the genus is 0.
-    - *Reuse.*  When ``verdict`` is the symmetry route's and its symmetry has
-      the weighted normal form with weights ``(1, 1)`` (the radial one), its
-      reduced map ``red`` is already classified.  If ``red.num phi.num =
-      -red.den phi.den``, checked exactly, then ``red = -1/phi`` is ``phi``
-      followed by the Möbius map ``w -> -1/w`` of the target.  That map
-      moves the branch values and keeps every ramification profile, and
-      ``red o s = red`` exactly when ``phi o s = phi``, so ``red`` and ``phi``
-      have one branching type and one deck group: the route's class stands
-      for ``phi``'s.  Any other reduction classifies ``phi``.
 
     When ``phi`` is not Galois while ``verdict`` is, the routes disagree,
     which is an ``AssertionError``.  Homogeneous ``A`` and ``B`` of
@@ -1202,14 +1192,7 @@ def branching_and_genus(F: PlaneFoliation, verdict: GaloisVerdict, seed: int = 2
         return None
     d = F.degree
     if F.is_homogeneous():
-        phi = line_map(F.A, F.B, F.field)
-        cert = verdict.certificate
-        sym, red = cert.get("symmetry"), cert.get("reduction")
-        if (sym is not None and sym.normal_form == "weighted" and sym.weights == (1, 1)
-                and red.field is phi.field and red.num * phi.num == -(red.den * phi.den)):
-            outcome = cert["klein"]
-        else:
-            outcome = classify(phi)
+        outcome = classify(line_map(F.A, F.B, F.field))
         if not outcome.klein.is_galois():
             raise AssertionError(
                 f"decision routes disagree: {verdict.method}:galois, "
@@ -1218,7 +1201,7 @@ def branching_and_genus(F: PlaneFoliation, verdict: GaloisVerdict, seed: int = 2
         return outcome.branching, 0
     if not (verdict.certificate.get("extremal") or isprime(d)):
         return None
-    g = generic_polar_genus(F, seed=seed)
+    g = generic_polar_genus(F)
     if d == 1:
         return WeightedBranchingType(1, {}), g  # a degree-one Gauss map has no branching
     two_c = 2 * d - 2 + 2 * g
@@ -1263,7 +1246,7 @@ def low_degree_verdict(d: int) -> GaloisVerdict | None:
     return GaloisVerdict("galois", "low_degree", d, {"reason": reason})
 
 
-def verdict(F: PlaneFoliation, seed: int = 7) -> GaloisVerdict:
+def verdict(F: PlaneFoliation) -> GaloisVerdict:
     """Symbolic decision cascade.
 
     Order: the discriminant test in degrees 2 and 3, the low-degree verdict,
@@ -1283,5 +1266,5 @@ def verdict(F: PlaneFoliation, seed: int = 7) -> GaloisVerdict:
     sym_verdict = symmetry_verdict(F)
     if sym_verdict is not None:
         return sym_verdict
-    report = extremal_type_report(F, seed=seed)
+    report = extremal_type_report(F)
     return report.verdict

@@ -254,9 +254,7 @@ def ramification_profile(f: BinaryRationalMap) -> list[BranchPointRecord]:
     # split into irreducible loci and deduplicate
     seen: list[MultiPoly] = []
     for locus in finite_loci:
-        pieces = [(locus, 1)] if locus.total_degree() == 1 else factor_irreducible(locus)
-        for p, _ in pieces:
-            p = p.monic()
+        for p, _ in factor_irreducible(locus):
             if all(p != q for q in seen):
                 seen.append(p)
 

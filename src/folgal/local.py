@@ -4,7 +4,7 @@ ramifying-singularity classification.
 
 Everything at a singular point is read off the foliation's jet there, the
 chart field translated to the point once; so are the germs of the generic
-polars, from one pool per foliation and seed (:class:`_PolarPool`).
+polars, from one pool per foliation (:class:`_PolarPool`, :data:`POLAR_SEED`).
 
 The blow-up recursion also accumulates delta invariants of curve germs,
 which give the geometric genus of generic polars.
@@ -22,6 +22,8 @@ from .polyops import squarefree_decompose, squarefree_part
 from .solve2d import translate
 from .foliation import AFFINE, PlaneFoliation, ProjPoint, singular_locus
 from .sympy_bridge import factor_irreducible
+
+POLAR_SEED = 7  # of every pool; beta, chi and the polar genus do not depend on it
 
 
 class NotSingular(Exception):
@@ -115,10 +117,9 @@ def _per_root_sum(poly: MultiPoly, worker):
     Conjugate roots contribute equal values, so each irreducible class is
     evaluated once and weighted by its degree.
     """
-    factors = [(poly, 1)] if poly.total_degree() == 1 else factor_irreducible(poly)
     total_b = 0
     total_d = 0
-    for fac, mult in factors:
+    for fac, mult in factor_irreducible(poly):
         assert mult == 1, "polynomial was squarefree"
         b, dlt = worker(*adjoin_root(fac, "b"))
         total_b += fac.total_degree() * b
@@ -214,7 +215,7 @@ def polar_curve(F: PlaneFoliation, base) -> MultiPoly:
 
 class _PolarPool:
     """Generic polars of one foliation, read at its singular points, where
-    every polar passes; one pool per ``(foliation, seed)``, kept on ``F``.
+    every polar passes; one pool per foliation, kept on ``F``.
 
     The polar through ``q = [qX : qY : qZ]`` is ``a qX + b qY + c qZ = 0``
     for the foliation's triple.  In a chart with coordinates ``(u, v) =
@@ -226,16 +227,17 @@ class _PolarPool:
     germ: no polar is restricted to a chart, moved into a point field or
     translated.
 
-    Each polar, through a seeded random ``[qX : qY : 1]``, is verified
-    squarefree over the base field once; a reduced curve stays reduced over
-    every extension and in every chart, so germs need no gcd work.  Each
+    Each polar, through a random ``[qX : qY : 1]`` drawn from
+    :data:`POLAR_SEED`, is verified squarefree over the base field once; a
+    reduced curve stays reduced over every extension and in every chart, so
+    germs need no gcd work.  Each
     (polar, point) germ is resolved once: the singularity table reads its
     branch count and the polar genus its delta.
     """
 
-    def __init__(self, F: PlaneFoliation, seed: int):
+    def __init__(self, F: PlaneFoliation):
         self.F = F
-        self.rng = random.Random(seed)
+        self.rng = random.Random(POLAR_SEED)
         self.points = singular_locus(F)
         self.jets = [_jet(F, sp.point) for sp in self.points]
         self.bases = []     # (qX, qY) of each polar
@@ -284,10 +286,10 @@ class _PolarPool:
         return self.resolved[index, k]
 
 
-def _polar_pool(F: PlaneFoliation, seed: int) -> _PolarPool:
-    if seed not in F._polar_pools:
-        F._polar_pools[seed] = _PolarPool(F, seed)
-    return F._polar_pools[seed]
+def _polar_pool(F: PlaneFoliation) -> _PolarPool:
+    if F._polar_pool is None:
+        F._polar_pool = _PolarPool(F)
+    return F._polar_pool
 
 
 def _polar_branches_at(pool: _PolarPool, k: int) -> int:
@@ -305,11 +307,11 @@ def _polar_branches_at(pool: _PolarPool, k: int) -> int:
 # -- classification --------------------------------------------------------------------
 
 
-def classify_singularities(F: PlaneFoliation, seed: int = 7) -> list[SingularInvariants]:
+def classify_singularities(F: PlaneFoliation) -> list[SingularInvariants]:
     """nu, tau, beta, chi and the ramification status for every singular class."""
     out = []
     d = F.degree
-    pool = _polar_pool(F, seed)
+    pool = _polar_pool(F)
     for k, sp in enumerate(pool.points):
         nu, tau = _orders(pool.jets[k], sp.point)
         beta = _polar_branches_at(pool, k)

@@ -60,6 +60,37 @@ def test_analyze_numeric_disagreement_keeps_the_exact_exit_code(capsys):
     }
 
 
+def test_analyze_seed_reaches_only_the_numeric_check(capsys):
+    # the exact routes read the foliation's one pool of generic polars, so
+    # without the numeric check the seed changes nothing in the report
+    reports = []
+    for seed in ("5", "7"):
+        code, out, err = run_cli(
+            capsys,
+            "analyze",
+            "--inline",
+            "field: g^2-4*g+6; A: (y^2+x^3)*x; B: (g/6*y^2+4*x^3)*g*y",
+            "--no-numeric",
+            "--seed",
+            seed,
+            "--json",
+        )
+        assert code == 1 and not err
+        rep = json.loads(out)
+        del rep["timings"]
+        reports.append(rep)
+    assert reports[0] == reports[1]
+    assert reports[0]["singular_points"]
+
+
+@pytest.mark.parametrize("command", [
+    ["deck"], ["deform", "--u", "x", "--v", "y", "--rows", "1,0,0,0,1,0"], ["tangent"],
+], ids=["deck", "deform", "tangent"])
+def test_only_analyze_takes_a_seed(capsys, command):
+    code, _, err = run_cli(capsys, *command, "--inline", "A: x^3; B: y^3", "--seed", "5")
+    assert code == 3 and "unrecognized arguments: --seed" in err
+
+
 def test_analyze_degenerate_exit_code(capsys):
     code, _, err = run_cli(capsys, "analyze", "--inline", "A: x; B: y")
     assert code > 2

@@ -529,8 +529,8 @@ def test_analyze_builds_the_inflection_divisor_once(monkeypatch, name, built_by_
         calls.append(F)
         return fol.inflection_divisor(F)
 
-    def kept(F, seed=7):
-        local_reports.append(gal.extremal_type_report(F, seed=seed))
+    def kept(F):
+        local_reports.append(gal.extremal_type_report(F))
         return local_reports[-1]
 
     monkeypatch.setattr(gal, "inflection_divisor", counted)
@@ -651,7 +651,7 @@ def test_jet_germs_equal_translated_chart_polars():
     foliations = [corpus.foliation(name) for name in corpus.FOLIATION_SPECS]
     charts = set()
     for F in [F for F in foliations if F.degree <= 8] + _first_deformation_members():
-        pool = local._polar_pool(F, 7)
+        pool = local._polar_pool(F)
         for k, sp in enumerate(pool.points):
             charts.add(sp.point.chart())
             for index in (0, 1):
@@ -662,7 +662,7 @@ def test_jet_germs_equal_translated_chart_polars():
 
 
 def test_one_analysis_draws_each_polar_once(monkeypatch):
-    # the singularity table and the polar genus read one pool per seed
+    # the singularity table and the polar genus read the foliation's one pool
     bases = []
     polar_curve = local.polar_curve
 
@@ -685,7 +685,7 @@ def test_generic_polar_is_smooth_off_the_singular_locus():
         "halfchi_quartic")]
     checked = 0
     for F in foliations + _first_deformation_members():
-        pool = local._polar_pool(F, 23)
+        pool = local._polar_pool(F)
         P = next(pool.polar(i) for i in range(12)
                  if len(factor_irreducible(pool.polar(i))) == 1)
         for pt in common_zeros(P.derivative("x"), P.derivative("y")):
@@ -736,10 +736,7 @@ def test_homogeneous_galois_branching_is_the_line_map_branching(name, entries, m
         raise AssertionError("the line map gives the branching")
 
     monkeypatch.setattr(gal, "generic_polar_genus", unused)
-    # where the symmetry route's verdict gives the branching, its reduction
-    # -1/phi is the one classified map and phi is not classified again; the
-    # Fermat entries take theirs from the discriminant or the extremal local
-    # route, so phi is classified there
+    # one classify for the symmetry route's reduction, one for phi
     classified = []
 
     def counted(fmap):
@@ -750,7 +747,7 @@ def test_homogeneous_galois_branching_is_the_line_map_branching(name, entries, m
     F = corpus.foliation(name)
     assert F.is_homogeneous()
     res = analyze(F, numeric=False)
-    assert len(classified) == (2 if name.startswith("fermat") else 1)
+    assert len(classified) == 2
     assert res.status == "galois"
     assert res.branching.degree == F.degree
     assert res.branching.entries == entries

@@ -128,10 +128,14 @@ def test_perturbed_power_cubic_violations():
     assert all(i.chi == 2 for i in bad)
 
 
-def test_chi_stable_under_seed():
-    F = corpus.foliation("cyclic_cubic_qh23")
-    a = [(str(i.point), i.chi) for i in loc.classify_singularities(F, seed=1)]
-    b = [(str(i.point), i.chi) for i in loc.classify_singularities(F, seed=2)]
+def test_chi_stable_under_seed(monkeypatch):
+    # each foliation draws its polars once, so each seed gets a fresh one
+    tables = []
+    for seed in (1, 2):
+        monkeypatch.setattr(loc, "POLAR_SEED", seed)
+        F = corpus.foliation("cyclic_cubic_qh23")
+        tables.append([(str(i.point), i.chi) for i in loc.classify_singularities(F)])
+    a, b = tables
     assert sorted(a) == sorted(b)
 
 
