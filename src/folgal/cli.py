@@ -262,10 +262,10 @@ def build_parser() -> _Parser:
     def add_common(p):
         p.add_argument("path", nargs="?", help="input file with field/A/B lines")
         p.add_argument("--inline", help="inline spec 'field: ...; A: ...; B: ...'")
-        p.add_argument("--json", action="store_true", help="JSON report on stdout")
 
     p = sub.add_parser("analyze", help="full Galois analysis of a plane foliation")
     add_common(p)
+    p.add_argument("--json", action="store_true", help="JSON report on stdout")
     numeric = p.add_mutually_exclusive_group()
     numeric.add_argument("--numeric", action="store_true",
                          help="force the numeric monodromy cross-check")
@@ -285,6 +285,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("deck", help="verified deck transformations of the Gauss map")
     add_common(p)
+    p.add_argument("--json", action="store_true", help="JSON report on stdout")
     p.set_defaults(func=cmd_deck)
 
     p = sub.add_parser("deform", help="left-right deformation of a homogeneous field")

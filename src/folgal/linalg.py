@@ -81,3 +81,69 @@ def mat_mul(a: list[list], b: list[list]) -> list[list]:
     """The matrix product ``a * b``."""
     cols = list(zip(*b))
     return [[_dot(row, col) for col in cols] for row in a]
+
+
+def lll(basis: list[list[int]]) -> list[list[int]]:
+    """LLL-reduced basis, with ``delta = 3/4``, of the lattice spanned by the
+    linearly independent integer rows ``basis``.
+
+    Cohen's integral LLL (*A Course in Computational Algebraic Number
+    Theory*, 2.6.7): the Gram-Schmidt data are kept as the integers
+    ``d_i``, the Gram determinants of the first ``i`` rows, and
+    ``l[k][j] = d_(j+1) mu_kj``, so every division below is exact and no
+    rational or float arises.  The first row of the result is at most
+    ``2^((n-1)/2)`` times as long as a shortest nonzero vector.
+    """
+    b = [list(row) for row in basis]
+    n = len(b)
+    if n < 2:
+        return b
+    dot = lambda u, v: sum(x * y for x, y in zip(u, v))
+    # d[i] is d_i, the Gram determinant of rows 0 .. i-1; d[0] = 1
+    d = [1, dot(b[0], b[0])] + [0] * (n - 1)
+    l = [[0] * n for _ in range(n)]
+
+    def reduce(k, j):
+        if 2 * abs(l[k][j]) > d[j + 1]:
+            q = (2 * l[k][j] + d[j + 1]) // (2 * d[j + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+            l[k][j] -= q * d[j + 1]
+            for i in range(j):
+                l[k][i] -= q * l[j][i]
+
+    def swap(k):
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            l[k][j], l[k - 1][j] = l[k - 1][j], l[k][j]
+        lam = l[k][k - 1]
+        big = (d[k - 1] * d[k + 1] + lam * lam) // d[k]
+        for i in range(k + 1, top + 1):
+            t = l[i][k]
+            l[i][k] = (d[k + 1] * l[i][k - 1] - lam * t) // d[k]
+            l[i][k - 1] = (big * t + lam * l[i][k]) // d[k + 1]
+        d[k] = big
+
+    k, top = 1, 0
+    while k < n:
+        if k > top:
+            top = k
+            for j in range(k + 1):
+                u = dot(b[k], b[j])
+                for i in range(j):
+                    u = (d[i + 1] * u - l[k][i] * l[j][i]) // d[i]
+                if j < k:
+                    l[k][j] = u
+                elif u == 0:
+                    raise ValueError("rows are linearly dependent")
+                else:
+                    d[k + 1] = u
+        reduce(k, k - 1)
+        # Lovasz: d_(k+1) d_(k-1) >= (3/4) d_k^2 - l_(k,k-1)^2, times 4
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * l[k][k - 1] ** 2:
+            swap(k)
+            k = max(1, k - 1)
+        else:
+            for j in range(k - 2, -1, -1):
+                reduce(k, j)
+            k += 1
+    return b

@@ -92,13 +92,27 @@ _SHEARS = tuple(Fraction(v) for v in (
 
 def common_zeros(F: MultiPoly, G: MultiPoly) -> list[PlanePoint]:
     """All common zeros of a coprime pair in the affine plane, with
-    multiplicity."""
+    multiplicity.
+
+    Coprime binary forms need no eliminant.  A form vanishes at a point
+    ``(x0, y0) != 0`` exactly when the linear form ``y0 x - x0 y`` divides
+    it, and forms coprime over the field stay coprime over its closure, so
+    the origin is their only common zero.  Their tangent cones there are the
+    forms themselves, coprime, so the intersection number is
+    ``deg F deg G`` (Fulton, Algebraic Curves, 3.3, property 5), which is
+    also Bezout's count.  A nonzero constant, a form of degree 0, has no
+    zero."""
     if F.vars != G.vars or len(F.vars) != 2:
         raise ValueError("expected two bivariate polynomials in one ring")
     if F.is_zero() or G.is_zero():
         raise ValueError("zero polynomial")
     if not mpoly_gcd(F, G).is_constant():
         raise ValueError("inputs share a factor; zero set is not finite")
+    if F.is_homogeneous() and G.is_homogeneous():
+        if F.is_constant() or G.is_constant():
+            return []
+        origin = (F.field.zero(), F.field.zero())
+        return [PlanePoint(F.field, origin, F.total_degree() * G.total_degree(), 1)]
     for lam in _SHEARS:
         try:
             return _common_zeros_sheared(F, G, lam)

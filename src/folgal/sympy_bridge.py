@@ -3,26 +3,41 @@
 Over Q the factorization is sympy's.  Over a layer ``K = k(a)`` of a tower,
 with base field ``k`` (Q or a lower layer) and the modulus ``m`` of ``a``
 irreducible over ``k``, it follows Trager, "Algebraic factoring and rational
-function integration" (SYMSAC 1976), one layer at a time:
+function integration" (SYMSAC 1976), one layer at a time, after taking out
+the linear factors that one prime finds:
 
 1. The part ``R`` of ``f`` with coefficients in ``k`` is split off first:
    with ``f = sum a^i f_i`` and every ``f_i`` over ``k``, ``R`` is the gcd
    of the ``f_i``.  ``R`` is factored over ``k`` by the same method, and
-   each factor of it goes through step 2, since it may still split over
+   each factor of it goes through steps 2-4, since it may still split over
    ``K`` (``x^2 - 2`` over Q(sqrt 2)).
 2. ``f`` is split into squarefree parts by
-   :func:`folgal.polyops.squarefree_decompose`.  In each part every variable
-   ``v`` is shifted to ``v - s_v a``, trying the shift vectors ``s`` by
-   growing L1 norm, until the norm ``N = Res_t(m(t), f(t))`` is squarefree
-   over ``k``.  The norm comes from :func:`folgal.polyops.resultant`.  The
-   bad shifts of a squarefree part lie on finitely many proper affine
-   subspaces, so the search ends.
-3. ``N`` is factored over ``k`` (by sympy when ``k`` is Q, else by the same
+   :func:`folgal.polyops.squarefree_decompose`.
+3. When ``k`` is Q, the linear factors of each part in one or two
+   variables are removed first (:func:`_linear_factors`): roots in ``K``
+   from roots mod one prime, rebuilt by a small lattice reduction (Loos,
+   "Computing rational zeros of integral polynomials by p-adic expansion",
+   SIAM J. Comput. 1983; Lenstra, "Factoring polynomials over algebraic
+   number fields", EUROCAL 1983).  A candidate is a guess until it divides
+   the part exactly; only then is it a factor, and the quotient, the
+   cofactor, goes on.  The lines of a bivariate part come from the roots of
+   its restrictions to three vertical lines.
+4. In the cofactor every variable ``v`` is shifted to ``v - s_v a``, trying
+   the shift vectors ``s`` by growing L1 norm, until the norm
+   ``N = Res_t(m(t), f(t))`` is squarefree over ``k``.  The norm comes from
+   :func:`folgal.polyops.resultant`.  The bad shifts of a squarefree part
+   lie on finitely many proper affine subspaces, so the search ends.
+5. ``N`` is factored over ``k`` (by sympy when ``k`` is Q, else by the same
    method), and each irreducible factor ``h`` gives the factor ``gcd(f, h)``
    over ``K``, shifted back.  It is irreducible because ``N`` is squarefree
    and ``h`` irreducible (Trager's theorem).
-4. The product of the factors, raised to their multiplicities, must equal
+6. The product of the factors, raised to their multiplicities, must equal
    the monic input exactly.
+
+The output stays certified whatever the prime: a linear factor is
+irreducible and is taken only after an exact division, a root the prime
+misses stays in the cofactor, whose factors step 5 proves irreducible, and
+step 6 checks the whole result.
 
 Nothing here builds sympy's algebraic domains and nothing checks that a
 modulus is irreducible: a user's modulus is checked when it is parsed
@@ -33,13 +48,15 @@ MultiPoly and sympy's dense recursive polynomials (:func:`to_dense`,
 uses too.  Over a tower it writes each coefficient in the power basis of the
 generators, with one variable per generator.
 """
-
 from __future__ import annotations
 
 import itertools
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
+
+from sympy.ntheory import nextprime
 
 from sympy.polys.densearith import dmp_neg
 from sympy.polys.densebasic import dmp_from_dict, dmp_ground_LC, dmp_to_dict
@@ -50,8 +67,9 @@ from sympy.polys.factortools import dmp_factor_list
 from sympy.polys.polyclasses import DMP
 from sympy.polys.sqfreetools import dmp_sqf_p
 
+from .linalg import lll
 from .multipoly import MultiPoly
-from .numberfield import RationalField, coordinates
+from .numberfield import NotDivisible, RationalField, coordinates
 
 
 # Never raised: every field factors.  The name stays for outside tools that
@@ -207,29 +225,353 @@ def base_field_part(p: MultiPoly) -> MultiPoly:
 
 
 def _factor_by_norms(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
+    from .polyops import squarefree_decompose
+
     field = p.field
     p = p.monic()
     lower = base_field_part(p)
     found = Counter()
     if not lower.is_constant():
         for q, mult in factor_irreducible(lower):
-            for f, k in _factor_squarefree_or_split(q.to_field(field)):
-                found[f] += mult * k
+            # q is irreducible over the base, hence squarefree, and divides
+            # the norm of each of its factors over the layer, whose degree
+            # is n times that factor's: a line needs deg q <= n
+            q = q.to_field(field)
+            pieces = _factor_part(q) if q.total_degree() <= field.degree else _factor_by_shift(q)
+            for f in pieces:
+                found[f] += mult
         p = p.exact_div(lower.to_field(field))
     if not p.is_constant():
-        for f, k in _factor_squarefree_or_split(p):
-            found[f] += k
+        parts = [(p, 1)] if p.total_degree() == 1 else squarefree_decompose(p)
+        for part, mult in parts:
+            for f in _factor_part(part):
+                found[f] += mult
     return list(found.items())
 
 
-def _factor_squarefree_or_split(p: MultiPoly):
-    """Factors of ``p`` by norms, one shift search per squarefree part."""
-    from .polyops import squarefree_decompose
+def _factor_part(part: MultiPoly) -> list[MultiPoly]:
+    """Irreducible monic factors of the squarefree ``part``: its linear
+    factors from one prime, then the cofactor's from one shift search."""
+    lines, cofactor = _linear_factors(part)
+    return lines if cofactor.is_constant() else lines + _factor_by_shift(cofactor)
 
-    if p.total_degree() == 1:
-        return [(p.monic(), 1)]
-    return [(f, mult) for part, mult in squarefree_decompose(p)
-            for f in _factor_by_shift(part)]
+
+# Roots in a layer over Q come from one prime: the first prime above
+# _PRIME_FLOOR that suits the polynomial, among the next _PRIME_TRIES primes
+# in increasing order.  A bivariate part is restricted to the vertical lines
+# at 0 .. _ABSCISSA_TRIES - 1 at most, and a product of linear factors mod p
+# is split with the shifts 0 .. _SPLIT_TRIES - 1 at most.  Past a cap, what
+# is not found goes to norms.
+_PRIME_FLOOR = 2**31
+_PRIME_TRIES = 32
+_ABSCISSA_TRIES = 8
+_SPLIT_TRIES = 64
+
+
+def _linear_factors(part: MultiPoly):
+    """``(lines, cofactor)``: monic linear factors of the squarefree
+    ``part`` over its field, and ``part`` divided by them exactly.
+
+    Only a layer over Q is searched, of any degree ``n``, and only a part in
+    at most two variables; a tower of two or more layers, or more variables,
+    gives no lines, and the whole part goes to norms.  Each root in ``K``
+    is rebuilt from its image mod one prime ``p`` (:func:`_rebuild`), with no
+    Hensel lift: a root whose coordinates are too large for that prime's
+    lattice, or one that the prime misses, stays in the cofactor, where the
+    norms still factor it exactly.
+    """
+    active = [v for v in part.vars if part.degree_in(v) > 0]
+    if part.total_degree() == 1:
+        return [part.monic()], part.one_like()
+    if not isinstance(part.field.base, RationalField) or len(active) > 2:
+        return [], part
+    if len(active) == 1:
+        return _univariate_lines(part, *active)
+    return _bivariate_lines(part, *active)
+
+
+def _primes(field, coeffs):
+    """``(p, s)`` for each of the ``_PRIME_TRIES`` primes ``p`` above
+    ``_PRIME_FLOOR``, in increasing order, that divides no denominator of
+    ``coeffs`` or of ``field``'s modulus and at which the modulus has a
+    simple root; ``s`` is the least such root mod ``p``."""
+    modulus = [Fraction(1), *reversed(field.min_poly)]
+    den = lcm(*(c.denominator for c in modulus), *(c.den for c in coeffs))
+    p = _PRIME_FLOOR
+    for _ in range(_PRIME_TRIES):
+        p = nextprime(p)
+        if den % p == 0:
+            continue
+        m = [c.numerator * pow(c.denominator, -1, p) % p for c in modulus]
+        slope = _gf_diff(m, p)
+        simple = [s for s in _roots_mod(m, p) if _gf_eval(slope, s, p)]
+        if simple:
+            yield p, simple[0]
+
+
+def _image(c, s: int, p: int) -> int:
+    """The image mod ``p`` of the element ``c`` of a layer over Q, its
+    generator sent to ``s``; ``p`` divides no denominator of ``c``."""
+    acc = 0
+    for a in reversed(c.num):
+        acc = (acc * s + a) % p
+    return acc * pow(c.den, -1, p) % p
+
+
+# Dense polynomials over F_p, highest coefficient first, entries in [0, p).
+# The root finder's few kernels are written out here: sympy's galoistools
+# inverts the divisor's leading coefficient in every reduction, which made
+# x^p mod h most of the finder's time.
+
+
+def _gf_strip(a: list) -> list:
+    i = 0
+    while i < len(a) and not a[i]:
+        i += 1
+    return a[i:]
+
+
+def _gf_monic(a: list, p: int) -> list:
+    inv = pow(a[0], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _gf_divmod(a: list, h: list, p: int):
+    """Quotient and remainder of ``a`` by the monic ``h``."""
+    a = list(a)
+    d = len(h) - 1
+    n = max(len(a) - d, 0)
+    for i in range(n):
+        c = a[i] = a[i] % p
+        if c:
+            for j in range(1, d + 1):
+                a[i + j] -= c * h[j]
+    return a[:n], _gf_strip([c % p for c in a[n:]])
+
+
+def _gf_gcd(a: list, b: list, p: int) -> list:
+    """The monic gcd of ``a`` and ``b``, not both zero."""
+    while b:
+        b = _gf_monic(b, p)
+        a, b = b, _gf_divmod(a, b, p)[1]
+    return _gf_monic(a, p)
+
+
+def _gf_pow_linear(t: int, e: int, h: list, p: int) -> list:
+    """``(x + t)^e`` mod the monic ``h`` of degree at least 2, by repeated
+    squaring; a step by ``x + t`` costs one pass over the coefficients."""
+    d = len(h) - 1
+    out = [1]
+    for bit in bin(e)[2:]:
+        square = [0] * (2 * len(out) - 1)
+        for i, x in enumerate(out):
+            if x:
+                square[2 * i] += x * x
+                for j in range(i + 1, len(out)):
+                    square[i + j] += 2 * x * out[j]
+        out = _gf_divmod(square, h, p)[1]
+        if bit == "1":
+            out = [(a + t * b) % p for a, b in zip(out + [0], [0] + out)]
+            if len(out) > d:
+                c = out[0] % p
+                out = _gf_strip([(a - c * b) % p for a, b in zip(out[1:], h[1:])])
+    return out
+
+
+def _gf_diff(a: list, p: int) -> list:
+    d = len(a) - 1
+    return _gf_strip([c * (d - i) % p for i, c in enumerate(a[:-1])])
+
+
+def _gf_eval(a: list, x: int, p: int) -> int:
+    acc = 0
+    for c in a:
+        acc = (acc * x + c) % p
+    return acc
+
+
+def _gf_squarefree(a: list, p: int) -> bool:
+    return len(_gf_gcd(a, _gf_diff(a, p), p)) == 1
+
+
+def _roots_mod(h: list, p: int) -> list[int]:
+    """The distinct roots in ``F_p`` of the nonzero ``h``, sorted: the
+    roots of ``g = gcd(h, x^p - x)``, the product of the distinct linear
+    factors of ``h``, split by :func:`_gf_split`."""
+    h = _gf_strip(h)
+    if len(h) < 2:
+        return []
+    h = _gf_monic(h, p)
+    xp = [0, 0] + (_gf_pow_linear(0, p, h, p) if len(h) > 2 else [-h[1] % p])
+    xp[-2] = (xp[-2] - 1) % p
+    g = _gf_gcd(h, _gf_strip(xp), p)
+    return sorted(_gf_split(g, p)) if len(g) > 1 else []
+
+
+def _gf_split(g: list, p: int) -> list[int]:
+    """The roots of ``g``, monic and a product of distinct linear factors
+    over ``F_p`` with ``p`` odd.  For a shift ``t``, the factor
+    ``gcd(g, (x + t)^((p-1)/2) - 1)`` holds the roots ``r`` with ``r + t`` a
+    nonzero square; the shifts ``t = 0, 1, ...`` are tried until one splits
+    ``g`` (Cantor and Zassenhaus, with the shifts in place of random
+    elements).  Roots in a piece that no shift splits are left out."""
+    if len(g) == 2:
+        return [-g[1] % p]
+    for t in range(_SPLIT_TRIES):
+        w = _gf_pow_linear(t, (p - 1) // 2, g, p)
+        w = [0] + w
+        w[-1] = (w[-1] - 1) % p
+        f = _gf_gcd(g, _gf_strip(w), p)
+        if 1 < len(f) < len(g):
+            return _gf_split(f, p) + _gf_split(_gf_divmod(g, f, p)[0], p)
+    return []
+
+
+def _rebuild(r: int, s: int, p: int, field):
+    """The candidate root ``sum u_i a^i / w`` in ``field`` (a layer over Q
+    of degree ``n``, generator ``a``) with image ``r`` mod ``p`` at
+    ``a -> s``, or None.  ``(u_0, ..., u_(n-1), w)`` is the first row of an
+    LLL-reduced basis of the lattice of the integer vectors with
+    ``sum u_i s^i = w r`` mod ``p``, of dimension ``n + 1`` and determinant
+    ``p``: a root whose vector is much shorter than ``p^(1/(n+1))`` is found,
+    any other row is a guess for the caller's exact division to reject."""
+    n = field.degree
+    rows = [[p] + [0] * n, [r] + [0] * (n - 1) + [1]]
+    rows += [[-pow(s, i, p)] + [0] * (i - 1) + [1] + [0] * (n - i) for i in range(1, n)]
+    *u, w = lll(rows)[0]
+    if not w:
+        return None
+    return field.element([Fraction(a, w) for a in u])
+
+
+def _divide_root(coeffs: list, xi):
+    """The quotient of the coefficient list ``coeffs`` (lowest first) by
+    ``v - xi``, by synthetic division, or None unless the remainder is 0."""
+    acc = coeffs[-1]
+    quotient = [acc]
+    for c in reversed(coeffs[:-1]):
+        acc = c + acc * xi
+        quotient.append(acc)
+    return None if acc else quotient[-2::-1]
+
+
+def _value(coeffs: list, x):
+    """The coefficient list ``coeffs`` (lowest first) at ``x``, by Horner."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + c
+    return acc
+
+
+def _field_roots(coeffs: list, image: list, s: int, p: int, field) -> list:
+    """The roots in ``field``, a layer over Q, of the coefficient list
+    ``coeffs`` (lowest first) that :func:`_rebuild` finds from the roots of
+    its ``image`` mod ``p`` (highest first), each checked exactly."""
+    found = []
+    for r in _roots_mod(image, p):
+        xi = _rebuild(r, s, p, field)
+        if xi is not None and not _value(coeffs, xi):
+            found.append(xi)
+    return found
+
+
+def _univariate_lines(part: MultiPoly, v: str):
+    """:func:`_linear_factors` of a part in the one variable ``v``: the
+    prime must keep the leading coefficient and leave the image
+    squarefree; each root mod ``p`` is rebuilt and accepted by an exact
+    synthetic division."""
+    field = part.field
+    i = part.vars.index(v)
+    coeffs = [field.zero()] * (part.degree_in(v) + 1)
+    for e, c in part.terms.items():
+        coeffs[e[i]] = c
+    for p, s in _primes(field, coeffs):
+        image = [_image(c, s, p) for c in reversed(coeffs)]
+        if image[0] and _gf_squarefree(image, p):
+            break
+    else:
+        return [], part
+    var = MultiPoly.variable(field, part.vars, v)
+    lines = []
+    for r in _roots_mod(image, p):
+        xi = _rebuild(r, s, p, field)
+        quotient = None if xi is None else _divide_root(coeffs, xi)
+        if quotient is not None:
+            coeffs = quotient
+            lines.append(var - xi)
+    if not lines:
+        return [], part
+    unit = lambda k: tuple(k if j == i else 0 for j in range(len(part.vars)))
+    return lines, MultiPoly(field, part.vars, {unit(k): c for k, c in enumerate(coeffs)})
+
+
+def _bivariate_lines(part: MultiPoly, u: str, v: str):
+    """:func:`_linear_factors` of a part in ``u`` and ``v``.
+
+    The prime must keep the top coefficient of ``lc_v(part)``, the leading
+    coefficient in ``v``.  A vertical line ``u = c`` divides that
+    coefficient, so the candidates ``c`` are its roots, and ``c`` is kept
+    when every coefficient in ``v`` vanishes at it.  Every other line
+    ``v = l u + m`` meets the vertical line ``u = a`` at a root in ``K`` of
+    the restriction ``part(a, v)``.  The abscissas ``a = 0, 1, ...`` kept
+    are those whose restriction keeps its degree in ``v`` and is squarefree
+    mod ``p``, so distinct lines meet it at distinct roots.  A root at the
+    first kept abscissa and one at the second give a candidate line, tried
+    by an exact division when it passes through a root at the third.  The
+    search stops at the first kept abscissa with no root in ``K``: no line
+    that one prime rebuilds crosses it.
+    """
+    field = part.field
+    iu, iv = part.vars.index(u), part.vars.index(v)
+    d = part.degree_in(v)
+    # cols[j]: the coefficient of v^j, as a coefficient list in u, lowest first
+    cols = [[field.zero()] * (part.degree_in(u) + 1) for _ in range(d + 1)]
+    for e, c in part.terms.items():
+        cols[e[iv]][e[iu]] = c
+    lead = cols[d][:max(i for i, c in enumerate(cols[d]) if c) + 1]
+    for p, s in _primes(field, part.terms.values()):
+        if _image(lead[-1], s, p):
+            break
+    else:
+        return [], part
+    x, y = (MultiPoly.variable(field, part.vars, w) for w in (u, v))
+    images = [[_image(c, s, p) for c in reversed(col)] for col in cols]
+    lines, cofactor = [], part
+    if len(lead) > 1:
+        for c in _field_roots(lead, images[d][-len(lead):], s, p, field):
+            if all(not _value(col, c) for col in cols):
+                lines.append(x - c)
+                cofactor = cofactor.exact_div(x - c)
+    crossings = []
+    for a in range(_ABSCISSA_TRIES):
+        if len(crossings) == 3:
+            break
+        image = [_gf_eval(col, a, p) for col in reversed(images)]
+        if not (image[0] and _gf_squarefree(image, p)):
+            continue
+        roots = _field_roots([_value(col, a) for col in cols], image, s, p, field)
+        if not roots:
+            return lines, cofactor
+        crossings.append((a, roots))
+    if len(crossings) < 3:
+        return lines, cofactor
+    (a0, first), (a1, second), (a2, third) = crossings
+    third = set(third)
+    for r0 in first:
+        for r1 in second:
+            slope = (r1 - r0) / (a1 - a0)
+            icept = r0 - slope * a0
+            if slope * a2 + icept not in third:
+                continue
+            line = (y - x * slope - icept).monic()
+            try:
+                cofactor = cofactor.exact_div(line)
+            except NotDivisible:
+                continue
+            lines.append(line)
+            second.remove(r1)
+            break
+    return lines, cofactor
 
 
 def _shifts(count: int):

@@ -91,6 +91,14 @@ def test_only_analyze_takes_a_seed(capsys, command):
     assert code == 3 and "unrecognized arguments: --seed" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["deform", "--u", "x", "--v", "y", "--rows", "1,0,0,0,1,0"], ["tangent"],
+], ids=["deform", "tangent"])
+def test_only_analyze_and_deck_take_json(capsys, command):
+    code, _, err = run_cli(capsys, *command, "--inline", "A: x^3; B: y^3", "--json")
+    assert code == 3 and "unrecognized arguments: --json" in err
+
+
 def test_analyze_degenerate_exit_code(capsys):
     code, _, err = run_cli(capsys, "analyze", "--inline", "A: x; B: y")
     assert code > 2

@@ -9,7 +9,7 @@ import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from folgal.linalg import kernel_basis, mat_mul, mat_vec
+from folgal.linalg import kernel_basis, lll, mat_mul, mat_vec
 from folgal.multipoly import MultiPoly
 from folgal.numberfield import QQ, FieldElement, FieldSplit, adjoin_root, coordinates, extend
 from folgal.parsing import parse_poly
@@ -102,6 +102,45 @@ def test_matrix_products_over_a_tower_and_on_polynomial_vectors(K_zeta):
     assert mat_vec(a, [one, g]) == [one + g * g, g]
     x, y = (MultiPoly.variable(K_zeta, ("x", "y"), v) for v in ("x", "y"))
     assert mat_vec(a, [x, y]) == [x + y.scale(g), y]
+
+
+def _gram_schmidt(rows):
+    """``(squared lengths, mu)`` of the exact Gram-Schmidt basis of ``rows``."""
+    ortho, mu = [], {}
+    for i, row in enumerate(rows):
+        v = [Fraction(a) for a in row]
+        for j, w in enumerate(ortho):
+            mu[i, j] = sum(a * b for a, b in zip(row, w)) / sum(b * b for b in w)
+            v = [a - mu[i, j] * b for a, b in zip(v, w)]
+        ortho.append(v)
+    return [sum(a * a for a in v) for v in ortho], mu
+
+
+@st.composite
+def _bases(draw):
+    n = draw(st.integers(2, 5))
+    entry = st.integers(-10**12, 10**12) | st.integers(-3, 3)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    return rows
+
+
+@given(_bases())
+@example([[0, 0], [1, 2]])
+@example([[2147483659, 0, 0], [1234567, 0, 1], [-1372689432, 1, 0]])
+@settings(max_examples=60, deadline=None)
+def test_lll_is_size_reduced_lovasz_and_keeps_the_lattice(rows):
+    if sp.Matrix(rows).det() == 0:
+        with pytest.raises(ValueError):
+            lll(rows)
+        return
+    reduced = lll(rows)
+    norms, mu = _gram_schmidt(reduced)
+    assert all(abs(m) <= Fraction(1, 2) for m in mu.values())
+    assert all(norms[k] >= (Fraction(3, 4) - mu[k, k - 1] ** 2) * norms[k - 1]
+               for k in range(1, len(rows)))
+    # a unimodular change of basis: integral, with determinant +-1
+    change = sp.Matrix(reduced) * sp.Matrix(rows).inv()
+    assert all(c.is_integer for c in change) and abs(change.det()) == 1
 
 
 def test_adjoin_root_of_a_linear_factor_stays_in_the_base(K_zeta):

@@ -284,3 +284,32 @@ def test_intersection_number_off_the_origin_is_zero():
 def test_intersection_number_rejects_a_shared_component():
     with pytest.raises(ValueError):
         solve2d.intersection_number(poly("y*(y - x^2)"), poly("y*(x - 1)"))
+
+
+def _eliminant_zeros(F, G):
+    """The zeros from the sheared eliminant alone, as (xy, multiplicity, class)."""
+    for lam in solve2d._SHEARS:
+        try:
+            points = solve2d._common_zeros_sheared(F, G, lam)
+        except solve2d.ShearFailure:
+            continue
+        return [(p.xy, p.multiplicity, p.class_size) for p in points]
+
+
+@pytest.mark.parametrize("name", ["fermat_3", "fermat_5", "dihedral_4", "dihedral_6",
+                                  "tetrahedral_12"])
+def test_coprime_forms_meet_only_at_the_origin(name):
+    from folgal import corpus
+
+    F = corpus.foliation(name)
+    assert F.A.is_homogeneous() and F.B.is_homogeneous()
+    (point,) = common_zeros(F.A, F.B)
+    assert point.point_field is F.field and point.class_size == 1
+    assert point.xy == (0, 0)
+    assert point.multiplicity == F.A.total_degree() * F.B.total_degree()
+    assert _eliminant_zeros(F.A, F.B) == [(point.xy, point.multiplicity, 1)]
+
+
+def test_a_nonzero_constant_form_has_no_zero():
+    assert common_zeros(poly("3"), poly("x^2 + y^2")) == []
+    assert common_zeros(poly("x*y"), poly("-1")) == []

@@ -16,6 +16,7 @@ VARS = ("x", "y")
 # (modulus coefficients c0..c_{n-1} of the monic modulus, embedding)
 FIELDS = {
     "sqrt2": ((-2, 0), 2**0.5),
+    "sqrt5": ((-5, 0), 5**0.5),
     "i": ((1, 0), 1j),
     "zeta5": ((1, 1, 1, 1), complex(0.309017, 0.951057)),
 }
@@ -169,16 +170,22 @@ def test_norm_of_quadratic_is_a2_minus_c_b2():
 
 
 def test_dropped_factor_fails_the_product_check(monkeypatch):
-    original = sympy_bridge._factor_by_shift
-
-    def drop_last(p):
-        return original(p)[:-1]
-
-    monkeypatch.setattr(sympy_bridge, "_factor_by_shift", drop_last)
+    # (x + a)(y^2 + a x + 1) over Q(sqrt 2): the line comes from the root
+    # finder and the quadratic from the shift search; a factor dropped on
+    # either path must fail the product check
     field = _field("sqrt2")
-    p = _poly(field, {(1, 0): [1], (0, 0): [0, 1]}) * _poly(field, {(0, 1): [1], (0, 0): [1, 1]})
-    with pytest.raises(ArithmeticError):
-        factor_irreducible(p)
+    line = _poly(field, {(1, 0): [1], (0, 0): [0, 1]})
+    quadratic = _poly(field, {(0, 2): [1], (1, 0): [0, 1], (0, 0): [1]})
+    p = line * quadratic
+    assert sympy_bridge._linear_factors(p) == ([line], quadratic)
+    drops = {"_linear_factors": lambda out: (out[0][:-1], out[1]),
+             "_factor_by_shift": lambda out: out[:-1]}
+    for name, drop in drops.items():
+        original = getattr(sympy_bridge, name)
+        with monkeypatch.context() as patch:
+            patch.setattr(sympy_bridge, name, lambda q, f=original, drop=drop: drop(f(q)))
+            with pytest.raises(ArithmeticError):
+                factor_irreducible(p)
 
 
 # Q(sqrt 2)(i): s^2 = 2, then i^2 = -1 over Q(s)
@@ -203,3 +210,173 @@ def test_tower_factors_match_sympy(text):
     _, theirs = sp.factor_list(expr, x, y, extension=[sp.sqrt(2), sp.I])
     assert sorted((f.total_degree(), m) for f, m in ours) == sorted(
         (sp.Poly(f, x, y).total_degree(), m) for f, m in theirs)
+
+
+# -- linear factors from roots mod one prime ------------------------------------------
+
+# the first prime above 2^31 is 2147483659, and 5 is a square mod it, so it is
+# the first prime that Q(sqrt 5)'s root finder tries
+FIRST_PRIME = 2147483659
+
+
+def _element(rng, field, size=3):
+    return field.element([rng.randint(-size, size) for _ in range(field.degree)])
+
+
+def _line(field, cx, cy, c0):
+    """``cx x + cy y + c0`` with coefficients in the field."""
+    return MultiPoly(field, VARS, {(1, 0): cx, (0, 1): cy, (0, 0): c0})
+
+
+def _random_lines(rng, field, shape, count):
+    one, zero = field.one(), field.zero()
+    slope = _element(rng, field)
+    lines = set()
+    while len(lines) < count:
+        c = _element(rng, field)
+        line = {
+            "roots": lambda: _line(field, one, zero, c),
+            "vertical": lambda: _line(field, one, zero, c),
+            "horizontal": lambda: _line(field, zero, one, c),
+            "parallel": lambda: _line(field, -slope, one, c),
+            "general": lambda: _line(field, _element(rng, field), one, c),
+        }[shape]()
+        lines.add(line.monic())
+    return sorted(lines, key=str)
+
+
+def _curves(rng, field, univariate):
+    """Irreducible factors of degree 2 and 3 with no line among them: over
+    Q(sqrt 5) and Q(zeta5), 2, 3 and 7 are not squares and 2 not a cube."""
+    x, y = (MultiPoly.variable(field, VARS, v) for v in VARS)
+    t = MultiPoly.constant(field, VARS, _element(rng, field))
+    if univariate:
+        return [(x - t) ** 2 - 3, (x + t) ** 3 - 2, x**2 - 7]
+    return [y**2 - x.scale(3) - t, x**2 + y**2 - 3, y**2 - x**3 - t - 2]
+
+
+def _linear_part(rng, field, shape, lines, curves):
+    """A squarefree product of ``lines`` lines of the shape and ``curves``
+    of the curves above."""
+    factors = _random_lines(rng, field, shape, lines)
+    factors += _curves(rng, field, shape == "roots")[:curves]
+    part = MultiPoly.constant(field, VARS, 1)
+    for f in factors:
+        part = part * f
+    return part
+
+
+def _assert_lines_match_the_norms(part):
+    lines, cofactor = sympy_bridge._linear_factors(part)
+    oracle = sympy_bridge._factor_by_shift(part)
+    assert len(set(lines)) == len(lines)
+    assert set(lines) == {f for f in oracle if f.total_degree() == 1}
+    rest = part.one_like()
+    for f in oracle:
+        if f.total_degree() > 1:
+            rest = rest * f
+    assert cofactor.monic() == rest
+    return lines
+
+
+@pytest.mark.parametrize("name", ["sqrt5", "zeta5"])
+@pytest.mark.parametrize("shape", ["roots", "vertical", "horizontal", "parallel", "general"])
+@pytest.mark.parametrize("lines,curves", [(0, 2), (2, 1), (3, 0)], ids=["none", "some", "only"])
+def test_linear_factors_match_the_norms(name, shape, lines, curves):
+    field = _field(name)
+    rng = random.Random(f"{name}-{shape}-{lines}")
+    if name == "zeta5":
+        curves = min(curves, 1)
+    part = _linear_part(rng, field, shape, lines, curves)
+    assert len(_assert_lines_match_the_norms(part)) == lines
+
+
+@pytest.mark.parametrize("name", ["sqrt5", "zeta5"])
+def test_roots_too_large_for_one_prime_go_to_the_norms(name):
+    # a root of height 10^15 has no short vector in a lattice of determinant
+    # about 2^31; it stays in the cofactor, and the norms factor it exactly
+    field = _field(name)
+    x = MultiPoly.variable(field, VARS, "x")
+    big = field.element([10**15 + 7] + [10**15 - 3] * (field.degree - 1))
+    small = field.element([1, -1] + [0] * (field.degree - 2))
+    part = (x - big) * (x - small) * (x**2 - 3)
+    lines, cofactor = sympy_bridge._linear_factors(part)
+    assert lines == [x - small]
+    assert cofactor == (x - big) * (x**2 - 3)
+    ours = Counter(dict(factor_irreducible(part)))
+    assert ours == Counter({x - big: 1, x - small: 1, x**2 - 3: 1})
+
+
+@pytest.mark.parametrize("coords", [(3, -2), (0, 1), (-7, 0), (Fraction(1, 2), Fraction(1, 2))])
+def test_rebuild_finds_a_small_root_from_its_image(coords):
+    field = _field("sqrt5")
+    p, s = next(sympy_bridge._primes(field, [field.one()]))
+    assert s * s % p == 5
+    xi = field.element(coords)
+    assert sympy_bridge._rebuild(sympy_bridge._image(xi, s, p), s, p, field) == xi
+
+
+def _primes_rebuilt_with(monkeypatch):
+    used = []
+    original = sympy_bridge._rebuild
+
+    def rebuild(r, s, p, field):
+        used.append(p)
+        return original(r, s, p, field)
+
+    monkeypatch.setattr(sympy_bridge, "_rebuild", rebuild)
+    return used
+
+
+def test_a_prime_in_a_denominator_is_skipped(monkeypatch):
+    field = _field("sqrt5")
+    assert next(sympy_bridge._primes(field, [field.one()]))[0] == FIRST_PRIME
+    used = _primes_rebuilt_with(monkeypatch)
+    x = MultiPoly.variable(field, VARS, "x")
+    a = MultiPoly.constant(field, VARS, field.gen())
+    part = (x - Fraction(1, FIRST_PRIME)) * (x - a) * (x**2 - 3)
+    lines, _ = sympy_bridge._linear_factors(part)
+    assert x - a in lines
+    assert used and FIRST_PRIME not in used
+    _assert_matches_oracle(part)
+
+
+@pytest.mark.parametrize("univariate", [True, False])
+def test_a_prime_that_kills_the_leading_coefficient_is_skipped(monkeypatch, univariate):
+    field = _field("sqrt5")
+    used = _primes_rebuilt_with(monkeypatch)
+    x, y = (MultiPoly.variable(field, VARS, v) for v in VARS)
+    a = MultiPoly.constant(field, VARS, field.gen())
+    if univariate:
+        line, part = x - a, (x.scale(FIRST_PRIME) - 1) * (x - a)
+    else:
+        # the top coefficient of the leading coefficient in y is FIRST_PRIME
+        line, part = y - a, ((x * y).scale(FIRST_PRIME) + 1) * (y - a)
+    assert line in sympy_bridge._linear_factors(part)[0]
+    assert used and FIRST_PRIME not in used
+
+
+def test_a_tower_gives_no_lines():
+    root2 = extend(QQ, "s", [Fraction(-2), Fraction(0)])
+    tower = extend(root2, "i", [root2.coerce(1), root2.coerce(0)])
+    x = MultiPoly.variable(tower, VARS, "x")
+    part = x**2 + 1
+    assert sympy_bridge._linear_factors(part) == ([], part)
+    assert len(factor_irreducible(part)) == 2
+
+
+def test_modular_quintic_makes_no_norm(monkeypatch):
+    # every factor that analyze and the report's components ask for over
+    # Q(sqrt 5) is linear or lies over Q, so the root finder takes them all
+    from folgal import corpus
+    from folgal.analyze import analyze
+    from folgal.report import analysis_report
+
+    norms = []
+    original = sympy_bridge._norm
+    monkeypatch.setattr(sympy_bridge, "_norm", lambda p: norms.append(p) or original(p))
+    report = analysis_report(analyze(corpus.foliation("modular_quintic"), numeric=False), {})
+    components = report["inflection"]["components"]
+    assert len(components) == 15  # 14 lines of the affine chart and z = 0
+    assert {c["kind"] for c in components} == {"invariant_line"}
+    assert norms == []
