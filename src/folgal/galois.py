@@ -405,7 +405,15 @@ def _attach_normal_form(F: PlaneFoliation, sym: InfinitesimalSymmetry, M):
 def transform_foliation(F: PlaneFoliation, T_cols) -> PlaneFoliation:
     """Pull the foliation back by the projective change with column vectors
     ``T_cols`` over ``F.field`` (the new chart's frame); returns the new
-    foliation."""
+    foliation.
+
+    The pulled-back triple ``T^t (omega o T)`` stays saturated, so no gcd
+    is taken.  Since ``T^t`` is invertible, a common factor of the new
+    triple divides each component of ``omega o T``; composed with
+    ``T^-1``, a ring automorphism, it becomes a common factor of
+    ``omega``'s components, which have gcd 1.
+    :func:`~folgal.foliation.from_vector_field` saturates its result all
+    the same."""
     work = F.field
     a, b, c = F.triple
     X3 = [MultiPoly.variable(work, PROJ, v) for v in PROJ]
@@ -413,10 +421,7 @@ def transform_foliation(F: PlaneFoliation, T_cols) -> PlaneFoliation:
     sub = dict(zip(PROJ, images))
     comps = [p.substitute(sub, target=PROJ) for p in (a, b, c)]
     # omega' = T^t (omega o T)
-    new_a, new_b, new_c = mat_vec(T_cols, comps)
-    g = mpoly_gcd(mpoly_gcd(new_a, new_b), new_c)
-    if not g.is_constant():
-        new_a, new_b, new_c = (p.exact_div(g) for p in (new_a, new_b, new_c))
+    new_a, new_b = mat_vec(T_cols[:2], comps)
     # affine field from the new triple
     Anew = -_at_z1(new_b)
     Bnew = _at_z1(new_a)

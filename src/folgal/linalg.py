@@ -3,19 +3,74 @@ layer.
 
 Matrices are lists of row lists whose entries are scalars of one field
 (Fraction over Q, FieldElement over a layer).  Scalars are made by the
-field's own ``zero()`` and ``one()`` and inverted by
-:func:`folgal.numberfield.invert`, so no function here asks which field it
-has.  The products :func:`mat_vec` and :func:`mat_mul` use only ``+`` and
-``*``, so a vector may also hold polynomials.
+field's own ``zero()`` and ``one()``, and a pivot is inverted as
+``field.one() / pivot``.  The one question asked of the field is whether it
+is Q: there :func:`rref` eliminates over the integers, by
+:func:`integer_echelon`, which :mod:`folgal.numberfield` also solves with.
+This module imports no other part of folgal.  The products :func:`mat_vec`
+and :func:`mat_mul` use only ``+`` and ``*``, so a vector may also hold
+polynomials.
 """
 
 from __future__ import annotations
 
-from .numberfield import invert
+from fractions import Fraction
+from math import gcd, lcm
+
+
+def integer_echelon(rows: list[list[int]]):
+    """``(rows, pivots)``: the reduced row echelon form of the integer
+    matrix ``rows`` up to one nonzero factor per row.
+
+    Gauss-Jordan elimination without division: a row ``b`` loses its entry
+    in the pivot column of the pivot row ``a`` as ``(a_c/g) b - (b_c/g) a``
+    with ``g = gcd(a_c, b_c)``, and is then divided by its content, so every
+    row stays primitive and its entries stay small.  Row ``i`` divided by
+    its entry in column ``pivots[i]`` is row ``i`` of the reduced echelon
+    form over Q; the zero rows come last.
+    """
+    rows = [_primitive(list(r)) for r in rows]
+    if not rows:
+        return rows, []
+    pivots = []
+    r = 0
+    for c in range(len(rows[0])):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        top = rows[r]
+        a = top[c]
+        for i, row in enumerate(rows):
+            b = row[c]
+            if b and i != r:
+                g = gcd(a, b)
+                s, t = a // g, b // g
+                rows[i] = _primitive([s * x - t * y for x, y in zip(row, top)])
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """``row`` divided by the gcd of its entries (a zero row as it is)."""
+    g = gcd(*row)
+    return row if g in (0, 1) else [x // g for x in row]
 
 
 def rref(matrix: list[list], field):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
+    """Reduced row echelon form; returns (rows, pivot_columns).
+
+    Over Q, the one field with no layers, the matrix goes through
+    :func:`integer_echelon`: each row is cleared to integers, and each
+    pivot row is divided by its pivot once at the end.  Over a layer it is
+    eliminated in the field.  The reduced echelon form is unique, so the
+    two routes cannot differ.
+    """
+    if not field.chain():
+        return _rref_rational(matrix)
     rows = [list(r) for r in matrix]
     if not rows:
         return rows, []
@@ -31,7 +86,7 @@ def rref(matrix: list[list], field):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = invert(field, rows[r][c])
+        inv = field.one() / rows[r][c]
         rows[r] = [v * inv for v in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
@@ -42,6 +97,19 @@ def rref(matrix: list[list], field):
         if r == len(rows):
             break
     return rows, pivots
+
+
+def _rref_rational(matrix: list[list]):
+    """:func:`rref` over Q of a matrix of ints and Fractions, by
+    :func:`integer_echelon`."""
+    cleared = []
+    for row in matrix:
+        den = lcm(*(v.denominator for v in row))
+        cleared.append([v.numerator * (den // v.denominator) for v in row])
+    rows, pivots = integer_echelon(cleared)
+    out = [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)]
+    out += [[Fraction(0)] * len(row) for row in rows[len(pivots):]]
+    return out, pivots
 
 
 def rank(matrix: list[list], field) -> int:

@@ -23,13 +23,19 @@ zero-padding ``num``.  Every operation puts its result in lowest terms; each
 value then has exactly one ``(num, den)``, which is what lets ``==`` and
 ``hash`` compare the pair directly.
 
-``+`` and ``-`` run on the ints.  A product is one convolution and one pass
+``+`` and ``-`` run on the ints.  A product with a rational operand scales
+the other's coordinates; any other product is one convolution and one pass
 over a table.  Two basis monomials multiply to a monomial whose exponent in
 each layer's generator is below ``2 deg - 1`` of that layer; the exponent
 vectors below those bounds are the cells of a mixed-radix grid, and each
 layer keeps, per cell, the coordinates of its monomial reduced by the moduli,
-over one denominator shared by the whole table.  ``FieldElement.rep`` is the
-view over the base layer: coordinates in the base, as Fractions over Q.
+over one denominator shared by the whole table.  An inverse solves the
+element's integer multiplication matrix in the same basis by fraction-free
+elimination (:func:`folgal.linalg.integer_echelon`), with no Euclid and no
+Fraction.  ``FieldElement.rep`` is the view over the base layer: coordinates
+in the base, as Fractions over Q.  It serves printing, the split of a
+polynomial into coordinates over the base, and the Euclidean gcd that names
+the factors of a reducible modulus.
 
 The sparse polynomial kernels that :class:`folgal.multipoly.MultiPoly` runs
 on live here too, one for every field: :func:`product_terms` and
@@ -42,6 +48,8 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Sequence
+
+from .linalg import integer_echelon
 
 
 # Raised only if a modulus that is not irreducible was adjoined, which is an
@@ -310,6 +318,12 @@ class FieldElement:
             return NotImplemented
         a, b = pair
         field = a.field
+        if not any(b.num[1:]):
+            a, b = b, a
+        if not any(a.num[1:]):
+            # a rational operand scales the other's coordinates
+            x = a.num[0]
+            return _lowest_terms(field, [x * y for y in b.num], a.den * b.den)
         pos = field._pos
         conv = [0] * len(field._monomials)
         for p, x in zip(pos, a.num):
@@ -625,18 +639,42 @@ def invert(fld, value):
 
 
 def _invert(elem: FieldElement) -> FieldElement:
-    """Inverse in base[g] mod min_poly, by :func:`poly_invmod`."""
+    """Inverse in the layer, by an integer solve in the tower's power basis.
+
+    A rational element ``a / d`` has inverse ``d / a``.  Otherwise, with
+    ``elem = num / den``, column ``j`` of the integer matrix ``M`` is the
+    product of ``num`` and basis monomial ``j`` over the table's denominator
+    ``_tden`` (see :class:`NumberField`), so ``elem * x = M x / (den
+    _tden)`` for coordinates ``x``.  The inverse solves ``M x = den _tden
+    e_0``, by :func:`folgal.linalg.integer_echelon` on ``(M | e_0)``.  ``M``
+    is singular only when ``elem`` is a zero divisor, so the modulus of some
+    layer is not irreducible; the Euclidean gcd with the modulus then names
+    the factors in :class:`FieldSplit`.
+    """
     field = elem.field
-    base = field.base
     if not elem:
         raise ZeroDivisionError(f"division by zero in {field.name}")
-    m = list(field.min_poly) + [base.one()]
-    rep = poly_invmod(elem.rep, m, base)
-    if rep is None:
-        # elem shares a proper factor with the modulus, so it was not irreducible
+    num, n = elem.num, field.size
+    if not any(num[1:]):
+        a = num[0]
+        return FieldElement(field, (elem.den if a > 0 else -elem.den,) + (0,) * (n - 1), abs(a))
+    pos = field._pos
+    cells = len(field._monomials)
+    cols = []
+    for q in pos:
+        conv = [0] * cells
+        for p, x in zip(pos, num):
+            conv[p + q] = x
+        cols.append(_reduce(field, conv, 1)[0])
+    rows, pivots = integer_echelon([[col[k] for col in cols] + [int(not k)] for k in range(n)])
+    if pivots != list(range(n)):
+        base = field.base
+        m = list(field.min_poly) + [base.one()]
         f1 = poly_gcd(elem.rep, m, base)
         raise FieldSplit(field, f1, poly_divmod(m, f1, base)[0])
-    return field.element(rep + [base.zero()] * (field.degree - len(rep)))
+    common = lcm(*(row[j] for j, row in enumerate(rows)))
+    scale = elem.den * field._tden * common
+    return _lowest_terms(field, [row[n] * scale // row[j] for j, row in enumerate(rows)], common)
 
 
 def poly_gcd(f, g, fld):

@@ -1,6 +1,11 @@
 """Exact gcd, resultant, discriminant and squarefree structure for MultiPoly.
 
-Strategy: over Q, every gcd, resultant and squarefree decomposition goes to
+Strategy: most gcds are 1, above all Yun's ``gcd(f, f')``, so every gcd over
+Q or a tower first maps both inputs to ``F_p`` for one prime ``p``
+(:func:`~folgal.sympy_bridge.residue_map`) and answers 1 when univariate
+images prove it (:func:`_coprime_image`, proof in its docstring); any other
+image falls through to the kernels below, unchanged.  Over Q, every gcd,
+resultant and squarefree decomposition goes to
 sympy's dense integer kernels on integer-cleared inputs: the heuristic gcd of
 Char-Geddes-Gonnet, certified by exact cofactor products; the resultant over
 ZZ (``dmp_resultant``), with Sylvester's sign; and Yun's squarefree
@@ -32,7 +37,16 @@ from sympy.polys.sqfreetools import dmp_sqf_list
 
 from .multipoly import MultiPoly
 from .numberfield import RationalField, poly_gcd
-from .sympy_bridge import at_generators, base_field_part, from_dense, lift, to_dense
+from .sympy_bridge import (
+    _gf_gcd,
+    at_generators,
+    base_field_part,
+    from_dense,
+    lift,
+    residue,
+    residue_map,
+    to_dense,
+)
 
 
 class DegenerateResultant(Exception):
@@ -91,10 +105,12 @@ def _univariate_constant_coeffs(p: MultiPoly, var: str):
 def mpoly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """Greatest common divisor, graded-lex leading coefficient normalized to 1.
 
-    Over Q the gcd comes from sympy's dense heuristic gcd, certified by exact
-    cofactor products.  Over a number-field tower it comes from content
-    extraction and subresultant pseudo-remainder sequences, with a Euclidean
-    gcd in one variable and on binary forms.
+    A gcd of 1 that images mod one prime prove (:func:`_coprime_image`) is
+    returned at once.  Otherwise, over Q the gcd comes from sympy's dense
+    heuristic gcd, certified by exact cofactor products.  Over a
+    number-field tower it comes from content extraction and subresultant
+    pseudo-remainder sequences, with a Euclidean gcd in one variable and on
+    binary forms.
     """
     if p.is_zero() and q.is_zero():
         return p.zero_like()
@@ -102,11 +118,79 @@ def mpoly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         return q.monic()
     if q.is_zero():
         return p.monic()
-    if p.is_constant() or q.is_constant():
+    if p.is_constant() or q.is_constant() or _coprime_image(p, q):
         return p.one_like()
     if isinstance(p.field, RationalField):
         return _gcd_rational(p, q)
     return _gcd_content_prs(p, q)
+
+
+def _coprime_image(p: MultiPoly, q: MultiPoly) -> bool:
+    """Whether univariate images mod one prime ``ell`` prove
+    ``gcd(p, q) = 1``.
+
+    The map is :func:`~folgal.sympy_bridge.residue_map`: generator ``g_k``
+    of each layer goes to a simple root ``s_k`` of its modulus mod ``ell``.
+    For each variable ``v`` that occurs in both inputs, every other variable
+    goes to a fixed integer, ``j + 2`` for the one at index ``j`` of the
+    ring, and the images ``P(v)``, ``Q(v)`` in ``F_ell[v]`` must keep
+    the degrees of ``p`` and ``q`` in ``v`` and have gcd 1.  Anything else,
+    a denominator that ``ell`` divides included, answers False, and the
+    caller computes the gcd as before.
+
+    Proof (Gauss's lemma at a prime of degree 1).  Let ``A`` be the ring of
+    the elements whose power-basis coordinates have denominators prime to
+    ``ell``, and ``m`` the kernel of the map ``A -> F_ell``.  The moduli are
+    monic over ``A``, so ``A / ell A`` is ``F_ell[g_1, ...]`` modulo their
+    images, and each ``s_k`` is a simple root, so ``A_m / ell A_m`` is
+    ``F_ell``: the maximal ideal of the local domain ``A_m``, finite over
+    ``Z_(ell)``, is generated by ``ell``, and ``A_m`` is a discrete
+    valuation ring with fraction field ``K``.  Suppose ``h = gcd(p, q)`` is
+    not constant; a variable ``v`` of ``h`` occurs in both inputs.  Scaled
+    by a power of ``ell``, ``h`` has coefficients in ``A_m``, not all in
+    ``m``, and by Gauss's lemma ``p = h f`` and ``q = h g`` with ``f``,
+    ``g`` over ``A_m`` too.  Take images: ``P = H F`` and ``Q = H G``.
+    ``lc_v(p) = lc_v(h) lc_v(f)``, so an image that keeps the degree of
+    ``p`` in ``v`` keeps that of ``h``, and ``H``, of degree at least 1,
+    divides ``gcd(P, Q)``.  So gcds 1 in every shared variable prove that
+    ``h`` is constant.  With no shared variable, no ``v`` exists and the
+    gcd is 1 outright.
+    """
+    shared = [i for i, v in enumerate(p.vars) if p.degree_in(v) > 0 and q.degree_in(v) > 0]
+    if not shared:
+        return True
+    found = residue_map(p.field)
+    if found is None:
+        return False
+    prime, images = found
+    residues = []
+    for f in (p, q):
+        terms = []
+        for e, c in f.terms.items():
+            r = residue(c, prime, images)
+            if r is None:
+                return False
+            terms.append((e, r))
+        residues.append(terms)
+    top = max(max(e) for f in (p, q) for e in f.terms)
+    powers = [[pow(j + 2, k, prime) for k in range(top + 1)] for j in range(len(p.vars))]
+    for i in shared:
+        pair = []
+        for terms in residues:
+            d = max(e[i] for e, _ in terms)
+            image = [0] * (d + 1)
+            for e, r in terms:
+                for j, k in enumerate(e):
+                    if k and j != i:
+                        r = r * powers[j][k] % prime
+                image[d - e[i]] += r
+            image = [c % prime for c in image]
+            if not image[0]:
+                return False
+            pair.append(image)
+        if len(_gf_gcd(*pair, prime)) > 1:
+            return False
+    return True
 
 
 def _gcd_content_prs(p: MultiPoly, q: MultiPoly) -> MultiPoly:

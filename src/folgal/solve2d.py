@@ -199,13 +199,22 @@ def intersection_number(F: MultiPoly, G: MultiPoly) -> int:
     """``I_0(F, G)``, the intersection number at the origin of two bivariate
     polynomials with no common component through it: ``m n`` when the
     tangent cones are coprime, else Fulton's algorithm on jets of doubling
-    order (see the module docstring)."""
+    order (see the module docstring).  Two linear cones ``a x + b y`` and
+    ``c x + d y`` are coprime exactly when ``a d - b c`` is nonzero, which
+    needs no gcd."""
     m, n = F.lowest_degree(), G.lowest_degree()
     if m < 0 or n < 0:
         raise ValueError("zero polynomial")
     if not (m and n):
         return 0
-    if mpoly_gcd(F.homogeneous_part(m), G.homogeneous_part(n)).is_constant():
+    cone_f, cone_g = F.homogeneous_part(m), G.homogeneous_part(n)
+    if m == n == 1:
+        (a, b), (c, d) = ([cone.terms.get(e, 0) for e in ((1, 0), (0, 1))]
+                          for cone in (cone_f, cone_g))
+        coprime = bool(a * d - b * c)
+    else:
+        coprime = mpoly_gcd(cone_f, cone_g).is_constant()
+    if coprime:
         return m * n
     # shared tangent lines make I_0 > m n, so a first run at N = m n is
     # bound to stop undecided

@@ -69,7 +69,7 @@ from sympy.polys.sqfreetools import dmp_sqf_p
 
 from .linalg import lll
 from .multipoly import MultiPoly
-from .numberfield import NotDivisible, RationalField, coordinates
+from .numberfield import NotDivisible, RationalField, _parts, coordinates
 
 
 # Never raised: every field factors.  The name stays for outside tools that
@@ -302,11 +302,9 @@ def _primes(field, coeffs):
         p = nextprime(p)
         if den % p == 0:
             continue
-        m = [c.numerator * pow(c.denominator, -1, p) % p for c in modulus]
-        slope = _gf_diff(m, p)
-        simple = [s for s in _roots_mod(m, p) if _gf_eval(slope, s, p)]
-        if simple:
-            yield p, simple[0]
+        s = _simple_root([c.numerator * pow(c.denominator, -1, p) % p for c in modulus], p)
+        if s is not None:
+            yield p, s
 
 
 def _image(c, s: int, p: int) -> int:
@@ -316,6 +314,61 @@ def _image(c, s: int, p: int) -> int:
     for a in reversed(c.num):
         acc = (acc * s + a) % p
     return acc * pow(c.den, -1, p) % p
+
+
+def _simple_root(m: list, p: int):
+    """The least simple root in ``F_p`` of ``m`` (highest coefficient
+    first), or None."""
+    slope = _gf_diff(m, p)
+    return next((s for s in _roots_mod(m, p) if _gf_eval(slope, s, p)), None)
+
+
+def residue_map(field):
+    """``(p, images)``: a ring map from ``field`` to ``F_p``, or None.
+
+    ``p`` is the first of the ``_PRIME_TRIES`` primes above ``_PRIME_FLOOR``,
+    in increasing order, that divides no denominator of any layer's modulus
+    and at which, layer by layer from the bottom, the modulus with the lower
+    generators already sent to their roots has a simple root mod ``p``; each
+    generator goes to the least such root.  ``images[i]`` is the image of
+    basis monomial ``i``, so an element ``num / den`` with ``p`` not dividing
+    ``den`` maps to ``sum num[i] images[i] / den`` (:func:`residue`), and
+    sums and products of such elements map to sums and products.  Q maps by
+    the first prime alone.  The answer is kept on the field, so each field
+    looks for its prime once.
+    """
+    found = getattr(field, "_residue_map", False)
+    if found is False:
+        found = field._residue_map = _find_residue_map(field)
+    return found
+
+
+def _find_residue_map(field):
+    """The search behind :func:`residue_map`."""
+    p = _PRIME_FLOOR
+    for _ in range(_PRIME_TRIES):
+        p = nextprime(p)
+        images = (1,)
+        for layer in field.chain():
+            m = [1] + [residue(c, p, images) for c in reversed(layer.min_poly)]
+            s = None if None in m else _simple_root(m, p)
+            if s is None:
+                break
+            images = tuple(pow(s, t, p) * i % p for t in range(layer.degree) for i in images)
+        else:
+            return p, images
+    return None
+
+
+def residue(c, p: int, images) -> int | None:
+    """The image mod ``p`` of the scalar ``c`` (a Fraction or a layer's
+    element) under :func:`residue_map`'s ``images``, or None when ``p``
+    divides its denominator."""
+    num, den = _parts(c)
+    if den % p == 0:
+        return None
+    acc = sum(a * b for a, b in zip(num, images))
+    return acc % p if den == 1 else acc * pow(den, -1, p) % p
 
 
 # Dense polynomials over F_p, highest coefficient first, entries in [0, p).

@@ -9,9 +9,17 @@ import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from folgal.linalg import kernel_basis, lll, mat_mul, mat_vec
+from folgal.linalg import kernel_basis, lll, mat_mul, mat_vec, rref
 from folgal.multipoly import MultiPoly
-from folgal.numberfield import QQ, FieldElement, FieldSplit, adjoin_root, coordinates, extend
+from folgal.numberfield import (
+    QQ,
+    FieldElement,
+    FieldSplit,
+    adjoin_root,
+    coordinates,
+    extend,
+    poly_invmod,
+)
 from folgal.parsing import parse_poly
 from folgal.sympy_bridge import factor_irreducible
 
@@ -431,3 +439,54 @@ def test_degree_one_layer_agrees_with_q():
     over_g = parse_poly("g*x^2 - y/g + g^3", two, ("x", "y"))
     over_q = parse_poly("2*x^2 - y/2 + 8", QQ, ("x", "y"))
     assert str(over_g) == str(over_q)
+
+
+# -- inverses by an integer solve, against the Euclidean inverse --------------------
+
+
+def _sqrt5():
+    return extend(QQ, "r", [-5, 0])
+
+
+INVERSE_FIELDS = dict(ORACLE_FIELDS, sqrt5=_sqrt5)
+SQRT5 = _sqrt5()
+_tall = st.integers(min_value=-10**40, max_value=10**40)
+
+
+@st.composite
+def _field_and_tall_element(draw):
+    """An element with coordinates of up to 40 digits over a denominator of
+    up to 20, or a rational one."""
+    field = INVERSE_FIELDS[draw(st.sampled_from(sorted(INVERSE_FIELDS)))]()
+    n = _total_degree(field)
+    rational = draw(st.booleans())
+    coords = [draw(_tall)] + [0 if rational else draw(_tall) for _ in range(n - 1)]
+    return field, field._make(coords, draw(st.integers(min_value=1, max_value=10**20)))
+
+
+@given(_field_and_tall_element())
+@example((SQRT5, SQRT5._make([10**30 + 7, 3**60], 11**15)))
+@settings(max_examples=40, deadline=None)
+def test_inverse_matches_the_euclidean_inverse(drawn):
+    field, a = drawn
+    if not a:
+        return
+    base = field.base
+    rep = poly_invmod(a.rep, list(field.min_poly) + [base.one()], base)
+    inv = a.inverse()
+    _assert_lowest_terms(inv)
+    assert inv == field.element(rep + [base.zero()] * (field.degree - len(rep)))
+    assert a * inv == field.one()
+
+
+@given(st.lists(st.lists(_rational, min_size=4, max_size=4), min_size=1, max_size=5))
+@settings(max_examples=40, deadline=None)
+def test_rref_over_q_matches_sympy(rows):
+    # the integer elimination gives the one reduced echelon form
+    got, pivots = rref(rows, QQ)
+    want, want_pivots = sp.Matrix([[sp.Rational(v.numerator, v.denominator) for v in row]
+                                   for row in rows]).rref()
+    assert list(pivots) == list(want_pivots)
+    assert [[sp.Rational(v.numerator, v.denominator) for v in row] for row in got] == \
+        want.tolist()
+    assert all(type(v) is Fraction for row in got for v in row)

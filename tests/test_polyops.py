@@ -4,12 +4,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from folgal import numberfield
 from folgal.multipoly import MultiPoly, variables
 from folgal.numberfield import QQ, extend
 from folgal.parsing import parse_min_poly, parse_poly
 from folgal.polyops import (
     DegenerateResultant,
+    _coprime_image,
     _gcd_content_prs,
+    _gcd_rational,
     _squarefree_yun,
     discriminant,
     is_square_over_closure,
@@ -18,6 +21,7 @@ from folgal.polyops import (
     resultant,
     squarefree_decompose,
 )
+from folgal.sympy_bridge import residue_map
 
 
 def sylvester_matrix(p, q, var):
@@ -450,3 +454,132 @@ def test_perfect_power_over_extension():
     base = parse_poly("z^4 + 2*g*z^2 + 1", K, ("z",))
     cube = base**3
     assert perfect_power_part(cube, 3) == base.monic()
+
+
+# -- coprimality certificate mod one prime ------------------------------------------
+#
+# mpoly_gcd answers 1 when univariate images mod one prime prove it
+# (_coprime_image); everything else falls through to the sympy gcd over Q
+# and the Euclidean and subresultant gcds over towers, which are the oracles.
+
+ZETA5 = extend(QQ, "z", [1, 1, 1, 1])  # z^4 + z^3 + z^2 + z + 1
+CERT_FIELDS = {"QQ": QQ, "sqrt5": SQRT5, "zeta5": ZETA5, "zeta3_i": ZETA3_I}
+
+
+def _oracle_gcd(p, q):
+    if p.field is QQ:
+        return _gcd_rational(p, q)
+    return _gcd_content_prs(p, q).monic()
+
+
+@st.composite
+def cert_poly(draw, field, names, max_terms=3, max_exp=2):
+    terms = {}
+    for _ in range(draw(st.integers(min_value=1, max_value=max_terms))):
+        exp = tuple(draw(st.integers(min_value=0, max_value=max_exp)) for _ in names)
+        terms[exp] = tower_scalar(draw, field)
+    return MultiPoly(field, names, terms)
+
+
+def _nonconstant(*polys):
+    return all(not p.is_zero() and not p.is_constant() for p in polys)
+
+
+@pytest.mark.parametrize("names", [("x", "y"), ("x", "y", "t")], ids=["2vars", "3vars"])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_gcd_over_q_matches_the_sympy_gcd(names, data):
+    a, b, h = (data.draw(cert_poly(QQ, names)) for _ in range(3))
+    p, q = a * h, b * h
+    if not _nonconstant(p, q):
+        return
+    assert mpoly_gcd(p, q) == _gcd_rational(p, q)
+    if _coprime_image(p, q):
+        assert _gcd_rational(p, q).is_constant()
+
+
+@pytest.mark.parametrize("field", list(CERT_FIELDS.values()), ids=list(CERT_FIELDS))
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_certificate_never_calls_a_shared_factor_coprime(field, data):
+    names = ("x", "y")
+    a, b, h = (data.draw(cert_poly(field, names)) for _ in range(3))
+    p, q = a * h, b * h
+    if _nonconstant(p, q, h):
+        assert not _coprime_image(p, q)
+
+
+@pytest.mark.parametrize("field", list(CERT_FIELDS.values()), ids=list(CERT_FIELDS))
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_gcd_over_towers_matches_the_euclidean_gcd(field, data):
+    # one variable (Euclid) and binary forms (Euclid on slices) keep the
+    # oracle cheap; the general subresultant route can blow up on towers
+    shape = data.draw(st.sampled_from(["univariate", "forms"]))
+    if shape == "univariate":
+        a, b, h = (data.draw(cert_poly(field, ("x",), max_exp=3)) for _ in range(3))
+    else:
+        forms = [data.draw(binary_form()).to_field(field) for _ in range(3)]
+        g = tower_scalar(data.draw, field)
+        a, b, h = forms[0].scale(g) if g else forms[0], forms[1], forms[2]
+    p, q = a * h, b * h
+    if not _nonconstant(p, q):
+        return
+    assert mpoly_gcd(p, q) == _oracle_gcd(p, q)
+
+
+def _generator(field):
+    return field.one() if field is QQ else field.gen()
+
+
+@pytest.mark.parametrize("field", list(CERT_FIELDS.values()), ids=list(CERT_FIELDS))
+def test_shared_factor_without_the_main_variable_falls_back(field):
+    # the images in x, with y at 3, are coprime; the image in y is not
+    x, y = variables(field, ("x", "y"))
+    g = _generator(field)
+    p, q = (y - 2) * (x + g), (y - 2) * (x - g - 1)
+    assert not _coprime_image(p, q)
+    assert mpoly_gcd(p, q) == _oracle_gcd(p, q) == y - 2
+
+
+@pytest.mark.parametrize("field", list(CERT_FIELDS.values()), ids=list(CERT_FIELDS))
+def test_leading_coefficient_vanishing_at_the_point_falls_back(field):
+    # x goes to 2 in the image in y, where lc_y(p) = x - 2 vanishes
+    x, y = variables(field, ("x", "y"))
+    g = _generator(field)
+    p, q = (x - 2) * y + g, y + x + g
+    assert not _coprime_image(p, q)
+    assert mpoly_gcd(p, q) == _oracle_gcd(p, q) == p.one_like()
+
+
+@pytest.mark.parametrize("field", list(CERT_FIELDS.values()), ids=list(CERT_FIELDS))
+def test_prime_in_a_denominator_falls_back(field):
+    prime, _ = residue_map(field)
+    x, y = variables(field, ("x", "y"))
+    p, q = x * y + Fraction(1, prime) * _generator(field), x + y
+    assert not _coprime_image(p, q)
+    assert _coprime_image(x * y + _generator(field), q)
+    assert mpoly_gcd(p, q) == _oracle_gcd(p, q) == p.one_like()
+
+
+@pytest.mark.parametrize("field", [SQRT5, ZETA5, ZETA3_I], ids=["sqrt5", "zeta5", "zeta3_i"])
+@pytest.mark.parametrize("text", [
+    "(x - {g})*(x^2 + {g}*x + 3)*(x^3 - 2 - {g})",
+    "(x^2 - 5*{g})*(x + {g}*y + 1)*(x*y - {g})",
+    "x^5 - x + {g}",
+])
+def test_squarefree_part_over_a_layer_makes_no_euclidean_division(monkeypatch, field, text):
+    # Yun's derivative gcds of a squarefree part are certified mod one prime;
+    # no factor lies over the base field, whose part would need a real gcd
+    p = parse_poly(text.format(g=field.name), field, ("x", "y"))
+    calls = []
+    real = numberfield.poly_divmod
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(numberfield, "poly_divmod", counted)
+    dec = squarefree_decompose(p)
+    assert [m for _, m in dec] == [1]
+    assert not calls
