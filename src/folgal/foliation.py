@@ -154,6 +154,7 @@ class PlaneFoliation:
         self.triple = triple  # (a, b, c) homogeneous of degree d+1
         self._singular_locus = None  # set by singular_locus(self)
         self._polar_pool = None  # set by local._polar_pool(self)
+        self._line_map = None  # set by galois._line_map_class(self)
 
     def __repr__(self):
         return f"PlaneFoliation(deg {self.degree}: A={self.A}, B={self.B})"

@@ -5,8 +5,10 @@ degrees 2 and 3), continuous-symmetry detection with reduction to a self-map
 of the line, and the local sufficient/necessary conditions on inflection
 orders and singularity invariants (complete in prime degree).  Certificates
 are symbolic and machine-checkable; deck transformations are verified
-against the Gauss map before being returned.  A homogeneous Galois
-foliation takes its branching type from its line map, and genus 0.  For
+against the Gauss map before being returned.  A homogeneous foliation
+reduces along the Euler field in closed form, to its line map up to a
+Möbius map, which is classified once; a Galois one takes its branching
+type from that classification, and genus 0.  For
 extremal Galois certificates the branching follows from the genus of a
 generic polar by Riemann-Hurwitz; that genus is read from delta invariants
 at the foliation's singular points, the base locus of the net of polars.
@@ -396,9 +398,12 @@ def _attach_normal_form(F: PlaneFoliation, sym: InfinitesimalSymmetry, M):
         else:
             _normalize_parabolic(F, sym, M, M2)
         return
-    eigen = _char_poly_roots(field, M)
-    if eigen is None:
-        raise NotImplementedError("irrational eigenvalue ratios")
+    if any(M[i][j] for i in range(3) for j in range(3) if i != j):
+        eigen = _char_poly_roots(field, M)
+        if eigen is None:
+            raise NotImplementedError("irrational eigenvalue ratios")
+    else:
+        eigen = [M[i][i] for i in range(3)]  # a diagonal M needs no char poly
     _normalize_weighted(F, sym, M, eigen)
 
 
@@ -413,7 +418,14 @@ def transform_foliation(F: PlaneFoliation, T_cols) -> PlaneFoliation:
     ``T^-1``, a ring automorphism, it becomes a common factor of
     ``omega``'s components, which have gcd 1.
     :func:`~folgal.foliation.from_vector_field` saturates its result all
-    the same."""
+    the same.
+
+    The identity change returns ``F`` itself: ``omega o T = omega`` and
+    ``T^t = I``, so the new triple is ``F.triple``, whose chart ``z = 1``
+    gives back ``(A, B)``, already saturated; the pull-back and the
+    saturation gcd would rebuild ``F``."""
+    if all(T_cols[i][j] == (1 if i == j else 0) for i in range(3) for j in range(3)):
+        return F
     work = F.field
     a, b, c = F.triple
     X3 = [MultiPoly.variable(work, PROJ, v) for v in PROJ]
@@ -856,12 +868,19 @@ def _cancel_common_lines(C: MultiPoly, D: MultiPoly, Q: MultiPoly):
 def _mobius_deck_group(F: PlaneFoliation, klein):
     """``(K, group)``: the normalized Möbius deck group of the line map of a
     homogeneous foliation, over the field K of the table generators, closed
-    from generators that pass :func:`_fixes_line_map` on the reduced map."""
+    from generators that pass :func:`_fixes_line_map` on the reduced map.
+
+    The line map is the one kept on ``F`` (:func:`_line_map_class`), its
+    coefficients moved into ``K``.  It stays reduced there with no new gcd:
+    ``num`` and ``den`` are coprime over ``F.field``, so ``u num + v den = 1``
+    for some polynomials ``u``, ``v`` over ``F.field``, and that identity
+    holds over ``K`` too; the denominator stays monic."""
     tag, order = klein.tag, klein.order
     degree = F.degree if tag in ("cyclic", "dihedral") else order
+    phi, _ = _line_map_class(F)  # the line map whose decks we lift
     working = None
     for K, gens in _mobius_generators(tag, degree, F.field):
-        gmap = line_map(F.A, F.B, K)  # the line map whose decks we lift
+        gmap = BinaryRationalMap(phi.num.to_field(K), phi.den.to_field(K))
         for conj in _conjugation_pool(K):
             cand = [_conj_mat(conj, g) for g in gens]
             if all(_fixes_line_map(gmap.num, gmap.den, g, gmap.degree) for g in cand):
@@ -958,6 +977,20 @@ def line_map(A: MultiPoly, B: MultiPoly, K) -> BinaryRationalMap:
     induce: the line through the origin of slope ``z`` goes to the
     direction ``[A : B]`` of the field along it."""
     return BinaryRationalMap.make(_restrict_homog(B, K), _restrict_homog(A, K))
+
+
+def _line_map_class(F: PlaneFoliation):
+    """``(phi, classify(phi))`` for the line map ``phi`` of a homogeneous
+    foliation over ``F.field``, built once and kept on ``F``.
+
+    Its readers are the symmetry route (:func:`symmetry_verdict`), the
+    branching (:func:`branching_and_genus`) and the Möbius decks
+    (:func:`_mobius_deck_group`); ``F.A`` and ``F.B`` are never changed
+    after ``F`` is built, so the pair stays the line map's."""
+    if F._line_map is None:
+        phi = line_map(F.A, F.B, F.field)
+        F._line_map = (phi, classify(phi))
+    return F._line_map
 
 
 def deck_transformations(F: PlaneFoliation, verdict: GaloisVerdict):
@@ -1182,6 +1215,13 @@ def branching_and_genus(F: PlaneFoliation, verdict: GaloisVerdict):
     - *Genus.*  The same parametrization by lines through the origin makes
       every polar rational, so the genus is 0.
 
+    ``classify(phi)`` is the one kept on ``F`` by :func:`_line_map_class`;
+    the symmetry route's certificate carries the same outcome, as
+    ``-1/phi = m o phi`` for the Möbius map ``m(w) = -1/w`` over
+    ``F.field`` has the class, branching type and genus of ``phi`` (proof
+    in :func:`symmetry_verdict`), so a homogeneous analysis classifies
+    once.
+
     When ``phi`` is not Galois while ``verdict`` is, the routes disagree,
     which is an ``AssertionError``.  Homogeneous ``A`` and ``B`` of
     different degrees do not qualify: the direction turns along each line
@@ -1197,7 +1237,7 @@ def branching_and_genus(F: PlaneFoliation, verdict: GaloisVerdict):
         return None
     d = F.degree
     if F.is_homogeneous():
-        outcome = classify(line_map(F.A, F.B, F.field))
+        _, outcome = _line_map_class(F)
         if not outcome.klein.is_galois():
             raise AssertionError(
                 f"decision routes disagree: {verdict.method}:galois, "
@@ -1223,7 +1263,43 @@ def branching_and_genus(F: PlaneFoliation, verdict: GaloisVerdict):
 def symmetry_verdict(F: PlaneFoliation) -> GaloisVerdict | None:
     """Verdict of the symmetry-reduction route: the Klein class of the line
     map of the first symmetry that has a normal form and reduces without
-    degenerating; None when no symmetry does."""
+    degenerating; None when no symmetry does.
+
+    A homogeneous foliation of degree ``d >= 2`` takes the Euler field in
+    closed form (:func:`_euler_verdict`); any other input runs
+    :func:`detect_symmetry` and :func:`reduce_to_p1`.
+
+    The Euler route reduces along ``R = (x d/dx + y d/dy)/(d - 1)``.
+    *Symmetry.*  ``A`` and ``B`` are homogeneous of degree ``d``, so by
+    Euler's relation ``R(A) = d A/(d - 1)`` while ``X(R_x) = A/(d - 1)``,
+    and likewise for ``B``: ``[R, X] = X``, which is checked exactly.  In
+    the coordinates of :func:`_sl3_basis_fields` ``R`` is
+    ``(0, 0, 0, 0, 1/(d-1), 1/(d-1), 0, 0)`` with ``epsilon = 1``.
+    *Normal form.*  Its matrix is ``diag(h/3, h/3, -2h/3)``, ``h = 1/(d-1)``,
+    so :func:`_normalize_weighted` takes the weights ``(1, 1)``, the
+    identity chart change (the eigenvectors are ``e1``, ``e2`` for ``h/3``
+    and ``e3`` for ``-2h/3``), ``transformed = F`` and
+    ``epsilon_normalized = epsilon / h = d - 1``.
+    *Reduction.*  :func:`_bezout_pair` gives ``(gamma, delta) = (-1, 0)``
+    for ``(1, 1)``, so :func:`reduce_to_p1` restricts to the section
+    ``x -> 1/z``, ``y -> 1`` and takes ``ghat = Az / (-Bz)`` (``C`` enters
+    to the power ``beta - alpha = 0``).  By homogeneity ``A(1/z, 1) =
+    z^-d A(1, z)``, and the same for ``B``, so ``ghat = A(1, z)/(-B(1, z))
+    = -1/phi`` for the line map ``phi = B(1, z)/A(1, z)``.  ``phi`` is in
+    lowest terms, so ``-1/phi = phi.den / (-phi.num)`` is too; dividing
+    both by ``-lc(phi.num)`` makes the denominator monic, as
+    :class:`~folgal.klein1d.BinaryRationalMap` keeps it, and no gcd is
+    taken.
+    *Class.*  ``-1/phi = m o phi`` for the Möbius map ``m(w) = -1/w`` over
+    ``F.field``.  The two maps have the same fibres, so the same critical
+    points and ramification profiles, and ``m`` moves each branch value to
+    one of the same degree over ``F.field``: the Klein class, the weighted
+    branching type and the genus coincide, and the certificate carries
+    ``classify(phi)``, kept on ``F`` by :func:`_line_map_class`, whose
+    branch records name the branch values of ``phi``; reports print only
+    the class and the branching type."""
+    if F.is_homogeneous() and F.degree >= 2:
+        return _euler_verdict(F)
     for sym in detect_symmetry(F):
         if sym.normal_form is None:
             continue
@@ -1240,6 +1316,38 @@ def symmetry_verdict(F: PlaneFoliation) -> GaloisVerdict | None:
             {"symmetry": sym, "reduction": fmap, "klein": outcome},
         )
     return None
+
+
+def _euler_verdict(F: PlaneFoliation) -> GaloisVerdict:
+    """The symmetry route of a homogeneous foliation of degree ``d >= 2``,
+    in closed form; :func:`symmetry_verdict` proves it."""
+    d = F.degree
+    field = F.field
+    h = Fraction(1, d - 1)
+    R = (MultiPoly.variable(field, AFFINE, "x").scale(h),
+         MultiPoly.variable(field, AFFINE, "y").scale(h))
+    if _lie_bracket(R, F) != (F.A, F.B):
+        raise AssertionError("the Euler field fails [R, X] = X")
+    zero, one = field.zero(), field.one()
+    sym = InfinitesimalSymmetry(
+        coeffs=[zero] * 4 + [field.coerce(h)] * 2 + [zero] * 2,
+        epsilon=one,
+        normal_form="weighted",
+        weights=(1, 1),
+        chart_change=[[one, zero, zero], [zero, one, zero], [zero, zero, one]],
+        transformed=F,
+        epsilon_normalized=field.coerce(d - 1),
+    )
+    phi, outcome = _line_map_class(F)
+    inv = invert(field, phi.num.leading_coefficient())
+    fmap = BinaryRationalMap(phi.den.scale(-inv), phi.num.scale(inv))
+    status = "galois" if outcome.klein.is_galois() else "not_galois"
+    return GaloisVerdict(
+        status,
+        "symmetry_reduction",
+        d,
+        {"symmetry": sym, "reduction": fmap, "klein": outcome},
+    )
 
 
 def low_degree_verdict(d: int) -> GaloisVerdict | None:

@@ -726,12 +726,24 @@ def extend(base, name: str, min_poly: Sequence) -> NumberField:
     """Adjoin a root of the monic polynomial ``min_poly`` (coeffs over ``base``).
 
     The caller proves ``min_poly`` irreducible over ``base``; this checks
-    only that it is squarefree, by a gcd with the derivative.
+    only that it is squarefree, by a gcd with the derivative.  Over Q that
+    gcd is sympy's ``dup_sqf_p`` over ZZ on the coefficients times their
+    common denominator, a nonzero scalar that changes no root; over a layer
+    it is :func:`poly_gcd` over the base.
     """
     coeffs = [base.coerce(c) for c in min_poly]
     full = list(coeffs) + [base.coerce(1)]
-    deriv = [c * k for k, c in enumerate(full)][1:]
-    if len(poly_gcd(full, deriv, base)) > 1:
+    if base is QQ:
+        # imported here, so that importing numberfield does not import sympy
+        from sympy.polys.domains import ZZ
+        from sympy.polys.sqfreetools import dup_sqf_p
+
+        den = lcm(*(c.denominator for c in full))
+        squarefree = dup_sqf_p([int(c * den) for c in reversed(full)], ZZ)
+    else:
+        deriv = [c * k for k, c in enumerate(full)][1:]
+        squarefree = len(poly_gcd(full, deriv, base)) <= 1
+    if not squarefree:
         raise ValueError("minimal polynomial must be squarefree")
     numeric = [base.to_complex(c) for c in coeffs] + [1.0 + 0j]
     roots = _poly_complex_roots(numeric)

@@ -1,6 +1,7 @@
 import importlib
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -735,8 +736,12 @@ def test_homogeneous_galois_branching_is_the_line_map_branching(name, entries, m
     def unused(*args, **kwargs):
         raise AssertionError("the line map gives the branching")
 
+    def general_path(*args, **kwargs):
+        raise AssertionError("the Euler field reduces in closed form")
+
     monkeypatch.setattr(gal, "generic_polar_genus", unused)
-    # one classify for the symmetry route's reduction, one for phi
+    monkeypatch.setattr(gal, "detect_symmetry", general_path)
+    # one classify of phi, read by the symmetry route and the branching
     classified = []
 
     def counted(fmap):
@@ -747,7 +752,7 @@ def test_homogeneous_galois_branching_is_the_line_map_branching(name, entries, m
     F = corpus.foliation(name)
     assert F.is_homogeneous()
     res = analyze(F, numeric=False)
-    assert len(classified) == 2
+    assert len(classified) == 1
     assert res.status == "galois"
     assert res.branching.degree == F.degree
     assert res.branching.entries == entries
@@ -767,6 +772,62 @@ def test_symmetry_reduction_of_a_homogeneous_foliation_is_minus_one_over_the_lin
     red = sym.certificate["reduction"]
     phi = gal.line_map(F.A, F.B, F.field)
     assert red.num * phi.num == -(red.den * phi.den)
+
+
+HOMOGENEOUS = ["fermat_3", "fermat_4", "fermat_5", "dihedral_4", "dihedral_6",
+               "tetrahedral_12", "octahedral_24", "icosahedral_60"]
+
+
+@pytest.mark.parametrize("name", HOMOGENEOUS)
+def test_euler_certificate_matches_the_general_symmetry_route(name):
+    # the closed form must be what detection, the first normal form, the
+    # reduction along it and its classification give
+    F = corpus.foliation(name)
+    cert = gal.symmetry_verdict(F).certificate
+    sym = next(s for s in gal.detect_symmetry(F) if s.normal_form is not None)
+    fmap = gal.reduce_to_p1(F, sym)
+    outcome = classify(fmap)
+    euler = cert["symmetry"]
+    assert euler.transformed is sym.transformed is F
+    for key in ("coeffs", "epsilon", "epsilon_normalized", "weights",
+                "normal_form", "chart_change"):
+        assert getattr(euler, key) == getattr(sym, key), key
+    red = cert["reduction"]
+    assert (red.num, red.den) == (fmap.num, fmap.den)
+    assert red.field is F.field
+    assert cert["klein"].klein == outcome.klein
+    assert cert["klein"].branching == outcome.branching
+    assert cert["klein"].genus == outcome.genus
+
+
+@pytest.mark.parametrize("name", ["cyclic_cubic_qh23", "parabola_cubic_qh12",
+                                  "halfchi_quartic", "convex_qh_34"])
+def test_diagonal_eigenvalues_are_the_char_poly_roots(name):
+    F = corpus.foliation(name)
+    diagonal = 0
+    for sym in gal.detect_symmetry(F):
+        M = gal._matrix_from_coords(sym.coeffs)
+        if any(M[i][j] for i in range(3) for j in range(3) if i != j):
+            continue
+        diagonal += 1
+        roots = gal._char_poly_roots(F.field, M)
+        assert Counter(roots) == Counter(M[i][i] for i in range(3))
+    assert diagonal
+
+
+def test_identity_chart_change_returns_the_foliation():
+    F = corpus.foliation("cyclic_cubic_qh23")
+    one, zero = F.field.one(), F.field.zero()
+    identity = [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
+    assert gal.transform_foliation(F, identity) is F
+    swapped = gal.transform_foliation(F, [identity[1], identity[0], identity[2]])
+    assert swapped is not F
+    swap = {"x": MultiPoly.variable(F.field, fol.AFFINE, "y"),
+            "y": MultiPoly.variable(F.field, fol.AFFINE, "x")}
+    # x <-> y exchanges the two components of the field; the swap's
+    # determinant -1 comes through the pulled-back 1-form as a sign
+    expected = fol.from_vector_field(-F.B.substitute(swap), -F.A.substitute(swap))
+    assert (swapped.A, swapped.B) == (expected.A, expected.B)
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from folgal import numberfield
 from folgal.linalg import kernel_basis, lll, mat_mul, mat_vec, rref
 from folgal.multipoly import MultiPoly
 from folgal.numberfield import (
@@ -78,6 +79,39 @@ def test_rational_value_detection(K_zeta):
 def test_non_squarefree_modulus_rejected():
     with pytest.raises(ValueError):
         extend(QQ, "u", [Fraction(1), Fraction(0), Fraction(-2), Fraction(0)])
+    with pytest.raises(ValueError):
+        extend(QQ, "a", [1, -2])  # (t - 1)^2
+
+
+def test_squarefree_modulus_over_q_needs_no_euclid(monkeypatch):
+    # over Q the squarefree check clears denominators and runs over ZZ
+    def unused(*args):
+        raise AssertionError("Euclid over Q")
+
+    monkeypatch.setattr(numberfield, "poly_gcd", unused)
+    K = extend(QQ, "h", [Fraction(-1, 2), Fraction(1, 3)])  # h^2 + h/3 - 1/2
+    h = K.gen()
+    assert h * h + h * Fraction(1, 3) == K.coerce(Fraction(1, 2))
+    with pytest.raises(ValueError):
+        extend(QQ, "a", [Fraction(1, 9), Fraction(2, 3)])  # (t + 1/3)^2
+
+
+def test_squarefree_modulus_over_a_layer_runs_the_gcd(monkeypatch):
+    sqrt2 = extend(QQ, "s", [Fraction(-2), Fraction(0)])
+    s = sqrt2.gen()
+    calls = []
+    real = numberfield.poly_gcd
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(numberfield, "poly_gcd", counted)
+    extend(sqrt2, "i", [sqrt2.one(), sqrt2.zero()])  # i^2 + 1
+    assert len(calls) == 1
+    with pytest.raises(ValueError):
+        extend(sqrt2, "t", [sqrt2.coerce(2), -2 * s])  # (t - s)^2
+    assert len(calls) == 2
 
 
 # -- one field interface for Q and every layer ------------------------------------
