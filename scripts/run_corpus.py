@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Analyze every corpus foliation and the criterion-7 deformation members, and
-print a one-line summary per entry.
+print a one-line summary per entry; then classify every corpus line map
+(``corpus.MAP_SPECS``) and print its class, branching entries, genus and
+branch records (locus, profile, weight), one line per map.
 
 The deformation members are the 15 that ``tests/test_acceptance.py`` draws
 for criterion 7: five of each degree 3, 4 and 5 from
@@ -10,8 +12,9 @@ Each line ends with the elapsed time and then the time of each analysis stage
 (``res.timings``), so a slow stage shows without the benchmark.
 
 With ``--json`` each line is instead the entry's ``analysis_report`` (what
-``folgal analyze --json`` prints) without its ``timings``, so the outputs of
-two checkouts compare with one ``diff``.
+``folgal analyze --json`` prints) without its ``timings``, and each line map's
+classification as JSON, so the outputs of two checkouts compare with one
+``diff``.
 
 Usage: python scripts/run_corpus.py [--numeric [--seed N]] [--json]
 
@@ -27,6 +30,7 @@ import time
 
 from folgal import corpus
 from folgal.analyze import analyze
+from folgal.klein1d import classify
 from folgal.report import analysis_report
 
 DEFORM_SEED = 20240813
@@ -47,6 +51,17 @@ def entries():
                 continue  # degenerate draw, skipped as criterion 7 skips it
             yield f"deform_d{d}_{k}", F, {"field": None, "A": str(F.A), "B": str(F.B)}
             k += 1
+
+
+def line_map_summary(outcome) -> dict:
+    """A line map's classification ``outcome`` as plain data."""
+    return {
+        "class": str(outcome.klein),
+        "branching": [[list(profile), w] for profile, w in outcome.branching.as_sorted()],
+        "genus": outcome.genus,
+        "records": [[None if r.locus is None else str(r.locus), list(r.profile), r.weight]
+                    for r in outcome.records],
+    }
 
 
 def main() -> int:
@@ -84,6 +99,18 @@ def main() -> int:
         except Exception as exc:  # pragma: no cover - reporting script
             failures += 1
             print(f"{name:24s} ERROR {type(exc).__name__}: {exc}")
+    for name in corpus.MAP_SPECS:
+        try:
+            outcome = classify(corpus.line_map(name))
+        except Exception as exc:  # pragma: no cover - reporting script
+            failures += 1
+            print(f"map_{name:20s} ERROR {type(exc).__name__}: {exc}")
+            continue
+        if args.json:
+            print(json.dumps({"name": f"map_{name}", "line_map": line_map_summary(outcome)},
+                             sort_keys=True))
+        else:
+            print(f"map_{name:20s} {outcome}; records: {'; '.join(map(str, outcome.records))}")
     return 1 if failures else 0
 
 

@@ -10,7 +10,7 @@ is the Gauss map in homogeneous coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .linalg import rank
 from .multipoly import MultiPoly, NotDivisible
@@ -280,11 +280,14 @@ def from_vector_field(A: MultiPoly, B: MultiPoly, field=None) -> PlaneFoliation:
     return PlaneFoliation(A, B, degree, a_bar, b_bar, c_bar, (a, b, c))
 
 
+@lru_cache(maxsize=64)
 def field_from_spec(field_spec: str):
     """Number field from a minimal-polynomial string such as ``g^2-g+1``.
 
     The generator is the unique name occurring in the text.  The polynomial
-    must be irreducible over Q, so that the quotient is a field.
+    must be irreducible over Q, so that the quotient is a field.  Each spec
+    string gives one field, so polynomials parsed over one spec in two calls
+    compare equal; a reducible spec raises on every call.
     """
     import re
 

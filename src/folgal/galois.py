@@ -332,8 +332,7 @@ def detect_symmetry(F: PlaneFoliation) -> list[InfinitesimalSymmetry]:
                 rows.append(row)
     if not rows:
         return []
-    kernel = kernel_basis(rows, field)
-    return [_normalize_symmetry(F, vec) for vec in kernel]
+    return [_attach_normal_form(F, vec) for vec in kernel_basis(rows, field)]
 
 
 def _matrix_from_coords(coords):
@@ -347,18 +346,6 @@ def _matrix_from_coords(coords):
         [m21, m22, t2],
         [m31, m32, m33],
     ]
-
-
-def _normalize_symmetry(F: PlaneFoliation, vec) -> InfinitesimalSymmetry:
-    field = F.field
-    coords, eps = list(vec[:8]), vec[8]
-    sym = InfinitesimalSymmetry(coeffs=coords, epsilon=eps)
-    M = _matrix_from_coords(coords)
-    try:
-        _attach_normal_form(F, sym, M)
-    except NotImplementedError as exc:
-        sym.note = f"normal form unavailable: {exc}"
-    return sym
 
 
 def _char_poly_roots(field, M):
@@ -380,7 +367,7 @@ def _char_poly_roots(field, M):
     roots = []
     for fac, mult in factor_irreducible(det):
         deg = fac.degree_in("L")
-        coeffs = [c.constant_value() for c in fac.univariate_coeffs("L")]
+        coeffs = fac.coefficients("L")
         if deg == 1:
             roots.extend([-coeffs[0]] * mult)
         else:
@@ -388,23 +375,32 @@ def _char_poly_roots(field, M):
     return roots
 
 
-def _attach_normal_form(F: PlaneFoliation, sym: InfinitesimalSymmetry, M):
+def _attach_normal_form(F: PlaneFoliation, vec) -> InfinitesimalSymmetry:
+    """The symmetry with coordinates ``vec[:8]`` and eigenvalue ``vec[8]``,
+    with its normal form, chart change and transformed foliation: weighted
+    when its matrix ``M`` has ``M^3 != 0``, else parabolic when ``M^2 != 0``,
+    else shear.  A symmetry with no normal form keeps the reason in
+    ``note``."""
     field = F.field
+    sym = InfinitesimalSymmetry(coeffs=list(vec[:8]), epsilon=vec[8])
+    M = _matrix_from_coords(sym.coeffs)
     M2 = mat_mul(M, M)
-    M3 = mat_mul(M2, M)
-    if not any(map(any, M3)):
-        if not any(map(any, M2)):
-            _normalize_shear(F, sym, M)
+    weights = eps_normalized = None
+    try:
+        if any(map(any, mat_mul(M2, M))):
+            form = "weighted"
+            cols, weights, eps_normalized = _normalize_weighted(field, M, sym.epsilon)
+        elif any(map(any, M2)):
+            form, cols = "parabolic", _normalize_parabolic(field, M, M2)
         else:
-            _normalize_parabolic(F, sym, M, M2)
-        return
-    if any(M[i][j] for i in range(3) for j in range(3) if i != j):
-        eigen = _char_poly_roots(field, M)
-        if eigen is None:
-            raise NotImplementedError("irrational eigenvalue ratios")
-    else:
-        eigen = [M[i][i] for i in range(3)]  # a diagonal M needs no char poly
-    _normalize_weighted(F, sym, M, eigen)
+            form, cols = "shear", _normalize_shear(field, M)
+        transformed = transform_foliation(F, cols)
+    except NotImplementedError as exc:
+        sym.note = f"normal form unavailable: {exc}"
+        return sym
+    sym.normal_form, sym.weights, sym.chart_change = form, weights, cols
+    sym.transformed, sym.epsilon_normalized = transformed, eps_normalized
+    return sym
 
 
 def transform_foliation(F: PlaneFoliation, T_cols) -> PlaneFoliation:
@@ -445,8 +441,18 @@ def _at_z1(p: MultiPoly) -> MultiPoly:
     return q.permute_to(AFFINE) if q.vars != AFFINE else q
 
 
-def _normalize_weighted(F, sym, M, eigen):
-    field = F.field
+def _normalize_weighted(field, M, epsilon):
+    """``(cols, weights, epsilon_normalized)`` of a diagonalizable ``M`` with
+    rational eigenvalues: eigenvector columns, the least eigenvalue's last,
+    the coprime integer weights ``(alpha, beta)``, ``alpha <= beta``, of the
+    other two over it, and ``epsilon`` rescaled to those weights (None when
+    both weights vanish)."""
+    if any(M[i][j] for i in range(3) for j in range(3) if i != j):
+        eigen = _char_poly_roots(field, M)
+        if eigen is None:
+            raise NotImplementedError("irrational eigenvalue ratios")
+    else:
+        eigen = [M[i][i] for i in range(3)]  # a diagonal M needs no char poly
     distinct = []
     for ev in eigen:
         if all(ev != d for d in distinct):
@@ -481,61 +487,40 @@ def _normalize_weighted(F, sym, M, eigen):
     g = math.gcd(a_int, b_int)
     alpha, beta = a_int // g, b_int // g
     cols = [list(flat[xi][1]), list(flat[yi][1]), list(flat[base][1])]
-    Fn = transform_foliation(F, cols)
-    sym.normal_form = "weighted"
-    sym.weights = (alpha, beta)
-    sym.chart_change = cols
-    sym.transformed = Fn
+    eps_normalized = None
     if w1:
-        sym.epsilon_normalized = sym.epsilon * Fraction(alpha) / w1
+        eps_normalized = epsilon * Fraction(alpha) / w1
     elif w2:
-        sym.epsilon_normalized = sym.epsilon * Fraction(beta) / w2
+        eps_normalized = epsilon * Fraction(beta) / w2
+    return cols, (alpha, beta), eps_normalized
 
 
-def _normalize_shear(F, sym, M):
-    field = F.field
-    # M^2 = 0, M != 0: columns v1 = M w, v2 = w, v3 in ker M independent
-    img = None
-    wvec = None
+def _unit_not_killed(N, field):
+    """The first unit vector that the nonzero matrix ``N`` does not kill."""
     for k in range(3):
         w = [field.zero()] * 3
         w[k] = field.one()
-        mv = mat_vec(M, w)
-        if any(mv):
-            img, wvec = mv, w
-            break
-    kern = kernel_basis(M, field)
-    third = None
-    for v in kern:
-        mat = [list(img), list(v)]
-        if matrix_rank(mat, field) == 2:
-            third = v
-            break
-    if third is None:
-        raise AssertionError("rank-1 nilpotent without a second kernel vector")
-    cols = [list(img), list(wvec), list(third)]
-    Fn = transform_foliation(F, cols)
-    sym.normal_form = "shear"
-    sym.chart_change = cols
-    sym.transformed = Fn
+        if any(mat_vec(N, w)):
+            return w
 
 
-def _normalize_parabolic(F, sym, M, M2):
-    field = F.field
-    wvec = None
-    for k in range(3):
-        w = [field.zero()] * 3
-        w[k] = field.one()
-        if any(mat_vec(M2, w)):
-            wvec = w
-            break
-    v2 = mat_vec(M, wvec)
-    v1 = mat_vec(M2, wvec)
-    cols = [list(v1), list(v2), list(wvec)]
-    Fn = transform_foliation(F, cols)
-    sym.normal_form = "parabolic"
-    sym.chart_change = cols
-    sym.transformed = Fn
+def _normalize_shear(field, M):
+    """Chart columns ``[M w, w, v]`` of ``M`` with ``M^2 = 0 != M``: ``w`` a
+    unit vector outside ``ker M`` and ``v`` in ``ker M`` independent of
+    ``M w``."""
+    w = _unit_not_killed(M, field)
+    img = mat_vec(M, w)
+    for v in kernel_basis(M, field):
+        if matrix_rank([img, list(v)], field) == 2:
+            return [img, w, list(v)]
+    raise AssertionError("rank-1 nilpotent without a second kernel vector")
+
+
+def _normalize_parabolic(field, M, M2):
+    """Chart columns ``[M^2 w, M w, w]`` of ``M`` with ``M^3 = 0 != M^2``:
+    ``w`` a unit vector outside ``ker M^2``."""
+    w = _unit_not_killed(M2, field)
+    return [mat_vec(M2, w), mat_vec(M, w), w]
 
 
 # -- reduction to a self-map of the line ---------------------------------------------
@@ -546,19 +531,16 @@ class ReductionDegenerate(Exception):
 
 
 def _bezout_pair(alpha: int, beta: int):
-    """(gamma, delta) with alpha*delta - beta*gamma = 1."""
-    g, s, t = _xgcd(alpha, beta)
-    if g != 1:
+    """(gamma, delta) with alpha*delta - beta*gamma = 1 for coprime
+    alpha, beta >= 0, from the extended Euclidean algorithm's
+    alpha*s + beta*t = 1 as delta = s, gamma = -t."""
+    a, b, s0, s1, t0, t1 = alpha, beta, 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b, s0, s1, t0, t1 = b, a - q * b, s1, s0 - q * s1, t1, t0 - q * t1
+    if a != 1:
         raise ValueError("weights must be coprime")
-    # alpha*s + beta*t = 1  ->  delta = s, gamma = -t
-    return -t, s
-
-
-def _xgcd(a: int, b: int):
-    if b == 0:
-        return (a, 1, 0) if a >= 0 else (-a, -1, 0)
-    g, s, t = _xgcd(b, a % b)
-    return g, t, s - (a // b) * t
+    return -t0, s0
 
 
 def _monomial_rf(field, exponent: int) -> RationalFunction:
@@ -588,16 +570,16 @@ def reduce_to_p1(F: PlaneFoliation, sym: InfinitesimalSymmetry) -> BinaryRationa
         alpha, beta = sym.weights
         gamma, delta = _bezout_pair(alpha, beta)
         sub = {"x": _monomial_rf(field, gamma), "y": _monomial_rf(field, delta)}
-        Az = compose_poly(A, sub)
-        Bz = compose_poly(B, sub)
-        Cz = compose_poly(C, sub)
+        Az, Bz, Cz = (compose_poly(p, sub) for p in (A, B, C))
         if Az.is_zero() or Bz.is_zero() or Cz.is_zero():
             raise ReductionDegenerate("a coefficient vanished along the section")
-        ghat = (Az**alpha) * ((-Bz) ** (-beta)) * (Cz ** (beta - alpha))
+        # Az^alpha (-Bz)^(-beta) Cz^(beta - alpha), 0 <= alpha <= beta, which
+        # make reduces once
+        num = Az.num**alpha * Bz.den**beta * Cz.num ** (beta - alpha)
+        den = Az.den**alpha * (-Bz.num) ** beta * Cz.den ** (beta - alpha)
     elif sym.normal_form == "shear":
         # X = P(y) d/dx + Q(y) (x d/dx + y d/dy): A = P + xQ, B = yQ
-        ucoeffs = B.univariate_coeffs("x")
-        if len(ucoeffs) > 1:
+        if B.degree_in("x") > 0:
             raise ReductionDegenerate("shear normal form violated")
         ydiv = MultiPoly.variable(field, ("y",), "y")
         By = B.drop_vars(["x"])
@@ -610,7 +592,7 @@ def reduce_to_p1(F: PlaneFoliation, sym: InfinitesimalSymmetry) -> BinaryRationa
             raise ReductionDegenerate("shear normal form violated (P depends on x)")
         Pz = Pxy.drop_vars(["x"]).rename_vars({"y": "z"})
         Qz = Qp.rename_vars({"y": "z"})
-        ghat = RationalFunction(-Qz, Pz)
+        num, den = -Qz, Pz
     elif sym.normal_form == "parabolic":
         # X = P(w)(y d/dx + d/dy) + Q(w) d/dx with w = y^2 - 2x
         Pw = _express_in_parabola(B)
@@ -623,11 +605,11 @@ def reduce_to_p1(F: PlaneFoliation, sym: InfinitesimalSymmetry) -> BinaryRationa
         z = MultiPoly.variable(field, ("z",), "z")
         Pz = Pw.rename_vars({"w": "z"})
         Qz = Qw.rename_vars({"w": "z"})
-        ghat = RationalFunction(Qz * Qz - z * Pz * Pz, Pz * Pz)
+        num, den = Qz * Qz - z * Pz * Pz, Pz * Pz
     else:
         raise ReductionDegenerate(f"unknown normal form {sym.normal_form}")
 
-    fmap = BinaryRationalMap.make(ghat.num, ghat.den)
+    fmap = BinaryRationalMap.make(num, den)
     if fmap.degree != d:
         raise ReductionDegenerate(
             f"reduction degenerate: degree dropped to {fmap.degree} from {d}"

@@ -137,14 +137,6 @@ class KleinClass:
 # -- dense quotient-ring helpers -----------------------------------------------------
 
 
-def _coeff_list(p: MultiPoly):
-    return [c.constant_value() for c in p.univariate_coeffs(p.vars[0])]
-
-
-def _from_coeffs(field, coeffs, var="z") -> MultiPoly:
-    return MultiPoly.from_dict(field, (var,), {(i,): c for i, c in enumerate(coeffs)})
-
-
 def _poly_mulmod(a, b, mod, fld):
     prod = [fld.zero()] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
@@ -200,15 +192,11 @@ def _fiber_profile(d: int, fib: MultiPoly) -> tuple:
 def _infinity_value_locus(f: BinaryRationalMap):
     """Value of f at z = infinity: None for infinity, else a linear locus root."""
     d = f.degree
-    ntop = f.num.univariate_coeffs("z")
-    dtop = f.den.univariate_coeffs("z")
-    ncoef = ntop[d].constant_value() if len(ntop) > d else None
-    dcoef = dtop[d].constant_value() if len(dtop) > d else None
-    if dcoef is None or not dcoef:
+    if f.den.degree_in("z") < d:
         return None  # value infinity
-    if ncoef is None:
-        ncoef = f.field.zero()
-    return ncoef * invert(f.field, dcoef)
+    ntop = f.num.coefficients("z")
+    ncoef = ntop[d] if len(ntop) > d else f.field.zero()
+    return ncoef * invert(f.field, f.den.leading_coefficient())
 
 
 def ramification_profile(f: BinaryRationalMap) -> list[BranchPointRecord]:
@@ -240,9 +228,9 @@ def ramification_profile(f: BinaryRationalMap) -> list[BranchPointRecord]:
             work = fac.exact_div(pole_part)
         if work.is_constant():
             continue
-        mod = _coeff_list(work.monic())
-        ann = _value_annihilator(_coeff_list(num), _coeff_list(den), mod, field)
-        finite_loci.append(_from_coeffs(field, ann, "y"))
+        mod = work.monic().coefficients("z")
+        ann = _value_annihilator(num.coefficients("z"), den.coefficients("z"), mod, field)
+        finite_loci.append(MultiPoly.from_dict(field, ("y",), {(i,): c for i, c in enumerate(ann)}))
 
     if wr.total_degree() < 2 * d - 2:  # critical point at infinity
         v = _infinity_value_locus(f)

@@ -90,8 +90,7 @@ def _numeric_roots(poly: MultiPoly, var: str) -> list[complex]:
     """Roots of the squarefree part, so every numeric root is simple."""
     if poly.total_degree() > 0:
         poly = squarefree_part(poly)
-    coeffs = poly.univariate_coeffs(var)
-    vec = [complex(c.constant_value()) for c in coeffs]
+    vec = [complex(c) for c in poly.coefficients(var)]
     arr = np.array(list(reversed(vec)), dtype=complex)
     arr = np.trim_zeros(arr, "f")
     if arr.size <= 1:
@@ -118,7 +117,7 @@ def _map_branch_values(num: MultiPoly, den: MultiPoly) -> list[complex]:
     roots = np.array(_numeric_roots(wronskian, "u"), dtype=complex)
 
     def at_roots(p):
-        coeffs = [complex(c.constant_value()) for c in p.univariate_coeffs("u")]
+        coeffs = [complex(c) for c in p.coefficients("u")]
         return np.polyval(coeffs[::-1], roots)
 
     return list(at_roots(num) / at_roots(den))

@@ -412,6 +412,17 @@ class MultiPoly:
             buckets[e[idx]][tuple(e[i] for i in keep)] = c
         return [MultiPoly(self.field, rest, b) for b in buckets]
 
+    def coefficients(self, var: str) -> list:
+        """Coefficients in ``var`` (low to high) as scalars; ValueError when
+        another variable occurs."""
+        idx = self.vars.index(var)
+        out = [self.field.zero()] * (self.degree_in(var) + 1)
+        for e, c in self.terms.items():
+            if sum(e) != e[idx]:
+                raise ValueError(f"a variable other than {var} occurs")
+            out[e[idx]] = c
+        return out
+
     @classmethod
     def from_univariate(cls, coeffs: Sequence["MultiPoly"], var: str):
         """Rebuild from univariate coefficients (polynomials in the other

@@ -33,9 +33,8 @@ over one denominator shared by the whole table.  An inverse solves the
 element's integer multiplication matrix in the same basis by fraction-free
 elimination (:func:`folgal.linalg.integer_echelon`), with no Euclid and no
 Fraction.  ``FieldElement.rep`` is the view over the base layer: coordinates
-in the base, as Fractions over Q.  It serves printing, the split of a
-polynomial into coordinates over the base, and the Euclidean gcd that names
-the factors of a reducible modulus.
+in the base, as Fractions over Q.  It serves printing and the split of a
+polynomial into coordinates over the base.
 
 The sparse polynomial kernels that :class:`folgal.multipoly.MultiPoly` runs
 on live here too, one for every field: :func:`product_terms` and
@@ -55,16 +54,7 @@ from .linalg import integer_echelon
 # Raised only if a modulus that is not irreducible was adjoined, which is an
 # internal error; the name stays because folgal exports it and tracers count it.
 class FieldSplit(Exception):
-    """A zero divisor was inverted in ``field``; ``min_poly = f1 * f2``."""
-
-    def __init__(self, field: "NumberField", f1: Sequence, f2: Sequence):
-        self.field = field
-        self.f1 = tuple(f1)
-        self.f2 = tuple(f2)
-        super().__init__(
-            f"modulus of {field.name} splits into degrees "
-            f"{len(f1) - 1} and {len(f2) - 1}"
-        )
+    """A zero divisor was inverted in a layer."""
 
 
 class RationalField:
@@ -626,6 +616,17 @@ def poly_divmod(num, den, fld):
     return quot, num
 
 
+def divide_root(coeffs, xi):
+    """The quotient of the coefficient list ``coeffs`` (low to high) by
+    ``v - xi``, by synthetic division, or None unless the remainder is 0."""
+    acc = coeffs[-1]
+    quotient = [acc]
+    for c in reversed(coeffs[:-1]):
+        acc = c + acc * xi
+        quotient.append(acc)
+    return None if acc else quotient[-2::-1]
+
+
 def invert(fld, value):
     """Inverse of a nonzero scalar of ``fld``: of Q, of a layer, or of a
     layer below it."""
@@ -648,8 +649,7 @@ def _invert(elem: FieldElement) -> FieldElement:
     _tden)`` for coordinates ``x``.  The inverse solves ``M x = den _tden
     e_0``, by :func:`folgal.linalg.integer_echelon` on ``(M | e_0)``.  ``M``
     is singular only when ``elem`` is a zero divisor, so the modulus of some
-    layer is not irreducible; the Euclidean gcd with the modulus then names
-    the factors in :class:`FieldSplit`.
+    layer is not irreducible, an internal error: :class:`FieldSplit`.
     """
     field = elem.field
     if not elem:
@@ -668,10 +668,7 @@ def _invert(elem: FieldElement) -> FieldElement:
         cols.append(_reduce(field, conv, 1)[0])
     rows, pivots = integer_echelon([[col[k] for col in cols] + [int(not k)] for k in range(n)])
     if pivots != list(range(n)):
-        base = field.base
-        m = list(field.min_poly) + [base.one()]
-        f1 = poly_gcd(elem.rep, m, base)
-        raise FieldSplit(field, f1, poly_divmod(m, f1, base)[0])
+        raise FieldSplit(f"{elem} is a zero divisor: the modulus of {field.name} is reducible")
     common = lcm(*(row[j] for j, row in enumerate(rows)))
     scale = elem.den * field._tden * common
     return _lowest_terms(field, [row[n] * scale // row[j] for j, row in enumerate(rows)], common)
@@ -769,7 +766,7 @@ def adjoin_root(factor, prefix: str, start: int = 1):
     generator."""
     base = factor.field
     var = next(v for v in factor.vars if factor.degree_in(v) > 0)
-    low = [c.constant_value() for c in factor.univariate_coeffs(var)][:-1]
+    low = factor.coefficients(var)[:-1]
     if len(low) == 1:
         return base, -low[0]
     K = extend(base, fresh_name(base, prefix, start), low)

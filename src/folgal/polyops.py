@@ -96,12 +96,6 @@ def _resultant_rational(p: MultiPoly, q: MultiPoly, var: str, dp: int, dq: int) 
 # -- multivariate gcd ---------------------------------------------------------------------
 
 
-def _univariate_constant_coeffs(p: MultiPoly, var: str):
-    """Coefficient list in ``var`` when no other variable occurs."""
-    coeffs = p.univariate_coeffs(var)
-    return [c.constant_value() for c in coeffs]
-
-
 def mpoly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """Greatest common divisor, graded-lex leading coefficient normalized to 1.
 
@@ -211,18 +205,9 @@ def _gcd_content_prs(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     var = min(shared, key=lambda t: min(t[1], t[2]))[0]
 
     if len(active) == 1:
-        res = poly_gcd(
-            _univariate_constant_coeffs(p, var),
-            _univariate_constant_coeffs(q, var),
-            p.field,
-        )
-        terms = {}
-        idx = p.vars.index(var)
-        for k, c in enumerate(res):
-            if c:
-                exp = tuple(k if i == idx else 0 for i in range(len(p.vars)))
-                terms[exp] = c
-        return MultiPoly(p.field, p.vars, terms).monic()
+        res = poly_gcd(p.coefficients(var), q.coefficients(var), p.field)
+        g = MultiPoly.from_dict(p.field, (var,), {(k,): c for k, c in enumerate(res)})
+        return g.with_vars(p.vars).monic()
 
     cont_p = content_in(p, var)
     cont_q = content_in(q, var)

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .multipoly import MultiPoly
-from .numberfield import adjoin_root, poly_gcd
+from .numberfield import adjoin_root, divide_root, poly_gcd
 from .polyops import mpoly_gcd, resultant
 from .sympy_bridge import factor_irreducible, factor_order_key
 
@@ -279,11 +279,7 @@ def _linear_power_divides(f: list, eta, k: int) -> bool:
     if len(f) <= k:
         return False
     for _ in range(k):
-        acc, quo = None, []
-        for c in reversed(f):
-            acc = c if acc is None else c + acc * eta
-            quo.append(acc)
-        if acc:
+        f = divide_root(f, eta)
+        if f is None:
             return False
-        f = quo[-2::-1]
     return True

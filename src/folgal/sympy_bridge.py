@@ -15,7 +15,10 @@ the linear factors that one prime finds:
    :func:`folgal.polyops.squarefree_decompose`.
 3. When ``k`` is Q, the linear factors of each part in one or two
    variables are removed first (:func:`_linear_factors`): roots in ``K``
-   from roots mod one prime, rebuilt by a small lattice reduction (Loos,
+   from roots mod one prime, the first that suits the part among the primes
+   of :func:`_find_residue_map`, the one prime search that also gives
+   :func:`residue_map` to the gcd certificate of :mod:`folgal.polyops`;
+   they are rebuilt by a small lattice reduction (Loos,
    "Computing rational zeros of integral polynomials by p-adic expansion",
    SIAM J. Comput. 1983; Lenstra, "Factoring polynomials over algebraic
    number fields", EUROCAL 1983).  A candidate is a guess until it divides
@@ -53,7 +56,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from sympy.ntheory import nextprime
@@ -69,7 +71,7 @@ from sympy.polys.sqfreetools import dmp_sqf_p
 
 from .linalg import lll
 from .multipoly import MultiPoly
-from .numberfield import NotDivisible, RationalField, _parts, coordinates
+from .numberfield import NotDivisible, RationalField, _parts, coordinates, divide_root
 
 
 # Never raised: every field factors.  The name stays for outside tools that
@@ -256,12 +258,12 @@ def _factor_part(part: MultiPoly) -> list[MultiPoly]:
     return lines if cofactor.is_constant() else lines + _factor_by_shift(cofactor)
 
 
-# Roots in a layer over Q come from one prime: the first prime above
-# _PRIME_FLOOR that suits the polynomial, among the next _PRIME_TRIES primes
-# in increasing order.  A bivariate part is restricted to the vertical lines
-# at 0 .. _ABSCISSA_TRIES - 1 at most, and a product of linear factors mod p
-# is split with the shifts 0 .. _SPLIT_TRIES - 1 at most.  Past a cap, what
-# is not found goes to norms.
+# Every prime comes from one search, _find_residue_map: the gcd certificate
+# keeps its first prime, and the root finder takes the first that suits its
+# polynomial.  A bivariate part is restricted to the vertical lines at
+# 0 .. _ABSCISSA_TRIES - 1 at most, and a product of linear factors mod p is
+# split with the shifts 0 .. _SPLIT_TRIES - 1 at most.  Past a cap, what is
+# not found goes to norms.
 _PRIME_FLOOR = 2**31
 _PRIME_TRIES = 32
 _ABSCISSA_TRIES = 8
@@ -290,32 +292,6 @@ def _linear_factors(part: MultiPoly):
     return _bivariate_lines(part, *active)
 
 
-def _primes(field, coeffs):
-    """``(p, s)`` for each of the ``_PRIME_TRIES`` primes ``p`` above
-    ``_PRIME_FLOOR``, in increasing order, that divides no denominator of
-    ``coeffs`` or of ``field``'s modulus and at which the modulus has a
-    simple root; ``s`` is the least such root mod ``p``."""
-    modulus = [Fraction(1), *reversed(field.min_poly)]
-    den = lcm(*(c.denominator for c in modulus), *(c.den for c in coeffs))
-    p = _PRIME_FLOOR
-    for _ in range(_PRIME_TRIES):
-        p = nextprime(p)
-        if den % p == 0:
-            continue
-        s = _simple_root([c.numerator * pow(c.denominator, -1, p) % p for c in modulus], p)
-        if s is not None:
-            yield p, s
-
-
-def _image(c, s: int, p: int) -> int:
-    """The image mod ``p`` of the element ``c`` of a layer over Q, its
-    generator sent to ``s``; ``p`` divides no denominator of ``c``."""
-    acc = 0
-    for a in reversed(c.num):
-        acc = (acc * s + a) % p
-    return acc * pow(c.den, -1, p) % p
-
-
 def _simple_root(m: list, p: int):
     """The least simple root in ``F_p`` of ``m`` (highest coefficient
     first), or None."""
@@ -326,25 +302,27 @@ def _simple_root(m: list, p: int):
 def residue_map(field):
     """``(p, images)``: a ring map from ``field`` to ``F_p``, or None.
 
-    ``p`` is the first of the ``_PRIME_TRIES`` primes above ``_PRIME_FLOOR``,
-    in increasing order, that divides no denominator of any layer's modulus
-    and at which, layer by layer from the bottom, the modulus with the lower
-    generators already sent to their roots has a simple root mod ``p``; each
-    generator goes to the least such root.  ``images[i]`` is the image of
-    basis monomial ``i``, so an element ``num / den`` with ``p`` not dividing
-    ``den`` maps to ``sum num[i] images[i] / den`` (:func:`residue`), and
-    sums and products of such elements map to sums and products.  Q maps by
-    the first prime alone.  The answer is kept on the field, so each field
-    looks for its prime once.
+    It is the first item of :func:`_find_residue_map`.  ``images[i]`` is the
+    image of basis monomial ``i``, so an element ``num / den`` with ``p`` not
+    dividing ``den`` maps to ``sum num[i] images[i] / den`` (:func:`residue`),
+    and sums and products of such elements map to sums and products.  Q maps
+    by the first prime alone.  The answer is kept on the field, so each
+    field looks for its prime once.
     """
     found = getattr(field, "_residue_map", False)
     if found is False:
-        found = field._residue_map = _find_residue_map(field)
+        found = field._residue_map = next(_find_residue_map(field), None)
     return found
 
 
 def _find_residue_map(field):
-    """The search behind :func:`residue_map`."""
+    """Each ``(p, images)`` of a ring map from ``field`` to ``F_p``, for the
+    primes ``p`` among the ``_PRIME_TRIES`` primes above ``_PRIME_FLOOR``, in
+    increasing order, that divide no denominator of any layer's modulus and
+    at which, layer by layer from the bottom, the modulus with the lower
+    generators already sent to their roots has a simple root mod ``p``; each
+    generator goes to the least such root.  Over a layer over Q,
+    ``images[i]`` is ``s^i`` for the root ``s`` of the generator."""
     p = _PRIME_FLOOR
     for _ in range(_PRIME_TRIES):
         p = nextprime(p)
@@ -356,8 +334,7 @@ def _find_residue_map(field):
                 break
             images = tuple(pow(s, t, p) * i % p for t in range(layer.degree) for i in images)
         else:
-            return p, images
-    return None
+            yield p, images
 
 
 def residue(c, p: int, images) -> int | None:
@@ -480,32 +457,22 @@ def _gf_split(g: list, p: int) -> list[int]:
     return []
 
 
-def _rebuild(r: int, s: int, p: int, field):
+def _rebuild(r: int, images, p: int, field):
     """The candidate root ``sum u_i a^i / w`` in ``field`` (a layer over Q
-    of degree ``n``, generator ``a``) with image ``r`` mod ``p`` at
-    ``a -> s``, or None.  ``(u_0, ..., u_(n-1), w)`` is the first row of an
-    LLL-reduced basis of the lattice of the integer vectors with
-    ``sum u_i s^i = w r`` mod ``p``, of dimension ``n + 1`` and determinant
-    ``p``: a root whose vector is much shorter than ``p^(1/(n+1))`` is found,
-    any other row is a guess for the caller's exact division to reject."""
+    of degree ``n``, generator ``a``) with image ``r`` mod ``p`` under the
+    map that sends ``a^i`` to ``images[i]``, or None.
+    ``(u_0, ..., u_(n-1), w)`` is the first row of an LLL-reduced basis of
+    the lattice of the integer vectors with ``sum u_i images[i] = w r`` mod
+    ``p``, of dimension ``n + 1`` and determinant ``p``: a root whose vector
+    is much shorter than ``p^(1/(n+1))`` is found, any other row is a guess
+    for the caller's exact division to reject."""
     n = field.degree
     rows = [[p] + [0] * n, [r] + [0] * (n - 1) + [1]]
-    rows += [[-pow(s, i, p)] + [0] * (i - 1) + [1] + [0] * (n - i) for i in range(1, n)]
+    rows += [[-images[i]] + [0] * (i - 1) + [1] + [0] * (n - i) for i in range(1, n)]
     *u, w = lll(rows)[0]
     if not w:
         return None
     return field.element([Fraction(a, w) for a in u])
-
-
-def _divide_root(coeffs: list, xi):
-    """The quotient of the coefficient list ``coeffs`` (lowest first) by
-    ``v - xi``, by synthetic division, or None unless the remainder is 0."""
-    acc = coeffs[-1]
-    quotient = [acc]
-    for c in reversed(coeffs[:-1]):
-        acc = c + acc * xi
-        quotient.append(acc)
-    return None if acc else quotient[-2::-1]
 
 
 def _value(coeffs: list, x):
@@ -516,13 +483,13 @@ def _value(coeffs: list, x):
     return acc
 
 
-def _field_roots(coeffs: list, image: list, s: int, p: int, field) -> list:
+def _field_roots(coeffs: list, image: list, images, p: int, field) -> list:
     """The roots in ``field``, a layer over Q, of the coefficient list
     ``coeffs`` (lowest first) that :func:`_rebuild` finds from the roots of
     its ``image`` mod ``p`` (highest first), each checked exactly."""
     found = []
     for r in _roots_mod(image, p):
-        xi = _rebuild(r, s, p, field)
+        xi = _rebuild(r, images, p, field)
         if xi is not None and not _value(coeffs, xi):
             found.append(xi)
     return found
@@ -530,49 +497,46 @@ def _field_roots(coeffs: list, image: list, s: int, p: int, field) -> list:
 
 def _univariate_lines(part: MultiPoly, v: str):
     """:func:`_linear_factors` of a part in the one variable ``v``: the
-    prime must keep the leading coefficient and leave the image
-    squarefree; each root mod ``p`` is rebuilt and accepted by an exact
-    synthetic division."""
+    prime must keep every coefficient and the leading one nonzero, and leave
+    the image squarefree; each root mod ``p`` is rebuilt and accepted by an
+    exact synthetic division."""
     field = part.field
-    i = part.vars.index(v)
-    coeffs = [field.zero()] * (part.degree_in(v) + 1)
-    for e, c in part.terms.items():
-        coeffs[e[i]] = c
-    for p, s in _primes(field, coeffs):
-        image = [_image(c, s, p) for c in reversed(coeffs)]
-        if image[0] and _gf_squarefree(image, p):
+    coeffs = part.coefficients(v)
+    for p, images in _find_residue_map(field):
+        image = [residue(c, p, images) for c in reversed(coeffs)]
+        if None not in image and image[0] and _gf_squarefree(image, p):
             break
     else:
         return [], part
     var = MultiPoly.variable(field, part.vars, v)
     lines = []
     for r in _roots_mod(image, p):
-        xi = _rebuild(r, s, p, field)
-        quotient = None if xi is None else _divide_root(coeffs, xi)
+        xi = _rebuild(r, images, p, field)
+        quotient = None if xi is None else divide_root(coeffs, xi)
         if quotient is not None:
             coeffs = quotient
             lines.append(var - xi)
     if not lines:
         return [], part
-    unit = lambda k: tuple(k if j == i else 0 for j in range(len(part.vars)))
-    return lines, MultiPoly(field, part.vars, {unit(k): c for k, c in enumerate(coeffs)})
+    cofactor = MultiPoly.from_dict(field, (v,), {(k,): c for k, c in enumerate(coeffs)})
+    return lines, cofactor.with_vars(part.vars)
 
 
 def _bivariate_lines(part: MultiPoly, u: str, v: str):
     """:func:`_linear_factors` of a part in ``u`` and ``v``.
 
-    The prime must keep the top coefficient of ``lc_v(part)``, the leading
-    coefficient in ``v``.  A vertical line ``u = c`` divides that
-    coefficient, so the candidates ``c`` are its roots, and ``c`` is kept
-    when every coefficient in ``v`` vanishes at it.  Every other line
-    ``v = l u + m`` meets the vertical line ``u = a`` at a root in ``K`` of
-    the restriction ``part(a, v)``.  The abscissas ``a = 0, 1, ...`` kept
-    are those whose restriction keeps its degree in ``v`` and is squarefree
-    mod ``p``, so distinct lines meet it at distinct roots.  A root at the
-    first kept abscissa and one at the second give a candidate line, tried
-    by an exact division when it passes through a root at the third.  The
-    search stops at the first kept abscissa with no root in ``K``: no line
-    that one prime rebuilds crosses it.
+    The prime must keep every coefficient and the top coefficient of
+    ``lc_v(part)``, the leading coefficient in ``v``.  A vertical line
+    ``u = c`` divides that coefficient, so the candidates ``c`` are its
+    roots, and ``c`` is kept when every coefficient in ``v`` vanishes at it.
+    Every other line ``v = l u + m`` meets the vertical line ``u = a`` at a
+    root in ``K`` of the restriction ``part(a, v)``.  The abscissas
+    ``a = 0, 1, ...`` kept are those whose restriction keeps its degree in
+    ``v`` and is squarefree mod ``p``, so distinct lines meet it at distinct
+    roots.  A root at the first kept abscissa and one at the second give a
+    candidate line, tried by an exact division when it passes through a root
+    at the third.  The search stops at the first kept abscissa with no root
+    in ``K``: no line that one prime rebuilds crosses it.
     """
     field = part.field
     iu, iv = part.vars.index(u), part.vars.index(v)
@@ -582,16 +546,16 @@ def _bivariate_lines(part: MultiPoly, u: str, v: str):
     for e, c in part.terms.items():
         cols[e[iv]][e[iu]] = c
     lead = cols[d][:max(i for i, c in enumerate(cols[d]) if c) + 1]
-    for p, s in _primes(field, part.terms.values()):
-        if _image(lead[-1], s, p):
+    for p, images in _find_residue_map(field):
+        col_images = [[residue(c, p, images) for c in reversed(col)] for col in cols]
+        if residue(lead[-1], p, images) and not any(None in col for col in col_images):
             break
     else:
         return [], part
     x, y = (MultiPoly.variable(field, part.vars, w) for w in (u, v))
-    images = [[_image(c, s, p) for c in reversed(col)] for col in cols]
     lines, cofactor = [], part
     if len(lead) > 1:
-        for c in _field_roots(lead, images[d][-len(lead):], s, p, field):
+        for c in _field_roots(lead, col_images[d][-len(lead):], images, p, field):
             if all(not _value(col, c) for col in cols):
                 lines.append(x - c)
                 cofactor = cofactor.exact_div(x - c)
@@ -599,10 +563,10 @@ def _bivariate_lines(part: MultiPoly, u: str, v: str):
     for a in range(_ABSCISSA_TRIES):
         if len(crossings) == 3:
             break
-        image = [_gf_eval(col, a, p) for col in reversed(images)]
+        image = [_gf_eval(col, a, p) for col in reversed(col_images)]
         if not (image[0] and _gf_squarefree(image, p)):
             continue
-        roots = _field_roots([_value(col, a) for col in cols], image, s, p, field)
+        roots = _field_roots([_value(col, a) for col in cols], image, images, p, field)
         if not roots:
             return lines, cofactor
         crossings.append((a, roots))

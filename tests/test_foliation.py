@@ -307,6 +307,16 @@ def test_field_spec_must_be_irreducible():
         fol.field_from_spec("u^2-4")
 
 
+def test_one_spec_gives_one_field():
+    first, second = corpus.foliation("tetrahedral_12"), corpus.foliation("tetrahedral_12")
+    assert first.field is second.field
+    assert first.A == second.A and first.B == second.B
+    assert corpus.line_map("tetrahedral").field is first.field
+    for _ in range(2):
+        with pytest.raises(ValueError, match="reducible"):
+            fol.field_from_spec("u^2-4")
+
+
 def test_chart_fields_are_coprime():
     # chart_vector_field takes no saturation gcd in charts x and y: the
     # saturated triple leaves no common factor there (see its docstring)

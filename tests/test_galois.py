@@ -16,6 +16,7 @@ from folgal.klein1d import BinaryRationalMap, classify
 from folgal.multipoly import MultiPoly
 from folgal.numberfield import QQ
 from folgal.parsing import parse_poly
+from folgal.ratfunc import RationalFunction, compose_poly
 from folgal.report import analysis_report
 from folgal.solve2d import common_zeros, translate
 from folgal.sympy_bridge import factor_irreducible
@@ -225,6 +226,78 @@ def test_parabolic_normal_form():
         "symmetry_reduction": "not_galois",
         "local_conditions": "not_galois",
     }
+
+
+# -- the reduction's earlier formulas, kept as oracles ------------------------------
+
+
+def _xgcd_oracle(a: int, b: int):
+    """The recursive extended Euclid that ``_bezout_pair`` replaced."""
+    if b == 0:
+        return (a, 1, 0) if a >= 0 else (-a, -1, 0)
+    g, s, t = _xgcd_oracle(b, a % b)
+    return g, t, s - (a // b) * t
+
+
+def test_bezout_pair_matches_the_recursive_euclid():
+    # another pair would change the printed reduced map
+    for alpha in range(40):
+        for beta in range(60):
+            g, s, t = _xgcd_oracle(alpha, beta)
+            if g != 1:
+                with pytest.raises(ValueError):
+                    gal._bezout_pair(alpha, beta)
+                continue
+            gamma, delta = gal._bezout_pair(alpha, beta)
+            assert (gamma, delta) == (-t, s)
+            assert alpha * delta - beta * gamma == 1
+
+
+def _reduction_oracle(F, sym) -> BinaryRationalMap:
+    """``reduce_to_p1`` as it was: the reduced map built from
+    RationalFunctions, each reduced by a gcd, then reduced once more."""
+    Fn = sym.transformed
+    field = Fn.field
+    A, B = Fn.A, Fn.B
+    x, y = (MultiPoly.variable(field, fol.AFFINE, v) for v in fol.AFFINE)
+    z = MultiPoly.variable(field, ("z",), "z")
+    if sym.normal_form == "weighted":
+        alpha, beta = sym.weights
+        _, s, t = _xgcd_oracle(alpha, beta)
+        sub = {"x": gal._monomial_rf(field, -t), "y": gal._monomial_rf(field, s)}
+        Az, Bz, Cz = (compose_poly(p, sub) for p in (A, B, y * A - x * B))
+        ghat = (Az**alpha) * ((-Bz) ** (-beta)) * (Cz ** (beta - alpha))
+    elif sym.normal_form == "shear":
+        Qy = B.drop_vars(["x"]).exact_div(MultiPoly.variable(field, ("y",), "y"))
+        P = A - x * Qy.with_vars(fol.AFFINE).permute_to(fol.AFFINE)
+        Pz = P.drop_vars(["x"]).rename_vars({"y": "z"})
+        ghat = RationalFunction(-Qy.rename_vars({"y": "z"}), Pz)
+    else:
+        Pw = gal._express_in_parabola(B)
+        Qw = gal._express_in_parabola(A - y * gal._eval_w(Pw, field))
+        Pz, Qz = (p.rename_vars({"w": "z"}) for p in (Pw, Qw))
+        ghat = RationalFunction(Qz * Qz - z * Pz * Pz, Pz * Pz)
+    return BinaryRationalMap.make(ghat.num, ghat.den)
+
+
+SYMMETRIC = ["cyclic_cubic_qh23", "parabola_cubic_qh12", "halfchi_quartic", "convex_qh_34",
+             "fermat_3", "fermat_4", "fermat_5", "dihedral_4", "dihedral_6",
+             "tetrahedral_12", "octahedral_24", "icosahedral_60"]
+
+
+@pytest.mark.parametrize("spec", SYMMETRIC + [
+    (None, "(y^2+1) + x*y", "y*y"),  # shear, from test_reduction_shear_case
+    (None, "y*(y^2-2*x)+1", "y^2-2*x"),  # parabolic, from test_parabolic_normal_form
+])
+def test_reduction_matches_the_rational_function_formula(spec):
+    F = corpus.foliation(spec) if isinstance(spec, str) else fol.from_strings(*spec)
+    syms = [s for s in gal.detect_symmetry(F) if s.normal_form is not None]
+    assert syms
+    for sym in syms:
+        fmap = gal.reduce_to_p1(F, sym)
+        oracle = _reduction_oracle(F, sym)
+        assert (fmap.num, fmap.den) == (oracle.num, oracle.den)
+        assert str(fmap) == str(oracle)
 
 
 # -- decks -------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import sympy as sp
 from sympy.polys.domains import QQ as SQQ
 
 from folgal import polyops, sympy_bridge
-from folgal.multipoly import MultiPoly
+from folgal.multipoly import MultiPoly, NotDivisible
 from folgal.numberfield import QQ, NumberField, extend
 from folgal.sympy_bridge import factor_irreducible
 
@@ -310,19 +310,20 @@ def test_roots_too_large_for_one_prime_go_to_the_norms(name):
 @pytest.mark.parametrize("coords", [(3, -2), (0, 1), (-7, 0), (Fraction(1, 2), Fraction(1, 2))])
 def test_rebuild_finds_a_small_root_from_its_image(coords):
     field = _field("sqrt5")
-    p, s = next(sympy_bridge._primes(field, [field.one()]))
+    p, images = next(sympy_bridge._find_residue_map(field))
+    s = images[1]
     assert s * s % p == 5
     xi = field.element(coords)
-    assert sympy_bridge._rebuild(sympy_bridge._image(xi, s, p), s, p, field) == xi
+    assert sympy_bridge._rebuild(sympy_bridge.residue(xi, p, images), images, p, field) == xi
 
 
 def _primes_rebuilt_with(monkeypatch):
     used = []
     original = sympy_bridge._rebuild
 
-    def rebuild(r, s, p, field):
+    def rebuild(r, images, p, field):
         used.append(p)
-        return original(r, s, p, field)
+        return original(r, images, p, field)
 
     monkeypatch.setattr(sympy_bridge, "_rebuild", rebuild)
     return used
@@ -330,7 +331,7 @@ def _primes_rebuilt_with(monkeypatch):
 
 def test_a_prime_in_a_denominator_is_skipped(monkeypatch):
     field = _field("sqrt5")
-    assert next(sympy_bridge._primes(field, [field.one()]))[0] == FIRST_PRIME
+    assert next(sympy_bridge._find_residue_map(field))[0] == FIRST_PRIME
     used = _primes_rebuilt_with(monkeypatch)
     x = MultiPoly.variable(field, VARS, "x")
     a = MultiPoly.constant(field, VARS, field.gen())
@@ -354,6 +355,83 @@ def test_a_prime_that_kills_the_leading_coefficient_is_skipped(monkeypatch, univ
         line, part = y - a, ((x * y).scale(FIRST_PRIME) + 1) * (y - a)
     assert line in sympy_bridge._linear_factors(part)[0]
     assert used and FIRST_PRIME not in used
+
+
+# -- past each cap of the root finder, what it does not find goes to the norms --------
+
+
+def _capped_part(bivariate):
+    """Over a fresh Q(sqrt 5): two lines with coefficients outside Q, times
+    a curve with no line."""
+    field = _field("sqrt5")
+    x, y = (MultiPoly.variable(field, VARS, v) for v in VARS)
+    a = MultiPoly.constant(field, VARS, field.gen())
+    if bivariate:
+        return (y - x * a - 1) * (y + x - a) * (x**2 + y**2 - 3)
+    return (x - a) * (x + a + 2) * (x**2 - 3)
+
+
+def _assert_capped_run_matches(monkeypatch, part, cap, value):
+    # the unpatched run fills the certificate primes of the field and of Q,
+    # which QQ keeps for every later test; the finder's own search is not kept
+    before = Counter(dict(factor_irreducible(part)))
+    assert before == _sympy_factors(part)
+    monkeypatch.setattr(sympy_bridge, cap, value)
+    assert sympy_bridge._linear_factors(part) == ([], part)
+    assert Counter(dict(factor_irreducible(part))) == before
+
+
+@pytest.mark.parametrize("bivariate", [False, True])
+def test_no_suitable_prime_sends_the_part_to_the_norms(monkeypatch, bivariate):
+    _assert_capped_run_matches(monkeypatch, _capped_part(bivariate), "_PRIME_TRIES", 0)
+
+
+def test_roots_that_no_shift_splits_go_to_the_norms(monkeypatch):
+    _assert_capped_run_matches(monkeypatch, _capped_part(False), "_SPLIT_TRIES", 0)
+
+
+def test_fewer_than_three_kept_abscissas_send_the_lines_to_the_norms(monkeypatch):
+    _assert_capped_run_matches(monkeypatch, _capped_part(True), "_ABSCISSA_TRIES", 2)
+
+
+def test_a_candidate_line_that_does_not_divide_is_skipped(monkeypatch):
+    # crossings of three different lines at the first three abscissas lie on
+    # one line that is no factor; its exact division fails, and the search
+    # goes on to the three true lines
+    field = _field("sqrt5")
+    x, y = (MultiPoly.variable(field, VARS, v) for v in VARS)
+    a = MultiPoly.constant(field, VARS, field.gen())
+    lines = [(y - x.scale(m) - c - a).monic() for m, c in ((-1, 2), (1, 1), (2, -3))]
+    part = lines[0] * lines[1] * lines[2] * (x**2 + y**2 - 3)
+    rejected = []
+    original = MultiPoly.exact_div
+
+    def exact_div(self, divisor):
+        try:
+            return original(self, divisor)
+        except NotDivisible:
+            rejected.append(divisor)
+            raise
+
+    monkeypatch.setattr(MultiPoly, "exact_div", exact_div)
+    found, cofactor = sympy_bridge._linear_factors(part)
+    monkeypatch.undo()
+    assert rejected and not set(rejected) & set(lines)
+    assert sorted(found, key=str) == sorted(lines, key=str)
+    assert cofactor.monic() == x**2 + y**2 - 3
+    _assert_matches_oracle(part)
+
+
+@pytest.mark.parametrize("tower", ["sqrt5", "zeta5", "two_layers"])
+def test_residue_map_is_the_first_map_of_the_prime_search(tower):
+    if tower == "two_layers":
+        root2 = extend(QQ, "s", [Fraction(-2), Fraction(0)])
+        field = extend(root2, "i", [root2.coerce(1), root2.coerce(0)])
+    else:
+        field = _field(tower)
+    first = next(sympy_bridge._find_residue_map(field))
+    assert sympy_bridge.residue_map(field) == first
+    assert len(first[1]) == field.size
 
 
 def test_a_tower_gives_no_lines():
