@@ -78,7 +78,7 @@ def main() -> int:
     for name, F, echo in entries():
         start = time.perf_counter()
         try:
-            res = analyze(F, numeric=True if args.numeric else False, seed=args.seed)
+            res = analyze(F, numeric=args.numeric, seed=args.seed)
             elapsed = time.perf_counter() - start
             if args.json:
                 rep = analysis_report(res, echo)

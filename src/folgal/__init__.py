@@ -46,7 +46,7 @@ from .polyops import (
 )
 
 # The numeric monodromy names load numpy, so they are imported on first use.
-_MONODROMY_NAMES = ("cross_check", "monodromy_of_foliation", "monodromy_of_map")
+_MONODROMY_NAMES = ("cross_check", "monodromy_of_foliation")
 
 __all__ = sorted([name for name in dir() if not name.startswith("_")] + list(_MONODROMY_NAMES))
 __version__ = "0.1.0"

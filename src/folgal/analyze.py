@@ -1,6 +1,6 @@
 """Full analysis of one foliation: every applicable decision route, the
-singularity table, the inflection decomposition, branching data, and the
-optional numeric monodromy cross-check, with route agreement enforced."""
+singularity table, the inflection decomposition and branching data, with
+route agreement enforced, and the numeric monodromy cross-check on request."""
 
 from __future__ import annotations
 
@@ -56,9 +56,8 @@ class AnalysisResult:
 
 def analyze(
     F: PlaneFoliation,
-    numeric: bool | None = None,
+    numeric: bool = False,
     seed: int = 7,
-    dump_csv=None,
 ) -> AnalysisResult:
     """Run every applicable route and cross-check their statuses.
 
@@ -78,14 +77,12 @@ def analyze(
     all the local route reads; no stage factors it.  Its irreducible
     components are factored when first read, by the report.
 
-    Numeric monodromy runs when ``numeric`` is True.  With ``numeric=None``
-    it runs only in degree at most 6 when the verdict is inconclusive, or
-    Galois with no exact branching type: homogeneous and extremal Galois
-    foliations get theirs from :func:`~folgal.galois.branching_and_genus`
-    and skip it.  When both exist, the numeric genus and the sum of the
-    numeric cycle types must equal the exact genus and branching type.  A
-    numeric run that fails to track, or whose two pencils disagree, leaves
-    the verdict alone: ``monodromy`` is then an :class:`UnreliableMonodromy`.
+    Numeric monodromy runs only when ``numeric`` is True, after the exact
+    routes, and never changes the verdict.  When the exact genus and
+    branching type exist, the numeric genus and the sum of the numeric cycle
+    types must equal them.  A numeric run that fails to track, or whose two
+    pencils disagree, leaves the verdict alone: ``monodromy`` is then an
+    :class:`UnreliableMonodromy`.
     ``seed`` seeds only the numeric run, as ``seed + 100``; the exact routes
     draw their generic polars from :data:`folgal.local.POLAR_SEED`.
     """
@@ -163,15 +160,12 @@ def analyze(
         timings=timings,
     )
 
-    want_numeric = numeric if numeric is not None else (
-        (main.status == "inconclusive" or (main.is_galois and bw is None)) and d <= 6
-    )
-    if want_numeric:
+    if numeric:
         t0 = time.perf_counter()
         from .monodromy import TrackingFailure, cross_check
 
         try:
-            mon = cross_check(F, seed=seed + 100, dump_csv=dump_csv)
+            mon = cross_check(F, seed=seed + 100)
         except TrackingFailure as exc:
             result.monodromy = UnreliableMonodromy(str(exc))
         else:

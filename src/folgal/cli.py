@@ -117,12 +117,7 @@ def cmd_analyze(args) -> int:
         F = from_strings(field_spec, a_text, b_text)
     except ParseError as exc:
         raise CliError(str(exc))
-    numeric = None
-    if args.numeric:
-        numeric = True
-    if args.no_numeric:
-        numeric = False
-    result = analyze(F, numeric=numeric, seed=args.seed, dump_csv=args.dump_paths)
+    result = analyze(F, numeric=args.numeric, seed=args.seed)
     echo = {"field": field_spec, "A": a_text, "B": b_text}
     rep = analysis_report(result, echo)
     if args.json:
@@ -236,7 +231,7 @@ def cmd_deform(args) -> int:
     else:
         print(spec_text)
     if args.analyze:
-        result = analyze(Fd, numeric=False)
+        result = analyze(Fd)
         print(f"re-analysis: {result.status} via {result.verdict.method}")
         return _status_exit(result.status)
     return EXIT_GALOIS
@@ -266,15 +261,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="full Galois analysis of a plane foliation")
     add_common(p)
     p.add_argument("--json", action="store_true", help="JSON report on stdout")
-    numeric = p.add_mutually_exclusive_group()
-    numeric.add_argument("--numeric", action="store_true",
-                         help="force the numeric monodromy cross-check")
-    numeric.add_argument("--no-numeric", action="store_true",
-                         help="skip the numeric monodromy cross-check")
+    p.add_argument("--numeric", action="store_true",
+                   help="attach the numeric monodromy cross-check")
     p.add_argument("--seed", type=int, default=7,
                    help="seed of the numeric monodromy cross-check")
-    p.add_argument("--dump-paths", metavar="FILE",
-                   help="write tracked monodromy paths as CSV")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("classify1d", help="Klein classification of a line self-map")

@@ -1,23 +1,24 @@
 """Floating-point monodromy of tangency fibrations.
 
 Tracks the d tangency points of a foliation along loops in a generic pencil
-of lines (or the d preimages of a rational self-map of the line around its
-branch values), recovers the permutation generators, the group order by
-closure, cycle types, and a numeric genus via Riemann-Hurwitz.  Results are
-never certified; they corroborate the symbolic verdicts.
+of lines, recovers the permutation generators, the group order and cycle
+types (by sympy's permutation groups), and a numeric genus via
+Riemann-Hurwitz.  Results are never certified; they corroborate the symbolic
+verdicts.  Nothing runs it unless asked: ``analyze(F, numeric=True)`` or
+``folgal analyze --numeric``.
 """
 
 from __future__ import annotations
 
 import cmath
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .multipoly import MultiPoly
-from .polyops import mpoly_gcd, resultant, squarefree_part
+from .polyops import resultant, squarefree_part
 from .foliation import PlaneFoliation
 
 SU = ("s", "u")
@@ -27,16 +28,12 @@ SU = ("s", "u")
 COLLISION = 1e-8
 FLOOR = 1e-12
 PENCIL_ATTEMPTS = 5  # random pencils tried by pencil_fibration
-TWIST_ATTEMPTS = 6  # random Möbius twists tried by map_fibration
 FIBRATION_ATTEMPTS = 5  # fibrations tracked before the monodromy gives up
-CLOSURE_CAP = 500_000  # largest group order _closure_order enumerates
 CLUSTER_TOL = 1e-6  # relative distance under which branch candidates merge
 
 
 class TrackingFailure(Exception):
-    def __init__(self, message, loop_index=None):
-        self.loop_index = loop_index
-        super().__init__(message)
+    pass
 
 
 class DegeneratePencil(Exception):
@@ -55,7 +52,6 @@ class Fibration:
     degree: int
     table: np.ndarray
     branch_candidates: list
-    label: str = ""
 
     def coeffs_at(self, s: complex) -> np.ndarray:
         acc = self.table[0]
@@ -75,15 +71,9 @@ class MonodromyResult:
     numeric_genus: int
     degree: int
     galois_flag: bool | None = None
-    certified: bool = dc_field(default=False)
 
 
 # -- fibration construction ---------------------------------------------------------
-
-
-def _exact_branch_poly(q: MultiPoly) -> MultiPoly:
-    """Resultant Res_u(q, dq/du) as an exact polynomial in s."""
-    return resultant(q, q.derivative("u"), "u")
 
 
 def _numeric_roots(poly: MultiPoly, var: str) -> list[complex]:
@@ -98,32 +88,7 @@ def _numeric_roots(poly: MultiPoly, var: str) -> list[complex]:
     return list(np.roots(arr))
 
 
-def _map_branch_values(num: MultiPoly, den: MultiPoly) -> list[complex]:
-    """Finite branch values of ``q = num(u) - s den(u)``, for ``num`` and
-    ``den`` coprime and free of ``s``: ``num/den`` at the roots of the
-    Wronskian ``W = num' den - num den'`` that are not roots of ``den``.
-
-    ``q`` and ``dq/du`` share a root ``r`` at ``s`` exactly when
-    ``num(r) = s den(r)`` and ``num'(r) = s den'(r)``, that is when ``W(r) = 0``
-    and ``s = num(r)/den(r)``; ``den(r) = 0`` would force ``num(r) = 0``.  A
-    root of ``W`` that is a root of ``den`` lies over ``s = infinity``.  Several
-    roots may give one value; :func:`track_loops` clusters them.
-    """
-    wronskian = num.derivative("u") * den - num * den.derivative("u")
-    if wronskian.is_zero():
-        raise DegeneratePencil("map has identically singular fibres")
-    wronskian = squarefree_part(wronskian)
-    wronskian = wronskian.exact_div(mpoly_gcd(wronskian, den))
-    roots = np.array(_numeric_roots(wronskian, "u"), dtype=complex)
-
-    def at_roots(p):
-        coeffs = [complex(c) for c in p.coefficients("u")]
-        return np.polyval(coeffs[::-1], roots)
-
-    return list(at_roots(num) / at_roots(den))
-
-
-def _fibration(q: MultiPoly, candidates: list, d: int, label: str) -> Fibration:
+def _fibration(q: MultiPoly, candidates: list, d: int) -> Fibration:
     """Numeric fibration of q(s, u), degree d in u, with the branch
     ``candidates`` and the roots of its leading coefficient in u."""
     coeffs = q.univariate_coeffs("u")  # low to high in u
@@ -135,7 +100,7 @@ def _fibration(q: MultiPoly, candidates: list, d: int, label: str) -> Fibration:
     for k, cpoly in enumerate(coeffs):
         for e, c in cpoly.terms.items():
             table[m - e[0], d - k] = complex(c)
-    return Fibration(d, table, candidates, label)
+    return Fibration(d, table, candidates)
 
 
 def pencil_fibration(F: PlaneFoliation, rng: random.Random) -> Fibration:
@@ -173,40 +138,14 @@ def pencil_fibration(F: PlaneFoliation, rng: random.Random) -> Fibration:
         if q.degree_in("u") != d:
             last_error = "tangency family dropped degree"
             continue
-        disc = _exact_branch_poly(q)
+        disc = resultant(q, q.derivative("u"), "u")  # Res_u(q, dq/du), in s
         if disc.is_zero():
             last_error = "discriminant vanished identically"
             continue
-        return _fibration(q, _numeric_roots(disc, "s"), d, f"pencil through ({a0}, {b0})")
+        return _fibration(q, _numeric_roots(disc, "s"), d)
     raise DegeneratePencil(
         f"foliation too degenerate for a numeric pencil: {last_error}"
     )
-
-
-def map_fibration(f, rng: random.Random) -> Fibration:
-    """Fibration num(u) - y den(u) of a self-map of the line, with a random
-    left Möbius twist keeping every branch value at finite parameter."""
-    from .klein1d import BinaryRationalMap
-
-    assert isinstance(f, BinaryRationalMap)
-    d = f.degree
-    field = f.field
-    for _ in range(TWIST_ATTEMPTS):
-        while True:
-            m = [Fraction(rng.randint(-5, 5)) for _ in range(4)]
-            if m[0] * m[3] - m[1] * m[2] != 0 and m[2] != 0:
-                break
-        num = f.num.rename_vars({"z": "u"}).with_vars(SU)
-        den = f.den.rename_vars({"z": "u"}).with_vars(SU)
-        # mu(w) = (m0 w + m1)/(m2 w + m3); twisted map value s = mu(num/den)
-        tw_num = num.scale(m[0]) + den.scale(m[1])
-        tw_den = num.scale(m[2]) + den.scale(m[3])
-        s = MultiPoly.variable(field, SU, "s")
-        q = tw_num - s * tw_den
-        if q.degree_in("u") != d:
-            continue
-        return _fibration(q, _map_branch_values(tw_num, tw_den), d, "direct 1-d mode")
-    raise DegeneratePencil("could not find a working Möbius twist")
 
 
 # -- tracking --------------------------------------------------------------------------
@@ -284,7 +223,7 @@ def _accept_step(prev, prev_gaps, nxt, collision):
     return nxt[:, perm], nxt_gaps[perm]
 
 
-def _track_path(fib, path, start, loop_index=None, trace=None):
+def _track_path(fib, path, start):
     """Follow the fibre along a piecewise-linear path.
 
     Returns the fibre at every vertex of ``path``, each ordered as continued
@@ -301,7 +240,6 @@ def _track_path(fib, path, start, loop_index=None, trace=None):
     pts = start
     gaps = _gaps(start)
     fibres = [start]
-    step_no = 0
     for seg_start, seg_end in zip(path, path[1:]):
         cur_t = 0.0
         step = 0.25
@@ -312,18 +250,11 @@ def _track_path(fib, path, start, loop_index=None, trace=None):
             if stepped is None:
                 step /= 2
                 if step * abs(seg_end - seg_start) < FLOOR:
-                    raise TrackingFailure(
-                        f"step floor reached near s={s_next}", loop_index
-                    )
+                    raise TrackingFailure(f"step floor reached near s={s_next}")
                 continue
             pts, gaps = stepped
             cur_t = target
             step = min(0.25, step * 1.6)
-            step_no += 1
-            if trace is not None:
-                for idx, (a, b) in enumerate(pts.T):
-                    u = complex(float("inf"), float("inf")) if b == 0 else a / b
-                    trace.append((loop_index, step_no, idx, u.real, u.imag))
         fibres.append(pts)
     return fibres
 
@@ -342,48 +273,9 @@ def _loop_circles(base: complex, centers: list, radii: dict):
         circles.append(circle + circle[:1])
     return circles
 
-def _closure_order(gens, degree) -> int:
-    idp = tuple(range(degree))
-    seen = {idp}
-    frontier = [idp]
-    gens_t = [tuple(g) for g in gens]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens_t:
-                prod = tuple(g[h[i]] for i in range(degree))
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-                    if len(seen) > CLOSURE_CAP:
-                        raise TrackingFailure("group closure exceeded the cap")
-        frontier = nxt
-    return len(seen)
-
-
-def _cycle_type(perm) -> tuple:
-    n = len(perm)
-    seen = [False] * n
-    out = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        l = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            l += 1
-        out.append(l)
-    return tuple(sorted(out, reverse=True))
-
-
-def track_loops(fib: Fibration, rng: random.Random, dump_csv=None) -> MonodromyResult:
-    """Permutation generators around every branch parameter.
-
-    ``dump_csv`` (path or writable handle) records the tracked paths as rows
-    ``loop_index,step,root_index,re,im`` for offline inspection.
-    """
+def track_loops(fib: Fibration, rng: random.Random) -> MonodromyResult:
+    """Permutation generators around every branch parameter, with the order
+    and the cycle types of the group they generate."""
     d = fib.degree
     centers = _cluster(fib.branch_candidates)
     if not centers:
@@ -430,17 +322,16 @@ def track_loops(fib: Fibration, rng: random.Random, dump_csv=None) -> MonodromyR
         if _gaps(start).min() < COLLISION:
             continue
         gens = []
-        trace = [] if dump_csv is not None else None
         try:
-            for li, circle in enumerate(circles):
+            for circle in circles:
                 # lift the way out once: the way back retraces it, so its
                 # lift inverts the outbound one and the loop lift from
                 # start[i] ends at start[j] when psi[i] lands on phi[j]
-                fibres = _track_path(fib, [base] + circle, start, li, trace)
+                fibres = _track_path(fib, [base] + circle, start)
                 phi, psi = fibres[1], fibres[-1]
                 matched = _match(psi, phi)
                 if matched is None or matched[1].max() > 0.2 * _gaps(phi).min():
-                    raise TrackingFailure("loop did not close on its start fibre", li)
+                    raise TrackingFailure("loop did not close on its start fibre")
                 gens.append(tuple(int(j) for j in matched[0]))
         except TrackingFailure:
             continue
@@ -454,15 +345,12 @@ def track_loops(fib: Fibration, rng: random.Random, dump_csv=None) -> MonodromyR
         nontrivial = [g for g in gens if any(g[i] != i for i in range(d))]
         if d > 1 and not nontrivial:
             continue
-        order = _closure_order(nontrivial, d) if nontrivial else 1
-        cycle_types = [_cycle_type(g) for g in nontrivial]
+        order, cycle_types = _order_and_cycle_types(nontrivial)
         ram = sum(sum(e - 1 for e in ct) for ct in cycle_types)
         if ram % 2:
             continue
         genus = 1 - d + ram // 2
         bw = [(ct, 1) for ct in cycle_types]
-        if trace is not None:
-            _write_trace(dump_csv, trace)
         return MonodromyResult(
             base, [(c, radii[c]) for c in ordered], nontrivial, order,
             cycle_types, bw, genus, d,
@@ -470,19 +358,18 @@ def track_loops(fib: Fibration, rng: random.Random, dump_csv=None) -> MonodromyR
     raise TrackingFailure("could not obtain a consistent loop system")
 
 
-def _write_trace(dump_csv, rows):
-    """Write ``rows`` as CSV to ``dump_csv``, a path or a writable handle."""
-    import contextlib
-    import csv
+def _order_and_cycle_types(gens) -> tuple:
+    """The order of the group that the permutations ``gens`` (image tuples)
+    generate, and the cycle type of each, longest cycle first.  sympy's
+    permutation groups are imported here, so only a numeric run loads them."""
+    from sympy.combinatorics import Permutation, PermutationGroup
 
-    if hasattr(dump_csv, "write"):
-        target = contextlib.nullcontext(dump_csv)
-    else:
-        target = open(dump_csv, "w", newline="", encoding="utf-8")
-    with target as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["loop_index", "step", "root_index", "re", "im"])
-        writer.writerows(rows)
+    perms = [Permutation(list(g)) for g in gens]
+    cycle_types = [
+        tuple(sorted((l for l, n in g.cycle_structure.items() for _ in range(n)), reverse=True))
+        for g in perms
+    ]
+    return (PermutationGroup(perms).order() if perms else 1), cycle_types
 
 
 def _cluster(values):
@@ -504,35 +391,26 @@ def _cluster(values):
 # -- top-level cross-checks ---------------------------------------------------------
 
 
-def _monodromy(make_fibration, degree: int, seed: int, dump_csv) -> MonodromyResult:
-    """Track the fibrations that ``make_fibration(rng)`` draws until one
-    gives a consistent loop system; the last failure is raised otherwise."""
+def monodromy_of_foliation(F: PlaneFoliation, seed: int = 11) -> MonodromyResult:
+    """Track the pencils that ``pencil_fibration`` draws until one gives a
+    consistent loop system; the last failure is raised otherwise."""
     rng = random.Random(seed)
     for _ in range(FIBRATION_ATTEMPTS):
-        fib = make_fibration(rng)
+        fib = pencil_fibration(F, rng)
         try:
-            result = track_loops(fib, rng, dump_csv=dump_csv)
+            result = track_loops(fib, rng)
         except TrackingFailure as exc:
             last = exc
             continue
-        result.galois_flag = result.group_order == degree
+        result.galois_flag = result.group_order == F.degree
         return result
     raise last
 
 
-def monodromy_of_foliation(F: PlaneFoliation, seed: int = 11,
-                           dump_csv=None) -> MonodromyResult:
-    return _monodromy(lambda rng: pencil_fibration(F, rng), F.degree, seed, dump_csv)
-
-
-def monodromy_of_map(f, seed: int = 11, dump_csv=None) -> MonodromyResult:
-    return _monodromy(lambda rng: map_fibration(f, rng), f.degree, seed, dump_csv)
-
-
-def cross_check(F: PlaneFoliation, seed: int = 11, dump_csv=None) -> MonodromyResult:
+def cross_check(F: PlaneFoliation, seed: int = 11) -> MonodromyResult:
     """Monodromy from two independent pencils; they must agree on the order
     and the multiset of cycle types."""
-    first = monodromy_of_foliation(F, seed, dump_csv=dump_csv)
+    first = monodromy_of_foliation(F, seed)
     second = monodromy_of_foliation(F, seed + 1000)
     if first.group_order != second.group_order or sorted(
         first.cycle_types

@@ -258,12 +258,12 @@ def _factor_part(part: MultiPoly) -> list[MultiPoly]:
     return lines if cofactor.is_constant() else lines + _factor_by_shift(cofactor)
 
 
-# Every prime comes from one search, _find_residue_map: the gcd certificate
-# keeps its first prime, and the root finder takes the first that suits its
-# polynomial.  A bivariate part is restricted to the vertical lines at
-# 0 .. _ABSCISSA_TRIES - 1 at most, and a product of linear factors mod p is
-# split with the shifts 0 .. _SPLIT_TRIES - 1 at most.  Past a cap, what is
-# not found goes to norms.
+# Every prime comes from one search, _find_residue_map, kept on each field:
+# the gcd certificate takes its first prime, and the root finder the first
+# that suits its polynomial.  A bivariate part is restricted to the vertical
+# lines at 0 .. _ABSCISSA_TRIES - 1 at most, and a product of linear factors
+# mod p is split with the shifts 0 .. _SPLIT_TRIES - 1 at most.  Past a cap,
+# what is not found goes to norms.
 _PRIME_FLOOR = 2**31
 _PRIME_TRIES = 32
 _ABSCISSA_TRIES = 8
@@ -322,19 +322,34 @@ def _find_residue_map(field):
     at which, layer by layer from the bottom, the modulus with the lower
     generators already sent to their roots has a simple root mod ``p``; each
     generator goes to the least such root.  Over a layer over Q,
-    ``images[i]`` is ``s^i`` for the root ``s`` of the generator."""
-    p = _PRIME_FLOOR
-    for _ in range(_PRIME_TRIES):
-        p = nextprime(p)
-        images = (1,)
-        for layer in field.chain():
-            m = [1] + [residue(c, p, images) for c in reversed(layer.min_poly)]
-            s = None if None in m else _simple_root(m, p)
-            if s is None:
-                break
-            images = tuple(pow(s, t, p) * i % p for t in range(layer.degree) for i in images)
-        else:
+    ``images[i]`` is ``s^i`` for the root ``s`` of the generator.
+
+    The primes tried are kept on the field, each with its ``images`` or
+    None, so a later walk goes over them again and calls ``nextprime`` only
+    past them."""
+    walk = getattr(field, "_prime_walk", None)
+    if walk is None:
+        walk = field._prime_walk = []
+    for place in range(_PRIME_TRIES):
+        if place == len(walk):
+            p = nextprime(walk[-1][0] if walk else _PRIME_FLOOR)
+            walk.append((p, _images_at(field, p)))
+        p, images = walk[place]
+        if images is not None:
             yield p, images
+
+
+def _images_at(field, p: int):
+    """:func:`_find_residue_map`'s ``images`` at the prime ``p``, or None
+    when ``p`` does not suit ``field``."""
+    images = (1,)
+    for layer in field.chain():
+        m = [1] + [residue(c, p, images) for c in reversed(layer.min_poly)]
+        s = None if None in m else _simple_root(m, p)
+        if s is None:
+            return None
+        images = tuple(pow(s, t, p) * i % p for t in range(layer.degree) for i in images)
+    return images
 
 
 def residue(c, p: int, images) -> int | None:

@@ -20,7 +20,6 @@ def test_analyze_galois_cubic(capsys):
         "analyze",
         "--inline",
         "field: g^2-g+1; A: x*y; B: g*y^2+x^3",
-        "--no-numeric",
     )
     assert code == 0
     assert "galois via discriminant_square" in out
@@ -33,7 +32,6 @@ def test_analyze_not_galois_quartic(capsys):
         "analyze",
         "--inline",
         "field: g^2-4*g+6; A: (y^2+x^3)*x; B: (g/6*y^2+4*x^3)*g*y",
-        "--no-numeric",
     )
     assert code == 1
     assert "chi=3/2" in out
@@ -70,8 +68,7 @@ def test_analyze_seed_reaches_only_the_numeric_check(capsys):
             "analyze",
             "--inline",
             "field: g^2-4*g+6; A: (y^2+x^3)*x; B: (g/6*y^2+4*x^3)*g*y",
-            "--no-numeric",
-            "--seed",
+                "--seed",
             seed,
             "--json",
         )
@@ -112,7 +109,6 @@ def test_analyze_json_roundtrip(capsys):
         "--inline",
         "A: y+x^2; B: -1/3*x^3",
         "--json",
-        "--no-numeric",
     )
     assert code == 0
     rep = json.loads(out)
@@ -212,7 +208,7 @@ def test_tangent_command(capsys):
 def test_file_input(capsys, tmp_path):
     spec = tmp_path / "f.fol"
     spec.write_text("field: g^2-g+1\nA: x*y\nB: g*y^2+x^3\n")
-    code, out, _ = run_cli(capsys, "analyze", str(spec), "--no-numeric")
+    code, out, _ = run_cli(capsys, "analyze", str(spec))
     assert code == 0
 
 def test_missing_input(capsys):
@@ -298,9 +294,9 @@ def test_tangent_of_another_degree_is_an_input_error(capsys):
     assert "degree 3" in err and "internal" not in err
 
 
-def test_numeric_and_no_numeric_exclude_each_other(capsys):
-    code, _, err = run_cli(
-        capsys, "analyze", "--numeric", "--no-numeric", "--inline", "A: x^2; B: y^2"
-    )
-    assert code == 3
-    assert "not allowed with" in err
+@pytest.mark.parametrize("option", [["--no-numeric"], ["--dump-paths", "paths.csv"]],
+                         ids=["no-numeric", "dump-paths"])
+def test_removed_numeric_options_are_rejected(capsys, option):
+    # the numeric check runs only with --numeric, and tracks no paths to a file
+    code, _, err = run_cli(capsys, "analyze", *option, "--inline", "A: x^2; B: y^2")
+    assert code == 3 and f"unrecognized arguments: {option[0]}" in err

@@ -1,6 +1,5 @@
 import importlib
 import itertools
-import io
 import math
 import random
 
@@ -11,25 +10,10 @@ from folgal import corpus
 from folgal import monodromy as mon
 from folgal.analyze import analyze
 from folgal.klein1d import WeightedBranchingType
-from folgal.multipoly import MultiPoly
-
-
-def test_power_map_cyclic():
-    r = mon.monodromy_of_map(corpus.line_map("power_3"), seed=5)
-    assert r.group_order == 3
-    assert r.galois_flag
-    assert sorted(r.cycle_types) == [(3,), (3,)]
-
-
-def test_cusp_cubic_full_symmetric_group():
-    r = mon.monodromy_of_map(corpus.line_map("cusp_cubic"), seed=5)
-    assert r.group_order == 6
-    assert sorted(r.cycle_types) == [(2, 1), (2, 1), (3,)]
-    assert not r.galois_flag
 
 
 def test_generators_compose_to_identity():
-    r = mon.monodromy_of_map(corpus.line_map("cusp_cubic"), seed=9)
+    r = mon.monodromy_of_foliation(corpus.foliation("fermat_3"), seed=3)
     d = r.degree
     prod = tuple(range(d))
     for g in r.generators:
@@ -67,18 +51,6 @@ def test_order_divisible_by_degree():
         F = corpus.foliation(name)
         r = mon.monodromy_of_foliation(F, seed=13)
         assert r.group_order % F.degree == 0
-
-
-def test_path_dump_csv(tmp_path):
-    target = tmp_path / "paths.csv"
-    mon.monodromy_of_map(corpus.line_map("power_3"), seed=5, dump_csv=str(target))
-    lines = target.read_text().splitlines()
-    assert lines[0] == "loop_index,step,root_index,re,im"
-    assert len(lines) > 10
-    # a writable handle gets the same rows
-    handle = io.StringIO(newline="")
-    mon.monodromy_of_map(corpus.line_map("power_3"), seed=5, dump_csv=handle)
-    assert handle.getvalue().splitlines() == lines
 
 
 # -- the tracker's step test and fibre representation --------------------------------
@@ -199,13 +171,6 @@ def _round_trip_generators(fib, result):
     return gens
 
 
-def test_out_leg_reuse_matches_round_trip_for_map():
-    rng = random.Random(5)
-    fib = mon.map_fibration(corpus.line_map("cusp_cubic"), rng)
-    r = mon.track_loops(fib, rng)
-    assert r.generators == _round_trip_generators(fib, r)
-
-
 def test_out_leg_reuse_matches_round_trip_for_foliation():
     rng = random.Random(3)
     fib = mon.pencil_fibration(corpus.foliation("fermat_3"), rng)
@@ -213,29 +178,61 @@ def test_out_leg_reuse_matches_round_trip_for_foliation():
     assert r.generators == _round_trip_generators(fib, r)
 
 
-# -- branch values of a line map from its Wronskian ------------------------------------
+# -- the group kernel against the breadth-first closure -------------------------------
 
 
-@pytest.mark.parametrize("name", ["cusp_cubic", "tetrahedral"])
-@pytest.mark.parametrize("twist", [(1, 0, 0, 1), (2, -1, 1, 3)])
-def test_wronskian_branch_values_match_the_resultant(name, twist):
-    """The candidates from ``num/den`` at the Wronskian's roots are the roots
-    of ``Res_u(q, dq/du)``; the untwisted tetrahedral map puts the roots of
-    its cubed denominator over s = infinity, where neither may see them."""
-    f = corpus.line_map(name)
-    num = f.num.rename_vars({"z": "u"}).with_vars(mon.SU)
-    den = f.den.rename_vars({"z": "u"}).with_vars(mon.SU)
-    m0, m1, m2, m3 = twist
-    tw_num = num.scale(m0) + den.scale(m1)
-    tw_den = num.scale(m2) + den.scale(m3)
-    q = tw_num - MultiPoly.variable(f.field, mon.SU, "s") * tw_den
-    d = q.degree_in("u")
-    new = mon._fibration(q, mon._map_branch_values(tw_num, tw_den), d, "")
-    old = mon._fibration(q, mon._numeric_roots(mon._exact_branch_poly(q), "s"), d, "")
-    ours, theirs = mon._cluster(new.branch_candidates), mon._cluster(old.branch_candidates)
-    assert len(ours) == len(theirs) > 0
-    for a, b in ((ours, theirs), (theirs, ours)):
-        assert max(min(abs(x - y) for y in b) for x in a) < 1e-8
+def _closure_order(gens, degree) -> int:
+    """Order of the group that ``gens`` generate, by listing its elements."""
+    idp = tuple(range(degree))
+    seen = {idp}
+    frontier = [idp]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for h in gens:
+                prod = tuple(g[h[i]] for i in range(degree))
+                if prod not in seen:
+                    seen.add(prod)
+                    nxt.append(prod)
+        frontier = nxt
+    return len(seen)
+
+
+def _cycle_type(perm) -> tuple:
+    n = len(perm)
+    seen = [False] * n
+    out = []
+    for i in range(n):
+        if seen[i]:
+            continue
+        l = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            l += 1
+        out.append(l)
+    return tuple(sorted(out, reverse=True))
+
+
+def test_group_kernel_matches_the_closure_on_random_generators():
+    rng = random.Random(31)
+    for _ in range(200):
+        d = rng.randint(3, 6)
+        gens = [tuple(rng.sample(range(d), d)) for _ in range(rng.randint(1, 3))]
+        order, cycle_types = mon._order_and_cycle_types(gens)
+        assert order == _closure_order(gens, d)
+        assert cycle_types == [_cycle_type(g) for g in gens]
+
+
+@pytest.mark.parametrize("name, seed", [
+    ("fermat_3", 3), ("cyclic_cubic_qh23", 3), ("halfchi_quartic", 3), ("dihedral_6", 107),
+])
+def test_group_kernel_matches_the_closure_on_tracked_generators(name, seed):
+    r = mon.monodromy_of_foliation(corpus.foliation(name), seed=seed)
+    assert r.generators
+    assert r.group_order == _closure_order(r.generators, r.degree)
+    assert r.cycle_types == [_cycle_type(g) for g in r.generators]
 
 
 # -- the dihedral cross-checks --------------------------------------------------------
@@ -270,7 +267,7 @@ def test_import_folgal_loads_no_numpy(run_python):
         "import sys\n"
         "import folgal\n"
         "print('numpy' in sys.modules)\n"
-        "names = ('cross_check', 'monodromy_of_foliation', 'monodromy_of_map')\n"
+        "names = ('cross_check', 'monodromy_of_foliation')\n"
         "assert set(names) <= set(folgal.__all__)\n"
         "from folgal import monodromy\n"
         "assert all(getattr(folgal, n) is getattr(monodromy, n) for n in names)\n"
@@ -295,6 +292,21 @@ def test_numeric_cycle_types_match_the_exact_branching(name):
     assert r.monodromy.numeric_genus == r.genus == 0
 
 
+def test_numeric_monodromy_runs_only_on_request(monkeypatch):
+    # without its exact branching, fermat_3 is a Galois verdict that the
+    # numeric check would once have run for by default
+    analyze_module = importlib.import_module("folgal.analyze")
+    monkeypatch.setattr(analyze_module, "branching_and_genus", lambda F, verdict: None)
+    r = analyze(corpus.foliation("fermat_3"))
+    assert r.status == "galois" and r.branching is None
+    assert r.monodromy is None
+    assert "monodromy" not in r.timings
+    r = analyze(corpus.foliation("fermat_3"), numeric=True)
+    assert isinstance(r.monodromy, mon.MonodromyResult)
+    assert "monodromy" in r.timings
+    assert r.monodromy.numeric_genus == 0
+
+
 def test_numeric_branching_disagreement_raises(monkeypatch):
     # fermat_3 has two totally ramified branch points; an exact type of
     # three, with the right genus, must fail against the numeric cycle types
@@ -305,4 +317,13 @@ def test_numeric_branching_disagreement_raises(monkeypatch):
 
     monkeypatch.setattr(analyze_module, "branching_and_genus", wrong)
     with pytest.raises(AssertionError, match="cycle types"):
+        analyze(corpus.foliation("fermat_3"), numeric=True)
+
+
+def test_numeric_genus_disagreement_raises(monkeypatch):
+    # the right branching type with a wrong exact genus fails too
+    analyze_module = importlib.import_module("folgal.analyze")
+    wrong = lambda F, verdict: (WeightedBranchingType(F.degree, {(F.degree,): 2}), 1)
+    monkeypatch.setattr(analyze_module, "branching_and_genus", wrong)
+    with pytest.raises(AssertionError, match="numeric genus"):
         analyze(corpus.foliation("fermat_3"), numeric=True)

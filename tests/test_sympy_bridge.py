@@ -373,7 +373,8 @@ def _capped_part(bivariate):
 
 def _assert_capped_run_matches(monkeypatch, part, cap, value):
     # the unpatched run fills the certificate primes of the field and of Q,
-    # which QQ keeps for every later test; the finder's own search is not kept
+    # which QQ keeps for every later test, and the field's prime walk, which
+    # _PRIME_TRIES still caps
     before = Counter(dict(factor_irreducible(part)))
     assert before == _sympy_factors(part)
     monkeypatch.setattr(sympy_bridge, cap, value)
@@ -432,6 +433,26 @@ def test_residue_map_is_the_first_map_of_the_prime_search(tower):
     first = next(sympy_bridge._find_residue_map(field))
     assert sympy_bridge.residue_map(field) == first
     assert len(first[1]) == field.size
+
+
+def test_a_second_part_over_the_same_field_searches_no_primes(monkeypatch):
+    field = _field("sqrt5")
+    x, y = (MultiPoly.variable(field, VARS, v) for v in VARS)
+    a = MultiPoly.constant(field, VARS, field.gen())
+    first = (x - a) * (x + a + 2) * (x**2 - 3)
+    lines, _ = sympy_bridge._linear_factors(first)
+    assert len(lines) == 2
+    calls = []
+    original = sympy_bridge.nextprime
+    monkeypatch.setattr(sympy_bridge, "nextprime", lambda p: calls.append(p) or original(p))
+    # the first part kept the field's maps; the next parts walk them again
+    later = [(y - x * a - 1) * (y + x - a) * (x**2 + y**2 - 3),
+             (x - 3 * a) * (x + 1) * (x**2 - 3)]
+    for part in later:
+        found, cofactor = sympy_bridge._linear_factors(part)
+        assert len(found) == 2 and not cofactor.is_constant()
+    assert calls == []
+    assert sympy_bridge.residue_map(field) == next(sympy_bridge._find_residue_map(field))
 
 
 def test_a_tower_gives_no_lines():
