@@ -155,6 +155,7 @@ class PlaneFoliation:
         self._singular_locus = None  # set by singular_locus(self)
         self._polar_pool = None  # set by local._polar_pool(self)
         self._line_map = None  # set by galois._line_map_class(self)
+        self._chart_fields = {}  # chart -> (A, B), set by chart_vector_field
 
     def __repr__(self):
         return f"PlaneFoliation(deg {self.degree}: A={self.A}, B={self.B})"
@@ -186,18 +187,23 @@ class PlaneFoliation:
         and by Euler's relation ``aX + bY + cZ = 0`` also ``aX``, hence
         ``a``: ``h`` is constant because the triple is saturated (asserted by
         :func:`from_vector_field`).  Chart y is the same with ``X`` and ``Y``
-        exchanged.
+        exchanged.  The fields of charts x and y are computed once and kept
+        on the foliation.
         """
         if chart == "z":
             return self.A, self.B
-        a, b, c = self.triple
-        u = MultiPoly.variable(self.field, AFFINE, "x")
-        v = MultiPoly.variable(self.field, AFFINE, "y")
-        if chart == "x":
-            return -_restrict(c, (1, u, v)), _restrict(b, (1, u, v))
-        if chart == "y":
-            return -_restrict(c, (u, 1, v)), _restrict(a, (u, 1, v))
-        raise ValueError(f"unknown chart {chart!r}")
+        if chart not in ("x", "y"):
+            raise ValueError(f"unknown chart {chart!r}")
+        if chart not in self._chart_fields:
+            a, b, c = self.triple
+            u = MultiPoly.variable(self.field, AFFINE, "x")
+            v = MultiPoly.variable(self.field, AFFINE, "y")
+            if chart == "x":
+                pair = -_restrict(c, (1, u, v)), _restrict(b, (1, u, v))
+            else:
+                pair = -_restrict(c, (u, 1, v)), _restrict(a, (u, 1, v))
+            self._chart_fields[chart] = pair
+        return self._chart_fields[chart]
 
     def gauss_map(self):
         """Homogeneous triple and the affine chart form (-B/C, A/C), C = yA - xB."""

@@ -37,7 +37,7 @@ from .linalg import kernel_basis, mat_mul, mat_vec, rank as matrix_rank
 from .local import _polar_pool, classify_singularities
 from .multipoly import MultiPoly, NotDivisible, evaluate_at
 from .numberfield import QQ, adjoin_root, coordinates, invert
-from .polyops import is_square_over_closure, mpoly_gcd
+from .polyops import is_irreducible, is_square_over_closure, mpoly_gcd
 from .ratfunc import RationalFunction, compose_poly
 from .sympy_bridge import factor_irreducible
 
@@ -1153,13 +1153,16 @@ def generic_polar_genus(F: PlaneFoliation) -> int:
     (:class:`folgal.local._PolarPool`), built from the jet at each
     point as ``A (qV - v qW) - B (qU - u qW)`` and resolved once, for the
     singularity table too; a germ of lowest degree 1 has delta 0 at once.
-    Reducible polars are skipped, and two in a row must agree.
+    Reducible polars are skipped, and two in a row must agree.  A polar
+    counts as irreducible by :func:`~folgal.polyops.is_irreducible`: the
+    factor degrees of its images on lines mod small primes usually prove it,
+    and only the other polars are factored.
     """
     d = F.degree
     pool = _polar_pool(F)
     last = None
     for index in range(12):
-        if len(factor_irreducible(pool.polar(index))) != 1:
+        if not is_irreducible(pool.polar(index)):
             continue
         total_delta = sum(
             sp.class_size * pool.branches_and_delta(index, k)[1]

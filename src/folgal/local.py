@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .multipoly import MultiPoly
 from .numberfield import adjoin_root
-from .polyops import squarefree_decompose, squarefree_part
+from .polyops import is_squarefree, squarefree_decompose, squarefree_part
 from .solve2d import translate
 from .foliation import AFFINE, PlaneFoliation, ProjPoint, singular_locus
 from .sympy_bridge import factor_irreducible
@@ -163,7 +163,9 @@ def resolve_germ(germ: MultiPoly, depth: int = 0):
         branches += b
         delta += dlt
 
-    if qdeg >= 1:
+    if qdeg >= 1 and is_squarefree(q):
+        branches += qdeg
+    elif qdeg >= 1:
         for fac, mult in squarefree_decompose(q):
             fdeg = fac.degree_in("T")
             if fdeg == 0:
@@ -228,11 +230,12 @@ class _PolarPool:
     translated.
 
     Each polar, through a random ``[qX : qY : 1]`` drawn from
-    :data:`POLAR_SEED`, is verified squarefree over the base field once; a
-    reduced curve stays reduced over every extension and in every chart, so
-    germs need no gcd work.  Each
-    (polar, point) germ is resolved once: the singularity table reads its
-    branch count and the polar genus its delta.
+    :data:`POLAR_SEED`, is kept only when it is squarefree over the base
+    field, which one squarefree image mod a prime proves in most cases
+    (:func:`~folgal.polyops.is_squarefree`); a reduced curve stays reduced
+    over every extension and in every chart, so germs need no gcd work.
+    Each (polar, point) germ is resolved once: the singularity table reads
+    its branch count and the polar genus its delta.
     """
 
     def __init__(self, F: PlaneFoliation):
@@ -259,8 +262,7 @@ class _PolarPool:
             pol = polar_curve(F, base)
             if pol.total_degree() != F.degree + 1:
                 continue
-            reduced = squarefree_part(pol)
-            if reduced.total_degree() != pol.total_degree():
+            if not is_squarefree(pol):
                 continue  # non-reduced polar: base point not generic
             self.bases.append(base)
             self.polars.append(pol)

@@ -4,7 +4,14 @@ Strategy: most gcds are 1, above all Yun's ``gcd(f, f')``, so every gcd over
 Q or a tower first maps both inputs to ``F_p`` for one prime ``p``
 (:func:`~folgal.sympy_bridge.residue_map`) and answers 1 when univariate
 images prove it (:func:`_coprime_image`, proof in its docstring); any other
-image falls through to the kernels below, unchanged.  Over Q, every gcd,
+image falls through to the kernels below, unchanged.  Callers that need
+only a yes or no ask :func:`is_squarefree` and :func:`is_irreducible`, which
+answer True from images on a few lines mod a prime when those prove it (a
+squarefree image; factor degrees mod small primes that leave no proper
+factor degree, proofs in their docstrings) and otherwise decide by the exact
+kernels; :func:`squarefree_decompose` and the factorization itself never
+take that shortcut, since a failed test would only add to their cost on
+the reducible inputs they exist for.  Over Q, every gcd,
 resultant and squarefree decomposition goes to
 sympy's dense integer kernels on integer-cleared inputs: the heuristic gcd of
 Char-Geddes-Gonnet, certified by exact cofactor products; the resultant over
@@ -38,9 +45,14 @@ from sympy.polys.sqfreetools import dmp_sqf_list
 from .multipoly import MultiPoly
 from .numberfield import RationalField, poly_gcd
 from .sympy_bridge import (
+    _gf_factor_degrees,
     _gf_gcd,
+    _gf_monic,
+    _gf_squarefree,
+    _images_at,
     at_generators,
     base_field_part,
+    factor_irreducible,
     from_dense,
     lift,
     residue,
@@ -185,6 +197,127 @@ def _coprime_image(p: MultiPoly, q: MultiPoly) -> bool:
         if len(_gf_gcd(*pair, prime)) > 1:
             return False
     return True
+
+
+# The lines v = c u + e on which the predicates below restrict an input in
+# two variables u, v, and the primes of the irreducibility test: small, so
+# that a Frobenius map costs few squarings.
+_LINES = ((2, 3), (-3, 5), (5, -7))
+_SMALL_PRIMES = (101, 103, 107, 109, 113, 127)
+
+
+def _line_images(p: MultiPoly, prime: int, images):
+    """The images in ``F_prime[u]``, highest coefficient first, of ``p``
+    restricted to the lines ``v = c u + e`` of ``_LINES`` that keep its
+    total degree, or of ``p`` itself when ``u`` is its one variable; none
+    when ``p`` has no variable or more than two, or when ``prime`` divides a
+    denominator.  A scalar maps by :func:`~folgal.sympy_bridge.residue`
+    with ``images``."""
+    active = [i for i, v in enumerate(p.vars) if p.degree_in(v) > 0]
+    if not 1 <= len(active) <= 2:
+        return
+    terms = []
+    for e, c in p.terms.items():
+        r = residue(c, prime, images)
+        if r is None:
+            return
+        terms.append((e, r))
+    n = p.total_degree()
+    iu = active[0]
+    if len(active) == 1:
+        image = [0] * (n + 1)
+        for e, r in terms:
+            image[n - e[iu]] += r
+        if image[0]:
+            yield image
+        return
+    iv = active[1]
+    for slope, icept in _LINES:
+        # powers[j]: (slope u + icept)^j mod prime, lowest coefficient first
+        powers = [[1]]
+        for _ in range(p.degree_in(p.vars[iv])):
+            last = powers[-1]
+            powers.append([(icept * a + slope * b) % prime for a, b in zip(last + [0], [0] + last)])
+        image = [0] * (n + 1)
+        for e, r in terms:
+            for k, b in enumerate(powers[e[iv]]):
+                image[n - e[iu] - k] += r * b
+        image = [c % prime for c in image]
+        if image[0]:
+            yield image
+
+
+def is_squarefree(p: MultiPoly) -> bool:
+    """Whether the nonzero ``p`` is squarefree over its field.
+
+    True at once when one of :func:`_line_images` at
+    :func:`~folgal.sympy_bridge.residue_map`'s prime ``ell`` is squarefree;
+    otherwise the gcd of ``p`` and its partial derivatives decides
+    (:func:`_derivative_gcd`).
+
+    Proof.  Take ``A_m``, the discrete valuation ring of
+    :func:`_coprime_image`, which holds ``p``'s coefficients since ``ell``
+    divides no denominator.  Suppose ``p = g^2 h`` with ``g`` of degree
+    ``k >= 1``.  Scaled by a power of ``ell``, ``g`` is primitive over
+    ``A_m``, and by Gauss's lemma so is ``g^2``, and ``h`` has coefficients
+    in ``A_m``.  Restricting to a line and reducing mod ``m`` is a ring map,
+    so the image is ``P = G^2 H``.  The top form of ``p`` is the product of
+    those of ``g^2`` and ``h``, and its value at ``(1, c)`` is the leading
+    coefficient of ``P``, nonzero; so ``G`` keeps the degree ``k`` of ``g``,
+    and ``G^2`` divides ``P``.  A squarefree image therefore rules out every
+    squared factor.
+    """
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    found = residue_map(p.field)
+    if found is not None:
+        prime = found[0]
+        if any(_gf_squarefree(image, prime) for image in _line_images(p, *found)):
+            return True
+    return _derivative_gcd(p).is_constant()
+
+
+def is_irreducible(p: MultiPoly) -> bool:
+    """Whether ``p`` is irreducible over its field.
+
+    True at once when the squarefree :func:`_line_images` at the primes of
+    ``_SMALL_PRIMES`` that suit the field
+    (:func:`~folgal.sympy_bridge._images_at`) leave no proper factor degree:
+    the degrees of each image's irreducible factors
+    (:func:`~folgal.sympy_bridge._gf_factor_degrees`) give the set of their
+    subset sums, and no degree strictly between 0 and ``p``'s total degree
+    ``n`` lies in every set.  Otherwise the answer comes from
+    :func:`~folgal.sympy_bridge.factor_irreducible`: one factor, of
+    multiplicity 1.  This is degree analysis of factorizations mod p
+    (Musser, J. ACM 1975); an input like ``x^4 + 1``, irreducible over Q
+    but a product of factors of degree 2 or 1 mod every prime, always takes
+    the fallback.
+
+    Proof.  As in :func:`is_squarefree`, a factorization ``p = g h`` with
+    ``g`` primitive over ``A_m`` and ``deg g = k`` maps to ``P = G H`` with
+    ``deg G <= k`` and ``deg H <= n - k``.  ``P`` keeps the degree ``n``, so
+    ``G`` keeps ``k``, and ``G``, a divisor of the squarefree ``P``, is the
+    product of some of its irreducible factors: ``k`` is a sum of some of
+    their degrees.  A factor with ``0 < k < n`` would put ``k`` in every
+    set.
+    """
+    proper = set(range(1, p.total_degree()))
+    for prime in _SMALL_PRIMES:
+        images = _images_at(p.field, prime)
+        if images is None:
+            continue
+        for image in _line_images(p, prime, images):
+            image = _gf_monic(image, prime)
+            if not _gf_squarefree(image, prime):
+                continue
+            sums = {0}
+            for d in _gf_factor_degrees(image, prime):
+                sums |= {s + d for s in sums}
+            proper &= sums
+            if not proper:
+                return True
+    factors = factor_irreducible(p)
+    return len(factors) == 1 and factors[0][1] == 1
 
 
 def _gcd_content_prs(p: MultiPoly, q: MultiPoly) -> MultiPoly:
@@ -626,8 +759,7 @@ def is_square_over_closure(p: MultiPoly):
     root = p.one_like()
     for f, m in dec:
         root = root * f ** (m // 2)
-    unit = p.exact_div(root * root).constant_value()
-    return True, root, unit
+    return True, root, dec.unit
 
 
 def perfect_power_part(p: MultiPoly, rho: int):

@@ -67,7 +67,6 @@ from sympy.polys.domains import QQ as SQQ
 from sympy.polys.domains import ZZ
 from sympy.polys.factortools import dmp_factor_list
 from sympy.polys.polyclasses import DMP
-from sympy.polys.sqfreetools import dmp_sqf_p
 
 from .linalg import lll
 from .multipoly import MultiPoly
@@ -113,10 +112,19 @@ def to_dense(p: MultiPoly, order: Sequence[str]) -> list:
 
 def lift(p: MultiPoly, order: Sequence[str]):
     """``(den, f)``: ``f`` is :func:`to_dense` of ``den * p`` over sympy's
-    ZZ, with ``den`` the least positive integer that clears denominators."""
+    ZZ, with ``den`` the least positive integer that clears denominators.
+    Over Q the integer numerators are written directly."""
     u = len(order) + len(p.field.chain()) - 1
-    den, f = dmp_clear_denoms(to_dense(p, order), u, SQQ, ZZ, convert=True)
-    return int(den), f
+    if not isinstance(p.field, RationalField):
+        den, f = dmp_clear_denoms(to_dense(p, order), u, SQQ, ZZ, convert=True)
+        return int(den), f
+    den = 1
+    for c in p.terms.values():
+        den = ZZ.lcm(den, c.denominator)
+    idx = [p.vars.index(v) for v in order]
+    flat = {tuple(e[i] for i in idx): ZZ(c.numerator * (den // c.denominator))
+            for e, c in p.terms.items()}
+    return int(den), dmp_from_dict(flat, u, ZZ)
 
 
 def from_dense(rep, order: Sequence[str], like: MultiPoly) -> MultiPoly:
@@ -439,6 +447,49 @@ def _gf_squarefree(a: list, p: int) -> bool:
     return len(_gf_gcd(a, _gf_diff(a, p), p)) == 1
 
 
+def _gf_factor_degrees(f: list, p: int) -> list[int]:
+    """The degrees of the irreducible factors of the monic squarefree ``f``,
+    in increasing order, by distinct-degree factorization (Cantor and
+    Zassenhaus, Math. Comp. 1981): once the factors of degree below ``d``
+    are divided out of ``g``, ``gcd(g, x^(p^d) - x)`` is the product of
+    those of degree ``d``.  The Frobenius map ``a(x) -> a(x)^p = a(x^p)``
+    is linear, so ``x^(p^d)`` mod ``f`` comes from ``x^(p^(d-1))`` by
+    composing it with ``x^p`` mod ``f``, a combination of the powers
+    ``x^(p i)`` mod ``f``, ``i < deg f``, built once."""
+    n = len(f) - 1
+    if n < 2:
+        return [1] * n
+    xp = _gf_pow_linear(0, p, f, p)
+    # frobenius[i]: x^(p i) mod f, lowest coefficient first, n entries
+    frobenius, power = [], [1]
+    for _ in range(n):
+        frobenius.append(power[::-1] + [0] * (n - len(power)))
+        product = [0] * (len(power) + len(xp) - 1)
+        for i, a in enumerate(power):
+            for j, b in enumerate(xp):
+                product[i + j] += a * b
+        power = _gf_divmod(product, f, p)[1]
+    degrees, g, h = [], f, xp
+    d = 1
+    while 2 * d < len(g):
+        w = [0] * (2 - len(h)) + h
+        w[-2] = (w[-2] - 1) % p
+        s = _gf_gcd(g, _gf_strip(w), p)
+        if len(s) > 1:
+            degrees += [d] * ((len(s) - 1) // d)
+            g = _gf_divmod(g, s, p)[0]
+        acc = [0] * n
+        for a, row in zip(reversed(h), frobenius):
+            if a:
+                for k, b in enumerate(row):
+                    acc[k] += a * b
+        h = _gf_strip([c % p for c in reversed(acc)])
+        d += 1
+    if len(g) > 1:
+        degrees.append(len(g) - 1)
+    return degrees
+
+
 def _roots_mod(h: list, p: int) -> list[int]:
     """The distinct roots in ``F_p`` of the nonzero ``h``, sorted: the
     roots of ``g = gcd(h, x^p - x)``, the product of the distinct linear
@@ -642,17 +693,13 @@ def _factor_by_shift(p: MultiPoly):
 def _squarefree_factors(norm: MultiPoly, order: list) -> list | None:
     """Irreducible factors of ``norm`` over its field, or None when it is
     not squarefree; over Q by sympy's dense kernels on ``order``."""
-    from .polyops import squarefree_decompose
+    from .polyops import is_squarefree
 
-    if not isinstance(norm.field, RationalField):
-        if any(mult > 1 for _, mult in squarefree_decompose(norm)):
-            return None
-        return [h for h, _ in factor_irreducible(norm)]
-    u = len(order) - 1
-    dense = to_dense(norm, order)
-    if not dmp_sqf_p(dense, u, SQQ):
+    if not is_squarefree(norm):
         return None
-    _, pieces = dmp_factor_list(dense, u, SQQ)
+    if not isinstance(norm.field, RationalField):
+        return [h for h, _ in factor_irreducible(norm)]
+    _, pieces = dmp_factor_list(to_dense(norm, order), len(order) - 1, SQQ)
     return [from_dense(h, order, norm) for h, _ in pieces]
 
 

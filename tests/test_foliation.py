@@ -324,3 +324,13 @@ def test_chart_fields_are_coprime():
         F = corpus.foliation(name)
         for chart in ("x", "y"):
             assert mpoly_gcd(*F.chart_vector_field(chart)).is_constant(), (name, chart)
+
+
+def test_chart_fields_are_computed_once(monkeypatch):
+    F = corpus.foliation("cyclic_cubic_qh23")
+    first = {chart: F.chart_vector_field(chart) for chart in ("x", "y")}
+    monkeypatch.setattr(fol, "_restrict", None)  # a second restriction would fail
+    for chart, pair in first.items():
+        assert F.chart_vector_field(chart) is pair
+    with pytest.raises(ValueError):
+        F.chart_vector_field("w")

@@ -953,3 +953,37 @@ def test_one_analysis_solves_the_singular_locus_once(monkeypatch):
         calls.clear()
         assert fol.singular_locus(F) is fol.singular_locus(F)
         assert not calls
+
+
+# -- genus of the generic polar --------------------------------------------------------
+
+
+def test_polar_genus_proves_irreducible_polars_without_factoring(monkeypatch):
+    # the pool's polars of a criterion-7 member are irreducible, and their
+    # images on lines mod small primes prove it: no polar is factored
+    from folgal import polyops
+
+    F = corpus.random_deformation_member(random.Random(4), 4)
+    assert F.degree == 4
+    inside, factored = [], []
+    real_genus = gal.generic_polar_genus
+
+    def genus(G):
+        inside.append(G)
+        try:
+            return real_genus(G)
+        finally:
+            inside.remove(G)
+
+    def counted(p):
+        if inside:
+            factored.append(p)
+        return factor_irreducible(p)
+
+    monkeypatch.setattr(gal, "generic_polar_genus", genus)
+    monkeypatch.setattr(gal, "factor_irreducible", counted)
+    monkeypatch.setattr(polyops, "factor_irreducible", counted)
+    result = analyze(F)
+    assert result.genus == 0
+    assert F._polar_pool is not None and F._polar_pool.polars
+    assert not factored

@@ -15,13 +15,15 @@ from folgal.polyops import (
     _gcd_rational,
     _squarefree_yun,
     discriminant,
+    is_irreducible,
     is_square_over_closure,
+    is_squarefree,
     mpoly_gcd,
     perfect_power_part,
     resultant,
     squarefree_decompose,
 )
-from folgal.sympy_bridge import residue_map
+from folgal.sympy_bridge import factor_irreducible, residue_map
 
 
 def sylvester_matrix(p, q, var):
@@ -583,3 +585,102 @@ def test_squarefree_part_over_a_layer_makes_no_euclidean_division(monkeypatch, f
     dec = squarefree_decompose(p)
     assert [m for _, m in dec] == [1]
     assert not calls
+
+
+# -- squarefree and irreducible from line images mod p --------------------------------
+#
+# is_squarefree and is_irreducible answer True from images on lines mod a
+# prime when those prove it; every other input takes the exact route, which
+# is the oracle: squarefree_decompose and factor_irreducible.
+
+PREDICATE_FIELDS = {"QQ": QQ, "sqrt5": SQRT5, "zeta3_i": ZETA3_I}
+
+
+def _counting(monkeypatch, name):
+    from folgal import polyops
+
+    calls = []
+    real = getattr(polyops, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polyops, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("field", list(PREDICATE_FIELDS.values()), ids=list(PREDICATE_FIELDS))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_predicates_match_the_decompositions(field, data):
+    a, b = (data.draw(cert_poly(field, ("x", "y"), max_exp=2)) for _ in range(2))
+    shape = data.draw(st.sampled_from(["one", "product", "square", "square times"]))
+    p = {"one": a, "product": a * b, "square": a * a, "square times": a * a * b}[shape]
+    if not _nonconstant(p):
+        return
+    assert is_squarefree(p) == all(m == 1 for _, m in squarefree_decompose(p))
+    factors = factor_irreducible(p)
+    assert is_irreducible(p) == (len(factors) == 1 and factors[0][1] == 1)
+
+
+@pytest.mark.parametrize("field", list(PREDICATE_FIELDS.values()), ids=list(PREDICATE_FIELDS))
+@pytest.mark.parametrize("text", ["x^3 + y^2 + {g}", "x^2*y + y^3 - {g}*x + 1", "y^4 - x - {g}"])
+def test_images_prove_an_irreducible_input(monkeypatch, field, text):
+    p = parse_poly(text.format(g=_generator(field)), field, ("x", "y"))
+    gcds = _counting(monkeypatch, "_derivative_gcd")
+    factors = _counting(monkeypatch, "factor_irreducible")
+    assert is_squarefree(p) and is_irreducible(p)
+    assert not gcds and not factors
+
+
+@pytest.mark.parametrize("field", list(PREDICATE_FIELDS.values()), ids=list(PREDICATE_FIELDS))
+def test_a_square_or_a_product_is_never_proved(field):
+    x, y = variables(field, ("x", "y"))
+    g = _generator(field)
+    f, h = x**2 + y + g, y**2 - x * g + 1
+    assert not is_squarefree(f * f * h)
+    assert is_squarefree(f * h) and not is_irreducible(f * h)
+    assert not is_irreducible(f * f)
+
+
+def test_x4_plus_1_is_irreducible_through_the_factorization(monkeypatch):
+    # x^4 + 1 is a product of factors of degree 1 or 2 mod every prime
+    calls = _counting(monkeypatch, "factor_irreducible")
+    x, y = variables(QQ, ("x", "y"))
+    assert is_irreducible(x**4 + 1)
+    assert len(calls) == 1
+    assert not is_irreducible(x**4 + 4)  # (x^2 + 2x + 2)(x^2 - 2x + 2)
+
+
+def test_a_denominator_divisible_by_the_prime_falls_back(monkeypatch):
+    from folgal import polyops
+
+    x, y = variables(QQ, ("x", "y"))
+    prime, _ = residue_map(QQ)
+    gcds = _counting(monkeypatch, "_derivative_gcd")
+    assert is_squarefree(x**3 + y**2 + Fraction(1, prime))
+    assert len(gcds) == 1
+    small = 1
+    for q in polyops._SMALL_PRIMES:
+        small *= q
+    factors = _counting(monkeypatch, "factor_irreducible")
+    assert is_irreducible(x**3 + y**2 + Fraction(1, small))
+    assert len(factors) == 1
+
+
+def test_lines_where_the_top_form_vanishes_are_skipped(monkeypatch):
+    from folgal import polyops
+
+    x, y = variables(QQ, ("x", "y"))
+    top = x.one_like()
+    for slope, _ in polyops._LINES:
+        top = top * (y - x.scale(slope))
+    p = top + x + 1  # irreducible and squarefree; no line keeps its degree
+    assert not list(polyops._line_images(p, 101, (1,)))
+    gcds = _counting(monkeypatch, "_derivative_gcd")
+    assert is_squarefree(p)
+    assert len(gcds) == 1
+    factors = _counting(monkeypatch, "factor_irreducible")
+    assert is_irreducible(p)
+    assert len(factors) == 1

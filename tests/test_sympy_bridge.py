@@ -479,3 +479,50 @@ def test_modular_quintic_makes_no_norm(monkeypatch):
     assert len(components) == 15  # 14 lines of the affine chart and z = 0
     assert {c["kind"] for c in components} == {"invariant_line"}
     assert norms == []
+
+
+# -- distinct-degree factorization mod p --------------------------------------------
+
+
+@pytest.mark.parametrize("prime", [7, 101, int(sp.nextprime(2**31))])
+def test_factor_degrees_match_sympys_distinct_degree_split(prime):
+    from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_sqf_p
+    from sympy.polys.domains import ZZ
+
+    rng = random.Random(prime)
+    checked = 0
+    while checked < 300:
+        n = rng.randint(1, 12)
+        f = [1] + [rng.randrange(prime) for _ in range(n)]
+        if not gf_sqf_p(f, prime, ZZ):
+            continue
+        expected = sorted(d for g, d in gf_ddf_zassenhaus(f, prime, ZZ)
+                          for _ in range((len(g) - 1) // d))
+        assert sympy_bridge._gf_factor_degrees(f, prime) == expected, f
+        checked += 1
+
+
+def test_factor_degrees_of_products_of_known_factors():
+    # x^2 + 1 is irreducible mod 7; (x - 1)(x - 2)(x^2 + 1)(x^3 + x + 1)
+    # has one factor of each degree 1, 1, 2, 3 mod 7
+    from sympy.polys.galoistools import gf_mul
+    from sympy.polys.domains import ZZ
+
+    f = [1]
+    for g in ([1, 6], [1, 5], [1, 0, 1], [1, 0, 1, 1]):
+        f = gf_mul(f, g, 7, ZZ)
+    assert sympy_bridge._gf_factor_degrees(f, 7) == [1, 1, 2, 3]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_lift_over_q_matches_clearing_the_dense_form(seed):
+    from sympy.polys.densetools import dmp_clear_denoms
+    from sympy.polys.domains import ZZ
+
+    rng = random.Random(seed)
+    terms = {(rng.randint(0, 4), rng.randint(0, 4)): Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+             for _ in range(8)}
+    p = MultiPoly(QQ, VARS, terms)
+    for order in (["x", "y"], ["y", "x"]):
+        den, f = dmp_clear_denoms(sympy_bridge.to_dense(p, order), 1, SQQ, ZZ, convert=True)
+        assert sympy_bridge.lift(p, order) == (int(den), f)
