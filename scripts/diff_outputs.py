@@ -2,7 +2,8 @@
 """Compare the exact outputs of this checkout with those of another one.
 
 Runs ``scripts/run_corpus.py --json`` (the analysis report of every corpus
-entry and criterion-7 member, singular points included) and
+entry and criterion-7 member, singular points included, and the branch
+records of every corpus line map and of the generic maps) and
 ``scripts/run_decks.py --json`` (every deck report) from this checkout, once
 with this checkout's ``src`` and once with ``OTHER/src`` first on
 ``PYTHONPATH``, both with ``PYTHONHASHSEED=0``, and compares the outputs

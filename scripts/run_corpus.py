@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Analyze every corpus foliation and the criterion-7 deformation members, and
 print a one-line summary per entry; then classify every corpus line map
-(``corpus.MAP_SPECS``) and print its class, branching entries, genus and
-branch records (locus, profile, weight), one line per map.
+(``corpus.MAP_SPECS``) and the non-Galois maps of ``GENERIC_MAPS``, and print
+each one's class, branching entries, genus and branch records (locus,
+profile, weight), one line per map.  The generic maps reach what the Galois
+corpus maps do not: loci of full degree, annihilators with several factors,
+and a critical point at infinity with a finite value.
 
 The deformation members are the 15 that ``tests/test_acceptance.py`` draws
 for criterion 7: five of each degree 3, 4 and 5 from
@@ -30,12 +33,24 @@ import time
 
 from folgal import corpus
 from folgal.analyze import analyze
-from folgal.klein1d import classify
+from folgal.foliation import field_from_spec
+from folgal.klein1d import BinaryRationalMap, classify
+from folgal.numberfield import QQ
+from folgal.parsing import parse_rational
 from folgal.report import analysis_report
 
 DEFORM_SEED = 20240813
 DEFORM_DEGREES = (3, 4, 5)
 DEFORM_PER_DEGREE = 5
+
+# (field spec or None for Q, map in z), printed as generic_<index>
+GENERIC_MAPS = (
+    (None, "z^3 - 3*z"),
+    (None, "(z^4 + z + 1)/(z^2 - 3)"),
+    (None, "(z^8 + 3*z^3 - z + 2)/(z^7 - 2*z^4 + 5)"),
+    ("g^2+1", "z^3 + 3*z"),
+    ("g^2+1", "(z^4 + g*z^2 + 2*z)/(z^4 + z - g)"),
+)
 
 
 def entries():
@@ -51,6 +66,15 @@ def entries():
                 continue  # degenerate draw, skipped as criterion 7 skips it
             yield f"deform_d{d}_{k}", F, {"field": None, "A": str(F.A), "B": str(F.B)}
             k += 1
+
+
+def line_maps():
+    """``(name, map)`` for the corpus line maps, then ``GENERIC_MAPS``."""
+    for name in corpus.MAP_SPECS:
+        yield f"map_{name}", corpus.line_map(name)
+    for k, (spec, text) in enumerate(GENERIC_MAPS):
+        rf = parse_rational(text, field_from_spec(spec) if spec else QQ, ("z",))
+        yield f"generic_{k}", BinaryRationalMap.make(rf.num, rf.den)
 
 
 def line_map_summary(outcome) -> dict:
@@ -99,18 +123,18 @@ def main() -> int:
         except Exception as exc:  # pragma: no cover - reporting script
             failures += 1
             print(f"{name:24s} ERROR {type(exc).__name__}: {exc}")
-    for name in corpus.MAP_SPECS:
+    for name, f in line_maps():
         try:
-            outcome = classify(corpus.line_map(name))
+            outcome = classify(f)
         except Exception as exc:  # pragma: no cover - reporting script
             failures += 1
-            print(f"map_{name:20s} ERROR {type(exc).__name__}: {exc}")
+            print(f"{name:24s} ERROR {type(exc).__name__}: {exc}")
             continue
         if args.json:
-            print(json.dumps({"name": f"map_{name}", "line_map": line_map_summary(outcome)},
+            print(json.dumps({"name": name, "line_map": line_map_summary(outcome)},
                              sort_keys=True))
         else:
-            print(f"map_{name:20s} {outcome}; records: {'; '.join(map(str, outcome.records))}")
+            print(f"{name:24s} {outcome}; records: {'; '.join(map(str, outcome.records))}")
     return 1 if failures else 0
 
 

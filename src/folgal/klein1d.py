@@ -1,21 +1,21 @@
 """Galois decision and Klein-group classification for rational self-maps of
 the projective line.
 
-The branch data is extracted exactly: critical points from the Wronskian's
-squarefree structure, branch values as annihilator polynomials of the map's
-image in the quotient ring modulo each critical factor, and ramification
-profiles from squarefree decompositions of the fibre polynomial.  A
-nonlinear branch locus is factored into irreducible loci, and each is
-evaluated once over the field with one of its roots adjoined.
+The branch data is extracted exactly from the Wronskian: the critical
+points and their indices from its squarefree parts, the branch values as
+annihilator polynomials of the map's image in the quotient ring modulo each
+part, factored into irreducible loci, and the points over each locus counted
+by one gcd.  No root of a locus is adjoined and no fibre is decomposed (see
+:func:`ramification_profile`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .linalg import kernel_basis
 from .multipoly import MultiPoly
-from .numberfield import _trim, adjoin_root, invert, poly_divmod, poly_invmod
+from .numberfield import _trim, invert, poly_divmod, poly_gcd, poly_invmod
 from .polyops import mpoly_gcd, squarefree_decompose
 from .ratfunc import RationalFunction
 from .sympy_bridge import factor_irreducible
@@ -150,57 +150,68 @@ def _poly_mulmod(a, b, mod, fld):
 
 
 def _value_annihilator(num, den, modulus, fld):
-    """Monic annihilator of num/den in fld[z]/(modulus); roots = value set.
-
-    The columns of the matrix are the powers 1, w, ..., w^n of w = num/den
-    in the basis 1, z, ..., z^(n-1).  Its first free column is the first
-    power that depends on the ones before it, and every pivot row to its
-    right is zero there, so the first kernel vector is the monic minimal
-    polynomial of w.
+    """Monic minimal polynomial ``ann`` of ``w = num/den`` in
+    ``fld[z]/(modulus)``, and the powers ``w^0, ..., w^deg(ann)`` modulo
+    ``modulus`` (coefficient lists, low to high).  Each power is eliminated
+    against the echelon rows of the ones before it, each row carrying the
+    combination of powers it stands for; the first power that reduces to
+    zero depends on the ones before it, and its combination is ``ann``.
     """
     n = len(modulus) - 1
+    zero, one = fld.zero(), fld.one()
     inv_den = poly_invmod(den, modulus, fld)
     assert inv_den is not None, "denominator must be invertible here"
     w = _poly_mulmod(_trim(list(num)), inv_den, modulus, fld)
-    powers = [[fld.one()]]
-    for _ in range(n):
+    powers = [[one]]
+    rows = []  # (pivot, row with 1 at the pivot, combination of powers)
+    while True:
+        vec = powers[-1] + [zero] * (n - len(powers[-1]))
+        combo = [zero] * (len(powers) - 1) + [one]
+        for pivot, row, rcombo in rows:
+            c = vec[pivot]
+            if c:
+                vec = [a - c * b for a, b in zip(vec, row)]
+                combo = [a - c * b for a, b in zip(combo, rcombo)] + combo[len(rcombo):]
+        pivot = next((i for i, a in enumerate(vec) if a), None)
+        if pivot is None:
+            return combo, powers
+        scale = invert(fld, vec[pivot])
+        rows.append((pivot, [a * scale for a in vec], [a * scale for a in combo]))
         powers.append(_poly_mulmod(powers[-1], w, modulus, fld))
-    matrix = [[p[i] if i < len(p) else fld.zero() for p in powers] for i in range(n)]
-    return _trim(kernel_basis(matrix, fld)[0])
 
 
 # -- profiles -------------------------------------------------------------------------
 
 
-def _fiber_profile(d: int, fib: MultiPoly) -> tuple:
-    """Sorted ramification profile of a degree-``d`` map's fibre with the
-    fibre polynomial ``fib``: ``num - value * den`` over a finite value,
-    ``den`` over infinity.  The degree that ``fib`` lacks is the
-    multiplicity at z = infinity."""
-    if fib.is_zero():
-        raise ValueError("constant map has no fibres")
-    parts = []
-    drop = d - fib.total_degree()
-    if drop > 0:
-        parts.append(drop)
-    for fac, mult in squarefree_decompose(fib):
-        parts.extend([mult] * fac.total_degree())
-    assert sum(parts) == d, "profile must partition the degree"
-    return tuple(sorted(parts, reverse=True))
-
-
-def _infinity_value_locus(f: BinaryRationalMap):
-    """Value of f at z = infinity: None for infinity, else a linear locus root."""
-    d = f.degree
-    if f.den.degree_in("z") < d:
-        return None  # value infinity
-    ntop = f.num.coefficients("z")
-    ncoef = ntop[d] if len(ntop) > d else f.field.zero()
-    return ncoef * invert(f.field, f.den.leading_coefficient())
+def _profile(d: int, counts: Counter) -> tuple:
+    """Sorted profile: ``counts[e]`` points of index ``e > 1``, ones up to ``d``."""
+    parts = [e for e, c in sorted(counts.items(), reverse=True) for _ in range(c)]
+    assert sum(parts) <= d, "a fibre's indices must sum to at most the degree"
+    return tuple(parts + [1] * (d - sum(parts)))
 
 
 def ramification_profile(f: BinaryRationalMap) -> list[BranchPointRecord]:
-    """Branch point records with loci over the working field."""
+    """Branch point records with loci over the working field, counted from
+    the squarefree parts of the Wronskian ``W = num' den - num den'``.
+
+    *Indices.*  As ``num`` and ``den`` are coprime, ``ord_z W = e_z - 1`` at
+    every finite ``z``: off the poles ``f' = W / den^2``, and at a pole
+    ``(1/f)' = -W / num^2`` with ``num(z) != 0``.  The ``e_z - 1`` sum to
+    ``2d - 2`` (Riemann-Hurwitz), so ``e_inf - 1 = 2d - 2 - deg W``, and
+    infinity maps to ``num_d / den_d``, or to infinity when ``deg den < d``.
+    So the roots of the part of ``W`` of multiplicity ``m`` are the finite
+    points of index ``m + 1``: those of ``gcd(part, den)`` over infinity,
+    the roots ``z_j`` of the rest, ``work``, over finite values.
+
+    *Counts.*  ``work`` is squarefree, so evaluation at the ``z_j`` embeds
+    ``K[z]/(work)`` in a product of fields and sends ``w = num/den`` to the
+    ``f(z_j)``; the minimal polynomial of ``w`` is the product of ``y - v``
+    over the distinct values.  The ``z_j`` over the roots of one irreducible
+    factor ``L`` are the roots of ``gcd(work, L(w))``, and the Galois group
+    of ``K`` permutes the roots of ``L`` transitively, and the points over
+    them with them; so each root of ``L`` has ``deg gcd / deg L`` of them.
+    The other points of a fibre are unramified, and its indices sum to ``d``.
+    """
     d = f.degree
     if d < 1:
         raise ValueError("constant map")
@@ -211,51 +222,45 @@ def ramification_profile(f: BinaryRationalMap) -> list[BranchPointRecord]:
     wr = num.derivative("z") * den - num * den.derivative("z")
     if wr.is_zero():
         raise AssertionError("Wronskian vanished for a non-constant reduced map")
+    ncoeffs, dcoeffs = num.coefficients("z"), den.coefficients("z")
+    fibres: dict[MultiPoly, Counter] = {}  # locus -> index -> points over each value
+    at_infinity: Counter = Counter()
 
-    finite_loci: list[MultiPoly] = []
-    has_infinity_value = False
-
-    def note_value_linear(v):
-        z = MultiPoly.variable(field, ("y",), "y")
-        finite_loci.append(z - MultiPoly.constant(field, ("y",), v))
-
-    for fac, _mult in squarefree_decompose(wr):
+    for fac, mult in squarefree_decompose(wr):
         # poles among these critical points map to infinity
         pole_part = mpoly_gcd(fac, den)
         work = fac
         if not pole_part.is_constant():
-            has_infinity_value = True
+            at_infinity[mult + 1] += pole_part.total_degree()
             work = fac.exact_div(pole_part)
         if work.is_constant():
             continue
         mod = work.monic().coefficients("z")
-        ann = _value_annihilator(num.coefficients("z"), den.coefficients("z"), mod, field)
-        finite_loci.append(MultiPoly.from_dict(field, ("y",), {(i,): c for i, c in enumerate(ann)}))
+        ann, powers = _value_annihilator(ncoeffs, dcoeffs, mod, field)
+        values = MultiPoly.from_dict(field, ("y",), {(i,): c for i, c in enumerate(ann)})
+        placed = 0
+        for locus, _ in factor_irreducible(values):
+            image = [field.zero()] * (len(mod) - 1)  # L(w) modulo work
+            for c, power in zip(locus.coefficients("y"), powers):
+                image[: len(power)] = [a + c * b for a, b in zip(image, power)]
+            points = len(poly_gcd(mod, image, field)) - 1
+            assert points % locus.total_degree() == 0, "conjugate values must split evenly"
+            fibres.setdefault(locus, Counter())[mult + 1] += points // locus.total_degree()
+            placed += points
+        assert placed == len(mod) - 1, "every critical point must have one value"
 
     if wr.total_degree() < 2 * d - 2:  # critical point at infinity
-        v = _infinity_value_locus(f)
-        if v is None:
-            has_infinity_value = True
+        index = 2 * d - 1 - wr.total_degree()
+        if len(dcoeffs) <= d:
+            at_infinity[index] += 1
         else:
-            note_value_linear(v)
+            value = (ncoeffs[d] if len(ncoeffs) > d else field.zero()) * invert(field, dcoeffs[d])
+            locus = MultiPoly.from_dict(field, ("y",), {(1,): field.one(), (0,): -value})
+            fibres.setdefault(locus, Counter())[index] += 1
 
-    # split into irreducible loci and deduplicate
-    seen: list[MultiPoly] = []
-    for locus in finite_loci:
-        for p, _ in factor_irreducible(locus):
-            if all(p != q for q in seen):
-                seen.append(p)
-
-    records = []
-    for locus in seen:
-        value_field, value = adjoin_root(locus, "w")
-        fib = num.to_field(value_field) - den.to_field(value_field).scale(value)
-        records.append(BranchPointRecord(locus, _fiber_profile(d, fib), locus.total_degree()))
-
-    if has_infinity_value:
-        records.append(BranchPointRecord(None, _fiber_profile(d, den), 1))
-
-    records = [r for r in records if any(e > 1 for e in r.profile)]
+    records = [BranchPointRecord(p, _profile(d, c), p.total_degree()) for p, c in fibres.items()]
+    if at_infinity:
+        records.append(BranchPointRecord(None, _profile(d, at_infinity), 1))
     total_ram = sum(r.weight * sum(e - 1 for e in r.profile) for r in records)
     if total_ram != 2 * d - 2:
         raise AssertionError(

@@ -711,7 +711,25 @@ def _squarefree_tower(p: MultiPoly) -> list:
 
 def _squarefree_yun(p: MultiPoly) -> list:
     """``[(f, m)]`` by increasing ``m``, each ``f`` monic, squarefree and
-    prime to the others, by the Yun/Musser recursion on derivative gcds."""
+    prime to the others.
+
+    The first derivative gcd of Yun's recursion, in the first active
+    variable ``v``, would carry the content of ``p`` in ``v`` through every
+    subresultant step, so that content is split off first.  It is free of
+    ``v`` and the primitive part has no factor free of ``v``, so the two are
+    coprime, and their parts of equal multiplicity multiply."""
+    active = [v for v in p.vars if p.degree_in(v) > 0]
+    cont = content_in(p, active[0]) if len(active) > 1 else p.one_like()
+    if cont.is_constant():
+        return _yun_recursion(p)
+    merged: dict[int, MultiPoly] = {}
+    for f, m in _squarefree_yun(cont) + _yun_recursion(p.exact_div(cont)):
+        merged[m] = merged[m] * f if m in merged else f
+    return [(f.monic(), m) for m, f in sorted(merged.items())]
+
+
+def _yun_recursion(p: MultiPoly) -> list:
+    """:func:`_squarefree_yun` by the Yun/Musser recursion on derivative gcds."""
     factors: dict[int, MultiPoly] = {}
 
     def recurse(poly, shift):

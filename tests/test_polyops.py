@@ -14,6 +14,8 @@ from folgal.polyops import (
     _gcd_content_prs,
     _gcd_rational,
     _squarefree_yun,
+    _yun_recursion,
+    content_in,
     discriminant,
     is_irreducible,
     is_square_over_closure,
@@ -418,6 +420,22 @@ def test_squarefree_over_a_tower_matches_yun(field, text, expected):
     dec = squarefree_decompose(p)
     assert [(str(f), m) for f, m in dec] == expected
     assert dec.factors == _squarefree_yun(p)
+
+
+def test_yun_with_content_in_each_variable_matches_the_plain_recursion():
+    # over Q(sqrt 5): content (y^2 - g)^2 (y + 1) in x and (x - g)^3 in y,
+    # around a primitive part with a square
+    p = parse_poly("(y^2-g)^2*(y+1)*(x-g)^3*(x*y+g)^2*(x+y+1)", SQRT5, ("x", "y"))
+    assert content_in(p, "x").total_degree() == 5
+    assert content_in(p, "y").total_degree() == 3
+    parts = _squarefree_yun(p)
+    assert parts == _yun_recursion(p)
+    assert [(str(f), m) for f, m in parts] == [
+        ("x*y + y^2 + x + 2*y + 1", 1),
+        ("x*y^3 + (-g)*x*y + g*y^2 - 5", 2),
+        ("x + (-g)", 3),
+    ]
+    assert squarefree_decompose(p).reconstruct(p) == p
 
 
 @given(small_poly())
