@@ -35,9 +35,15 @@ from .foliation import (
 from .klein1d import BinaryRationalMap, WeightedBranchingType, classify
 from .linalg import kernel_basis, mat_mul, mat_vec, rank as matrix_rank
 from .local import _polar_pool, classify_singularities
-from .multipoly import MultiPoly, NotDivisible, evaluate_at
+from .multipoly import MultiPoly, evaluate_at
 from .numberfield import QQ, adjoin_root, coordinates, invert
-from .polyops import is_irreducible, is_square_over_closure, mpoly_gcd
+from .polyops import (
+    is_irreducible,
+    is_square_over_closure,
+    mpoly_gcd,
+    quadratic_discriminant,
+    translation_coefficients,
+)
 from .ratfunc import RationalFunction, compose_poly
 from .sympy_bridge import factor_irreducible
 
@@ -66,23 +72,21 @@ class GaloisVerdict:
 # -- translation-fiber polynomial -----------------------------------------------------
 
 
-def _fiber_polynomial(A: MultiPoly, B: MultiPoly, target, trim=None) -> MultiPoly:
-    """``A * B(x + tA, y + tB) - B * A(x + tA, y + tB)`` over the variables
-    ``target``, which hold those of ``A`` and ``B`` and ``t``.  ``A`` and
-    ``B`` are substituted in their own variables; ``trim``, when given, is
-    applied to both shifted fields before the products."""
-    field = A.field
-    At, Bt = A.with_vars(target), B.with_vars(target)
-    t = MultiPoly.variable(field, target, "t")
-    shift = {
-        "x": MultiPoly.variable(field, target, "x") + t * At,
-        "y": MultiPoly.variable(field, target, "y") + t * Bt,
-    }
-    Ash = A.substitute(shift, target=target)
-    Bsh = B.substitute(shift, target=target)
-    if trim is not None:
-        Ash, Bsh = trim(Ash), trim(Bsh)
-    return At * Bsh - Bt * Ash
+def _fiber_coefficients(F: PlaneFoliation) -> list[MultiPoly]:
+    """``[c_0, ..., c_n]`` of the fibre polynomial ``P = sum c_k t^k``, in
+    the affine variables (:func:`~folgal.polyops.translation_coefficients`);
+    ``c_0 == 0``."""
+    coeffs = translation_coefficients(F.A, F.B, "x", "y")
+    if not coeffs[0].is_zero():
+        raise AssertionError("t must divide the fibre polynomial")
+    return coeffs
+
+
+def _from_t_coefficients(coeffs: list[MultiPoly]) -> MultiPoly:
+    """``sum c_k t^k`` over the variables ``XYT``."""
+    return MultiPoly(coeffs[0].field, XYT, {
+        e + (k,): c for k, ck in enumerate(coeffs) for e, c in ck.terms.items()
+    })
 
 
 def gauss_fiber_polynomial(F: PlaneFoliation) -> MultiPoly:
@@ -91,10 +95,7 @@ def gauss_fiber_polynomial(F: PlaneFoliation) -> MultiPoly:
     Its roots in t locate the other points of the Gauss fibre through
     (x, y) along the common tangent line; t divides P identically.
     """
-    P = _fiber_polynomial(F.A, F.B, XYT)
-    if not P.substitute({"t": 0}).is_zero():
-        raise AssertionError("t must divide the fibre polynomial")
-    return P
+    return _from_t_coefficients(_fiber_coefficients(F))
 
 
 def discriminant_square_test(F: PlaneFoliation) -> GaloisVerdict:
@@ -102,14 +103,10 @@ def discriminant_square_test(F: PlaneFoliation) -> GaloisVerdict:
     d = F.degree
     if d not in (2, 3):
         raise UseAnotherMethod("discriminant test applies to degrees 2 and 3 only")
-    P = gauss_fiber_polynomial(F)
-    t = MultiPoly.variable(F.field, XYT, "t")
-    Q = P.exact_div(t)
-    tdeg = Q.degree_in("t")
-    coeffs = [c.with_vars(AFFINE if c.vars != AFFINE else c.vars)
-              for c in Q.univariate_coeffs("t")]
-    coeffs = [c.drop_vars([v for v in c.vars if v == "t"]) if "t" in c.vars else c
-              for c in coeffs]
+    full = _fiber_coefficients(F)
+    P = _from_t_coefficients(full)
+    coeffs = full[1:]  # the coefficients of Q = P / t
+    tdeg = len(coeffs) - 1
 
     if d == 2:
         if tdeg != 1:
@@ -125,7 +122,7 @@ def discriminant_square_test(F: PlaneFoliation) -> GaloisVerdict:
     if tdeg != 2:
         raise UseAnotherMethod("fibre polynomial dropped t-degree; use another method")
     a1, a2, a3 = coeffs
-    disc = a2 * a2 - 4 * a1 * a3
+    disc = quadratic_discriminant(a1, a2, a3)
     ok, root_or_witness, unit = is_square_over_closure(disc)
     if not ok:
         return GaloisVerdict(
@@ -927,11 +924,36 @@ def decks_from_line_decks(F: PlaneFoliation, klein):
 
 def _times_linear(num: MultiPoly, den: MultiPoly, W: MultiPoly) -> RationalFunction:
     """``num W / den`` in lowest terms, for coprime ``num``, ``den`` and a
-    linear form ``W``, which either divides ``den`` or is prime to it."""
-    try:
+    linear form ``W = a x + b y``, which either divides the form ``den`` or
+    is prime to it.
+
+    ``W`` divides ``den`` exactly when ``den`` vanishes at the zero
+    ``(b : -a)`` of ``W``, and only then is ``den`` divided.  For ``b != 0``
+    that is ``den(1, -a/b) = 0``, one Horner evaluation.  For ``W = a x``
+    it is ``x | den``: every term of ``den`` has positive valuation in
+    ``x``.
+    """
+    ix, iy = W.vars.index("x"), W.vars.index("y")
+    a = b = W.field.zero()
+    for e, c in W.terms.items():
+        if e[ix]:
+            a = c
+        else:
+            b = c
+    if b:
+        root = -a * invert(W.field, b)
+        coeffs = [W.field.zero()] * (den.degree_in("y") + 1)
+        for e, c in den.terms.items():
+            coeffs[e[iy]] = c
+        value = W.field.zero()
+        for c in reversed(coeffs):
+            value = value * root + c
+        divides = not value
+    else:
+        divides = all(e[ix] for e in den.terms)
+    if divides:
         return RationalFunction(num, den.exact_div(W), reduce=False)
-    except NotDivisible:
-        return RationalFunction(num * W, den, reduce=False)
+    return RationalFunction(num * W, den, reduce=False)
 
 
 def _conjugation_pool(K):
@@ -1059,9 +1081,8 @@ def _disc_first_order(F: PlaneFoliation, Y):
     e = MultiPoly.variable(field, XYE, "e")
     Ae = F.A.with_vars(XYE) + e * Ya.with_vars(XYE)
     Be = F.B.with_vars(XYE) + e * Yb.with_vars(XYE)
-    P = _mod_e2(_fiber_polynomial(Ae, Be, ("x", "y", "t", "e"), trim=_mod_e2))
     # coefficients a_i = a_i0 + e a_i1 of P/t = a_1 + a_2 t + a_3 t^2
-    tc = P.univariate_coeffs("t")
+    tc = [_mod_e2(c) for c in translation_coefficients(Ae, Be, "x", "y", trim=_mod_e2)]
     if len(tc) < 4:
         tc = tc + [MultiPoly.zero(field, XYE)] * (4 - len(tc))
     a = {}

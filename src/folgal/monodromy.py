@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .multipoly import MultiPoly
-from .polyops import resultant, squarefree_part
+from .polyops import is_squarefree, resultant, squarefree_part
 from .foliation import PlaneFoliation
 
 SU = ("s", "u")
@@ -52,6 +52,7 @@ class Fibration:
     degree: int
     table: np.ndarray
     branch_candidates: list
+    branch_values: int = 0  # distinct roots of Res_u(q, dq/du), counted exactly
 
     def coeffs_at(self, s: complex) -> np.ndarray:
         acc = self.table[0]
@@ -70,6 +71,7 @@ class MonodromyResult:
     numeric_bw: list
     numeric_genus: int
     degree: int
+    branch_values: int = 0
     galois_flag: bool | None = None
 
 
@@ -77,9 +79,7 @@ class MonodromyResult:
 
 
 def _numeric_roots(poly: MultiPoly, var: str) -> list[complex]:
-    """Roots of the squarefree part, so every numeric root is simple."""
-    if poly.total_degree() > 0:
-        poly = squarefree_part(poly)
+    """Roots of the squarefree ``poly``, each simple."""
     vec = [complex(c) for c in poly.coefficients(var)]
     arr = np.array(list(reversed(vec)), dtype=complex)
     arr = np.trim_zeros(arr, "f")
@@ -88,53 +88,70 @@ def _numeric_roots(poly: MultiPoly, var: str) -> list[complex]:
     return list(np.roots(arr))
 
 
-def _fibration(q: MultiPoly, candidates: list, d: int) -> Fibration:
-    """Numeric fibration of q(s, u), degree d in u, with the branch
-    ``candidates`` and the roots of its leading coefficient in u."""
+def _fibration(q: MultiPoly, branch: MultiPoly, d: int) -> Fibration:
+    """Numeric fibration of q(s, u), degree d in u, with the roots of the
+    squarefree ``branch`` as branch candidates.  Where the leading
+    coefficient of ``q`` in u vanishes, so does that of ``dq/du``, and the
+    Sylvester matrix has a zero column: its roots are among them."""
     coeffs = q.univariate_coeffs("u")  # low to high in u
-    candidates = list(candidates)
-    if not coeffs[d].is_constant():
-        candidates += _numeric_roots(coeffs[d], "s")
     m = max(c.degree_in("s") for c in coeffs)
     table = np.zeros((m + 1, d + 1), dtype=complex)
     for k, cpoly in enumerate(coeffs):
         for e, c in cpoly.terms.items():
             table[m - e[0], d - k] = complex(c)
-    return Fibration(d, table, candidates)
+    return Fibration(d, table, _numeric_roots(branch, "s"), branch.degree_in("s"))
 
 
-def pencil_fibration(F: PlaneFoliation, rng: random.Random) -> Fibration:
+def _tangency(F: PlaneFoliation, a0: Fraction, b0: Fraction, lam: MultiPoly, mu: MultiPoly) -> MultiPoly:
+    """``q(s, u)``: the tangency condition ``mu A - lam B = 0`` at the point
+    ``(a0 + lam u, b0 + mu u)`` of the line through ``(a0, b0)`` with
+    direction ``(lam, mu)``, over the variables ``SU``."""
+    field = F.field
+    u = MultiPoly.variable(field, SU, "u")
+    ca = MultiPoly.constant(field, SU, a0)
+    cb = MultiPoly.constant(field, SU, b0)
+    sub = {"x": ca + lam * u, "y": cb + mu * u}
+    abar = F.a_bar.substitute(sub, target=SU)
+    bbar = F.b_bar.substitute(sub, target=SU)
+    cbar = F.c_bar.substitute(sub, target=SU)
+    return mu * abar - lam * bbar + (mu * ca - lam * cb) * cbar
+
+
+def pencil_fibration(F: PlaneFoliation, rng: random.Random, fewest: int = 0) -> Fibration:
     """Tangency fibration over a generic pencil of lines through a random point.
 
-    The pencil parameter is twisted by a random rational direction frame so
-    that no branch value sits at the parameter's infinity (verified later by
-    the product-identity check).
+    The pencil parameter is twisted by a random rational direction frame,
+    and a frame whose line at the parameter's infinity is a branch line (its
+    tangency polynomial drops degree or has a repeated root) is drawn again.
+    A pencil whose branch values, the distinct roots of ``Res_u(q, dq/du)``
+    counted exactly as the degree of its squarefree part, number fewer than
+    ``fewest`` is special and is drawn again: a special pencil only merges
+    branch values, so its loops see products of the generic generators.  So
+    is a pencil whose numeric branch values merge under ``CLUSTER_TOL``,
+    since one loop would enclose two of them.
     """
     d = F.degree
     field = F.field
     last_error = None
     for _ in range(PENCIL_ATTEMPTS):
-        a0 = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
-        b0 = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
-        c2 = Fraction(rng.randint(-4, 4))
-        c4 = Fraction(rng.randint(1, 4))
-        # direction (lambda, mu) = (1 + c2*s, c4*s + c3)
-        c3 = Fraction(rng.randint(-4, 4))
+        a0 = Fraction(rng.randint(-19, 19), rng.randint(1, 11))
+        b0 = Fraction(rng.randint(-19, 19), rng.randint(1, 11))
+        c2 = Fraction(rng.randint(-9, 9))
+        c4 = Fraction(rng.randint(1, 9))
+        # direction (lambda, mu) = (1 + c2*s, c4*s + c3), (c2, c4) at s = infinity
+        c3 = Fraction(rng.randint(-9, 9))
+        if c4 == c2 * c3:
+            last_error = "direction frame is constant"
+            continue
+        at_infinity = _tangency(F, a0, b0, MultiPoly.constant(field, SU, c2),
+                                MultiPoly.constant(field, SU, c4))
+        if at_infinity.degree_in("u") != d or not is_squarefree(at_infinity):
+            last_error = "a branch value at the parameter's infinity"
+            continue
         s = MultiPoly.variable(field, SU, "s")
-        u = MultiPoly.variable(field, SU, "u")
         lam = 1 + s.scale(c2)
         mu = s.scale(c4) + MultiPoly.constant(field, SU, c3)
-        ca = MultiPoly.constant(field, SU, a0)
-        cb = MultiPoly.constant(field, SU, b0)
-        # point on line: (a + lam*u, b + mu*u); tangency: mu*A - lam*B = 0
-        xs = ca + lam * u
-        ys = cb + mu * u
-        sub = {"x": xs, "y": ys}
-        abar = F.a_bar.substitute(sub, target=SU)
-        bbar = F.b_bar.substitute(sub, target=SU)
-        cbar = F.c_bar.substitute(sub, target=SU)
-        const = mu * ca - lam * cb
-        q = mu * abar - lam * bbar + const * cbar
+        q = _tangency(F, a0, b0, lam, mu)
         if q.degree_in("u") != d:
             last_error = "tangency family dropped degree"
             continue
@@ -142,7 +159,16 @@ def pencil_fibration(F: PlaneFoliation, rng: random.Random) -> Fibration:
         if disc.is_zero():
             last_error = "discriminant vanished identically"
             continue
-        return _fibration(q, _numeric_roots(disc, "s"), d)
+        branch = squarefree_part(disc) if disc.total_degree() > 0 else disc.one_like()
+        values = branch.degree_in("s")
+        if values < fewest:
+            last_error = f"pencils with fewer than {fewest} branch values"
+            continue
+        fib = _fibration(q, branch, d)
+        if len(_cluster(fib.branch_candidates)) < values:
+            last_error = "branch values closer than the clustering tolerance"
+            continue
+        return fib
     raise DegeneratePencil(
         f"foliation too degenerate for a numeric pencil: {last_error}"
     )
@@ -391,27 +417,38 @@ def _cluster(values):
 # -- top-level cross-checks ---------------------------------------------------------
 
 
-def monodromy_of_foliation(F: PlaneFoliation, seed: int = 11) -> MonodromyResult:
-    """Track the pencils that ``pencil_fibration`` draws until one gives a
-    consistent loop system; the last failure is raised otherwise."""
+def monodromy_of_foliation(F: PlaneFoliation, seed: int = 11, fewest: int = 0) -> MonodromyResult:
+    """Track the pencils that ``pencil_fibration`` draws, with at least
+    ``fewest`` branch values, until one gives a consistent loop system; the
+    last failure is raised otherwise."""
     rng = random.Random(seed)
     for _ in range(FIBRATION_ATTEMPTS):
-        fib = pencil_fibration(F, rng)
+        fib = pencil_fibration(F, rng, fewest)
         try:
             result = track_loops(fib, rng)
         except TrackingFailure as exc:
             last = exc
             continue
         result.galois_flag = result.group_order == F.degree
+        result.branch_values = fib.branch_values
         return result
     raise last
 
 
 def cross_check(F: PlaneFoliation, seed: int = 11) -> MonodromyResult:
     """Monodromy from two independent pencils; they must agree on the order
-    and the multiset of cycle types."""
+    and the multiset of cycle types.
+
+    A special pencil has fewer branch values than a generic one, so when the
+    two pencils' counts differ, the one with fewer is drawn again from its
+    seed with at least the other's count (``pencil_fibration``)."""
     first = monodromy_of_foliation(F, seed)
-    second = monodromy_of_foliation(F, seed + 1000)
+    try:
+        second = monodromy_of_foliation(F, seed + 1000, first.branch_values)
+        if second.branch_values > first.branch_values:
+            first = monodromy_of_foliation(F, seed, second.branch_values)
+    except DegeneratePencil as exc:
+        raise TrackingFailure(f"no second pencil as generic as the first: {exc}") from exc
     if first.group_order != second.group_order or sorted(
         first.cycle_types
     ) != sorted(second.cycle_types):

@@ -11,35 +11,37 @@ squarefree image; factor degrees mod small primes that leave no proper
 factor degree, proofs in their docstrings) and otherwise decide by the exact
 kernels; :func:`squarefree_decompose` and the factorization itself never
 take that shortcut, since a failed test would only add to their cost on
-the reducible inputs they exist for.  Over Q, every gcd,
-resultant and squarefree decomposition goes to
-sympy's dense integer kernels on integer-cleared inputs: the heuristic gcd of
-Char-Geddes-Gonnet, certified by exact cofactor products; the resultant over
-ZZ (``dmp_resultant``), with Sylvester's sign; and Yun's squarefree
-decomposition (``dmp_sqf_list``), certified by reconstruction and one
-derivative gcd.  Over a number-field tower, resultants are interpolated from
-the same integer resultants at integer points (Collins 1971), each reduced at
-the generators; gcds and squarefree decompositions stay in-house, by a
-Euclidean sequence in one variable or on binary forms, by content extraction
-plus subresultant pseudo-remainder sequences otherwise, and by Yun's
-recursion on derivative gcds once the part over the base field is split off
-and decomposed there.  Polynomial products and exact quotients, over Q and
-over towers alike, are the kernels of :mod:`folgal.numberfield`.
-Every path is exact.
+the reducible inputs they exist for.  Over Q, every gcd and
+squarefree decomposition goes to sympy's dense integer kernels on
+integer-cleared inputs: the heuristic gcd of Char-Geddes-Gonnet, certified
+by exact cofactor products, and Yun's squarefree decomposition
+(``dmp_sqf_list``), certified by reconstruction and one derivative gcd.
+Over a number-field tower, gcds and squarefree decompositions stay
+in-house, by a Euclidean sequence in one variable or on binary forms, by
+content extraction plus subresultant pseudo-remainder sequences otherwise,
+and by Yun's recursion on derivative gcds once the part over the base field
+is split off and decomposed there.  Resultants take one path for every
+field: the coefficients in the eliminated variable, over ZZ in the other
+variables and the generators, are packed into integers by Kronecker
+substitution (:class:`Packing`), one univariate resultant over ZZ
+(``dup_resultant``, with Sylvester's sign) is unpacked, and the result is
+reduced at the generators.  Over Q the degree-3 fibre coefficients, their
+discriminant and its square root come from packed integers too; every
+packed value is unpacked with a digit width and strides that its docstring
+proves.  Polynomial products and exact quotients, over Q and over towers
+alike, are the kernels of :mod:`folgal.numberfield`.  Every path is exact.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from fractions import Fraction
 from typing import Sequence
 
-from sympy.polys.densearith import dmp_add_term, dmp_mul, dmp_neg, dmp_quo_ground, dmp_sub
-from sympy.polys.densebasic import dmp_degree_in, dmp_ground, dmp_one, dmp_zero
-from sympy.polys.densetools import dmp_eval
-from sympy.polys.domains import QQ as SQQ
+from sympy.polys.densearith import dmp_mul
+from sympy.polys.densebasic import dmp_from_dict, dmp_to_dict
 from sympy.polys.domains import ZZ
-from sympy.polys.euclidtools import dmp_inner_gcd, dmp_resultant
+from sympy.polys.euclidtools import dmp_inner_gcd, dup_resultant
 from sympy.polys.sqfreetools import dmp_sqf_list
 
 from .multipoly import MultiPoly
@@ -50,14 +52,12 @@ from .sympy_bridge import (
     _gf_monic,
     _gf_squarefree,
     _images_at,
-    at_generators,
     base_field_part,
     factor_irreducible,
     from_dense,
     lift,
     residue,
     residue_map,
-    to_dense,
 )
 
 
@@ -92,17 +92,6 @@ def _gcd_rational(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     if dmp_mul(h, cf, u, ZZ) != f or dmp_mul(h, cg, u, ZZ) != g:
         raise ArithmeticError("dense gcd over Q failed its cofactor check")
     return from_dense(h, order, p).monic()
-
-
-def _resultant_rational(p: MultiPoly, q: MultiPoly, var: str, dp: int, dq: int) -> MultiPoly:
-    """Sylvester resultant over Q of inputs of degrees ``dp, dq > 0`` in
-    ``var``: :func:`_zz_resultant` of the integer-cleared inputs, with
-    ``Res(a p, b q) = a^dq b^dp Res(p, q)`` divided out."""
-    rest = [v for v, _, _ in _active_vars(p, q) if v != var]
-    a, f = lift(p, [var] + rest)
-    b, g = lift(q, [var] + rest)
-    r = _zz_resultant(f, g, dp, dq, len(rest))
-    return from_dense(r, rest, p).scale(Fraction(1, a**dq * b**dp))
 
 
 # -- multivariate gcd ---------------------------------------------------------------------
@@ -450,119 +439,145 @@ def _gcd_prs(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
         h = (s**d).exact_div(h ** (d - 1)) if d > 0 else h
 
 
+# -- Kronecker substitution ----------------------------------------------------------------
+
+
+def _digit_bytes(bound: int) -> int:
+    """The least byte count ``w`` with ``2^(8w - 1) > bound``."""
+    return bound.bit_length() // 8 + 1
+
+
+class Packing:
+    """Kronecker substitution (Harvey, "Faster polynomial multiplication via
+    multipoint Kronecker substitution", J. Symbolic Comput. 44, 2009) of
+    integer polynomials in ``n`` variables into one ``int``.
+
+    Variable ``i`` goes to ``2^(8 w s_i)``, with strides ``s_0 = 1`` and
+    ``s_(i+1) = s_i (degrees[i] + 1)``, so the monomial ``x^e`` lands on
+    digit ``sum e_i s_i`` of ``size = prod (degrees[i] + 1)`` digits of
+    ``w = _digit_bytes(bound)`` bytes.  A polynomial of degree at most
+    ``degrees[i]`` in each ``x_i`` whose coefficients have absolute value at
+    most ``bound`` has a value with balanced digits, each in
+    ``[-2^(8w-1), 2^(8w-1))``, and the value determines them: adding
+    ``2^(8w-1)`` to every digit turns them into the base-``2^(8w)`` digits
+    of an integer in ``[0, 2^(8 w size))``.  So :meth:`pack` writes the
+    biased digits into bytes and subtracts the bias, and :meth:`unpack` adds
+    the bias back and slices the bytes; both are linear in ``w size``, where
+    peeling digits with shifts would be quadratic.  The substitution is a
+    ring map, so a ring expression in packed values is the packed value of
+    the same expression in the polynomials, and it unpacks to that
+    expression whenever the expression's degrees and coefficients are within
+    the packing's.
+    """
+
+    def __init__(self, degrees: Sequence[int], bound: int):
+        self.width = _digit_bytes(bound)
+        self.strides = []
+        size = 1
+        for d in degrees:
+            self.strides.append(size)
+            size *= d + 1
+        self.radices = [d + 1 for d in degrees]
+        self.size = size
+        self._biased = (bytes(self.width - 1) + b"\x80") * size
+        self._bias = int.from_bytes(self._biased, "little")
+
+    def point(self, i: int) -> int:
+        """The value of variable ``i``."""
+        return 1 << (8 * self.width * self.strides[i])
+
+    def pack(self, terms: dict) -> int:
+        """The value of ``sum c x^e`` over the items ``(e, c)`` of ``terms``."""
+        w = self.width
+        half = 1 << (8 * w - 1)
+        buf = bytearray(self._biased)
+        for e, c in terms.items():
+            k = w * sum(a * s for a, s in zip(e, self.strides))
+            buf[k:k + w] = (c + half).to_bytes(w, "little")
+        return int.from_bytes(buf, "little") - self._bias
+
+    def unpack(self, value: int) -> dict:
+        """``{e: c}``, the nonzero terms of the polynomial of value ``value``."""
+        w = self.width
+        half = 1 << (8 * w - 1)
+        raw = (value + self._bias).to_bytes(w * self.size, "little")
+        zero = self._biased[:w]
+        out = {}
+        for k in range(self.size):
+            digit = raw[k * w:(k + 1) * w]
+            if digit != zero:
+                e, rem = [], k
+                for r in self.radices:
+                    rem, a = divmod(rem, r)
+                    e.append(a)
+                out[tuple(e)] = int.from_bytes(digit, "little") - half
+        return out
+
+
+def _integer_terms(p: MultiPoly, order: Sequence[str]):
+    """``(den, terms)``: :func:`~folgal.sympy_bridge.lift` of ``p`` as a dict
+    from exponents (``order``, then one per generator) to ints."""
+    den, f = lift(p, order)
+    return den, dmp_to_dict(f, len(order) + len(p.field.chain()) - 1)
+
+
+def _from_terms(terms: dict, order: Sequence[str], like: MultiPoly, den: int) -> MultiPoly:
+    """``sum c x^e / den`` over the items of ``terms`` in ``like``'s ring,
+    with exponents over ``order`` and then the generators, reduced at the
+    generators."""
+    ngen = len(like.field.chain())
+    if ngen:
+        rep = dmp_from_dict(terms, len(order) + ngen - 1, ZZ)
+        return from_dense(rep, order, like).scale(Fraction(1, den))
+    idx = [like.vars.index(v) for v in order]
+    out = {}
+    for e, c in terms.items():
+        full = [0] * len(like.vars)
+        for i, k in zip(idx, e):
+            full[i] = k
+        out[tuple(full)] = Fraction(c, den)
+    return MultiPoly(like.field, like.vars, out)
+
+
+def _norm1(terms: dict) -> int:
+    return sum(abs(c) for c in terms.values())
+
+
 # -- resultants and discriminants -----------------------------------------------------
 
 
-def _resultant_tower(p: MultiPoly, q: MultiPoly, var: str, dp: int, dq: int) -> MultiPoly:
-    """Sylvester resultant over a number-field tower of inputs of degrees
-    ``dp, dq > 0`` in ``var``, by evaluation at integer points and
-    interpolation (Collins, "The calculation of multivariate polynomial
-    resultants", J. ACM 1971).
-
-    :func:`lift` writes ``a p`` and ``b q`` over ZZ in the other variables
-    ``rest``, ``var`` and one variable per generator.  The resultant is a
-    polynomial in the entries of the Sylvester matrix, so it commutes with
-    every ring map that keeps both degrees in ``var``: with setting a
-    variable of ``rest`` to an integer at which neither leading coefficient
-    in ``var`` vanishes over the field (other points are skipped), and with
-    replacing the generators by their values.  Since :func:`lift` writes
-    coordinates in the power basis of the generators, a leading coefficient
-    vanishes over the field exactly when its image over ZZ does.  At each
-    point of ``rest`` the resultant is taken over ZZ in ``var`` and the
-    generators and reduced at the generators; the rational coordinates of
-    these values are interpolated one variable of ``rest`` at a time.  At
-    the end ``Res(a p, b q) = a^dq b^dp Res(p, q)`` is divided out.
-
-    Number of points: the entry of the Sylvester matrix in a row ``i`` of
-    ``p``'s coefficients and column ``j`` has total degree at most
-    ``tp - dp + j - i`` in ``rest``, where ``tp`` is ``p``'s total degree,
-    and likewise for ``q``.  So every term of the determinant has total
-    degree at most ``dq tp + dp tq - dp dq``, and degree at most
-    ``dq deg_v p + dp deg_v q`` in each ``v``.
-    """
-    field = p.field
-    rest = [v for v, _, _ in _active_vars(p, q) if v != var]
-    a, f = lift(p, rest + [var])
-    b, g = lift(q, rest + [var])
-    top = dq * p.total_degree() + dp * q.total_degree() - dp * dq
-    bounds = [min(dq * p.degree_in(v) + dp * q.degree_in(v), top) for v in rest]
-    values = _values_at_points(f, g, bounds, dp, dq, field)
-    u = len(rest) + len(field.chain()) - 1
-    return from_dense(dmp_quo_ground(values, SQQ(a**dq * b**dp), u, SQQ), rest, p)
-
-
-def _values_at_points(f, g, bounds, dp: int, dq: int, field):
-    """``Res(f, g)`` in ``var``, reduced at the generators of ``field``:
-    dense over QQ in the ``k = len(bounds)`` outer variables and the
-    generators.  ``f`` and ``g`` are dense over ZZ in those variables,
-    ``var`` and the generators; ``bounds`` bounds the resultant's degree in
-    each outer variable."""
-    ngen = len(field.chain())
-    k = len(bounds)
-    if not k:
-        value = at_generators(_zz_resultant(f, g, dp, dq, ngen), field)
-        return to_dense(MultiPoly.constant(field, (), value), [])
-    u = k + ngen
-    xs, values = [], []
-    for x in _integer_points():
-        if len(xs) > bounds[0]:
-            break
-        fx, gx = dmp_eval(f, x, u, ZZ), dmp_eval(g, x, u, ZZ)
-        if dmp_degree_in(fx, k - 1, u - 1) < dp or dmp_degree_in(gx, k - 1, u - 1) < dq:
-            continue
-        xs.append(x)
-        values.append(_values_at_points(fx, gx, bounds[1:], dp, dq, field))
-    return _newton(xs, values, u - 2)
-
-
-def _integer_points():
-    """0, 1, -1, 2, -2, ...: small points keep the integers small."""
-    yield 0
-    for x in itertools.count(1):
-        yield x
-        yield -x
-
-
-def _zz_resultant(f, g, dp: int, dq: int, u: int):
-    """Sylvester resultant in the outer variable of ``f`` and ``g`` (degrees
-    ``dp``, ``dq`` in it), dense over ZZ in ``u + 1`` variables; an integer
-    when ``u = 0``.  sympy returns Sylvester's sign only with the operand of
-    higher degree first (``Res(y + 2, y^5 + 1)`` is -31, but sympy returns
-    31 for both orders), so a swap applies ``(-1)^(dp dq)``."""
-    if dp >= dq:
-        return dmp_resultant(f, g, u, ZZ)
-    r = dmp_resultant(g, f, u, ZZ)
-    if not dp * dq % 2:
-        return r
-    return dmp_neg(r, u - 1, ZZ) if u else -r
-
-
-def _newton(xs, values, u: int):
-    """The polynomial of degree below ``len(xs)`` in a new outer variable
-    that takes ``values[i]`` (dense over QQ in ``u + 1`` variables) at
-    ``xs[i]``, by Newton's divided differences; dense over QQ."""
-    c = list(values)
-    n = len(xs)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            diff = dmp_sub(c[i], c[i - 1], u, SQQ)
-            c[i] = dmp_quo_ground(diff, SQQ(xs[i] - xs[i - j]), u, SQQ)
-    acc = dmp_zero(u + 1)
-    one = dmp_one(u, SQQ)
-    for i in range(n - 1, -1, -1):
-        # acc = acc * (v - xs[i]) + c[i]
-        linear = [one, dmp_ground(SQQ(-xs[i]), u)]
-        acc = dmp_add_term(dmp_mul(acc, linear, u + 1, SQQ), c[i], 0, u + 1, SQQ)
-    return acc
-
-
 def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
-    """Sylvester resultant with respect to ``var``.
+    """Sylvester resultant with respect to ``var``, over any field.
 
-    A constant input gives a power of the other.  Over Q it is the integer
-    resultant of the integer-cleared inputs (:func:`_resultant_rational`);
-    over a number-field tower it is interpolated from integer resultants at
-    integer points (:func:`_resultant_tower`).
+    A constant input gives a power of the other.  Otherwise let ``dp, dq >
+    0`` be the degrees in ``var``.  :func:`~folgal.sympy_bridge.lift` writes
+    ``f = a p`` and ``g = b q`` over ZZ in ``var``, the other variables
+    ``rest`` and one variable per generator.  Each coefficient in ``var`` is
+    packed into one integer (:class:`Packing`), one resultant is taken over
+    ZZ (:func:`_zz_resultant`) and unpacked, and the result is reduced at
+    the generators and divided by ``a^dq b^dp``, since
+    ``Res(a p, b q) = a^dq b^dp Res(p, q)``.
+
+    Proof.  The resultant is a polynomial in the entries of the Sylvester
+    matrix, so it commutes with every ring map that keeps both degrees in
+    ``var``: with the packing, and with replacing the generators by their
+    values.  The packing's degrees and bound below are at least those of
+    ``f`` and ``g``, so each leading coefficient in ``var`` packs to a
+    nonzero integer and both degrees are kept.  So the packed resultant is
+    the value of ``Res(f, g)``, and it unpacks to ``Res(f, g)`` since:
+
+    - Degrees.  The entry of the Sylvester matrix in a row ``i`` of
+      ``f``'s coefficients and column ``j`` has total degree at most
+      ``tp - dp + j - i`` in ``rest``, where ``tp`` is ``p``'s total degree,
+      and likewise for ``g``.  So every term of the determinant has total
+      degree at most ``dq tp + dp tq - dp dq`` in ``rest``, and degree at
+      most ``dq deg_v f + dp deg_v g`` in each packed variable ``v``.
+    - Coefficients (Goldstein and Graham, SIAM Review 16, 1974).  Expanding
+      the determinant, ``||Res||_1`` is at most the sum over permutations of
+      the products of the entries' ``||.||_1``, which is at most the product
+      of the row sums.  The ``dq`` rows of ``f`` sum to
+      ``sum_j ||f_j||_1 = ||f||_1``, the ``dp`` rows of ``g`` to
+      ``||g||_1``, so ``||Res||_inf <= ||f||_1^dq ||g||_1^dp``.
     """
     dp = p.degree_in(var)
     dq = q.degree_in(var)
@@ -572,9 +587,169 @@ def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
         return p**dq
     if dq <= 0:
         return q**dp
-    if isinstance(p.field, RationalField):
-        return _resultant_rational(p, q, var, dp, dq)
-    return _resultant_tower(p, q, var, dp, dq)
+    rest = [v for v, _, _ in _active_vars(p, q) if v != var]
+    a, f = _integer_terms(p, [var] + rest)
+    b, g = _integer_terms(q, [var] + rest)
+    top = dq * p.total_degree() + dp * q.total_degree() - dp * dq
+    degrees = []
+    for i in range(1, len(next(iter(f)))):
+        d = dq * max(e[i] for e in f) + dp * max(e[i] for e in g)
+        degrees.append(min(d, top) if i <= len(rest) else d)
+    packing = Packing(degrees, _norm1(f) ** dq * _norm1(g) ** dp)
+
+    def packed(terms, n):
+        rows = [{} for _ in range(n + 1)]
+        for e, c in terms.items():
+            rows[n - e[0]][e[1:]] = c
+        return [packing.pack(row) for row in rows]
+
+    r = _zz_resultant(packed(f, dp), packed(g, dq), dp, dq)
+    return _from_terms(packing.unpack(r), rest, p, a**dq * b**dp)
+
+
+def _zz_resultant(f: list, g: list, dp: int, dq: int) -> int:
+    """Sylvester resultant of ``f`` and ``g``, dense over ZZ in one variable,
+    of degrees ``dp`` and ``dq``.  sympy returns Sylvester's sign only with
+    the operand of higher degree first (``Res(y + 2, y^5 + 1)`` is -31, but
+    sympy returns 31 for both orders), so a swap applies ``(-1)^(dp dq)``."""
+    if dp >= dq:
+        return dup_resultant(f, g, ZZ)
+    r = dup_resultant(g, f, ZZ)
+    return -r if dp * dq % 2 else r
+
+
+def translation_coefficients(A: MultiPoly, B: MultiPoly, x: str, y: str, trim=None) -> list:
+    """``[c_0, ..., c_n]``, in ``A``'s ring, with ``c_n`` nonzero unless all
+    are, where ``A B(x + tA, y + tB) - B A(x + tA, y + tB) = sum c_k t^k``.
+
+    Over Q, with no ``trim``, it is one packed evaluation
+    (:func:`_translation_packed`).  Over a tower, where packing the
+    generators would multiply their degrees before any reduction, and with
+    ``trim``, which is applied to both shifted polynomials before the
+    products, it substitutes MultiPolys (:func:`_translation_substituted`).
+    """
+    if trim is None and not A.field.chain():
+        return _translation_packed(A, B, x, y)
+    return _translation_substituted(A, B, x, y, trim)
+
+
+def _translation_substituted(A: MultiPoly, B: MultiPoly, x: str, y: str, trim=None) -> list:
+    """:func:`translation_coefficients` by substituting ``x + tA``,
+    ``y + tB`` into ``A`` and ``B`` as MultiPolys."""
+    t = "_t"
+    while t in A.vars:
+        t = "_" + t
+    target = A.vars + (t,)
+    At, Bt = A.with_vars(target), B.with_vars(target)
+    tv = MultiPoly.variable(A.field, target, t)
+    shift = {x: MultiPoly.variable(A.field, target, x) + tv * At,
+             y: MultiPoly.variable(A.field, target, y) + tv * Bt}
+    Ash = A.substitute(shift, target=target)
+    Bsh = B.substitute(shift, target=target)
+    if trim is not None:
+        Ash, Bsh = trim(Ash), trim(Bsh)
+    return (At * Bsh - Bt * Ash).univariate_coeffs(t) or [A.zero_like()]
+
+
+def _translation_packed(A: MultiPoly, B: MultiPoly, x: str, y: str) -> list:
+    """:func:`translation_coefficients` over Q by one packed evaluation.
+
+    :func:`~folgal.sympy_bridge.lift` writes ``A' = e A`` and ``B' = e B``
+    over ZZ with one denominator ``e``.  ``P'(t) = A' B'(x + tA', y + tB')
+    - B' A'(x + tA', y + tB')`` is ``e^2 P(e t)``, so ``c_k`` is
+    ``e^(-k-2)`` times the coefficient of ``t^k`` in ``P'``.  ``P'`` is
+    evaluated at the points of a :class:`Packing` in ``A``'s variables and
+    ``t``, by Horner's rule on ``sum_ij (A' b_ij - B' a_ij) u^i v^j`` with
+    ``u = x + tA'``, ``v = y + tB'`` and ``a_ij``, ``b_ij`` the parts of
+    ``A'``, ``B'`` at ``x^i y^j``, and unpacked.
+
+    Proof of the packing's degrees and bound.  Let ``n`` be the largest
+    degree in ``x, y`` of a term of ``A'`` or ``B'``, and ``m_v`` the larger
+    degree of ``A'``, ``B'`` in ``v``.  A term ``x^i y^j`` of ``B'``
+    (``i + j <= n``, its coefficient of degree at most ``m_v`` in any other
+    variable ``v``) becomes ``(x + tA')^i (y + tB')^j``, of degree at most
+    ``n`` in ``t``, at most ``n max(1, m_v)`` in ``v = x, y`` and at most
+    ``n m_v`` in any other ``v``.  With its coefficient and the factor
+    ``A'``, ``P'`` has degree at most ``m_v + n max(1, m_v)`` in ``x`` and
+    ``y``, and ``(n + 2) m_v`` in any other variable.  Coefficients: with
+    ``|f|`` the polynomial of the absolute values of ``f``'s coefficients,
+    ``|f g| <= |f| |g|`` and ``|f + g| <= |f| + |g|`` term by term, and the
+    ``||.||_1`` of a polynomial with nonnegative coefficients is its value
+    at 1.  So ``||P'||_inf <= ||P'||_1 <= ||A'||_1 |B'|(1 + ||A'||_1,
+    1 + ||B'||_1) + ||B'||_1 |A'|(1 + ||A'||_1, 1 + ||B'||_1)``, with every
+    other variable of ``|A'|``, ``|B'|`` at 1.
+    """
+    order = list(A.vars)
+    ix, iy = order.index(x), order.index(y)
+    a, fa = _integer_terms(A, order)
+    b, fb = _integer_terms(B, order)
+    den = math.lcm(a, b)
+    fa = {e: c * (den // a) for e, c in fa.items()}
+    fb = {e: c * (den // b) for e, c in fb.items()}
+    exps = list(fa) + list(fb)
+    n = max(e[ix] + e[iy] for e in exps)
+    degrees = []
+    for i in range(len(exps[0])):
+        m = max(e[i] for e in exps)
+        degrees.append(m + n * max(1, m) if i in (ix, iy) else (n + 2) * m)
+    norm_a, norm_b = _norm1(fa), _norm1(fb)
+
+    def majorant(f):
+        return sum(abs(c) * (1 + norm_a) ** e[ix] * (1 + norm_b) ** e[iy] for e, c in f.items())
+
+    packing = Packing(degrees + [n], norm_a * majorant(fb) + norm_b * majorant(fa))
+    T = packing.point(len(degrees))
+    va, vb = packing.pack(fa), packing.pack(fb)
+    u = packing.point(ix) + T * va
+    v = packing.point(iy) + T * vb
+
+    # gamma[(i, j)]: A' b_ij - B' a_ij at the packing's points
+    parts = {}
+    for slot, f in enumerate((fb, fa)):
+        for e, c in f.items():
+            rest = list(e) + [0]
+            rest[ix] = rest[iy] = 0
+            parts.setdefault((e[ix], e[iy]), ({}, {}))[slot][tuple(rest)] = c
+    gamma = {key: va * packing.pack(pb) - vb * packing.pack(pa) for key, (pb, pa) in parts.items()}
+    powers = [1]
+    for _ in range(n):
+        powers.append(powers[-1] * v)
+    value = 0
+    for i in range(n, -1, -1):
+        value = value * u + sum(g * powers[j] for (k, j), g in gamma.items() if k == i)
+    rows = [{} for _ in range(n + 1)]
+    for e, c in packing.unpack(value).items():
+        rows[e[-1]][e[:-1]] = c
+    while len(rows) > 1 and not rows[-1]:
+        rows.pop()
+    return [_from_terms(row, order, A, den ** (k + 2)) for k, row in enumerate(rows)]
+
+
+def quadratic_discriminant(c0: MultiPoly, c1: MultiPoly, c2: MultiPoly) -> MultiPoly:
+    """``c1^2 - 4 c0 c2``, the discriminant of ``c2 t^2 + c1 t + c0``: one
+    packed evaluation over Q, MultiPoly products over a tower.
+
+    Over Q, with ``c_k = f_k / d_k`` lifted over ZZ (:func:`_integer_terms`),
+    it is ``(d0 d2 f1^2 - 4 d1^2 f0 f2) / (d0 d1^2 d2)``.  The numerator has
+    degree at most ``max(2 deg_v f1, deg_v f0 + deg_v f2)`` in each
+    variable ``v`` and, since ``||f g||_1 <= ||f||_1 ||g||_1``,
+    coefficients of absolute value at most
+    ``d0 d2 ||f1||_1^2 + 4 d1^2 ||f0||_1 ||f2||_1``; a :class:`Packing`
+    with those degrees and that bound unpacks it.
+    """
+    if c0.field.chain():
+        return c1 * c1 - 4 * c0 * c2
+    order = list(c0.vars)
+    lifted = [_integer_terms(c, order) for c in (c0, c1, c2)]
+    (d0, f0), (d1, f1), (d2, f2) = lifted
+    degrees = []
+    for i in range(len(order)):
+        deg = [max((e[i] for e in f), default=0) for _, f in lifted]
+        degrees.append(max(2 * deg[1], deg[0] + deg[2]))
+    packing = Packing(degrees, d0 * d2 * _norm1(f1) ** 2 + 4 * d1 * d1 * _norm1(f0) * _norm1(f2))
+    v0, v1, v2 = (packing.pack(f) for _, f in lifted)
+    value = d0 * d2 * v1 * v1 - 4 * d1 * d1 * v0 * v2
+    return _from_terms(packing.unpack(value), order, c0, d0 * d1 * d1 * d2)
 
 
 def discriminant(p: MultiPoly, var: str) -> MultiPoly:
@@ -764,12 +939,21 @@ def squarefree_part(p: MultiPoly) -> MultiPoly:
 def is_square_over_closure(p: MultiPoly):
     """Whether ``p`` is a square up to a constant over the complex numbers.
 
-    Returns ``(True, root, unit)`` with ``p = unit * root**2`` (unit a field
-    constant, always a complex square) or ``(False, witness, None)`` where the
-    witness is a factor of odd multiplicity.
+    Returns ``(True, root, unit)`` with ``p = unit * root**2``, ``root``
+    monic and ``unit`` a field constant (always a complex square), or
+    ``(False, witness, None)`` where the witness is a factor of odd
+    multiplicity.  A root from :func:`_packed_square_root` is returned once
+    ``unit * root**2 == p`` holds exactly, with ``unit`` the leading
+    coefficient of ``p``; every other answer comes from the squarefree
+    decomposition.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
+    root = _packed_square_root(p)
+    if root is not None:
+        unit = p.leading_coefficient()
+        if (root * root).scale(unit) == p:
+            return True, root, unit
     dec = squarefree_decompose(p)
     for f, m in dec:
         if m % 2:
@@ -778,6 +962,48 @@ def is_square_over_closure(p: MultiPoly):
     for f, m in dec:
         root = root * f ** (m // 2)
     return True, root, dec.unit
+
+
+def _packed_square_root(p: MultiPoly):
+    """The monic ``r`` with ``p = c r^2`` for a constant ``c``, read from the
+    integer square root of a packed value, over Q; ``None`` over a tower,
+    and when that value is no perfect square or a coefficient does not fit
+    the digits.  :func:`is_square_over_closure` checks the identity, so a
+    ``None`` or a wrong ``r`` costs time, never an answer.
+
+    Let ``D`` be ``p`` with its denominators cleared and ``E = lc(D) D``.
+    If ``p = c R^2``, take ``R`` integral and primitive; by Gauss's lemma
+    ``R^2`` is primitive too, so ``D = c' R^2`` with ``c'`` an integer, and
+    ``E = S^2`` for the integral ``S = c' lc(R) R``.  The packing has the
+    degrees of ``E``, which are twice those of ``S`` (an odd one rules out a
+    square), and a bound on the coefficients of both: ``||E||_inf``, and
+    ``||S||_inf <= ||S||_2 <= ||E||_1^(1/2)``, since by Parseval ``||S||_2^2``
+    is the mean of ``|S|^2 = |E|`` on the torus ``|x_i| = 1``, where
+    ``|E| <= ||E||_1``.  So the packed ``E`` is the square of the packed
+    ``S``, its integer square root is the absolute value of the packed
+    ``S``, and that unpacks to ``+-S``.
+    """
+    if p.field.chain():
+        return None  # a tower's power-basis coordinates are no squares
+    order = list(p.vars)
+    _, terms = _integer_terms(p, order)
+    lead = terms[p.leading_term()[0]]
+    terms = {e: lead * c for e, c in terms.items()}
+    degrees = [max(e[i] for e in terms) for i in range(len(order))]
+    if any(d % 2 for d in degrees):
+        return None
+    norm = _norm1(terms)
+    packing = Packing(degrees, max(max(map(abs, terms.values())), math.isqrt(norm) + 1))
+    try:
+        value = packing.pack(terms)
+    except OverflowError:
+        return None
+    if value < 0:
+        return None
+    root = math.isqrt(value)
+    if root * root != value:
+        return None
+    return _from_terms(packing.unpack(root), order, p, 1).monic()
 
 
 def perfect_power_part(p: MultiPoly, rho: int):

@@ -54,6 +54,7 @@ generators, with one variable per generator.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 from typing import Sequence
@@ -118,9 +119,7 @@ def lift(p: MultiPoly, order: Sequence[str]):
     if not isinstance(p.field, RationalField):
         den, f = dmp_clear_denoms(to_dense(p, order), u, SQQ, ZZ, convert=True)
         return int(den), f
-    den = 1
-    for c in p.terms.values():
-        den = ZZ.lcm(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
     idx = [p.vars.index(v) for v in order]
     flat = {tuple(e[i] for i in idx): ZZ(c.numerator * (den // c.denominator))
             for e, c in p.terms.items()}

@@ -37,9 +37,23 @@ def test_analyze_not_galois_quartic(capsys):
     assert "chi=3/2" in out
 
 
-def test_analyze_numeric_disagreement_keeps_the_exact_exit_code(capsys):
-    # at seed 901 the two pencils of halfchi_quartic see different branch
-    # points; the numeric block is marked unreliable, the verdict stands
+def test_analyze_numeric_disagreement_keeps_the_exact_exit_code(capsys, monkeypatch):
+    # the second pencil is made to report another cycle type, so the two
+    # pencils disagree; the numeric block is marked unreliable, the verdict
+    # stands
+    from folgal import monodromy
+
+    tracked = monodromy.monodromy_of_foliation
+    calls = []
+
+    def second_disagrees(F, seed, fewest=0):
+        result = tracked(F, seed, fewest)
+        calls.append(seed)
+        if len(calls) == 2:  # cross_check's second pencil
+            result.cycle_types = result.cycle_types + [(2, 1, 1)]
+        return result
+
+    monkeypatch.setattr(monodromy, "monodromy_of_foliation", second_disagrees)
     code, out, err = run_cli(
         capsys,
         "analyze",

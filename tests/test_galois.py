@@ -11,11 +11,13 @@ from folgal import foliation as fol
 from folgal import galois as gal
 from folgal import local
 from folgal import numberfield
+from folgal import polyops
 from folgal.analyze import analyze
 from folgal.klein1d import BinaryRationalMap, classify
 from folgal.multipoly import MultiPoly
 from folgal.numberfield import QQ
 from folgal.parsing import parse_poly
+from folgal.polyops import _translation_packed, _translation_substituted
 from folgal.ratfunc import RationalFunction, compose_poly
 from folgal.report import analysis_report
 from folgal.solve2d import common_zeros, translate
@@ -987,3 +989,78 @@ def test_polar_genus_proves_irreducible_polars_without_factoring(monkeypatch):
     assert result.genus == 0
     assert F._polar_pool is not None and F._polar_pool.polars
     assert not factored
+
+
+# -- the packed fibre coefficients --------------------------------------------------
+
+
+def _random_pair(rng):
+    """``A``, ``B`` over Q in ``x, y`` of total degree 1..5, a few terms
+    each, with rational coefficients."""
+    out = []
+    for _ in range(2):
+        deg = rng.randint(1, 5)
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            i = rng.randint(0, deg)
+            terms[(i, rng.randint(0, deg - i))] = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+        i = rng.randint(0, deg)
+        terms[(i, deg - i)] = Fraction(rng.randint(1, 9), rng.randint(1, 7))
+        out.append(MultiPoly.from_dict(QQ, fol.AFFINE, terms))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_packed_fibre_coefficients_match_the_generic_composition(seed):
+    A, B = _random_pair(random.Random(seed))
+    packed = _translation_packed(A, B, "x", "y")
+    assert packed[0].is_zero()
+    assert packed == _translation_substituted(A, B, "x", "y")
+
+
+def test_the_fibre_coefficients_of_a_tower_are_substituted(monkeypatch):
+    F = corpus.foliation("cyclic_cubic_qh23")
+    monkeypatch.setattr(polyops, "_translation_packed", None)
+    assert gal.discriminant_square_test(F).is_galois
+
+
+# -- one division per lifted deck coordinate ----------------------------------------
+
+
+def _count_divisions(monkeypatch):
+    calls = []
+    exact_div = MultiPoly.exact_div
+
+    def spy(self, divisor):
+        calls.append(divisor)
+        return exact_div(self, divisor)
+
+    monkeypatch.setattr(MultiPoly, "exact_div", spy)
+    return calls
+
+
+def test_times_linear_evaluates_at_the_root_of_w(monkeypatch):
+    x, y = MultiPoly.variable(QQ, fol.AFFINE, "x"), MultiPoly.variable(QQ, fol.AFFINE, "y")
+    W = 2 * x - 3 * y
+    rest = x * x + y * y
+    num = x**3 + 5 * y**3
+    calls = _count_divisions(monkeypatch)
+    r = gal._times_linear(num, W * rest, W)
+    assert (r.num, r.den) == (num, rest)
+    assert len(calls) == 1
+    r = gal._times_linear(num, rest, W)  # prime to W: no division at all
+    assert r.num * rest == num * W * r.den
+    assert len(calls) == 1
+
+
+def test_times_linear_reads_x_from_the_valuation(monkeypatch):
+    x, y = MultiPoly.variable(QQ, fol.AFFINE, "x"), MultiPoly.variable(QQ, fol.AFFINE, "y")
+    W = 7 * x
+    num = y**3 + 2 * x**3
+    calls = _count_divisions(monkeypatch)
+    r = gal._times_linear(num, x * (x + y) * y, W)
+    assert (r.num, r.den) == (num.scale(7), (x + y) * y)
+    assert len(calls) == 1
+    r = gal._times_linear(num, x * x + y * y, W)
+    assert r.num * (x * x + y * y) == num * W * r.den
+    assert len(calls) == 1

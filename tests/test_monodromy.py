@@ -9,6 +9,7 @@ import pytest
 from folgal import corpus
 from folgal import monodromy as mon
 from folgal.analyze import analyze
+from folgal.galois import generic_polar_genus
 from folgal.klein1d import WeightedBranchingType
 
 
@@ -247,6 +248,44 @@ def test_dihedral_cross_check(name, order, cycle_types):
     assert r.group_order == order
     assert sorted(r.cycle_types) == cycle_types
     assert r.numeric_genus == 0
+
+
+# -- special pencils are drawn again --------------------------------------------------
+
+
+@pytest.mark.parametrize("name, seed, values, cycle_types", [
+    # at these seeds one of the two pencils used to merge branch values
+    ("parabola_cubic_qh12", 901, 4, [(3,)] * 3),
+    ("fermat_3_perturbed", 3, 9, [(2, 1)] * 4 + [(3,)] * 3),
+    ("hessian_pencil_4", 901, 11, [(3, 1)] * 9),
+])
+def test_cross_check_redraws_the_pencil_with_fewer_branch_values(name, seed, values, cycle_types):
+    F = corpus.foliation(name)
+    r = mon.cross_check(F, seed=seed)
+    assert r.branch_values == values
+    assert sorted(r.cycle_types) == cycle_types
+    assert r.numeric_genus == generic_polar_genus(F)
+    exact = analyze(F)
+    if exact.branching is not None:
+        assert WeightedBranchingType.from_pairs(r.degree, r.numeric_bw) == exact.branching
+        assert r.numeric_genus == exact.genus
+
+
+def test_pencils_never_exceed_the_generic_number_of_branch_values():
+    # parabola_cubic_qh12's generic pencils have 4 branch values, so asking
+    # for 5 exhausts the attempts
+    F = corpus.foliation("parabola_cubic_qh12")
+    assert mon.pencil_fibration(F, random.Random(901), fewest=4).branch_values == 4
+    with pytest.raises(mon.DegeneratePencil):
+        mon.pencil_fibration(F, random.Random(901), fewest=5)
+
+
+def test_a_pencil_whose_branch_values_merge_numerically_is_drawn_again(monkeypatch):
+    # with a tolerance wider than the branch locus every pencil merges two
+    # values, so one loop would enclose both
+    monkeypatch.setattr(mon, "CLUSTER_TOL", 10.0)
+    with pytest.raises(mon.DegeneratePencil, match="clustering tolerance"):
+        mon.pencil_fibration(corpus.foliation("parabola_cubic_qh12"), random.Random(1))
 
 
 def test_analyze_reaches_monodromy_without_scipy(run_python):

@@ -1,10 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.polys.densearith import dmp_neg
+from sympy.polys.domains import ZZ
+from sympy.polys.euclidtools import dmp_resultant
 
-from folgal import numberfield
+from folgal import numberfield, polyops
 from folgal.multipoly import MultiPoly, variables
 from folgal.numberfield import QQ, extend
 from folgal.parsing import parse_min_poly, parse_poly
@@ -25,7 +29,7 @@ from folgal.polyops import (
     resultant,
     squarefree_decompose,
 )
-from folgal.sympy_bridge import factor_irreducible, residue_map
+from folgal.sympy_bridge import factor_irreducible, from_dense, lift, residue_map
 
 
 def sylvester_matrix(p, q, var):
@@ -240,8 +244,8 @@ def test_subresultant_chain_matches_determinants(f, g):
         assert resultant(a, b, "y") == brute_determinant(sylvester_matrix(a, b, "y"))
 
 
-# over a tower the resultant is interpolated from integer resultants at
-# points; the Sylvester determinant over the tower is the oracle
+# over a tower the generators are packed with the other variables; the
+# Sylvester determinant over the tower is the oracle
 SQRT5 = extend(QQ, "g", [Fraction(-5), Fraction(0)])  # g^2 - 5
 ZETA3 = extend(QQ, "g", [Fraction(1), Fraction(-1)])  # g^2 - g + 1
 ZETA3_I = extend(ZETA3, "c", [ZETA3.one(), ZETA3.zero()])  # c^2 + 1 over Q(g)
@@ -295,8 +299,8 @@ def univariate_odd_pair(draw):
 @example((parse_poly("z + 2", QQ, ("z", "y")), parse_poly("z^5 + 1", QQ, ("z", "y"))))
 @settings(max_examples=30, deadline=None)
 def test_rational_and_tower_resultants_agree(pair):
-    # the Q path (one integer resultant) and the tower path (integer
-    # resultants at points, interpolated) on the same pair moved into Q(sqrt 5)
+    # the same pair over Q and moved into Q(sqrt 5), where the generator is
+    # packed too
     p, q = pair
     r = resultant(p, q, "z")
     assert resultant(p.to_field(SQRT5), q.to_field(SQRT5), "z") == r.to_field(SQRT5)
@@ -326,8 +330,8 @@ def test_tower_resultant_three_variables(data):
 @given(data=st.data())
 @settings(max_examples=8, deadline=None)
 def test_tower_resultant_sign_for_odd_degrees_lower_first(field, data):
-    # sympy's integer resultant at each point is taken with the operand of
-    # higher degree first; for odd x odd degrees the swap flips the sign
+    # sympy's integer resultant is taken with the operand of higher degree
+    # first; for odd x odd degrees the swap flips the sign
     dp, dq = data.draw(st.sampled_from([(1, 3), (3, 5), (1, 5)]))
     p = data.draw(tower_poly(field, ("z", "y"), dp))
     q = data.draw(tower_poly(field, ("z", "y"), dq))
@@ -337,15 +341,95 @@ def test_tower_resultant_sign_for_odd_degrees_lower_first(field, data):
 
 @given(data=st.data())
 @settings(max_examples=10, deadline=None)
-def test_tower_resultant_skips_points_where_a_leading_coefficient_vanishes(data):
-    # the leading coefficient in z vanishes at x = 0, 1, 2, the first
-    # integer points; at them the degrees drop and the points are skipped
+def test_tower_resultant_where_a_leading_coefficient_vanishes_at_small_integers(data):
+    # the leading coefficient in z vanishes at x = 0, 1 and 2
     names = ("z", "x")
     lead = parse_poly("(g + 1)*x*(x - 1)*(x - 2)", SQRT5, names)
     p = data.draw(tower_poly(SQRT5, names, 2, lead=lead))
     q = data.draw(tower_poly(SQRT5, names, data.draw(st.integers(min_value=1, max_value=3))))
     assert_matches_sylvester(p, q)
     assert_matches_sylvester(q, p)
+
+
+# seeded random pairs against two oracles: the Sylvester determinant and
+# sympy's dmp_resultant on the dense inputs, generators as variables
+
+
+def sympy_resultant(p, q, var):
+    """``Res_var(p, q)`` from sympy's ``dmp_resultant`` over ZZ on the
+    lifted inputs, with the operand of higher degree first (sympy's sign
+    holds only then)."""
+    order = [var] + [v for v in p.vars if v != var]
+    u = len(order) + len(p.field.chain()) - 1
+    (a, f), (b, g) = lift(p, order), lift(q, order)
+    dp, dq = p.degree_in(var), q.degree_in(var)
+    if dp >= dq:
+        r = dmp_resultant(f, g, u, ZZ)
+    else:
+        r = dmp_resultant(g, f, u, ZZ)
+        if dp * dq % 2:
+            r = dmp_neg(r, u - 1, ZZ) if u else -r
+    return from_dense(r, order[1:], p).scale(Fraction(1, a**dq * b**dp))
+
+
+ZETA5 = extend(QQ, "g", [Fraction(1)] * 4)  # g^4 + g^3 + g^2 + g + 1
+SQRT_M3_I = extend(extend(QQ, "g", [Fraction(3), Fraction(0)]), "c", [1, 0])  # Q(sqrt -3)(i)
+
+
+def _random_scalar(rng, field):
+    if field is QQ:
+        return Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7]))
+    return field.element([_random_scalar(rng, field.base) for _ in range(field.degree)])
+
+
+def _random_pair(rng, field, names):
+    """Degrees 1..3 in ``names[0]``, odd x odd ones among them, in both
+    orders; most of the time the leading coefficient in ``names[0]``
+    vanishes at one of 0, 1, -1, 2, -2 in ``names[1]``, when there is one."""
+    dp, dq = rng.choice([(1, 3), (3, 1), (3, 3), (1, 1), (2, 3), (3, 2), (1, 2), (2, 2)])
+    pair = []
+    for deg in (dp, dq):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            rest = tuple(rng.randint(0, 2) for _ in names[1:])
+            terms[(rng.randint(0, deg - 1),) + rest] = _random_scalar(rng, field)
+        lead = MultiPoly.constant(field, names, _random_scalar(rng, field) or 1)
+        if len(names) > 1 and rng.random() < 0.7:
+            root = rng.choice([0, 1, -1, 2, -2])
+            lead = lead * (MultiPoly.variable(field, names, names[1]) - root)
+        z = MultiPoly.variable(field, names, names[0])
+        pair.append(MultiPoly(field, names, terms) + lead * z**deg)
+    return pair
+
+
+@pytest.mark.parametrize("names", [("z",), ("z", "x"), ("z", "x", "y")], ids=["1var", "2var", "3var"])
+@pytest.mark.parametrize("seed", range(8))
+def test_packed_resultant_matches_both_oracles_over_q(names, seed):
+    rng = random.Random(seed)
+    p, q = _random_pair(rng, QQ, names)
+    r = resultant(p, q, "z")
+    assert r == sympy_resultant(p, q, "z")
+    assert r == brute_determinant(sylvester_matrix(p, q, "z"))
+    assert resultant(q, p, "z") == brute_determinant(sylvester_matrix(q, p, "z"))
+
+
+@pytest.mark.parametrize("field", [SQRT5, ZETA5, SQRT_M3_I], ids=["sqrt5", "zeta5", "sqrt-3_i"])
+@pytest.mark.parametrize("seed", range(3))
+def test_packed_resultant_matches_both_oracles_over_towers(field, seed):
+    rng = random.Random(100 + seed)
+    p, q = _random_pair(rng, field, ("z", "x"))
+    r = resultant(p, q, "z")
+    assert r == sympy_resultant(p, q, "z")
+    assert r == brute_determinant(sylvester_matrix(p, q, "z"))
+    assert resultant(q, p, "z") == brute_determinant(sylvester_matrix(q, p, "z"))
+
+
+def test_packed_resultant_needs_its_digit_width(monkeypatch):
+    # one byte per digit cannot hold the resultant's coefficients
+    z, y = variables(QQ, ("z", "y"))
+    monkeypatch.setattr(polyops, "_digit_bytes", lambda bound: 1)
+    with pytest.raises(OverflowError):
+        resultant(z**3 + 200 * y, 3 * z - y * y, "z")
 
 
 @given(small_poly(names=("z", "y"), max_exp=2), small_poly(names=("z", "y"), max_exp=2))
@@ -461,6 +545,94 @@ def test_square_example_from_quadratic():
     ok, root, unit = is_square_over_closure(4 * x * x + 4 * x * y + y * y)
     assert ok and unit == 4
     assert root == x + y * Fraction(1, 2)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_packed_quadratic_discriminant_matches_the_products(seed):
+    rng = random.Random(seed)
+    names = ("x", "y")
+
+    def draw():
+        return MultiPoly.from_dict(QQ, names, {
+            (rng.randint(0, 4), rng.randint(0, 4)): Fraction(rng.randint(-99, 99), rng.randint(1, 12))
+            for _ in range(rng.randint(0, 7))})
+
+    c0, c1, c2 = draw(), draw(), draw()
+    assert polyops.quadratic_discriminant(c0, c1, c2) == c1 * c1 - 4 * c0 * c2
+
+
+# the packed square root against the squarefree path
+
+
+def _squarefree_path(monkeypatch, p):
+    with monkeypatch.context() as m:
+        m.setattr(polyops, "_packed_square_root", lambda p: None)
+        return is_square_over_closure(p)
+
+
+SQUARE_BASES = ["x^2 - 3*x*y + 7/2*y - 5", "x + 1/3", "2*x^3 - 9*x*y^2 + 11*y^4 - x + 1", "-6*y^2 + x/5"]
+
+
+@pytest.mark.parametrize("base", SQUARE_BASES)
+@pytest.mark.parametrize("c", [1, -3, 4, Fraction(1, 7)])
+def test_packed_square_root_matches_the_squarefree_path_on_squares(monkeypatch, base, c):
+    p = parse_poly(base, QQ, ("x", "y"))
+    square = (p * p).scale(c)
+    assert polyops._packed_square_root(square) == p.monic()
+    assert is_square_over_closure(square) == _squarefree_path(monkeypatch, square) == (
+        True, p.monic(), square.leading_coefficient())
+
+
+@pytest.mark.parametrize("text", [
+    "(x^2 - 3*x*y + 7/2*y - 5)^2 * (x - y)",
+    "(x + 1/3)^2 * (x^2 + 1)",
+    "(2*x^3 - 9*x*y^2 + 11*y^4 - x + 1)^2 * (y + 2)^3",
+    "x^2 + y^2",
+    "x^3",
+])
+def test_packed_square_root_leaves_non_squares_to_the_squarefree_path(monkeypatch, text):
+    p = parse_poly(text, QQ, ("x", "y"))
+    ok, witness, unit = is_square_over_closure(p)
+    assert not ok and unit is None
+    assert (ok, witness, unit) == _squarefree_path(monkeypatch, p)
+
+
+@pytest.mark.parametrize("value", [Fraction(5), Fraction(-1, 7), Fraction(4)])
+def test_packed_square_root_of_a_constant(monkeypatch, value):
+    p = MultiPoly.constant(QQ, ("x", "y"), value)
+    assert is_square_over_closure(p) == _squarefree_path(monkeypatch, p) == (True, p.one_like(), value)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_packed_square_root_on_seeded_squares(monkeypatch, seed):
+    rng = random.Random(seed)
+    names = ("x", "y") if seed % 2 else ("x",)
+    terms = {tuple(rng.randint(0, 3) for _ in names): Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+             for _ in range(rng.randint(1, 6))}
+    p = MultiPoly.from_dict(QQ, names, terms)
+    if p.is_zero():
+        p = p.one_like()
+    for q in (p * p, (p * p).scale(Fraction(-3, 11)), p * p * (p + 1)):
+        assert is_square_over_closure(q) == _squarefree_path(monkeypatch, q)
+
+
+def test_a_digit_width_too_small_falls_back_to_the_squarefree_path(monkeypatch):
+    x, y = variables(QQ, ("x", "y"))
+    base = 3 * x * x - 200 * x * y + 7 * y - 11
+    p = (base * base).scale(-3)
+    calls = []
+    decompose = polyops.squarefree_decompose
+
+    def counted(q):
+        calls.append(q)
+        return decompose(q)
+
+    monkeypatch.setattr(polyops, "squarefree_decompose", counted)
+    assert is_square_over_closure(p) == (True, base.monic(), p.leading_coefficient())
+    assert not calls  # the packed root answered
+    monkeypatch.setattr(polyops, "_digit_bytes", lambda bound: 1)
+    assert is_square_over_closure(p) == (True, base.monic(), p.leading_coefficient())
+    assert len(calls) == 1
 
 
 def test_perfect_power():
